@@ -1,10 +1,14 @@
 """Golden-stats regression test: tier-1 timing pinned per app x preset.
 
 ``golden_stats.json`` snapshots the ``ProgramStats`` fingerprint of a
-small workload per application family — FFT 2D (n=16) plus the sparse
-suite (SpMV CSR/CSC and both stencils) — for all four Table 2 presets.
-Any change to cycle-level behaviour — intentional or not — shows up as
-a diff against the fixture. It doubles as the enforcement of the
+small workload of every application — the paper's FFT 2D, Rijndael,
+Sort, Filter and the IG_SML/IG_SCL datasets plus the sparse suite
+(SpMV CSR/CSC and both stencils) — for all four Table 2 presets. It
+also pins a table of Figure 17/18 microbenchmark points, which drive
+the SRF directly: their ``ThroughputResult``, the full ``SrfStats`` and
+both cross-lane networks' ``CrossbarStats``. Any change to cycle-level
+behaviour — intentional or not — shows up as a diff against the
+fixture. It doubles as the enforcement of the
 observability layer's zero-overhead contract: running with tracing,
 metrics, and the profiler all enabled must reproduce the fixture
 bit-for-bit, as must every pure simulation-speed knob (vector backend,
@@ -15,12 +19,22 @@ Regenerate deliberately after an intentional timing change:
     PYTHONPATH=src:. python tests/machine/test_golden_stats.py
 """
 
+import dataclasses
 import json
 import os
 
 import pytest
 
-from repro.apps import fft, spmv, stencil
+from repro.apps import (
+    fft,
+    filter2d,
+    igraph,
+    microbench,
+    rijndael,
+    sort,
+    spmv,
+    stencil,
+)
 from repro.config.presets import all_configs
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_stats.json")
@@ -31,6 +45,13 @@ FFT_N = 16
 #: changing one is a fixture regeneration, never a silent drift.
 APPS = {
     "FFT 2D": lambda cfg: fft.run(cfg, n=FFT_N),
+    "Rijndael": lambda cfg: rijndael.run(cfg, blocks_per_lane=2, repeats=1),
+    "Sort": lambda cfg: sort.run(cfg, n=128, repeats=1),
+    "Filter": lambda cfg: filter2d.run(cfg, height=16, width=16, repeats=1),
+    "IG_SML": lambda cfg: igraph.run(cfg, dataset="IG_SML", nodes=128,
+                                     strips_to_run=1),
+    "IG_SCL": lambda cfg: igraph.run(cfg, dataset="IG_SCL", nodes=128,
+                                     strips_to_run=1),
     "SpMV_CSR": lambda cfg: spmv.run(cfg, fmt="csr", rows=64, cols=64,
                                      strips_to_run=2),
     "SpMV_CSC": lambda cfg: spmv.run(cfg, fmt="csc", rows=64, cols=64,
@@ -40,6 +61,29 @@ APPS = {
 }
 
 PRESETS = ("Base", "ISRF1", "ISRF4", "Cache")
+
+#: Fixture key of the microbenchmark table.
+MICRO_KEY = "Microbench"
+MICRO_CYCLES = 600
+
+#: Label -> Figure 17/18 point: sub-arrays {1,4} x address FIFO {1,8},
+#: and cross-lane ports per bank {1,4} x comm occupancy {0,0.6}.
+MICROBENCH = {
+    **{
+        f"fig17 sub={sub} fifo={fifo}": (
+            microbench.inlane_random_read_throughput,
+            {"subarrays": sub, "fifo_entries": fifo},
+        )
+        for sub in (1, 4) for fifo in (1, 8)
+    },
+    **{
+        f"fig18 ports={ports} occ={occ}": (
+            microbench.crosslane_random_read_throughput,
+            {"ports_per_bank": ports, "comm_occupancy": occ},
+        )
+        for ports in (1, 4) for occ in (0.0, 0.6)
+    },
+}
 
 
 def fingerprint(stats) -> dict:
@@ -70,6 +114,31 @@ def fingerprint(stats) -> dict:
     }
 
 
+def run_microbench(label: str, monkeypatch) -> dict:
+    """One microbenchmark point: its result plus the SRF's own stats."""
+    built = []
+    srf_cls = microbench.StreamRegisterFile
+
+    def recording(config):
+        srf = srf_cls(config)
+        built.append(srf)
+        return srf
+
+    monkeypatch.setattr(microbench, "StreamRegisterFile", recording)
+    fn, kwargs = MICROBENCH[label]
+    try:
+        result = fn(cycles=MICRO_CYCLES, **kwargs)
+    finally:
+        monkeypatch.undo()
+    [srf] = built
+    return {
+        "result": dataclasses.asdict(result),
+        "srf": dataclasses.asdict(srf.stats),
+        "address_network": dataclasses.asdict(srf.address_network.stats),
+        "return_network": dataclasses.asdict(srf.return_network.stats),
+    }
+
+
 def capture() -> dict:
     out = {}
     for app, runner in APPS.items():
@@ -77,6 +146,10 @@ def capture() -> dict:
         for name, config in all_configs().items():
             result = runner(config).require_verified()
             out[app][name] = fingerprint(result.stats)
+    patcher = pytest.MonkeyPatch()
+    out[MICRO_KEY] = {
+        label: run_microbench(label, patcher) for label in MICROBENCH
+    }
     return out
 
 
@@ -154,6 +227,14 @@ def test_fast_forward_off_matches_fixture(golden, app):
     config = all_configs()["ISRF4"].replace(fast_forward=False)
     result = APPS[app](config).require_verified()
     assert fingerprint(result.stats) == golden[app]["ISRF4"]
+
+
+@pytest.mark.parametrize("label", sorted(MICROBENCH))
+def test_microbench_matches_fixture(golden, label, monkeypatch):
+    """Figure 17/18 points drive the SRF with no kernels or memory
+    system, so this pins arbitration, completions and both cross-lane
+    networks on their own."""
+    assert run_microbench(label, monkeypatch) == golden[MICRO_KEY][label]
 
 
 if __name__ == "__main__":
