@@ -21,12 +21,14 @@ Checked invariants, mirroring the machine's conservation laws:
 * **indexed streams** — the O(1) ``pending_words`` counter equals the
   words actually queued across lane FIFOs, write credits are
   non-negative, each address FIFO's head cache matches a recomputation,
-  and reorder buffers conserve tickets (slots == issued − retired,
-  unfilled slots == live ticket map);
+  reorder buffers stay within capacity and record fill dues only for
+  their own unfilled slots;
 * **crossbars** — address-network port budgets within configured
   bounds, return-network queues plus reservations within queue depth;
 * **completion pipeline** — no in-flight completion is overdue after
-  the cycle's completions drained.
+  the cycle's completions drained, every calendar bucket's due lies in
+  the ring's window and maps to that bucket, and the in-flight count
+  matches the queued events.
 
 On the first violated invariant a :class:`~repro.errors.SanitizerError`
 carrying a :class:`SanitizerReport` (every violation found that cycle,
@@ -38,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.address_fifo import _STALE
+from repro.core.stream_buffer import _UNFILLED
 from repro.errors import SanitizerError
 
 
@@ -204,24 +207,22 @@ class MachineSanitizer:
 
     @staticmethod
     def _check_rob(name, lane, rob):
-        issued = rob._next_ticket - rob._head_ticket
-        if len(rob._slots) != issued:
+        slots = rob._slots
+        if len(slots) > rob.capacity:
             yield (
                 f"indexed stream '{name}' lane {lane}: reorder buffer "
-                f"holds {len(rob._slots)} slots but tickets say "
-                f"{issued} outstanding"
+                f"occupancy {len(slots)} exceeds capacity {rob.capacity}"
             )
-        if rob.occupancy > rob.capacity:
-            yield (
-                f"indexed stream '{name}' lane {lane}: reorder buffer "
-                f"occupancy {rob.occupancy} exceeds capacity {rob.capacity}"
-            )
-        unfilled = sum(1 for slot in rob._slots if not slot.valid)
-        if unfilled != len(rob._live):
-            yield (
-                f"indexed stream '{name}' lane {lane}: {unfilled} unfilled "
-                f"reorder slots but {len(rob._live)} live tickets"
-            )
+        head = rob._head_ticket
+        for ticket in rob._due:
+            index = ticket - head
+            if not 0 <= index < len(slots) or slots[index] is not _UNFILLED:
+                yield (
+                    f"indexed stream '{name}' lane {lane}: fill due "
+                    f"recorded for ticket {ticket}, which is not an "
+                    f"unfilled reorder slot (tickets {head}.."
+                    f"{head + len(slots) - 1})"
+                )
 
     def _check_networks(self):
         address = self.srf.address_network
@@ -255,9 +256,28 @@ class MachineSanitizer:
                 )
 
     def _check_pipeline(self, cycle: int):
-        heap = self.srf._in_flight
-        if heap and heap[0][0] <= cycle:
+        srf = self.srf
+        size = srf._cal_size
+        queued = 0
+        for slot, bucket in enumerate(srf._cal):
+            if not bucket:
+                continue
+            queued += len(bucket)
+            due = srf._cal_due[slot]
+            if due <= cycle:
+                yield (
+                    f"completion pipeline: {len(bucket)} access(es) due at "
+                    f"cycle {due} still in flight after cycle {cycle} "
+                    "drained"
+                )
+            elif due % size != slot or due - cycle >= size:
+                yield (
+                    f"completion pipeline: bucket {slot} holds accesses "
+                    f"due at cycle {due}, outside the {size}-cycle "
+                    f"calendar window after cycle {cycle}"
+                )
+        if queued != srf._cal_count:
             yield (
-                f"completion pipeline: access due at cycle {heap[0][0]} "
-                f"still in flight after cycle {cycle} drained"
+                f"completion pipeline: {queued} queued completions but "
+                f"the in-flight count says {srf._cal_count}"
             )

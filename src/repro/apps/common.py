@@ -84,6 +84,23 @@ def steady_state_run(processor: StreamProcessor, build_program,
     return processor.run_program(chain)
 
 
+def accumulator(sums: dict):
+    """Kernel payload adding a contribution to ``sums[key]``.
+
+    Negative keys are padding and add nothing; the payload returns 0.0.
+    Payloads hold plain state like ``sums``, never the benchmark object:
+    a benchmark holds its kernels, so a payload holding the benchmark
+    would keep the whole machine alive in a reference cycle after its
+    run returns.
+    """
+    def accumulate(key, contribution) -> float:
+        k = int(key)
+        if k >= 0:
+            sums[k] = sums.get(k, 0.0) + contribution
+        return 0.0
+    return accumulate
+
+
 def normalized(value: float, baseline: float) -> float:
     """``value / baseline`` with a guard for empty baselines."""
     if baseline == 0:

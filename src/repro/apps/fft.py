@@ -83,9 +83,10 @@ class Fft2dBenchmark:
         self.in_regions = {}
         self.out_regions = {}
         self._guards = {"store": None, "x0": None, "x1": None}
-        # Mutable per-stage state read by kernel payload closures.
-        self._row_twiddles = []
-        self._col_state = {}
+        # Mutable per-stage state read by kernel payload closures. The
+        # closures hold this dict, never the benchmark, so the machine
+        # is freed by reference counting once a run returns.
+        self._stage = {"row_tw": [], "pairs": None, "tw": None}
         self._build_row_kernel()
         if self._indexed:
             self._build_column_maps()
@@ -103,9 +104,10 @@ class Fft2dBenchmark:
         lane = b.laneid()
         b.update(it, b.logic(lambda i: i + 1, it, name="it_next"))
         bidx = b.logic(lambda i, l: 8 * i + l, it, lane, name="bidx")
-        w_re = b.arith(lambda t: self._row_twiddles[int(t)].real, bidx,
+        stage = self._stage
+        w_re = b.arith(lambda t: stage["row_tw"][int(t)].real, bidx,
                        name="w_re")
-        w_im = b.arith(lambda t: self._row_twiddles[int(t)].imag, bidx,
+        w_im = b.arith(lambda t: stage["row_tw"][int(t)].imag, bidx,
                        name="w_im")
         a_re, a_im = b.read(in_s, "a_re"), b.read(in_s, "a_im")
         b_re, b_im = b.read(in_s, "b_re"), b.read(in_s, "b_im")
@@ -129,20 +131,21 @@ class Fft2dBenchmark:
         it = b.carry(0, "it")
         lane = b.laneid()
         b.update(it, b.logic(lambda i: i + 1, it, name="it_next"))
+        stage = self._stage
         idx_i = b.arith(
-            lambda l, t: self._col_state["pairs"][int(l)][int(t)][0],
+            lambda l, t: stage["pairs"][int(l)][int(t)][0],
             lane, it, name="idx_i",
         )
         idx_j = b.arith(
-            lambda l, t: self._col_state["pairs"][int(l)][int(t)][1],
+            lambda l, t: stage["pairs"][int(l)][int(t)][1],
             lane, it, name="idx_j",
         )
         w_re = b.arith(
-            lambda l, t: self._col_state["tw"][int(l)][int(t)].real,
+            lambda l, t: stage["tw"][int(l)][int(t)].real,
             lane, it, name="w_re",
         )
         w_im = b.arith(
-            lambda l, t: self._col_state["tw"][int(l)][int(t)].imag,
+            lambda l, t: stage["tw"][int(l)][int(t)].imag,
             lane, it, name="w_im",
         )
         a = b.idx_read(data_in, idx_i, name="rd_a")
@@ -232,7 +235,7 @@ class Fft2dBenchmark:
         for row in range(n):
             for i, j, w in dif_butterflies(n, stage):
                 butterflies.append((n * row + i, n * row + j, w))
-        self._row_twiddles = [w for _i, _j, w in butterflies]
+        self._stage["row_tw"] = [w for _i, _j, w in butterflies]
         words = source.read_stream_order(2 * total)
         if stage == 0:
             slot_words = words
@@ -257,8 +260,7 @@ class Fft2dBenchmark:
         already in row-major slot order."""
 
     def _set_column_stage(self, stage: int) -> None:
-        pairs, tw = self._col_stage_plans[stage]
-        self._col_state = {"pairs": pairs, "tw": tw}
+        self._stage["pairs"], self._stage["tw"] = self._col_stage_plans[stage]
 
     # ------------------------------------------------------------------
     # Program construction

@@ -61,6 +61,22 @@ def reference_filter(image: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scratch_reader(scratch: dict, cols_per_lane: int, dr: int, dc: int):
+    """Payload reading tap ``(dr, dc)`` of the current scratchpad.
+
+    Lane ``lane`` computes, at ``iteration``, the pixel at (row, in-band
+    column) ``divmod(iteration, cols_per_lane)`` of its output band
+    (row-major scan).
+    """
+    def read(lane, iteration):
+        lane, iteration = int(lane), int(iteration)
+        row = iteration // cols_per_lane
+        col = iteration % cols_per_lane
+        return float(scratch["padded"][row + dr,
+                                       lane * cols_per_lane + col + dc])
+    return read
+
+
 class FilterBenchmark:
     """Runs the 5x5 Filter on one machine configuration."""
 
@@ -85,6 +101,10 @@ class FilterBenchmark:
         self.out_regions = {}
         self._guards = {"kernel": {0: None, 1: None},
                         "store": {0: None, 1: None}}
+        #: The current strip's padded image, which the Base/Cache
+        #: kernel's scratchpad payloads read (set by each kernel's
+        #: on_start hook).
+        self._scratch = {}
         self._setup_arrays()
         self._build_kernel()
 
@@ -124,13 +144,6 @@ class FilterBenchmark:
         self.in_words = in_words
         self.out_words = out_words
 
-    def _pixel_index(self, lane: int, iteration: int) -> tuple:
-        """(row, in-band column) of the pixel lane ``lane`` computes at
-        ``iteration`` (row-major scan over the lane's output band)."""
-        row = iteration // self.cols_per_lane
-        col = iteration % self.cols_per_lane
-        return row, col
-
     def _build_kernel(self) -> None:
         if self._indexed:
             self._build_isrf_kernel()
@@ -145,13 +158,13 @@ class FilterBenchmark:
         lane = b.laneid()
         b.update(it, b.logic(lambda i: i + 1, it, name="it_next"))
         # Window-centre address (top-left of the 5x5 window).
+        cpl = self.cols_per_lane
+        bw = self.band_width
         base_addr = b.arith(
-            lambda l, t: (t // self.cols_per_lane) * self.band_width
-            + (t % self.cols_per_lane),
+            lambda l, t: (t // cpl) * bw + (t % cpl),
             lane, it, name="win_base",
         )
         taps = []
-        bw = self.band_width
         for dr in range(TAPS):
             row_base = b.logic(
                 (lambda d: lambda a: a + d * bw)(dr), base_addr,
@@ -189,8 +202,8 @@ class FilterBenchmark:
         for dr in range(TAPS):
             for dc in range(TAPS):
                 scratch = b.logic(
-                    (lambda d, c: lambda l, t: self._scratch_read(
-                        int(l), int(t), d, c))(dr, dc),
+                    _scratch_reader(self._scratch, self.cols_per_lane,
+                                    dr, dc),
                     lane, it, name=f"scr{dr}_{dc}",
                 )
                 taps.append((scratch, b.const(float(COEFFS[dr, dc]))))
@@ -204,13 +217,6 @@ class FilterBenchmark:
         acc = b.arith(lambda a, _bk: a, acc, bookkeeping, name="join")
         b.write(out_s, acc)
         self.kernel = b.build()
-
-    def _scratch_read(self, lane: int, iteration: int, dr: int, dc: int):
-        """Functional scratchpad contents for the Base/Cache variant."""
-        row, col = self._pixel_index(lane, iteration)
-        padded = self._current_padded
-        return float(padded[row + dr,
-                            lane * self.cols_per_lane + col + dc])
 
     # ------------------------------------------------------------------
     def _band(self, image: np.ndarray, lane: int) -> np.ndarray:
@@ -278,7 +284,7 @@ class FilterBenchmark:
                         mode="edge")
 
         def on_start(padded=padded):
-            self._current_padded = padded
+            self._scratch["padded"] = padded
 
         t_k = prog.add_kernel(
             KernelInvocation(self.kernel, bindings, iterations=iterations,

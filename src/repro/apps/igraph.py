@@ -31,7 +31,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.apps.common import AppResult, make_processor, steady_state_run
+from repro.apps.common import (
+    AppResult,
+    accumulator,
+    make_processor,
+    steady_state_run,
+)
 from repro.config.machine import MachineConfig
 from repro.core.arrays import SrfArray
 from repro.kernel.builder import KernelBuilder
@@ -199,12 +204,6 @@ class IgBenchmark:
                 x = b.add(x, c, name=f"chain_a{k}")
         return x
 
-    def _accumulate(self, node_id, contribution) -> float:
-        nid = int(node_id)
-        if nid >= 0:
-            self._acc[nid] = self._acc.get(nid, 0.0) + contribution
-        return 0.0
-
     def _build_edge_kernel(self) -> Kernel:
         """Phase A: one neighbour (edge) per lane per iteration.
 
@@ -232,7 +231,7 @@ class IgBenchmark:
             value = b.read(gathered, name="nbr_value")
             node_id = b.read(gathered, name="owner_id")
         contribution = self._chain(b, value)
-        b.arith(self._accumulate, node_id, contribution, name="accum")
+        b.arith(accumulator(self._acc), node_id, contribution, name="accum")
         return b.build()
 
     def _build_update_kernel(self) -> Kernel:
@@ -241,8 +240,9 @@ class IgBenchmark:
         nodes_in = b.istream("nodes_in")
         out = b.ostream("updates")
         rec = b.read(nodes_in, name="node_rec")  # (node_id, old_value)
+        acc = self._acc
         new = b.arith(
-            lambda r: (r[1] + UPDATE_SCALE * self._acc.get(int(r[0]), 0.0))
+            lambda r: (r[1] + UPDATE_SCALE * acc.get(int(r[0]), 0.0))
             if r[0] >= 0 else 0.0,
             rec, name="new_value",
         )
@@ -362,7 +362,7 @@ class IgBenchmark:
             edge_deps.append(t_gather)
 
         def on_start():
-            self._acc = {}
+            self._acc.clear()
 
         t_phase_a = prog.add_kernel(KernelInvocation(
             self.edge_kernel, bindings, iterations=width_e,

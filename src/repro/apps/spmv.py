@@ -42,7 +42,12 @@ import random
 
 import numpy as np
 
-from repro.apps.common import AppResult, make_processor, steady_state_run
+from repro.apps.common import (
+    AppResult,
+    accumulator,
+    make_processor,
+    steady_state_run,
+)
 from repro.config.machine import MachineConfig
 from repro.core.arrays import SrfArray
 from repro.errors import ExecutionError
@@ -333,17 +338,6 @@ class SpmvBenchmark:
     # ------------------------------------------------------------------
     # Kernels
     # ------------------------------------------------------------------
-    def _accumulate(self, row_id, contribution) -> float:
-        rid = int(row_id)
-        if rid >= 0:
-            self._acc[rid] = self._acc.get(rid, 0.0) + contribution
-        return 0.0
-
-    def _row_result(self, row_id):
-        if row_id >= 0:
-            return self._acc.get(int(row_id), 0.0)
-        return 0.0
-
     def _build_kernels(self) -> None:
         if self._inlane_y:
             self.main_kernel = self._build_isrf_csc_kernel()
@@ -370,7 +364,7 @@ class SpmvBenchmark:
                       name="xidx")
         xv = b.idx_read(x_s, idx, predicate=valid, name="xval")
         prod = b.mul(a, xv, name="prod")
-        b.arith(self._accumulate, r, prod, name="accum")
+        b.arith(accumulator(self._acc), r, prod, name="accum")
         return b.build()
 
     def _build_isrf_csc_kernel(self) -> Kernel:
@@ -406,7 +400,7 @@ class SpmvBenchmark:
         rid = b.read(gathered, name="rowid")
         a = b.read(vals_s, name="aval")
         prod = b.mul(a, xv, name="prod")
-        b.arith(self._accumulate, rid, prod, name="accum")
+        b.arith(accumulator(self._acc), rid, prod, name="accum")
         return b.build()
 
     def _build_update_kernel(self) -> Kernel:
@@ -415,7 +409,11 @@ class SpmvBenchmark:
         rows_in = b.istream("rows_in")
         out = b.ostream("y")
         r = b.read(rows_in, name="row")
-        y = b.arith(self._row_result, r, name="yval")
+        acc = self._acc
+        y = b.arith(
+            lambda row_id: acc.get(int(row_id), 0.0) if row_id >= 0 else 0.0,
+            r, name="yval",
+        )
         b.write(out, y)
         return b.build()
 
@@ -515,7 +513,7 @@ class SpmvBenchmark:
         bindings["vals"] = val_arr.seq_read(width_e * lanes)
 
         def on_start():
-            self._acc = {}
+            self._acc.clear()
 
         t_main = prog.add_kernel(KernelInvocation(
             self.main_kernel, bindings, iterations=width_e,

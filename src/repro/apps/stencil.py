@@ -115,6 +115,9 @@ class StencilBenchmark:
         self.out_regions: dict = {}
         self._guards = {"kernel": {0: None, 1: None},
                         "store": {0: None, 1: None}}
+        #: The current strip's lane bands, which the Base/Cache kernel's
+        #: scratchpad payloads read (set by each kernel's on_start hook).
+        self._scratch: dict = {}
         self._setup_arrays()
         self._build_kernel()
 
@@ -183,11 +186,12 @@ class StencilBenchmark:
         b.update(it, b.logic(lambda i: i + 1, it, name="it_next"))
         px_in = b.read(in_s, name="px_in")
         taps = []
+        bands = self._scratch
         for (dr, dc), coeff in self.taps:
             offset = dr * self.band_width + dc
             scratch = b.logic(
-                (lambda off: lambda ln, t: self._scratch_read(
-                    int(ln), int(t), off))(offset),
+                (lambda off: lambda ln, t:
+                    bands["bands"][int(ln)][int(t) + off])(offset),
                 lane, it, name=f"scr{dr}_{dc}",
             )
             taps.append((scratch, b.const(float(coeff))))
@@ -200,10 +204,6 @@ class StencilBenchmark:
         acc = b.arith(lambda a, _bk: a, acc, bookkeeping, name="join")
         b.write(out_s, acc)
         self.kernel = b.build()
-
-    def _scratch_read(self, lane: int, iteration: int, offset: int):
-        """Functional scratchpad contents for the Base/Cache variant."""
-        return self._current_bands[lane][iteration + offset]
 
     # ------------------------------------------------------------------
     def _band(self, rows: np.ndarray, lane: int) -> np.ndarray:
@@ -261,7 +261,7 @@ class StencilBenchmark:
                         "out": out_arr.seq_write(out_words)}
 
             def on_start(bands=bands):
-                self._current_bands = bands
+                self._scratch["bands"] = bands
 
         t_kernel = prog.add_kernel(
             KernelInvocation(self.kernel, bindings, iterations=iterations,

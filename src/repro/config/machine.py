@@ -134,11 +134,10 @@ class MachineConfig:
     #: (without one, or under fault injection, runs execute normally).
     timing_source: str = "execute"
     #: Cycle engine driving the timing model: "object" steps the
-    #: Python-object machine graph one cycle at a time (the reference
-    #: engine); "columnar" (see :mod:`repro.machine.columnar`) keeps SRF
-    #: completion state in flat calendar columns and batch-steps
-    #: event-horizon windows (drain loops, stall windows) that the
-    #: object engine walks cycle by cycle. Both engines produce
+    #: executor one cycle at a time (the reference engine); "columnar"
+    #: (see :mod:`repro.machine.columnar`) batch-steps event-horizon
+    #: windows (startup, quiet and stall windows) in which only the SRF
+    #: and memory controller tick. Both engines share one SRF and produce
     #: bit-identical :class:`ProgramStats`; "columnar" is purely a
     #: simulation speed knob, not a machine parameter, and runs fall
     #: back to the object engine for configurations the columnar engine
@@ -320,6 +319,12 @@ class MachineConfig:
             raise ConfigurationError(
                 "stream buffers must hold at least one SRF block per lane"
             )
+        # An SRF access completes on a later cycle than its grant: the
+        # completion calendar has already drained the grant cycle.
+        for name in ("srf_sequential_latency", "inlane_indexed_latency",
+                     "crosslane_indexed_latency"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be at least 1")
         if self.supports_indexing:
             if self.inlane_indexed_bandwidth <= 0:
                 raise ConfigurationError(

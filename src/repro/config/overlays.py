@@ -130,7 +130,7 @@ OVERLAYS: "tuple[EnvOverlay, ...]" = (
         name="REPRO_TIMING_ENGINE",
         owner="repro.config.presets",
         doc="Timing-engine overlay onto every preset: object "
-            "(reference) or columnar (calendar-ring batch stepping).",
+            "(reference) or columnar (batch-stepped drain windows).",
         example="REPRO_TIMING_ENGINE=columnar",
         result_affecting=True,
     ),

@@ -99,13 +99,14 @@ class AddressFifo:
 
     def push(self, access: RecordAccess) -> None:
         """Enqueue a record access (cluster-side)."""
-        if self.is_full:
+        entries = self._entries
+        if len(entries) >= self.capacity:
             raise SrfError("address FIFO overflow")
         if not access.words:
             raise SrfError("empty record access")
-        if not self._entries:
+        if not entries:
             self._head_cache = _STALE  # pushing onto an empty FIFO moves the head
-        self._entries.append(access)
+        entries.append(access)
 
     def peek_word(self) -> "WordAccess | None":
         """The head single-word access, or None when the FIFO is empty."""
@@ -118,14 +119,13 @@ class AddressFifo:
             head = self._entries[0]
             index = self._head_word
             target_lane, addr = head.words[index]
-            word = WordAccess(
-                bank_local_addr=addr,
-                target_lane=target_lane,
-                source_lane=self.lane,
-                stream_id=self.stream_id,
-                ticket=head.tickets[index] if head.tickets is not None else None,
-                value=head.values[index] if head.values is not None else None,
-            )
+            tickets = head.tickets
+            if tickets is not None:
+                word = WordAccess(addr, target_lane, self.lane,
+                                  self.stream_id, tickets[index], None)
+            else:
+                word = WordAccess(addr, target_lane, self.lane,
+                                  self.stream_id, None, head.values[index])
         self._head_cache = word
         return word
 

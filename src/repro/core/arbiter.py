@@ -16,42 +16,44 @@ from repro.errors import SrfError
 class RoundRobinArbiter:
     """Fair pick among a dynamic set of requesters.
 
-    :meth:`pick` returns the first requester at or after the rotating
-    pointer for which ``predicate`` holds, then advances the pointer past
-    the winner.
+    :meth:`pick` returns the requester at the rotating pointer, then
+    advances the pointer past the winner.
     """
 
     def __init__(self):
         self._pointer = 0
+        #: ``(count, start)`` -> scan order; bank arbitration asks for
+        #: the same few rotations every cycle.
+        self._orders = {}
 
-    def pick(self, candidates, predicate):
-        """Select the next eligible candidate, or None.
+    def pick(self, candidates):
+        """Select the next candidate, or None when there is none.
 
-        ``candidates`` is an indexable sequence; ``predicate`` maps a
-        candidate to bool. The rotation pointer is interpreted modulo the
-        current candidate count, so the candidate list may change size
-        between calls.
+        ``candidates`` is an indexable sequence. The rotation pointer is
+        interpreted modulo the current candidate count, so the candidate
+        list may change size between calls.
         """
         count = len(candidates)
         if count == 0:
             return None
-        start = self._pointer % count
-        for step in range(count):
-            position = (start + step) % count
-            candidate = candidates[position]
-            if predicate(candidate):
-                self._pointer = position + 1
-                return candidate
-        return None
+        position = self._pointer % count
+        self._pointer = position + 1
+        return candidates[position]
 
-    def rotation(self, count: int) -> list:
+    def rotation(self, count: int) -> tuple:
         """Index order for scanning ``count`` items starting at the pointer."""
         if count < 0:
             raise SrfError("negative candidate count")
         if count == 0:
-            return []
-        start = self._pointer % count
-        return [(start + step) % count for step in range(count)]
+            return ()
+        key = (count, self._pointer % count)
+        order = self._orders.get(key)
+        if order is None:
+            start = key[1]
+            order = self._orders[key] = tuple(
+                (start + step) % count for step in range(count)
+            )
+        return order
 
     def advance(self, count: int) -> None:
         """Rotate the pointer by one position over ``count`` items."""

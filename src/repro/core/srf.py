@@ -14,6 +14,13 @@ one cycle-steppable device:
 * cross-lane access through dedicated address and data-return crossbars
   (§4.5, Figure 18).
 
+The SRF runs once per simulated cycle, so its representation is chosen
+for host speed without changing a single grant. Pipelined completions
+live in a calendar ring of per-cycle buckets of typed event tuples,
+applied in grant order; indexed arbitration files every address-FIFO
+head in its target bank's bucket in one pass per cycle, then arbitrates
+the banks in order (see :meth:`StreamRegisterFile._grant_indexed`).
+
 Clients (the kernel executor and the memory controller) interact through
 small, explicit protocols: sequential ports expose ``wants_grant`` /
 ``on_grant``; indexed streams expose ``can_issue`` / ``issue_read`` /
@@ -25,12 +32,12 @@ so the timing model and the data model can never diverge.
 from __future__ import annotations
 
 import enum
-import heapq
 import itertools
+from bisect import insort
 from dataclasses import dataclass
 
 from repro.config.machine import MachineConfig
-from repro.core.address_fifo import AddressFifo, RecordAccess, WordAccess
+from repro.core.address_fifo import _STALE, AddressFifo, RecordAccess
 from repro.core.arbiter import RoundRobinArbiter
 from repro.core.descriptors import IndexSpace, StreamDescriptor
 from repro.core.geometry import SrfGeometry
@@ -42,6 +49,13 @@ from repro.interconnect.crossbar import (
     ReturnNetwork,
     RingAddressNetwork,
 )
+
+
+#: Grant order of a bank with exactly one head word access.
+_SINGLE = (0,)
+
+#: The global arbiter's two classes; the pick is truthy for "indexed".
+_CLASSES = (False, True)
 
 
 class PortDirection(enum.Enum):
@@ -198,10 +212,6 @@ class IndexedStream:
     barrier on write drain at kernel end.
     """
 
-    #: Reorder-buffer class hook: timing-engine subclasses (see
-    #: :mod:`repro.machine.columnar`) substitute a due-tracking variant.
-    ROB_CLS = ReorderBuffer
-
     def __init__(self, srf: "StreamRegisterFile", descriptor: StreamDescriptor):
         if descriptor.kind.is_sequential:
             raise SrfError(f"{descriptor.name}: not an indexed stream kind")
@@ -215,7 +225,7 @@ class IndexedStream:
         ]
         if descriptor.kind.is_read:
             self.robs = [
-                self.ROB_CLS(cfg.stream_buffer_words) for _ in range(lanes)
+                ReorderBuffer(cfg.stream_buffer_words) for _ in range(lanes)
             ]
         else:
             self.robs = None
@@ -223,9 +233,10 @@ class IndexedStream:
         #: Word accesses queued across all lane FIFOs (kept as a counter
         #: so per-cycle arbitration polls are O(1), not O(lanes)).
         self.pending_words = 0
-        # Immutable per-stream facts, cached off the hot arbitration path.
+        # Immutable per-stream facts, cached off the hot per-word paths.
         self.is_crosslane = descriptor.kind.is_crosslane
         self.is_read = descriptor.kind.is_read
+        self.record_words = descriptor.record_words
         self._local_base = self._compute_local_base()
         self._per_lane_single = (
             descriptor.index_space is IndexSpace.PER_LANE
@@ -264,23 +275,26 @@ class IndexedStream:
     # -- client (cluster) side ----------------------------------------------
     def can_issue(self, lane: int) -> bool:
         """Whether ``lane`` may enqueue another record access now."""
-        if self.fifos[lane].is_full:
+        fifo = self.fifos[lane]
+        if len(fifo._entries) >= fifo.capacity:
             return False
-        if self.robs is not None:
-            return self.robs[lane].can_reserve(self.descriptor.record_words)
-        return True
+        robs = self.robs
+        return robs is None or robs[lane].can_reserve(self.record_words)
 
     def issue_read(self, lane: int, record_index: int) -> None:
         """Enqueue a record read; reserves in-order reorder slots."""
         if not self.is_read:
             raise SrfError(f"{self.descriptor.name}: not a read stream")
         words = self.resolve(lane, record_index)
-        tickets = [self.robs[lane].reserve() for _ in words]
-        self.fifos[lane].push(RecordAccess(words=words, tickets=tickets))
-        self.pending_words += len(words)
+        count = len(words)
+        first = self.robs[lane].reserve(count)
+        tickets = [first] if count == 1 else list(range(first, first + count))
+        fifo = self.fifos[lane]
+        fifo.push(RecordAccess(words, tickets))
+        self.pending_words += count
         hist = self.srf._addr_fifo_hist
         if hist is not None:
-            hist.record(self.fifos[lane].occupancy)
+            hist.record(fifo.occupancy)
 
     def issue_write(self, lane: int, record_index: int, values) -> None:
         """Enqueue a record write carrying its data words."""
@@ -307,15 +321,14 @@ class IndexedStream:
     def record_ready(self, lane: int) -> bool:
         """Whether a full record (``record_words`` words) is readable."""
         return self.robs is not None and self.robs[lane].head_ready_n(
-            self.descriptor.record_words
+            self.record_words
         )
 
     def pop_record(self, lane: int):
         """Pop one full record; single-word records return the bare word."""
-        words = [
-            self.pop_data(lane) for _ in range(self.descriptor.record_words)
-        ]
-        return words[0] if len(words) == 1 else tuple(words)
+        if self.record_words == 1:
+            return self.pop_data(lane)
+        return tuple(self.pop_data(lane) for _ in range(self.record_words))
 
     def pop_data(self, lane: int):
         """Pop the next in-order data word for ``lane``."""
@@ -341,11 +354,6 @@ class StreamRegisterFile:
     (statically scheduled) communication this cycle, which takes priority
     over cross-lane data returns (§4.5).
     """
-
-    #: Indexed-stream class hook: timing-engine subclasses (see
-    #: :mod:`repro.machine.columnar`) substitute a variant whose reorder
-    #: buffers track fill due cycles.
-    INDEXED_STREAM_CLS = IndexedStream
 
     def __init__(self, config: MachineConfig):
         config.validate()
@@ -379,8 +387,19 @@ class StreamRegisterFile:
         # (addresses there were already range-checked at issue time).
         self._subarray_stride = self.geometry.words_per_lane_access
         self._subarray_count = self.geometry.subarrays_per_bank
-        self._in_flight = []  # heap of (due, sequence, action) tuples
-        self._sequence = itertools.count()
+        # Completion calendar: a ring of per-cycle buckets of typed event
+        # tuples (see _complete_due). A due is 1..max-latency cycles out,
+        # so live dues span fewer cycles than the ring has buckets and a
+        # bucket holds one due cycle at a time; _cal_due[b] is bucket b's.
+        self._cal_size = max(
+            config.srf_sequential_latency,
+            config.inlane_indexed_latency,
+            config.crosslane_indexed_latency,
+        ) + 2
+        self._cal = [[] for _ in range(self._cal_size)]
+        self._cal_due = [0] * self._cal_size
+        self._cal_count = 0
+        self._cal_floor = 0  # next due cycle not yet completed
         self._comm_busy = False
         # Fault injection (repro.faults); all None/False when disabled so
         # the hot paths pay a single predicated check at most.
@@ -452,7 +471,7 @@ class StreamRegisterFile:
                 f"machine '{self.config.name}' has a sequential-only SRF; "
                 f"cannot open indexed stream {descriptor.name}"
             )
-        stream = self.INDEXED_STREAM_CLS(self, descriptor)
+        stream = IndexedStream(self, descriptor)
         self._indexed[descriptor.stream_id] = stream
         self._indexed_list.append(stream)
         if self._tracer is not None:
@@ -575,7 +594,10 @@ class StreamRegisterFile:
         self._comm_busy = comm_busy
         if self._faults_enabled:
             self._advance_faults(cycle)
-        self._complete_due(cycle)
+        if self._cal_count:
+            self._complete_due(cycle)
+        else:
+            self._cal_floor = cycle + 1
         self.return_network.tick(comm_busy)
         self._arbitrate(cycle)
 
@@ -592,13 +614,13 @@ class StreamRegisterFile:
         for port in self._seq_ports:
             if port.wants_grant():
                 return cycle
-        for stream in self._indexed.values():
+        for stream in self._indexed_list:
             if stream.pending_words:
                 return cycle
         if self.return_network.pending():
             return cycle
-        if self._in_flight:
-            return self._in_flight[0][0]
+        if self._cal_count:
+            return self._next_due()
         return None
 
     def fast_forward(self, cycles: int) -> None:
@@ -611,25 +633,66 @@ class StreamRegisterFile:
         self.stats.cycles += cycles
         self._comm_busy = False
 
+    # ------------------------------------------------------------------
+    # Pipelined completions (calendar ring)
+    # ------------------------------------------------------------------
+    # Event kinds, typed tuples instead of closures:
+    #   (1, rob, ticket, value)                       in-lane read fill
+    #   (2, bank, src_lane, ticket, value, sid, rob)  cross-lane return
+    #   (3, stream)                                   write retirement
+    #   (4, port, per_lane)                           sequential block fill
     def schedule_fill(self, due: int, port: SequentialPort, per_lane) -> None:
         """Register a pipelined sequential read completion."""
-        self._push_in_flight(due, lambda: port.deliver_fill(per_lane))
-
-    def _push_in_flight(self, due: int, action) -> None:
-        heapq.heappush(
-            self._in_flight, (due, next(self._sequence), action)
-        )
+        slot = due % self._cal_size
+        self._cal[slot].append((4, port, per_lane))
+        self._cal_due[slot] = due
+        self._cal_count += 1
 
     def _complete_due(self, cycle: int) -> None:
-        heap = self._in_flight
-        while heap and heap[0][0] <= cycle:
-            heapq.heappop(heap)[2]()
+        """Apply every completion due at or before ``cycle``.
+
+        Each bucket holds one due cycle, in push order, which is the
+        order the accesses were granted; completions never push new
+        events, so a bucket is drained by plain iteration.
+        """
+        size = self._cal_size
+        floor = self._cal_floor
+        if cycle - floor >= size:
+            # A fast-forward skipped past the floor. The skip contract
+            # guarantees nothing fell due inside the skipped window, so
+            # every live due is >= cycle.
+            floor = cycle
+        cal = self._cal
+        enqueue = self.return_network.enqueue
+        while floor <= cycle:
+            bucket = cal[floor % size]
+            if bucket:
+                for ev in bucket:
+                    kind = ev[0]
+                    if kind == 1:
+                        ev[1].fill(ev[2], ev[3])
+                    elif kind == 2:
+                        enqueue(ev[1], ev[2], ev[3], ev[4], ev[5], ev[6].fill)
+                    elif kind == 3:
+                        ev[1].outstanding_writes -= 1
+                    else:
+                        ev[1].deliver_fill(ev[2])
+                self._cal_count -= len(bucket)
+                cal[floor % size] = []
+                if not self._cal_count:
+                    break
+            floor += 1
+        self._cal_floor = cycle + 1
+
+    def _next_due(self) -> int:
+        """Due cycle of the oldest pending completion (some must exist)."""
+        return min(
+            due for due, bucket in zip(self._cal_due, self._cal) if bucket
+        )
 
     # ------------------------------------------------------------------
     # Arbitration (two-stage, §4.4)
     # ------------------------------------------------------------------
-    _INDEXED_GROUP = "indexed"
-
     def _arbitrate(self, cycle: int) -> None:
         """Two-stage arbitration (§4.4): the global stage selects either
         ONE sequential stream or ALL indexed streams, alternating fairly
@@ -641,134 +704,158 @@ class StreamRegisterFile:
             if s.pending_words:
                 indexed_wanted = True
                 break
-        if not sequential and not indexed_wanted:
-            return
-        if sequential and indexed_wanted:
-            classes = ["sequential", self._INDEXED_GROUP]
-            winner_class = self._global_arbiter.pick(classes, lambda _c: True)
-        elif sequential:
-            winner_class = "sequential"
-        else:
-            winner_class = self._INDEXED_GROUP
-        if winner_class is self._INDEXED_GROUP:
-            self._grant_indexed(cycle)
-        else:
-            port = self._seq_arbiter.pick(sequential, lambda _p: True)
+        if sequential:
+            if indexed_wanted and self._global_arbiter.pick(_CLASSES):
+                self._grant_indexed(cycle)
+                return
+            port = self._seq_arbiter.pick(sequential)
             self.stats.sequential_grants += 1
             self.stats.sequential_words += port.on_grant(cycle)
+        elif indexed_wanted:
+            self._grant_indexed(cycle)
 
     def _grant_indexed(self, cycle: int) -> None:
-        self.stats.indexed_cycles += 1
-        self.address_network.begin_cycle()
-        granted_total = 0
-        blocked_total = 0
-        # Candidate heads per bank: in-lane heads live at their own bank;
-        # cross-lane heads are offered by their source lane to the target
-        # bank of their head word access.
-        streams = self._indexed_list
-        for bank in range(self.geometry.lanes):
-            granted, blocked = self._grant_bank(bank, streams, cycle)
-            granted_total += granted
-            blocked_total += blocked
-        if granted_total == 0:
-            self.stats.empty_indexed_cycles += 1
-        self.stats.blocked_heads += blocked_total
+        """Local arbitration of every bank for one indexed cycle.
 
-    def _grant_bank(self, bank: int, streams, cycle: int) -> tuple:
-        """Local arbitration for one bank; returns (granted, blocked)."""
-        heads = []
+        Each bank serves, in round-robin (or fullest-FIFO-first) order,
+        the head word accesses that target it: in-lane heads live at
+        their own lane's bank, cross-lane heads at the bank their word
+        addresses. A bank grants at most ``_bank_cap`` words, one per
+        sub-array when it has several; a cross-lane word also needs a
+        return-queue slot and a free address-network route, and yields
+        to an explicit comm on a shared network. Banks are arbitrated in
+        index order, so a cross-lane grant that uncovers a new head word
+        offers it to a later bank in the same cycle.
+        """
+        stats = self.stats
+        stats.indexed_cycles += 1
+        address_network = self.address_network
+        address_network.begin_cycle()
         lanes = self.geometry.lanes
-        for stream in streams:
+        # One pass files each live head word in its target bank's bucket,
+        # ordered by (stream position, lane). Only advance() moves a head
+        # mid-cycle: an in-lane grant at bank b moves lane b's FIFO, which
+        # no later bank reads; a cross-lane grant may uncover a word for
+        # a later bank, which is insort-ed into that bank's bucket below.
+        buckets = [[] for _ in range(lanes)]
+        position = 0
+        for stream in self._indexed_list:
             if not stream.pending_words:
                 continue
-            if stream.is_crosslane:
-                fifos = stream.fifos
-                for lane in range(lanes):
-                    word = fifos[lane].peek_word()
-                    if word is not None and word.target_lane == bank:
-                        heads.append((stream, lane, word))
-            else:
-                word = stream.fifos[bank].peek_word()
+            crosslane = stream.is_crosslane
+            lane = 0
+            for fifo in stream.fifos:
+                word = fifo._head_cache
+                if word is _STALE:
+                    word = fifo.peek_word()
                 if word is not None:
-                    heads.append((stream, bank, word))
-        if not heads:
-            return 0, 0
-        used_subarrays = set()
-        granted = 0
-        if self._occupancy_policy:
-            # Stall-aware policy (§5.4): serve the fullest address FIFOs
-            # first — the streams most likely to stall the clusters.
-            order = sorted(
-                range(len(heads)),
-                key=lambda p: -heads[p][0].fifos[heads[p][1]].occupancy,
-            )
-        else:
-            order = self._bank_arbiters[bank].rotation(len(heads))
-        for position in order:
-            stream, lane, word = heads[position]
-            if granted >= self._bank_cap:
-                break
-            subarray = (
-                word.bank_local_addr // self._subarray_stride
-            ) % self._subarray_count
-            if self._bank_cap > 1 and subarray in used_subarrays:
-                continue
-            if stream.is_crosslane:
-                if self._shared_network and self._comm_busy:
-                    continue  # the shared network carries the comm
-                if not self.return_network.bank_has_space(bank):
-                    continue
-                if not self.address_network.try_route(lane, bank):
-                    continue
-                self.return_network.reserve(bank)
-            used_subarrays.add(subarray)
-            stream.fifos[lane].advance()
-            stream.pending_words -= 1
-            self._launch(stream, word, bank, cycle)
-            granted += 1
-        self._bank_arbiters[bank].advance(len(heads))
-        blocked = len(heads) - granted
-        if self._bank_conflicts is not None and blocked:
-            self._bank_conflicts[bank].add(blocked)
-        return granted, blocked
-
-    def _launch(self, stream: IndexedStream, word: WordAccess, bank: int,
-                cycle: int) -> None:
-        """Start the pipelined completion of one granted word access."""
+                    buckets[word.target_lane if crosslane else lane].append(
+                        (position, lane, stream, word)
+                    )
+                lane += 1
+            position += 1
+        bank_cap = self._bank_cap
+        multi_cap = bank_cap > 1
+        sub_stride = self._subarray_stride
+        sub_count = self._subarray_count
+        occupancy_policy = self._occupancy_policy
+        shared_comm = self._shared_network and self._comm_busy
+        return_network = self.return_network
+        bank_arbiters = self._bank_arbiters
+        bank_conflicts = self._bank_conflicts
+        storage = self.storage
+        injector = self._fault_injector
+        cal = self._cal
+        size = self._cal_size
         cfg = self.config
-        if word.is_read:
-            value = self.filter_word(
-                self.storage.read_lane(bank, word.bank_local_addr)
-            )
-            if stream.is_crosslane:
-                self.stats.crosslane_grants += 1
-                rob = stream.robs[word.source_lane]
-                due = cycle + max(1, cfg.crosslane_indexed_latency - 1)
-                self._push_in_flight(
-                    due,
-                    lambda: self.return_network.enqueue(
-                        bank, word.source_lane, word.ticket, value,
-                        word.stream_id, rob.fill,
-                    ),
+        inlane_due = cycle + cfg.inlane_indexed_latency
+        crosslane_due = cycle + max(1, cfg.crosslane_indexed_latency - 1)
+        inlane_bucket = cal[inlane_due % size]
+        crosslane_bucket = cal[crosslane_due % size]
+        granted_total = 0
+        blocked_total = 0
+        for bank in range(lanes):
+            heads = buckets[bank]
+            if not heads:
+                continue
+            n_heads = len(heads)
+            if n_heads == 1:
+                order = _SINGLE
+            elif occupancy_policy:
+                # Stall-aware policy (§5.4): serve the fullest address
+                # FIFOs first — the streams most likely to stall.
+                order = sorted(
+                    range(n_heads),
+                    key=lambda p: -heads[p][2].fifos[heads[p][1]].occupancy,
                 )
             else:
-                self.stats.inlane_grants += 1
-                rob = stream.robs[word.source_lane]
-                self._push_in_flight(
-                    cycle + cfg.inlane_indexed_latency,
-                    lambda: rob.fill(word.ticket, value),
+                order = bank_arbiters[bank].rotation(n_heads)
+            used_subarrays = 0
+            granted = 0
+            for index in order:
+                if granted >= bank_cap:
+                    break
+                position, lane, stream, word = heads[index]
+                subarray_bit = 1 << (
+                    (word.bank_local_addr // sub_stride) % sub_count
                 )
+                if multi_cap and used_subarrays & subarray_bit:
+                    continue
+                crosslane = stream.is_crosslane
+                if crosslane:
+                    if shared_comm:
+                        continue  # the shared network carries the comm
+                    if not return_network.bank_has_space(bank):
+                        continue
+                    if not address_network.try_route(lane, bank):
+                        continue
+                    return_network.reserve(bank)
+                used_subarrays |= subarray_bit
+                fifo = stream.fifos[lane]
+                fifo.advance()
+                stream.pending_words -= 1
+                if crosslane:
+                    uncovered = fifo.peek_word()
+                    if uncovered is not None and uncovered.target_lane > bank:
+                        insort(
+                            buckets[uncovered.target_lane],
+                            (position, lane, stream, uncovered),
+                        )
+                # Launch: the bank access happens now; its completion is
+                # a calendar event at the access latency.
+                ticket = word.ticket
+                if ticket is not None:
+                    value = storage.read_lane(bank, word.bank_local_addr)
+                    if injector is not None:
+                        value = self.filter_word(value)
+                    rob = stream.robs[lane]
+                    if crosslane:
+                        stats.crosslane_grants += 1
+                        crosslane_bucket.append(
+                            (2, bank, lane, ticket, value, word.stream_id, rob)
+                        )
+                    else:
+                        stats.inlane_grants += 1
+                        rob.note_due(ticket, inlane_due)
+                        inlane_bucket.append((1, rob, ticket, value))
+                else:
+                    stats.indexed_write_grants += 1
+                    storage.write_lane(bank, word.bank_local_addr, word.value)
+                    inlane_bucket.append((3, stream))
+                granted += 1
+            bank_arbiters[bank].advance(n_heads)
+            blocked = n_heads - granted
+            if bank_conflicts is not None and blocked:
+                bank_conflicts[bank].add(blocked)
+            granted_total += granted
+            blocked_total += blocked
+        if granted_total:
+            self._cal_count += granted_total
+            self._cal_due[inlane_due % size] = inlane_due
+            self._cal_due[crosslane_due % size] = crosslane_due
         else:
-            self.stats.indexed_write_grants += 1
-            self.storage.write_lane(bank, word.bank_local_addr, word.value)
-            self._push_in_flight(
-                cycle + cfg.inlane_indexed_latency,
-                lambda: self._retire_write(stream),
-            )
-
-    @staticmethod
-    def _retire_write(stream: IndexedStream) -> None:
-        stream.outstanding_writes -= 1
+            stats.empty_indexed_cycles += 1
+        stats.blocked_heads += blocked_total
 
     # ------------------------------------------------------------------
     def occupancy_report(self) -> list:
@@ -809,17 +896,17 @@ class StreamRegisterFile:
 
     def _inflight_lines(self) -> list:
         """Forensic lines about pipelined completions still in flight."""
-        if not self._in_flight:
+        if not self._cal_count:
             return []
         return [
-            f"{len(self._in_flight)} pipelined accesses in flight "
-            f"(next due cycle {self._in_flight[0][0]})"
+            f"{self._cal_count} pipelined accesses in flight "
+            f"(next due cycle {self._next_due()})"
         ]
 
     @property
     def idle(self) -> bool:
         """True when nothing is in flight anywhere in the SRF."""
-        if self._in_flight or self.return_network.pending():
+        if self._cal_count or self.return_network.pending():
             return False
         if any(p.wants_grant() for p in self._seq_ports):
             return False

@@ -51,13 +51,13 @@ class LaneFifo:
     @property
     def space(self) -> int:
         """Free word slots per lane."""
-        return self.capacity - self.occupancy
+        return self.capacity - len(self._fifos[0])
 
     def can_push(self, words: int = 1) -> bool:
-        return self.space >= words
+        return self.capacity - len(self._fifos[0]) >= words
 
     def can_pop(self, words: int = 1) -> bool:
-        return self.occupancy >= words
+        return len(self._fifos[0]) >= words
 
     def push_block(self, per_lane_words) -> None:
         """Push ``m`` words into every lane (an SRF-side fill).
@@ -107,14 +107,9 @@ class LaneFifo:
             fifo.clear()
 
 
-class _Slot:
-    """One reorder-buffer slot: reserved at issue, filled at completion."""
-
-    __slots__ = ("value", "valid")
-
-    def __init__(self):
-        self.value = None
-        self.valid = False
+#: Placeholder of a reserved reorder slot whose data has not returned
+#: yet. Private, so it can never collide with a real (opaque) word value.
+_UNFILLED = object()
 
 
 class ReorderBuffer:
@@ -127,20 +122,23 @@ class ReorderBuffer:
     Figure 9: a cluster trying to read data whose access was delayed by a
     sub-array conflict stalls even if younger accesses completed.
 
-    Invariant relied on by the columnar timing engine
-    (:mod:`repro.machine.columnar`): tickets are dense and ascending, so
-    the slot at position ``k`` (oldest first) always holds ticket
-    ``_head_ticket + k``.
+    Tickets are dense and ascending, so the slots are one deque of
+    values in which position ``k`` (oldest first) holds ticket
+    ``_head_ticket + k``, or ``_UNFILLED`` until its data returns.
+
+    In-lane fills complete at a known cycle; the SRF records it with
+    :meth:`note_due` when it grants the access, so
+    :meth:`unblock_due` can bound how long a stalled reader keeps
+    stalling (the drain windows of :mod:`repro.machine.columnar`).
     """
 
     def __init__(self, capacity_words: int):
         if capacity_words <= 0:
             raise SrfError("ReorderBuffer needs positive capacity")
         self.capacity = capacity_words
-        self._slots = deque()  # of _Slot, oldest first
-        self._next_ticket = 0
+        self._slots = deque()  # word values or _UNFILLED, oldest first
         self._head_ticket = 0
-        self._live = {}  # ticket -> _Slot
+        self._due = {}  # unfilled ticket -> fill due cycle (in-lane only)
 
     @property
     def occupancy(self) -> int:
@@ -149,33 +147,45 @@ class ReorderBuffer:
 
     @property
     def space(self) -> int:
-        return self.capacity - self.occupancy
+        return self.capacity - len(self._slots)
 
     def can_reserve(self, words: int = 1) -> bool:
-        return self.space >= words
+        return len(self._slots) + words <= self.capacity
 
-    def reserve(self) -> int:
-        """Reserve the next in-order slot; returns a fill ticket."""
-        if not self.can_reserve():
+    def reserve(self, count: int = 1) -> int:
+        """Reserve ``count`` in-order slots; returns the first ticket.
+
+        The slots' tickets are the returned one and the ``count - 1``
+        that follow it.
+        """
+        slots = self._slots
+        if len(slots) + count > self.capacity:
             raise SrfError("reorder buffer full")
-        slot = _Slot()
-        self._slots.append(slot)
-        ticket = self._next_ticket
-        self._live[ticket] = slot
-        self._next_ticket += 1
+        ticket = self._head_ticket + len(slots)
+        if count == 1:
+            slots.append(_UNFILLED)
+        else:
+            slots.extend([_UNFILLED] * count)
         return ticket
 
     def fill(self, ticket: int, value) -> None:
         """Deposit data for a previously reserved ticket."""
-        slot = self._live.pop(ticket, None)
-        if slot is None:
+        slots = self._slots
+        index = ticket - self._head_ticket
+        if not 0 <= index < len(slots) or slots[index] is not _UNFILLED:
             raise SrfError(f"unknown or already-filled ticket {ticket}")
-        slot.value = value
-        slot.valid = True
+        slots[index] = value
+        if self._due:
+            self._due.pop(ticket, None)
+
+    def note_due(self, ticket: int, due: int) -> None:
+        """Record that ``ticket`` will be filled at SRF tick ``due``."""
+        self._due[ticket] = due
 
     def head_ready(self) -> bool:
         """True when the oldest reserved slot has been filled."""
-        return bool(self._slots) and self._slots[0].valid
+        slots = self._slots
+        return bool(slots) and slots[0] is not _UNFILLED
 
     def head_ready_n(self, count: int) -> bool:
         """True when the ``count`` oldest reserved slots are all filled.
@@ -183,17 +193,42 @@ class ReorderBuffer:
         Used for multi-word records: the cluster reads a record only once
         every one of its words has returned.
         """
-        if count > len(self._slots):
+        slots = self._slots
+        if count > len(slots):
             return False
-        return all(self._slots[k].valid for k in range(count))
+        for k in range(count):
+            if slots[k] is _UNFILLED:
+                return False
+        return True
+
+    def unblock_due(self, count: int):
+        """Last fill due among the ``count`` oldest slots, if knowable.
+
+        Returns ``None`` when the head record cannot be due-bounded:
+        fewer than ``count`` slots reserved, or some unfilled slot has
+        no recorded due (not yet granted, or a cross-lane return, whose
+        arrival depends on the return network). Returns ``-1`` when all
+        ``count`` head slots are already filled.
+        """
+        slots = self._slots
+        if count > len(slots):
+            return None
+        due = self._due
+        head = self._head_ticket
+        latest = -1
+        for k in range(count):
+            if slots[k] is _UNFILLED:
+                d = due.get(head + k)
+                if d is None:
+                    return None
+                if d > latest:
+                    latest = d
+        return latest
 
     def pop(self):
         """Pop the oldest slot's value; raises if it is not filled yet."""
-        if not self.head_ready():
+        slots = self._slots
+        if not slots or slots[0] is _UNFILLED:
             raise SrfError("reorder buffer head not ready")
         self._head_ticket += 1
-        return self._slots.popleft().value
-
-    def clear(self) -> None:
-        self._slots.clear()
-        self._live.clear()
+        return slots.popleft()

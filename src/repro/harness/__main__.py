@@ -61,8 +61,8 @@ options:
                    stats). Traces live in <cache-dir>/traces.
                    Equivalent to setting REPRO_REPLAY=1.
   --timing-engine E  cycle engine driving the timing model: object
-                   (reference) or columnar (calendar-queue SRF with
-                   batch-stepped drain windows; bit-identical stats,
+                   (reference) or columnar (batch-stepped drain
+                   windows; bit-identical stats,
                    faster — falls back to object for faulted /
                    sanitized / traced configs). Equivalent to setting
                    REPRO_TIMING_ENGINE.

@@ -550,6 +550,10 @@ class KernelExecutor:
         indexed_done = all(s.quiescent for s in self._indexed.values())
         if write_ports_done and indexed_done:
             self.finished = True
+            # The interpreter's context points back at this executor;
+            # dropping it breaks the cycle so a finished executor is
+            # freed by reference counting.
+            self._interpreter = None
             self._release_streams()
             if self.invocation.on_finish is not None:
                 self.invocation.on_finish()

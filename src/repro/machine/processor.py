@@ -52,10 +52,9 @@ DEADLOCK_CYCLES = 200_000
 class StreamProcessor:
     """A complete simulated machine built from a :class:`MachineConfig`."""
 
-    #: Component class hooks: the columnar timing engine
-    #: (:mod:`repro.machine.columnar`) substitutes calendar-queue /
-    #: batch-stepping variants without re-wiring the machine.
-    SRF_CLS = StreamRegisterFile
+    #: Executor class hook: the columnar timing engine
+    #: (:mod:`repro.machine.columnar`) substitutes a batch-stepping
+    #: variant without re-wiring the machine.
     EXECUTOR_CLS = KernelExecutor
     #: Which timing engine this processor class implements
     #: (:attr:`MachineConfig.timing_engine`).
@@ -68,7 +67,7 @@ class StreamProcessor:
     def __init__(self, config: MachineConfig):
         config.validate()
         self.config = config
-        self.srf = self.SRF_CLS(config)
+        self.srf = StreamRegisterFile(config)
         self.memory = MainMemory(row_words=config.dram_row_words)
         self.controller = MemoryController(config, self.srf, self.memory)
         self.scheduler = ModuloScheduler(ClusterResources.from_config(config))

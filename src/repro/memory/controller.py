@@ -433,6 +433,7 @@ class MemoryController:
         for active in finished:
             self._active.remove(active)
             self.srf.detach_port(active.port)
+            active.port = None  # the port points back at its op
             self._completed[active.op.op_id] = cycle
             self.stats.ops_completed += 1
             if self._tracer is not None:

@@ -15,7 +15,7 @@ themselves checked — an unused one is an error (``SC002``), as is one
 naming an unknown code (``SC003``) — so stale escapes cannot linger.
 
 Contexts: each finding carries the qualified name of the enclosing
-function/class (``ColumnarSrf.step`` or ``<module>``). The ratchet
+function/class (``ColumnarExecutor.stall_window`` or ``<module>``). The ratchet
 baseline (:mod:`repro.selfcheck.baseline`) keys on
 ``(code, path, context)`` rather than line numbers, so unrelated edits
 above a grandfathered finding do not churn the baseline.

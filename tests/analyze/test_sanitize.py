@@ -138,3 +138,83 @@ class TestRuntimeDetection:
         with pytest.raises(DeadlockError):
             proc.run_program(prog)
         assert proc.cycle > 10_000  # burned the whole horizon first
+
+
+def _inlane_reads_in_flight(sanitize=True):
+    """An ISRF4 machine with in-lane indexed reads granted, not filled."""
+    proc = StreamProcessor(isrf4_config(sanitize=sanitize))
+    table = SrfArray(proc.srf, 256, "table")
+    stream = proc.srf.open_indexed(table.inlane_read())
+    for lane in range(proc.srf.geometry.lanes):
+        stream.issue_read(lane, lane)
+    proc.srf.tick(0)  # grants every lane's read; fills are due later
+    return proc, stream
+
+
+class TestCompletionPipeline:
+    def test_granted_reads_pass(self):
+        proc, _stream = _inlane_reads_in_flight()
+        proc._sanitizer.check(0)  # must not raise
+
+    def test_event_due_in_a_drained_cycle_detected(self):
+        # A completion due in the cycle that already drained (what a
+        # zero SRF latency would schedule) sits in the calendar until
+        # the ring wraps: the sanitizer names it at once.
+        proc, _stream = _inlane_reads_in_flight()
+        port = SimpleNamespace(deliver_fill=lambda per_lane: None)
+        proc.srf.schedule_fill(0, port, [[0]])
+        with pytest.raises(SanitizerError, match="due at cycle 0 still"):
+            proc._sanitizer.check(0)
+
+    def test_event_beyond_the_calendar_window_detected(self):
+        proc, _stream = _inlane_reads_in_flight()
+        port = SimpleNamespace(deliver_fill=lambda per_lane: None)
+        due = 1 + proc.srf._cal_size
+        proc.srf.schedule_fill(due, port, [[0]])
+        with pytest.raises(SanitizerError, match="calendar window"):
+            proc._sanitizer.check(0)
+
+    def test_in_flight_count_drift_detected(self):
+        proc, _stream = _inlane_reads_in_flight()
+        proc.srf._cal_count += 1
+        with pytest.raises(SanitizerError, match="in-flight count"):
+            proc._sanitizer.check(0)
+
+
+class TestReorderBuffers:
+    def test_due_for_a_filled_slot_detected(self):
+        proc, stream = _inlane_reads_in_flight()
+        rob = stream.robs[0]
+        for cycle in range(1, 1 + proc.config.inlane_indexed_latency):
+            proc.srf.tick(cycle)
+        assert rob.head_ready()
+        rob.note_due(rob._head_ticket, 99)  # the ticket already filled
+        with pytest.raises(SanitizerError, match="not an unfilled"):
+            proc._sanitizer.check(cycle)
+
+    def test_due_for_an_unissued_ticket_detected(self):
+        proc, stream = _inlane_reads_in_flight()
+        stream.robs[3].note_due(17, 5)
+        with pytest.raises(SanitizerError, match="ticket 17"):
+            proc._sanitizer.check(0)
+
+    def test_overfull_reorder_buffer_detected(self):
+        proc, stream = _inlane_reads_in_flight()
+        rob = stream.robs[2]
+        rob._slots.extend([0.0] * rob.capacity)
+        with pytest.raises(SanitizerError, match="exceeds capacity"):
+            proc._sanitizer.check(0)
+
+
+def test_occupancy_report_names_the_next_due_completion():
+    proc, _stream = _inlane_reads_in_flight(sanitize=False)
+    lanes = proc.srf.geometry.lanes
+    due = proc.config.inlane_indexed_latency
+    assert (
+        f"{lanes} pipelined accesses in flight (next due cycle {due})"
+        in proc.srf.occupancy_report()
+    )
+    for cycle in range(1, due + 1):
+        proc.srf.tick(cycle)
+    assert not any("pipelined" in line
+                   for line in proc.srf.occupancy_report())

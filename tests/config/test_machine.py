@@ -74,6 +74,17 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             MachineConfig(stream_buffer_words=2).validate()
 
+    @pytest.mark.parametrize("field", [
+        "srf_sequential_latency", "inlane_indexed_latency",
+        "crosslane_indexed_latency",
+    ])
+    def test_srf_latency_below_one_rejected(self, field):
+        # A completion due in its own grant cycle would land in a
+        # calendar bucket the SRF already drained that cycle.
+        with pytest.raises(ConfigurationError, match=field):
+            MachineConfig(**{field: 0}).validate()
+        MachineConfig(**{field: 1}).validate()
+
     def test_cache_set_bank_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
             MachineConfig(has_cache=True, cache_banks=3).validate()
