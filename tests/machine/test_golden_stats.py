@@ -2,7 +2,7 @@
 
 ``golden_stats.json`` snapshots the ``ProgramStats`` fingerprint of a
 small workload of every application — the paper's FFT 2D, Rijndael,
-Sort, Filter and the IG_SML/IG_SCL datasets plus the sparse suite
+Sort, Filter and all four Table 4 IG datasets plus the sparse suite
 (SpMV CSR/CSC and both stencils) — for all four Table 2 presets. It
 also pins a table of Figure 17/18 microbenchmark points, which drive
 the SRF directly: their ``ThroughputResult``, the full ``SrfStats`` and
@@ -51,6 +51,10 @@ APPS = {
     "IG_SML": lambda cfg: igraph.run(cfg, dataset="IG_SML", nodes=128,
                                      strips_to_run=1),
     "IG_SCL": lambda cfg: igraph.run(cfg, dataset="IG_SCL", nodes=128,
+                                     strips_to_run=1),
+    "IG_DMS": lambda cfg: igraph.run(cfg, dataset="IG_DMS", nodes=128,
+                                     strips_to_run=1),
+    "IG_DCS": lambda cfg: igraph.run(cfg, dataset="IG_DCS", nodes=128,
                                      strips_to_run=1),
     "SpMV_CSR": lambda cfg: spmv.run(cfg, fmt="csr", rows=64, cols=64,
                                      strips_to_run=2),
