@@ -21,8 +21,7 @@ Checked invariants, mirroring the machine's conservation laws:
 * **indexed streams** — the O(1) ``pending_words`` counter equals the
   words actually queued across lane FIFOs, write credits are
   non-negative, each address FIFO's head cache matches a recomputation,
-  reorder buffers stay within capacity and record fill dues only for
-  their own unfilled slots;
+  reorder buffers stay within capacity;
 * **crossbars** — address-network port budgets within configured
   bounds, return-network queues plus reservations within queue depth;
 * **completion pipeline** — no in-flight completion is overdue after
@@ -40,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.address_fifo import _STALE
-from repro.core.stream_buffer import _UNFILLED
 from repro.errors import SanitizerError
 
 
@@ -213,16 +211,6 @@ class MachineSanitizer:
                 f"indexed stream '{name}' lane {lane}: reorder buffer "
                 f"occupancy {len(slots)} exceeds capacity {rob.capacity}"
             )
-        head = rob._head_ticket
-        for ticket in rob._due:
-            index = ticket - head
-            if not 0 <= index < len(slots) or slots[index] is not _UNFILLED:
-                yield (
-                    f"indexed stream '{name}' lane {lane}: fill due "
-                    f"recorded for ticket {ticket}, which is not an "
-                    f"unfilled reorder slot (tickets {head}.."
-                    f"{head + len(slots) - 1})"
-                )
 
     def _check_networks(self):
         address = self.srf.address_network

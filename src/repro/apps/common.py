@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 from repro.config.machine import MachineConfig
 from repro.errors import ExecutionError
-from repro.machine.columnar import build_processor
 from repro.machine.processor import StreamProcessor
 from repro.machine.stats import ProgramStats
 
@@ -52,14 +51,8 @@ class AppResult:
 
 
 def make_processor(config: MachineConfig) -> StreamProcessor:
-    """A fresh machine for one benchmark run.
-
-    Delegates to :func:`repro.machine.columnar.build_processor`, which
-    selects the configured timing engine (object or columnar, with the
-    documented fallback matrix); the chosen engine is readable as
-    ``processor.engine``.
-    """
-    return build_processor(config)
+    """A fresh machine for one benchmark run."""
+    return StreamProcessor(config)
 
 
 def steady_state_run(processor: StreamProcessor, build_program,

@@ -26,9 +26,7 @@ Formats differ in where the accumulation lives:
   through an ``idxl_iostream`` (the §7 read-write extension); entries
   stream in column-major ``(col, row, position)`` order — exactly the
   order scipy's ``tocsc()`` conversion produces — so the per-row
-  addition sequence matches ``csc_matvec`` bit for bit. The vector
-  backend refuses read-write indexed streams and falls back to the
-  scalar engine by design; this app keeps that fallback path honest.
+  addition sequence matches ``csc_matvec`` bit for bit.
 
 Every data-dependent gather index goes through the kernel-level
 ``clamp`` range guard, which is what lets ``repro.analyze`` prove the

@@ -23,16 +23,9 @@ WORD_BYTES = 4
 #: Word-level protection schemes modelled for the SRF and main memory.
 PROTECTION_KINDS = ("none", "parity", "secded")
 
-#: Functional-evaluation backends (see :attr:`MachineConfig.backend`).
-BACKEND_KINDS = ("scalar", "vector")
-
 #: Where the timing model gets each kernel iteration's stream-access
 #: details (see :attr:`MachineConfig.timing_source`).
 TIMING_SOURCES = ("execute", "replay")
-
-#: Cycle engines driving the timing model (see
-#: :attr:`MachineConfig.timing_engine`).
-TIMING_ENGINES = ("object", "columnar")
 
 
 class SrfMode(enum.Enum):
@@ -113,15 +106,6 @@ class MachineConfig:
     indexed_arbitration: str = "round_robin"
 
     # --- Simulation knobs (not machine parameters) ----------------------
-    #: Functional-evaluation backend: "scalar" steps each lane's cluster
-    #: one value at a time (the reference engine); "vector" evaluates
-    #: kernel iterations lane-batched as NumPy array operations (see
-    #: :mod:`repro.machine.vector`), falling back to scalar for kernels
-    #: it cannot cover (read-write indexed streams) and for faulted
-    #: runs. The backends produce bit-identical :class:`ProgramStats`;
-    #: "vector" is purely a simulation speed knob, not a machine
-    #: parameter.
-    backend: str = "scalar"
     #: Where the timing model gets each kernel iteration's stream-access
     #: details: "execute" evaluates the kernel functionally at issue (the
     #: default, and the only mode that produces a trace); "replay"
@@ -133,17 +117,6 @@ class MachineConfig:
     #: replay requires an active :func:`repro.machine.replay.session`
     #: (without one, or under fault injection, runs execute normally).
     timing_source: str = "execute"
-    #: Cycle engine driving the timing model: "object" steps the
-    #: executor one cycle at a time (the reference engine); "columnar"
-    #: (see :mod:`repro.machine.columnar`) batch-steps event-horizon
-    #: windows (startup, quiet and stall windows) in which only the SRF
-    #: and memory controller tick. Both engines share one SRF and produce
-    #: bit-identical :class:`ProgramStats`; "columnar" is purely a
-    #: simulation speed knob, not a machine parameter, and runs fall
-    #: back to the object engine for configurations the columnar engine
-    #: does not model exactly (fault injection, sanitize, per-event
-    #: tracing/metrics/profiling, fast_forward=False).
-    timing_engine: str = "object"
     #: Abort a run after this many cycles without forward progress (a bug
     #: in the program or the model). ``None`` uses the simulator default
     #: (:data:`repro.machine.processor.DEADLOCK_CYCLES`).
@@ -273,9 +246,8 @@ class MachineConfig:
     def faults_enabled(self) -> bool:
         """True when any fault-injection counter is non-zero.
 
-        Faulted runs pin the scalar backend and per-cycle stepping of
-        the kernel loop, keeping fault-event interleaving byte-for-byte
-        reproducible against the seed fixtures.
+        Faulted runs always execute (never replay a recorded trace):
+        bit flips change functional data.
         """
         return any((
             self.fault_srf_flips, self.fault_dram_flips,
@@ -358,16 +330,6 @@ class MachineConfig:
         if self.indexed_arbitration not in ("round_robin", "occupancy"):
             raise ConfigurationError(
                 f"unknown arbitration policy {self.indexed_arbitration!r}"
-            )
-        if self.backend not in BACKEND_KINDS:
-            raise ConfigurationError(
-                f"unknown backend {self.backend!r} "
-                f"(known: {', '.join(BACKEND_KINDS)})"
-            )
-        if self.timing_engine not in TIMING_ENGINES:
-            raise ConfigurationError(
-                f"unknown timing_engine {self.timing_engine!r} "
-                f"(known: {', '.join(TIMING_ENGINES)})"
             )
         if self.timing_source not in TIMING_SOURCES:
             raise ConfigurationError(

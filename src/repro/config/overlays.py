@@ -34,7 +34,7 @@ from dataclasses import dataclass
 class EnvOverlay:
     """One registered ``REPRO_*`` environment variable."""
 
-    #: Variable name, e.g. ``"REPRO_BACKEND"``.
+    #: Variable name, e.g. ``"REPRO_REPLAY"``.
     name: str
     #: Dotted module that owns (parses) the variable.
     owner: str
@@ -59,14 +59,6 @@ class EnvOverlay:
 #: tuple.
 OVERLAYS: "tuple[EnvOverlay, ...]" = (
     # --- src: simulator and harness ----------------------------------
-    EnvOverlay(
-        name="REPRO_BACKEND",
-        owner="repro.config.presets",
-        doc="Functional-evaluation backend overlaid onto every preset: "
-            "scalar (reference) or vector (NumPy lane-batched).",
-        example="REPRO_BACKEND=vector",
-        result_affecting=True,
-    ),
     EnvOverlay(
         name="REPRO_CACHE_DIR",
         owner="repro.harness.resultcache",
@@ -125,14 +117,6 @@ OVERLAYS: "tuple[EnvOverlay, ...]" = (
         doc="Maximum quarantined (.bad) entries kept per durable store "
             "directory; oldest evicted beyond it.",
         example="REPRO_STORE_QUARANTINE_CAP=32",
-    ),
-    EnvOverlay(
-        name="REPRO_TIMING_ENGINE",
-        owner="repro.config.presets",
-        doc="Timing-engine overlay onto every preset: object "
-            "(reference) or columnar (batch-stepped drain windows).",
-        example="REPRO_TIMING_ENGINE=columnar",
-        result_affecting=True,
     ),
     EnvOverlay(
         name="REPRO_TRACE",

@@ -21,54 +21,10 @@ from __future__ import annotations
 
 import os
 
-from repro.config.machine import (
-    BACKEND_KINDS,
-    TIMING_ENGINES,
-    MachineConfig,
-    SrfMode,
-)
+from repro.config.machine import MachineConfig, SrfMode
 from repro.errors import ConfigurationError
 from repro.faults.plan import fault_overrides_from_env
 from repro.observe.observer import trace_overrides_from_env
-
-#: Environment variable overlaying the functional-evaluation backend
-#: ("scalar" / "vector") onto every preset — how the harness CLI's
-#: ``--backend`` flag reaches forked worker processes.
-BACKEND_ENV = "REPRO_BACKEND"
-
-
-def backend_overrides_from_env() -> dict:
-    """Backend override from ``REPRO_BACKEND``, empty when unset."""
-    value = os.environ.get(BACKEND_ENV)
-    if value is None or value == "":
-        return {}
-    if value not in BACKEND_KINDS:
-        raise ConfigurationError(
-            f"{BACKEND_ENV}={value!r}: unknown backend "
-            f"(known: {', '.join(BACKEND_KINDS)})"
-        )
-    return {"backend": value}
-
-
-#: Environment variable overlaying the timing engine
-#: ("object" / "columnar", see :attr:`MachineConfig.timing_engine`)
-#: onto every preset — how the harness CLI's ``--timing-engine`` flag
-#: reaches forked worker processes.
-TIMING_ENGINE_ENV = "REPRO_TIMING_ENGINE"
-
-
-def timing_engine_overrides_from_env() -> dict:
-    """Timing-engine override from ``REPRO_TIMING_ENGINE``, empty if unset."""
-    value = os.environ.get(TIMING_ENGINE_ENV)
-    if value is None or value == "":
-        return {}
-    if value not in TIMING_ENGINES:
-        raise ConfigurationError(
-            f"{TIMING_ENGINE_ENV}={value!r}: unknown timing engine "
-            f"(known: {', '.join(TIMING_ENGINES)})"
-        )
-    return {"timing_engine": value}
-
 
 #: Environment variable overlaying the timing source
 #: (:attr:`MachineConfig.timing_source`) onto every preset — how the
@@ -104,18 +60,13 @@ def _finish(cfg: MachineConfig, overrides: dict) -> MachineConfig:
     under injected faults without touching any call site; explicit
     keyword overrides still win. ``REPRO_TRACE`` (see
     :func:`repro.observe.trace_overrides_from_env`) does the same for
-    the observability knobs, ``REPRO_BACKEND`` for the functional
-    evaluation backend (:attr:`MachineConfig.backend`),
-    ``REPRO_REPLAY`` for the timing source
-    (:attr:`MachineConfig.timing_source`), and ``REPRO_TIMING_ENGINE``
-    for the cycle engine (:attr:`MachineConfig.timing_engine`).
+    the observability knobs, and ``REPRO_REPLAY`` for the timing source
+    (:attr:`MachineConfig.timing_source`).
     """
     merged = {
         **fault_overrides_from_env(),
         **trace_overrides_from_env(),
-        **backend_overrides_from_env(),
         **replay_overrides_from_env(),
-        **timing_engine_overrides_from_env(),
         **overrides,
     }
     return cfg.replace(**merged) if merged else _validated(cfg)

@@ -836,7 +836,6 @@ class StreamRegisterFile:
                         )
                     else:
                         stats.inlane_grants += 1
-                        rob.note_due(ticket, inlane_due)
                         inlane_bucket.append((1, rob, ticket, value))
                 else:
                     stats.indexed_write_grants += 1

@@ -125,11 +125,6 @@ class ReorderBuffer:
     Tickets are dense and ascending, so the slots are one deque of
     values in which position ``k`` (oldest first) holds ticket
     ``_head_ticket + k``, or ``_UNFILLED`` until its data returns.
-
-    In-lane fills complete at a known cycle; the SRF records it with
-    :meth:`note_due` when it grants the access, so
-    :meth:`unblock_due` can bound how long a stalled reader keeps
-    stalling (the drain windows of :mod:`repro.machine.columnar`).
     """
 
     def __init__(self, capacity_words: int):
@@ -138,7 +133,6 @@ class ReorderBuffer:
         self.capacity = capacity_words
         self._slots = deque()  # word values or _UNFILLED, oldest first
         self._head_ticket = 0
-        self._due = {}  # unfilled ticket -> fill due cycle (in-lane only)
 
     @property
     def occupancy(self) -> int:
@@ -175,12 +169,6 @@ class ReorderBuffer:
         if not 0 <= index < len(slots) or slots[index] is not _UNFILLED:
             raise SrfError(f"unknown or already-filled ticket {ticket}")
         slots[index] = value
-        if self._due:
-            self._due.pop(ticket, None)
-
-    def note_due(self, ticket: int, due: int) -> None:
-        """Record that ``ticket`` will be filled at SRF tick ``due``."""
-        self._due[ticket] = due
 
     def head_ready(self) -> bool:
         """True when the oldest reserved slot has been filled."""
@@ -200,30 +188,6 @@ class ReorderBuffer:
             if slots[k] is _UNFILLED:
                 return False
         return True
-
-    def unblock_due(self, count: int):
-        """Last fill due among the ``count`` oldest slots, if knowable.
-
-        Returns ``None`` when the head record cannot be due-bounded:
-        fewer than ``count`` slots reserved, or some unfilled slot has
-        no recorded due (not yet granted, or a cross-lane return, whose
-        arrival depends on the return network). Returns ``-1`` when all
-        ``count`` head slots are already filled.
-        """
-        slots = self._slots
-        if count > len(slots):
-            return None
-        due = self._due
-        head = self._head_ticket
-        latest = -1
-        for k in range(count):
-            if slots[k] is _UNFILLED:
-                d = due.get(head + k)
-                if d is None:
-                    return None
-                if d > latest:
-                    latest = d
-        return latest
 
     def pop(self):
         """Pop the oldest slot's value; raises if it is not filled yet."""

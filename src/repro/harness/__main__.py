@@ -3,10 +3,15 @@
 Pass experiment names (``fig11 fig17 area ...``) to run a subset, and
 ``--json PATH`` to additionally dump the structured results. Set
 ``REPRO_SCALE`` (small / medium / paper) to choose workload sizes.
+``--replay`` re-times kernels from recorded traces (``REPRO_REPLAY``).
 
 ``--jobs N`` fans independent experiments across N worker processes;
 ``--cache-dir DIR`` / ``--no-cache`` control the on-disk result cache
 (default ``.repro-cache``, see :mod:`repro.harness.resultcache`).
+
+Bad input — an unknown option or experiment, a malformed value, an
+unknown ``REPRO_SCALE`` — exits 2 with the usage text before anything
+runs.
 
 The harness degrades gracefully: a raising, crashing, or (with
 ``--timeout``) hung experiment is reported as a structured failure —
@@ -21,8 +26,7 @@ import json
 import os
 import sys
 
-from repro.config.machine import BACKEND_KINDS, TIMING_ENGINES
-from repro.config.presets import BACKEND_ENV, REPLAY_ENV, TIMING_ENGINE_ENV
+from repro.config.presets import REPLAY_ENV
 from repro.errors import SweepInterrupted
 from repro.harness import figures, runner
 from repro.harness.resultcache import default_cache_dir
@@ -51,28 +55,18 @@ options:
   --no-cache       disable the on-disk cache for this run
   --trace-path P   output file of the `trace` experiment
                    (default repro-trace.json; load in Perfetto)
-  --backend B      functional-evaluation backend for every machine
-                   config: scalar (reference) or vector (lane-batched
-                   NumPy; bit-identical stats, faster). Equivalent to
-                   setting REPRO_BACKEND.
   --replay         trace-replay timing mode: record each benchmark's
                    kernel data once, then re-time later runs and config
                    sweeps from the recorded trace (bit-identical
                    stats). Traces live in <cache-dir>/traces.
                    Equivalent to setting REPRO_REPLAY=1.
-  --timing-engine E  cycle engine driving the timing model: object
-                   (reference) or columnar (batch-stepped drain
-                   windows; bit-identical stats,
-                   faster — falls back to object for faulted /
-                   sanitized / traced configs). Equivalent to setting
-                   REPRO_TIMING_ENGINE.
   --list           list experiment names and exit
 
 Workload scale is chosen by the REPRO_SCALE environment variable
 (small / medium / paper; default small). REPRO_TRACE overlays
 observability knobs on every machine config
-(e.g. REPRO_TRACE="trace=1,metrics=2,profile=64"); REPRO_BACKEND
-overlays the evaluation backend the same way."""
+(e.g. REPRO_TRACE="trace=1,metrics=2,profile=64"); REPRO_FAULTS
+overlays fault injection the same way."""
 
 
 def _usage() -> str:
@@ -121,16 +115,14 @@ def _parse_args(argv):
     """Split argv into (names, options) or raise ValueError."""
     options = {"json": None, "jobs": 1, "cache_dir": default_cache_dir(),
                "no_cache": False, "list": False, "timeout": None,
-               "fail_fast": False, "trace_path": None, "backend": None,
-               "replay": False, "deadline": None, "resume": False,
-               "timing_engine": None}
+               "fail_fast": False, "trace_path": None,
+               "replay": False, "deadline": None, "resume": False}
     names = []
     position = 0
     while position < len(argv):
         token = argv[position]
         if token in ("--json", "--jobs", "--cache-dir", "--timeout",
-                     "--trace-path", "--backend", "--deadline",
-                     "--timing-engine"):
+                     "--trace-path", "--deadline"):
             if position + 1 >= len(argv):
                 raise ValueError(f"{token} requires a value")
             value = argv[position + 1]
@@ -140,20 +132,6 @@ def _parse_args(argv):
                 options["cache_dir"] = value
             elif token == "--trace-path":
                 options["trace_path"] = value
-            elif token == "--backend":
-                if value not in BACKEND_KINDS:
-                    raise ValueError(
-                        f"--backend must be one of "
-                        f"{', '.join(BACKEND_KINDS)}; got {value!r}"
-                    )
-                options["backend"] = value
-            elif token == "--timing-engine":
-                if value not in TIMING_ENGINES:
-                    raise ValueError(
-                        f"--timing-engine must be one of "
-                        f"{', '.join(TIMING_ENGINES)}; got {value!r}"
-                    )
-                options["timing_engine"] = value
             elif token in ("--timeout", "--deadline"):
                 field = token.lstrip("-")
                 try:
@@ -227,19 +205,17 @@ def main(argv=None) -> int:
     cache_dir = None if options["no_cache"] else options["cache_dir"]
     if options["resume"] and cache_dir is None:
         return _fail("--resume requires the on-disk cache (no --no-cache)")
-    # Backend travels via the environment: forked workers inherit it,
-    # and the preset factories overlay it onto every machine config.
-    if options["backend"] is not None:
-        os.environ[BACKEND_ENV] = options["backend"]
-    # So does the replay timing source.
+    try:
+        scale = figures.default_scale()
+    except ValueError as exc:
+        return _fail(str(exc))
+    # The replay timing source travels via the environment: forked
+    # workers inherit it, and the preset factories overlay it onto
+    # every machine config.
     if options["replay"]:
         os.environ[REPLAY_ENV] = "1"
-    # And the timing engine.
-    if options["timing_engine"] is not None:
-        os.environ[TIMING_ENGINE_ENV] = options["timing_engine"]
     # Forked workers inherit the path, so isolated runs see it too.
     figures.set_trace_path(options["trace_path"])
-    scale = figures.default_scale()
     print(f"# repro harness (scale: {scale}, jobs: {options['jobs']})\n")
     sweep_journal = (default_sweep_journal(cache_dir)
                      if cache_dir is not None else None)

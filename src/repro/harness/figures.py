@@ -139,7 +139,7 @@ def run_benchmark(name: str, config, scale: str) -> AppResult:
     """Run (and cache) one benchmark on one machine configuration."""
     # Key on a fingerprint of every config field: the config *name*
     # alone would alias derived variants (separation sweeps,
-    # fast_forward or backend toggles), and repr() would miss any
+    # fast_forward or timing_source toggles), and repr() would miss any
     # field declared with repr=False.
     key = (name, config_fingerprint(config), scale)
     if key in _run_cache:

@@ -35,15 +35,12 @@ recorded as a structured failure instead of running (or retrying)
 unbounded.
 
 Workload scale is selected by the ``REPRO_SCALE`` environment variable
-(as everywhere else in the harness); forked workers inherit it. The
-functional-evaluation backend is selected the same way via
-``REPRO_BACKEND`` (the CLI's ``--backend`` flag sets it), so workers
-simulate on the scalar or vector engine uniformly — and since the
-backend is a :class:`~repro.config.machine.MachineConfig` field, it is
-part of every result-cache key. ``REPRO_REPLAY`` (the CLI's ``--replay``
-flag) selects the trace-replay timing source the same way; workers
-share recorded kernel traces through a ``traces/`` subdirectory of the
-cache directory.
+(as everywhere else in the harness); forked workers inherit it.
+``REPRO_REPLAY`` (the CLI's ``--replay`` flag) selects the trace-replay
+timing source the same way — and since the timing source is a
+:class:`~repro.config.machine.MachineConfig` field, it is part of every
+result-cache key. Workers share recorded kernel traces through a
+``traces/`` subdirectory of the cache directory.
 """
 
 from __future__ import annotations

@@ -28,32 +28,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.descriptors import StreamKind
 from repro.errors import KernelBuildError
 from repro.kernel.ops import OpKind, OpSpec, spec_of
 
 _op_ids = itertools.count()
-
-#: Lowering table for the vector backend (:mod:`repro.machine.vector`):
-#: maps an :attr:`Op.algebra` tag to the NumPy ufunc with *identical*
-#: semantics on the value domains kernels use. Only tags whose ufunc is
-#: bit-exact against the scalar payload are listed — ``select`` lowers
-#: to a mask (``np.where``) rather than a ufunc, and division keeps its
-#: Python semantics (``ZeroDivisionError``), so neither appears here.
-#: ``mod`` matches because both Python ``%`` and ``np.remainder`` are
-#: floored; the vector engine additionally restricts it to integer
-#: columns with non-zero divisors. An untagged (opaque) payload has no
-#: entry and is evaluated by calling it, exactly as the interpreter
-#: does.
-ALGEBRA_UFUNCS: "dict[str, np.ufunc]" = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-    "xor": np.bitwise_xor,
-    "mod": np.remainder,
-}
 
 
 @dataclass(frozen=True)

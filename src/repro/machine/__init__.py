@@ -8,12 +8,6 @@ from repro.machine.diagnostics import (
 )
 from repro.machine.executor import KERNEL_STARTUP_CYCLES, KernelExecutor
 from repro.machine.processor import StreamProcessor
-from repro.machine.columnar import (
-    ColumnarProcessor,
-    build_processor,
-    columnar_eligible,
-    engine_for,
-)
 from repro.machine.program import KernelInvocation, StreamProgram, StreamTask
 from repro.machine.stats import KernelRunStats, ProgramStats
 
@@ -21,12 +15,8 @@ __all__ = [
     "KERNEL_STARTUP_CYCLES",
     "KernelBounds",
     "analyze_schedule",
-    "build_processor",
-    "columnar_eligible",
-    "ColumnarProcessor",
     "diagnose_kernel_run",
     "diagnose_program",
-    "engine_for",
     "KernelExecutor",
     "KernelInvocation",
     "KernelRunStats",

@@ -30,7 +30,6 @@ from repro.kernel.schedule import StaticSchedule
 from repro.machine.program import KernelInvocation
 from repro.machine.replay import REPLAY_DATA_KINDS, copy_detail
 from repro.machine.stats import KernelRunStats
-from repro.machine.vector import VectorKernelInterpreter, vector_supported
 
 #: Fixed per-invocation cost of loading kernel microcode and priming the
 #: stream units (part of Figure 12's "kernel overheads").
@@ -209,24 +208,13 @@ class KernelExecutor:
             invocation.on_start()
         #: Replay integration (repro.machine.replay). ``replay_from``
         #: supplies recorded per-iteration stream details in place of
-        #: functional execution; ``record_to`` captures them during a
+        #: functional execution (no interpreter at all; the timing model
+        #: runs unchanged); ``record_to`` captures them during a
         #: functional run. Both are :class:`InvocationTrace` objects.
         self._record_rows = None
         self._replay_rows = None
         self._data_ops = None
-        #: Whether this invocation is re-timed from a recorded trace
-        #: (no interpreter at all; the timing model runs unchanged).
-        self.replay_active = replay_from is not None
-        #: Whether this invocation runs on the lane-batched vector
-        #: engine. Faulted runs and kernels with read-write indexed
-        #: streams always fall back to the scalar reference engine.
-        self.vector_active = (
-            not self.replay_active
-            and config.backend == "vector"
-            and not config.faults_enabled
-            and vector_supported(invocation.kernel)
-        )
-        if self.replay_active:
+        if replay_from is not None:
             if len(replay_from.rows) != invocation.iterations:
                 raise ReplayError(
                     f"{invocation.name}: trace has "
@@ -238,20 +226,15 @@ class KernelExecutor:
                 *REPLAY_DATA_KINDS
             )
             self._interpreter = None
-        elif self.vector_active:
-            self._interpreter = VectorKernelInterpreter(
-                invocation.kernel, config.lanes, _SrfBackedContext(self),
-                invocation.iterations,
-            )
         else:
             self._interpreter = KernelInterpreter(
                 invocation.kernel, config.lanes, _SrfBackedContext(self)
             )
-        if record_to is not None and not self.replay_active:
-            self._record_rows = record_to.rows
-            self._data_ops = invocation.kernel.stream_ops(
-                *REPLAY_DATA_KINDS
-            )
+            if record_to is not None:
+                self._record_rows = record_to.rows
+                self._data_ops = invocation.kernel.stream_ops(
+                    *REPLAY_DATA_KINDS
+                )
         self._timed_ops = schedule.timed_stream_ops()
         self._heap = []
         self._sequence = itertools.count()
@@ -373,17 +356,6 @@ class KernelExecutor:
         """Microcode-load cycles left before the first loop iteration."""
         return self._startup_remaining
 
-    @property
-    def steady_skippable(self) -> bool:
-        """Whether the processor may bulk-skip this kernel's quiet cycles.
-
-        Quiet-cycle accounting itself is engine-independent (see
-        :meth:`next_quiet_cycles`); this flag records which executors
-        the steady-state skip has been enabled for. The columnar timing
-        engine (:mod:`repro.machine.columnar`) turns it on always.
-        """
-        return self.vector_active or self.replay_active
-
     def fast_forward(self, cycles: int) -> None:
         """Consume ``cycles`` of the fixed startup delay in bulk.
 
@@ -398,34 +370,13 @@ class KernelExecutor:
         self.stats.total_cycles += cycles
         self._startup_remaining -= cycles
 
-    def next_quiet_cycles(self) -> int:
-        """Cycles until this executor next does anything but wait.
-
-        A *quiet* cycle is one where :meth:`step` would issue no
-        iteration, fire no event and finish nothing — it only advances
-        ``total_cycles`` and virtual time. The next non-quiet cycle is
-        the earlier of the next iteration issue (``issued * ii``) and
-        the earliest pending event; 0 means the very next step may do
-        real work (or the kernel is starting up, draining, or done,
-        where per-cycle stepping is required).
-        """
-        if self.finished or self._startup_remaining > 0:
-            return 0
-        candidates = []
-        if self._issued < self.invocation.iterations:
-            candidates.append(self._issued * self.schedule.ii)
-        if self._heap:
-            candidates.append(self._heap[0][0])
-        if not candidates:
-            return 0  # draining: flush/quiescence checks run per cycle
-        return max(0, min(candidates) - self._vt)
-
+    # No caller left; kept because bench/layers.py wraps it by name.
     def fast_forward_steady(self, cycles: int) -> None:
-        """Consume ``cycles`` quiet steady-state cycles in bulk.
+        """Consume ``cycles`` steady-state cycles that would only wait.
 
-        Only valid for ``cycles <= next_quiet_cycles()``: each skipped
-        step would have bumped ``total_cycles`` and virtual time and
-        done nothing else, so this is bit-identical to stepping.
+        Valid only while no iteration issue or timed event is due in
+        the window: each skipped step would have bumped ``total_cycles``
+        and virtual time and done nothing else.
         """
         self.stats.total_cycles += cycles
         self._vt += cycles

@@ -52,18 +52,6 @@ DEADLOCK_CYCLES = 200_000
 class StreamProcessor:
     """A complete simulated machine built from a :class:`MachineConfig`."""
 
-    #: Executor class hook: the columnar timing engine
-    #: (:mod:`repro.machine.columnar`) substitutes a batch-stepping
-    #: variant without re-wiring the machine.
-    EXECUTOR_CLS = KernelExecutor
-    #: Which timing engine this processor class implements
-    #: (:attr:`MachineConfig.timing_engine`).
-    engine = "object"
-    #: Whether :meth:`run_program` batch-steps drain windows (stretches
-    #: where only the memory controller and SRF need real per-cycle
-    #: ticks while the executor provably just counts cycles).
-    _drain_windows = False
-
     def __init__(self, config: MachineConfig):
         config.validate()
         self.config = config
@@ -268,7 +256,7 @@ class StreamProcessor:
                                             program_trace, index, task.work
                                         )
                                     )
-                            executor = self.EXECUTOR_CLS(
+                            executor = KernelExecutor(
                                 self.config, self.srf, task.work, schedule,
                                 observer=self.observer,
                                 record_to=record_to,
@@ -319,136 +307,6 @@ class StreamProcessor:
                         last_progress_cycle = self.cycle + 1
                     self.cycle += skip
                     if self.cycle - last_progress_cycle > limit:
-                        raise self._deadlock(
-                            program, limit, remaining_count,
-                            mem_waiting, kernel_waiting, running, completed,
-                        )
-                    continue
-            elif (
-                use_fast_forward and running is not None
-                and not self._drain_windows
-                and running[1].steady_skippable
-            ):
-                # (Drain-window engines fold this skip into the drain
-                # block below — its event-horizon jump covers exactly
-                # these cycles without re-deriving the quiet window.)
-                # Steady-state skip inside a running kernel (vector
-                # backend or trace replay): stretches where the executor
-                # provably just counts cycles between software-pipeline
-                # events and no other component can change state.
-                skip = self._steady_forward_window(
-                    running[1], progressed, last_progress_cycle, limit
-                )
-                if skip > 0:
-                    self.controller.fast_forward(skip)
-                    self.srf.fast_forward(skip)
-                    running[1].fast_forward_steady(skip)
-                    if profiler is not None:
-                        profiler.sample_window(self.cycle, skip, "kernel")
-                    if progressed:
-                        last_progress_cycle = self.cycle + 1
-                    self.cycle += skip
-                    if self.cycle - last_progress_cycle > limit:
-                        raise self._deadlock(
-                            program, limit, remaining_count,
-                            mem_waiting, kernel_waiting, running, completed,
-                        )
-                    continue
-
-            # Drain window (columnar engine): a stretch of cycles where
-            # the executor provably only counts — startup countdown,
-            # quiet software-pipeline gaps, or a head event stalled on
-            # fills with known due cycles — while the memory controller
-            # and SRF still need real ticks. Tick those two in a tight
-            # loop and charge the executor in bulk; bit-identical to
-            # per-cycle stepping because a skipped executor step could
-            # neither fire events, issue iterations, carry a comm, nor
-            # finish the kernel. The loop breaks the moment a memory op
-            # completes so dependent tasks issue on the same cycle as
-            # per-cycle stepping would.
-            if (
-                self._drain_windows and use_fast_forward
-                and running is not None
-            ):
-                executor = running[1]
-                startup = executor.startup_remaining
-                if startup > 0:
-                    window = startup
-                    mode = 0
-                else:
-                    quiet = executor.next_quiet_cycles()
-                    if quiet > 0:
-                        window = quiet
-                        mode = 1
-                    else:
-                        window = executor.stall_window(self.cycle)
-                        mode = 2
-                effective = (
-                    self.cycle + 1 if progressed else last_progress_cycle
-                )
-                window = min(window, effective + limit + 1 - self.cycle)
-                if window > 1:
-                    controller = self.controller
-                    srf = self.srf
-                    base_ops = controller.completed_ops
-                    cycle0 = self.cycle
-                    bound = cycle0 + window
-                    stepped = 0
-                    while stepped < window:
-                        c = cycle0 + stepped
-                        # Event-horizon jump: when neither the SRF nor
-                        # the memory controller can change state before
-                        # some future cycle (their documented
-                        # next_event_cycle / fast_forward contract),
-                        # skip straight to the earlier of that event
-                        # and the window end instead of ticking inert
-                        # cycles one by one. In-flight SRF completions
-                        # keep `srf.idle` False, so the steady branch
-                        # above can never capture these stretches.
-                        srf_next = srf.next_event_cycle(c)
-                        if srf_next is None or srf_next > c:
-                            mem_next = controller.next_event_cycle(c)
-                            if mem_next is None or mem_next > c:
-                                nxt = bound
-                                if srf_next is not None and srf_next < nxt:
-                                    nxt = srf_next
-                                if mem_next is not None and mem_next < nxt:
-                                    nxt = mem_next
-                                if nxt > c:
-                                    skip = nxt - c
-                                    controller.fast_forward(skip)
-                                    srf.fast_forward(skip)
-                                    stepped += skip
-                                    continue
-                        controller.tick(c)
-                        srf.tick(c, False)
-                        stepped += 1
-                        if controller.completed_ops != base_ops:
-                            break
-                    if mode == 0:
-                        executor.fast_forward(stepped)
-                    elif mode == 1:
-                        executor.fast_forward_steady(stepped)
-                    else:
-                        executor.fast_forward_stalled(stepped)
-                    if progressed:
-                        last_progress_cycle = cycle0 + 1
-                    self.cycle = cycle0 + stepped
-                    if controller.completed_ops != base_ops:
-                        # Retire completed memory ops (mirrors the
-                        # per-cycle retirement block below).
-                        retired_ops = controller.completed_ops
-                        still_inflight = []
-                        for task in mem_inflight:
-                            if controller.is_complete(task.work.op_id):
-                                completed.add(task.task_id)
-                                remaining_count -= 1
-                                scan_needed = True
-                            else:
-                                still_inflight.append(task)
-                        mem_inflight = still_inflight
-                        last_progress_cycle = self.cycle
-                    elif self.cycle - last_progress_cycle > limit:
                         raise self._deadlock(
                             program, limit, remaining_count,
                             mem_waiting, kernel_waiting, running, completed,
@@ -580,37 +438,6 @@ class StreamProcessor:
             candidates.append(srf_next)
         if running is not None:
             candidates.append(cycle + running[1].startup_remaining)
-        return max(0, min(candidates) - cycle)
-
-    def _steady_forward_window(self, executor, progressed: bool,
-                               last_progress_cycle: int, limit: int) -> int:
-        """Cycles skippable inside a running kernel's steady state.
-
-        A cycle qualifies when the executor's next step would be *quiet*
-        (no issue, no due event — see
-        :meth:`KernelExecutor.next_quiet_cycles`) and neither the memory
-        controller nor the SRF can change state, so every skipped cycle
-        would only have bumped counters. Capped at the deadlock horizon
-        so a stuck program aborts on exactly the same cycle as per-cycle
-        stepping.
-        """
-        quiet = executor.next_quiet_cycles()
-        if quiet <= 0:
-            return 0
-        cycle = self.cycle
-        mem_next = self.controller.next_event_cycle(cycle)
-        if mem_next == cycle:
-            return 0
-        srf_next = self.srf.next_event_cycle(cycle)
-        if srf_next is not None and srf_next <= cycle:
-            return 0
-        effective_progress = cycle + 1 if progressed else last_progress_cycle
-        horizon = effective_progress + limit  # last no-progress tick
-        candidates = [horizon + 1, cycle + quiet]
-        if mem_next is not None:
-            candidates.append(mem_next)
-        if srf_next is not None:
-            candidates.append(srf_next)
         return max(0, min(candidates) - cycle)
 
     def run_programs(self, programs) -> list:

@@ -43,7 +43,7 @@ rotates the code fingerprint and orphans every stored trace.
 
 Fault injection changes functional data (bit flips), so faulted
 configs never record or replay — the processor falls back to plain
-execution, mirroring the vector backend's fallback.
+execution.
 
 Usage
 -----
@@ -112,8 +112,7 @@ TIMING_ONLY_FIELDS = frozenset({
     "inlane_addr_data_separation", "crosslane_addr_data_separation",
     "crosslane_network", "shared_interlane_network", "indexed_arbitration",
     # Simulation knobs (all proven stats-inert elsewhere).
-    "backend", "timing_source", "timing_engine", "deadlock_cycles",
-    "fast_forward", "sanitize",
+    "timing_source", "deadlock_cycles", "fast_forward", "sanitize",
     # Observability (read-only probes by construction).
     "trace", "trace_path", "trace_buffer_events", "metrics_level",
     "profile_sample_period",

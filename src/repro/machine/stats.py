@@ -109,9 +109,14 @@ class KernelRunStats:
 
     @property
     def overhead_cycles(self) -> int:
-        """Everything that is neither loop body nor SRF stall."""
-        return max(
-            0, self.total_cycles - self.loop_body_cycles - self.srf_stall_cycles
+        """Everything that is neither loop body nor SRF stall.
+
+        The exact remainder, never clamped: loop body, SRF stall and
+        overhead partition ``total_cycles``, so a negative value exposes
+        double counting instead of hiding it.
+        """
+        return (
+            self.total_cycles - self.loop_body_cycles - self.srf_stall_cycles
         )
 
     # -- Figure 13 quantities -------------------------------------------

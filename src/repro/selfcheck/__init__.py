@@ -4,8 +4,8 @@
 test suite can only probe pointwise: every :class:`MachineConfig` field
 classified functional vs timing-only, every ``REPRO_*`` environment
 overlay registered and documented, no ambient entropy inside the
-simulated machine, durable writes routed through :mod:`repro.store`,
-and the columnar engine's fallback matrix kept complete. Run it with
+simulated machine, and durable writes routed through
+:mod:`repro.store`. Run it with
 ``python -m repro.selfcheck``; see DESIGN.md §4k for the pass
 architecture and the full code table.
 """

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from repro.analyze.diagnostics import Diagnostic, Severity
 
-#: Framework-level codes (passes declare their own SC1xx–SC5xx).
+#: Framework-level codes (passes declare their own SC1xx–SC4xx).
 FRAMEWORK_CODES = {
     "SC001": "source file does not parse",
     "SC002": "unused selfcheck suppression comment",
@@ -150,7 +150,7 @@ class SourceFile:
         Maps name -> ``str`` (string constant), ``tuple[str, ...]``
         (tuple/list of string constants), or ``("alias", name)`` for a
         plain ``X = Y`` rebinding. Used by passes to resolve, e.g.,
-        ``os.environ.get(BACKEND_ENV)``.
+        ``os.environ.get(REPLAY_ENV)``.
         """
         constants: "dict[str, object]" = {}
         if self.tree is None:

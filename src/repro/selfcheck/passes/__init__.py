@@ -7,14 +7,13 @@ these), and ``run(ctx)``. Order matters only for output stability.
 
 from repro.selfcheck.passes import (
     determinism,
-    fallback,
     fingerprint,
     overlays,
     writes,
 )
 
 #: Every registered pass module, in reporting order.
-ALL_PASSES = (fingerprint, overlays, determinism, writes, fallback)
+ALL_PASSES = (fingerprint, overlays, determinism, writes)
 
 #: Every pass-declared code, for suppression validation and docs.
 PASS_CODES = {

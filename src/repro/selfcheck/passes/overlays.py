@@ -158,7 +158,7 @@ def env_accesses(
     name cannot be statically determined. ``lookup`` is an optional
     ``(module, name) -> value`` callable resolving constants imported
     from other files in the scanned tree (``from repro.config.presets
-    import BACKEND_ENV``).
+    import REPLAY_ENV``).
     """
     if sf.tree is None:
         return []

@@ -182,22 +182,6 @@ class TestCompletionPipeline:
 
 
 class TestReorderBuffers:
-    def test_due_for_a_filled_slot_detected(self):
-        proc, stream = _inlane_reads_in_flight()
-        rob = stream.robs[0]
-        for cycle in range(1, 1 + proc.config.inlane_indexed_latency):
-            proc.srf.tick(cycle)
-        assert rob.head_ready()
-        rob.note_due(rob._head_ticket, 99)  # the ticket already filled
-        with pytest.raises(SanitizerError, match="not an unfilled"):
-            proc._sanitizer.check(cycle)
-
-    def test_due_for_an_unissued_ticket_detected(self):
-        proc, stream = _inlane_reads_in_flight()
-        stream.robs[3].note_due(17, 5)
-        with pytest.raises(SanitizerError, match="ticket 17"):
-            proc._sanitizer.check(0)
-
     def test_overfull_reorder_buffer_detected(self):
         proc, stream = _inlane_reads_in_flight()
         rob = stream.robs[2]

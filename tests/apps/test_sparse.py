@@ -10,14 +10,13 @@ Two layers compose into a machine-vs-scipy proof:
    no tolerance); the stencil reference is checked against
    ``scipy.ndimage.correlate`` (different accumulation order, so
    tightly-toleranced).
-2. **Machine vs reference** — every preset x backend x timing engine
-   runs the full cycle-accurate simulation and ``require_verified()``
-   enforces the app's own word-for-word comparison against the same
-   references.
+2. **Machine vs reference** — every preset runs the full cycle-accurate
+   simulation and ``require_verified()`` enforces the app's own
+   word-for-word comparison against the same references.
 
-Together: the simulated machine agrees with scipy on every preset,
-backend, and engine. The scipy layer skips cleanly where scipy is not
-installed; the machine layer never needs it.
+Together: the simulated machine agrees with scipy on every preset. The
+scipy layer skips cleanly where scipy is not installed; the machine
+layer never needs it.
 """
 
 import pytest
@@ -33,8 +32,6 @@ from repro.config.presets import all_configs
 import numpy as np
 
 PRESETS = ("Base", "ISRF1", "ISRF4", "Cache")
-BACKENDS = ("scalar", "vector")
-ENGINES = ("object", "columnar")
 
 
 # ----------------------------------------------------------------------
@@ -109,33 +106,20 @@ def test_dense_differential():
 # ----------------------------------------------------------------------
 # Layer 2: cycle-accurate machine vs the references, everywhere
 # ----------------------------------------------------------------------
-def _config(preset, backend, engine):
-    return all_configs()[preset].replace(
-        backend=backend, timing_engine=engine
-    )
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("preset", PRESETS)
 @pytest.mark.parametrize("fmt", spmv.FORMATS)
-def test_spmv_verifies_on_every_machine(fmt, preset, backend, engine):
+def test_spmv_verifies_on_every_machine(fmt, preset):
     """require_verified() is the word-for-word reference comparison;
-    CSC on indexed presets additionally walks the vector backend's
-    scalar-fallback path (read-write indexed streams)."""
-    result = spmv.run(_config(preset, backend, engine), fmt=fmt,
+    CSC on indexed presets walks the read-write indexed stream path."""
+    result = spmv.run(all_configs()[preset], fmt=fmt,
                       rows=64, cols=64, strips_to_run=2)
     result.require_verified()
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("preset", PRESETS)
 @pytest.mark.parametrize("pattern", sorted(PATTERNS))
-def test_stencil_verifies_on_every_machine(pattern, preset, backend,
-                                           engine):
-    result = stencil.run(_config(preset, backend, engine),
-                         pattern=pattern)
+def test_stencil_verifies_on_every_machine(pattern, preset):
+    result = stencil.run(all_configs()[preset], pattern=pattern)
     result.require_verified()
 
 
@@ -150,7 +134,7 @@ def test_spmv_verifies_under_every_ordering(ordering):
 # ----------------------------------------------------------------------
 # Replay-mode bit-identity (the per-preset sweep lives in
 # tests/machine/test_replay.py via the shared RUNNERS table; this pins
-# the scalar-fallback CSC program specifically).
+# the read-write CSC program specifically).
 # ----------------------------------------------------------------------
 def test_spmv_csc_replay_bit_identical(tmp_path):
     from repro.machine import replay

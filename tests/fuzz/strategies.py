@@ -3,17 +3,15 @@
 A drawn *spec* is a plain dict of primitives (so Hypothesis shrinks it
 well); :func:`build_kernel` deterministically turns it into a kernel,
 and :func:`make_context`/:func:`program_data` produce matching input
-data. The generated programs deliberately cover the vector backend's
-hard cases:
+data. The generated programs deliberately cover the machine's hard
+cases:
 
-* random iteration extents, including extents that straddle the
-  engine's :data:`~repro.machine.vector.BLOCK_ITERATIONS` boundary;
+* random iteration extents;
 * out-of-order and duplicate in-lane indices, cross-lane (global)
   indices, and predicated (conditional) indexed reads and writes;
-* loop carries (serial cones) mixed with batchable dataflow;
-* tagged algebra the engine lowers to ufuncs next to opaque Python
-  payloads it must not touch, float constants, bools, division, and
-  huge constants that overflow int64 (forcing the big-int fallback).
+* loop carries mixed with independent dataflow and explicit comms;
+* tagged algebra next to opaque Python payloads, float constants,
+  bools, division, and constants beyond the int64 range.
 """
 
 import os
@@ -190,8 +188,8 @@ def build_kernel(spec):
         elif tag == "float":
             values.append(b.add(a, b.const(0.5 + extra * 0.125)))
         elif tag == "bigconst":
-            # 2**59..2**65: crosses both int64-bound and int64-overflow
-            # fallbacks in the vector engine.
+            # 2**59..2**65: values beyond the int64 range must survive
+            # SRF storage as exact Python ints.
             values.append(b.add(a, b.const(1 << (59 + extra))))
         elif tag == "div":
             values.append(b.div(a, b.arith(_divisor, c)))
@@ -274,19 +272,3 @@ def make_context(spec, streams) -> ListContext:
         ctx.bind_table(streams["wtab"],
                        [list(t) for t in data["wtab"]])
     return ctx
-
-
-def assert_same_typed(a, b, where=""):
-    """Equality that also requires identical Python types, recursively.
-
-    ``2 == 2.0 == True`` in Python, so plain ``==`` would let a backend
-    silently turn ints into floats (or bools into ints); architectural
-    state must match *bit for bit*, types included.
-    """
-    assert type(a) is type(b), f"{where}: {type(a)} != {type(b)}"
-    if isinstance(a, (list, tuple)):
-        assert len(a) == len(b), f"{where}: len {len(a)} != {len(b)}"
-        for position, (x, y) in enumerate(zip(a, b)):
-            assert_same_typed(x, y, f"{where}[{position}]")
-    else:
-        assert a == b, f"{where}: {a!r} != {b!r}"

@@ -21,8 +21,8 @@ from repro.machine import replay
 from repro.machine.replay import TraceStore
 from repro.store.chaos import CHAOS_ENV
 from repro.store.journal import Journal
-from tests.machine.test_backend_equivalence import RUNNERS
 from tests.machine.test_golden_stats import fingerprint
+from tests.machine.workloads import RUNNERS
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__)))), "src")

@@ -1,6 +1,7 @@
 """The ``python -m repro.harness`` entry point."""
 
 import json
+import os
 
 from repro.harness.__main__ import main
 
@@ -71,6 +72,19 @@ class TestArgumentErrors:
     def test_nonpositive_timeout_fails(self, capsys):
         assert main(["table3", "--timeout", "0"]) == 2
         assert "--timeout must be positive" in capsys.readouterr().err
+
+    def test_unknown_scale_fails_with_usage(self, monkeypatch, capsys):
+        from repro.config.presets import REPLAY_ENV
+
+        monkeypatch.setenv("REPRO_SCALE", "bogus")
+        monkeypatch.delenv(REPLAY_ENV, raising=False)
+        assert main(["table3", "--replay"]) == 2
+        captured = capsys.readouterr()
+        assert "unknown REPRO_SCALE 'bogus'" in captured.err
+        assert "usage:" in captured.err
+        assert "Table 3" not in captured.out  # nothing ran
+        # Rejected before any overlay reached the environment.
+        assert REPLAY_ENV not in os.environ
 
 
 class TestGracefulDegradation:

@@ -213,8 +213,8 @@ class TestResultCache:
         variant = config.replace(fast_forward=False)
         assert cache.key("a", config, "small") != cache.key("a", variant,
                                                             "small")
-        backend = config.replace(backend="vector")
-        assert cache.key("a", config, "small") != cache.key("a", backend,
+        sanitized = config.replace(sanitize=True)
+        assert cache.key("a", config, "small") != cache.key("a", sanitized,
                                                             "small")
 
     def test_key_sees_repr_hidden_fields(self, tmp_path):

@@ -11,8 +11,9 @@ behaviour — intentional or not — shows up as a diff against the
 fixture. It doubles as the enforcement of the
 observability layer's zero-overhead contract: running with tracing,
 metrics, and the profiler all enabled must reproduce the fixture
-bit-for-bit, as must every pure simulation-speed knob (vector backend,
-columnar engine, fast-forward).
+bit-for-bit, as must the sanitizer and per-cycle stepping
+(``fast_forward=False``). Every pinned run's Figure 12 breakdown must
+also partition its total cycles exactly.
 
 Regenerate deliberately after an intentional timing change:
 
@@ -118,6 +119,12 @@ def fingerprint(stats) -> dict:
     }
 
 
+def assert_exact_breakdown(stats) -> None:
+    """Figure 12's categories are non-negative and sum to the run."""
+    assert all(run.overhead_cycles >= 0 for run in stats.kernel_runs)
+    assert sum(stats.breakdown().values()) == stats.total_cycles
+
+
 def run_microbench(label: str, monkeypatch) -> dict:
     """One microbenchmark point: its result plus the SRF's own stats."""
     built = []
@@ -168,8 +175,9 @@ def golden():
 class TestGoldenStats:
     def test_matches_fixture(self, golden, app, preset):
         config = all_configs()[preset]
-        result = APPS[app](config).require_verified()
-        assert fingerprint(result.stats) == golden[app][preset]
+        stats = APPS[app](config).require_verified().stats
+        assert_exact_breakdown(stats)
+        assert fingerprint(stats) == golden[app][preset]
 
     def test_observability_is_inert(self, golden, app, preset):
         """Trace + metrics + profiler on must not move a single cycle."""
@@ -185,52 +193,16 @@ class TestGoldenStats:
         result = APPS[app](config).require_verified()
         assert fingerprint(result.stats) == golden[app][preset]
 
-    def test_vector_backend_is_inert(self, golden, app, preset):
-        """The vector execution backend is a pure simulation-speed knob:
-        it must reproduce the *scalar-generated* fixture bit-for-bit,
-        not merely be self-consistent."""
-        config = all_configs()[preset].replace(backend="vector")
-        result = APPS[app](config).require_verified()
-        assert fingerprint(result.stats) == golden[app][preset]
-
-    def test_columnar_engine_is_inert(self, golden, app, preset):
-        """The columnar timing engine is a pure simulation-speed knob:
-        it must reproduce the *object-engine-generated* fixture
-        bit-for-bit, not merely be self-consistent."""
-        config = all_configs()[preset].replace(timing_engine="columnar")
-        result = APPS[app](config).require_verified()
-        assert fingerprint(result.stats) == golden[app][preset]
-
-    def test_columnar_engine_with_vector_backend_is_inert(self, golden,
-                                                          app, preset):
-        """Both speed knobs together still pin the fixture: drain
-        windows charge exactly what per-cycle stepping would."""
-        config = all_configs()[preset].replace(
-            timing_engine="columnar", backend="vector"
-        )
-        result = APPS[app](config).require_verified()
-        assert fingerprint(result.stats) == golden[app][preset]
-
-    def test_vector_backend_with_observability_is_inert(self, golden,
-                                                        app, preset):
-        """Steady-state fast-forward windows charge the profiler and
-        metrics exactly like per-cycle ticking does."""
-        config = all_configs()[preset].replace(
-            backend="vector", trace=True, metrics_level=2,
-            profile_sample_period=64,
-        )
-        result = APPS[app](config).require_verified()
-        assert fingerprint(result.stats) == golden[app][preset]
-
 
 @pytest.mark.parametrize("app", sorted(APPS))
 def test_fast_forward_off_matches_fixture(golden, app):
     """The cycle-loop fast path must be an exact shortcut, for every
-    app family (the sparse kernels stress its steady-state windows with
-    indexed-FIFO occupancy the FFT never reaches)."""
+    app family: per-cycle stepping reproduces the fixture and its
+    exact breakdown."""
     config = all_configs()["ISRF4"].replace(fast_forward=False)
-    result = APPS[app](config).require_verified()
-    assert fingerprint(result.stats) == golden[app]["ISRF4"]
+    stats = APPS[app](config).require_verified().stats
+    assert_exact_breakdown(stats)
+    assert fingerprint(stats) == golden[app]["ISRF4"]
 
 
 @pytest.mark.parametrize("label", sorted(MICROBENCH))

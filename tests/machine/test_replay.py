@@ -2,8 +2,7 @@
 
 The contract of :mod:`repro.machine.replay` is exact: a run re-timed
 from a recorded trace must produce :class:`ProgramStats` bit-identical
-to a functionally executed run, for every app on every Table 2 preset —
-the replay analogue of the scalar/vector backend equivalence suite.
+to a functionally executed run, for every app on every Table 2 preset.
 The store tests pin the invalidation rules: timing-only config fields
 share traces, functional fields split them, and stale or corrupt
 bundles are quarantined rather than replayed.
@@ -24,10 +23,8 @@ from repro.machine.replay import (
     TraceStore,
     functional_fingerprint,
 )
-from tests.machine.test_backend_equivalence import RUNNERS
 from tests.machine.test_golden_stats import fingerprint
-
-PRESETS = ("Base", "ISRF1", "ISRF4", "Cache")
+from tests.machine.workloads import PRESETS, RUNNERS
 
 
 @pytest.mark.parametrize("preset", PRESETS)
@@ -121,7 +118,7 @@ class TestFunctionalFingerprint:
         for variant in (
             isrf4_config(clock_hz=2e9),
             isrf4_config(inlane_addr_data_separation=12),
-            isrf4_config(backend="vector"),
+            isrf4_config(sanitize=True),
             isrf4_config(dram_latency_cycles=200),
             all_configs()["ISRF1"],
         ):

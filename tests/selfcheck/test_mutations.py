@@ -233,60 +233,6 @@ class TestWritesPass:
         assert "SC401" not in active_codes(scan(tree_copy))
 
 
-class TestFallbackPass:
-    def test_unchecked_knob_is_sc501(self, tree_copy):
-        # Remove the sanitize check from the eligibility gate while the
-        # object engine still consults it: the matrix has a hole.
-        tree_copy.mutate(
-            "machine/columnar.py", "config.sanitize", "False"
-        )
-        report = scan(tree_copy)
-        assert any(
-            f.code == "SC501" and "sanitize" in f.message
-            for f in report.active
-        )
-
-    def test_new_consulted_knob_is_sc501(self, tree_copy):
-        # Add a knob, consult it in the object engine, forget the gate.
-        tree_copy.mutate(
-            "config/machine.py",
-            "    sanitize: bool = False",
-            "    sanitize: bool = False\n"
-            "    turbo_mode: bool = False",
-        )
-        tree_copy.mutate("machine/replay.py", '"sanitize",',
-                         '"sanitize", "turbo_mode",')
-        tree_copy.append("machine/executor.py", (
-            "\n\ndef _turbo(config):\n"
-            "    return config.turbo_mode\n"
-        ))
-        report = scan(tree_copy)
-        assert any(
-            f.code == "SC501" and "turbo_mode" in f.message
-            for f in report.active
-        ), [f.describe() for f in report.active]
-
-    def test_stale_modeled_entry_is_sc502(self, tree_copy):
-        tree_copy.mutate(
-            "machine/columnar.py",
-            '"backend",', '"backend", "trace_path",',
-        )
-        # trace_path is an Observability knob no object-engine module
-        # consults, so declaring it modeled is stale.
-        report = scan(tree_copy)
-        assert any(
-            f.code == "SC502" and "trace_path" in f.message
-            for f in report.active
-        )
-
-    def test_missing_gate_is_sc505(self, tree_copy):
-        tree_copy.mutate(
-            "machine/columnar.py",
-            "def columnar_eligible", "def columnar_gate",
-        )
-        assert "SC505" in active_codes(scan(tree_copy))
-
-
 def test_shipped_tree_is_clean():
     """The zero-false-positive gate: the real tree scans clean."""
     import repro

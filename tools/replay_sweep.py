@@ -21,8 +21,8 @@ The replay/execute speedup is bounded by Amdahl's law: replay removes
 only functional kernel execution (~20-25% of a sweep point's runtime at
 small scale), while the cycle-accurate timing model — the whole point
 of a timing sweep — still runs in full. Expect ~1.2-1.4x on the sweep
-body, not a headline multiplier; ``tools/bench_gate.py`` gates on the
-measured ratio staying in that band, not on a wish.
+body, not a headline multiplier; the repo benchmark's ``sep_replay``
+workload (``bench/run.py``) tracks the replayed sweep's host time.
 """
 
 import argparse
