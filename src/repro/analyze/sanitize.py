@@ -26,8 +26,9 @@ Checked invariants, mirroring the machine's conservation laws:
   bounds, return-network queues plus reservations within queue depth;
 * **completion pipeline** — no in-flight completion is overdue after
   the cycle's completions drained, every calendar bucket's due lies in
-  the ring's window and maps to that bucket, and the in-flight count
-  matches the queued events.
+  the ring's window and maps to that bucket, the in-flight count
+  matches the queued events, and every pending indexed-read fill is
+  due for a reserved, still-unfilled reorder-buffer slot.
 
 On the first violated invariant a :class:`~repro.errors.SanitizerError`
 carrying a :class:`SanitizerReport` (every violation found that cycle,
@@ -39,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.address_fifo import _STALE
+from repro.core.stream_buffer import _UNFILLED
 from repro.errors import SanitizerError
 
 
@@ -264,6 +266,28 @@ class MachineSanitizer:
                     f"due at cycle {due}, outside the {size}-cycle "
                     f"calendar window after cycle {cycle}"
                 )
+            for event in bucket:
+                # In-lane fills are (1, rob, ticket, value); cross-lane
+                # returns are (2, bank, src_lane, ticket, value, sid, rob).
+                if event[0] == 1:
+                    rob, ticket = event[1], event[2]
+                elif event[0] == 2:
+                    rob, ticket = event[6], event[3]
+                else:
+                    continue
+                index = ticket - rob._head_ticket
+                if not 0 <= index < len(rob._slots):
+                    yield (
+                        f"completion pipeline: fill due at cycle {due} "
+                        f"for ticket {ticket}, which its reorder buffer "
+                        "never reserved"
+                    )
+                elif rob._slots[index] is not _UNFILLED:
+                    yield (
+                        f"completion pipeline: fill due at cycle {due} "
+                        f"for ticket {ticket}, not an unfilled slot of "
+                        "its reorder buffer"
+                    )
         if queued != srf._cal_count:
             yield (
                 f"completion pipeline: {queued} queued completions but "

@@ -336,6 +336,10 @@ class MachineConfig:
                 f"unknown timing_source {self.timing_source!r} "
                 f"(known: {', '.join(TIMING_SOURCES)})"
             )
+        for switch in ("fast_forward", "sanitize"):
+            # A truthy string such as "no" must not silently switch on.
+            if not isinstance(getattr(self, switch), bool):
+                raise ConfigurationError(f"{switch} must be True or False")
         if self.deadlock_cycles is not None and self.deadlock_cycles <= 0:
             raise ConfigurationError("deadlock_cycles must be positive")
         if self.trace_buffer_events <= 0:

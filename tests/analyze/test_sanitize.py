@@ -181,7 +181,33 @@ class TestCompletionPipeline:
             proc._sanitizer.check(0)
 
 
+def _plant_inlane_fill(srf, due, rob, ticket):
+    """Queue an in-lane read fill in the completion calendar."""
+    slot = due % srf._cal_size
+    srf._cal[slot].append((1, rob, ticket, 99))
+    srf._cal_due[slot] = due
+    srf._cal_count += 1
+
+
 class TestReorderBuffers:
+    def test_due_for_a_filled_slot_detected(self):
+        proc, stream = _inlane_reads_in_flight()
+        rob = stream.robs[0]
+        for cycle in range(1, 1 + proc.config.inlane_indexed_latency):
+            proc.srf.tick(cycle)
+        assert rob.head_ready()
+        # A second fill for the ticket that already filled.
+        _plant_inlane_fill(proc.srf, cycle + 1, rob, rob._head_ticket)
+        with pytest.raises(SanitizerError, match="not an unfilled"):
+            proc._sanitizer.check(cycle)
+
+    def test_due_for_an_unissued_ticket_detected(self):
+        proc, stream = _inlane_reads_in_flight()
+        _plant_inlane_fill(proc.srf, proc.config.inlane_indexed_latency,
+                           stream.robs[3], 17)
+        with pytest.raises(SanitizerError, match="ticket 17"):
+            proc._sanitizer.check(0)
+
     def test_overfull_reorder_buffer_detected(self):
         proc, stream = _inlane_reads_in_flight()
         rob = stream.robs[2]

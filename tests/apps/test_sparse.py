@@ -10,13 +10,14 @@ Two layers compose into a machine-vs-scipy proof:
    no tolerance); the stencil reference is checked against
    ``scipy.ndimage.correlate`` (different accumulation order, so
    tightly-toleranced).
-2. **Machine vs reference** — every preset runs the full cycle-accurate
-   simulation and ``require_verified()`` enforces the app's own
-   word-for-word comparison against the same references.
+2. **Machine vs reference** — every preset x run mode (kernel data
+   source x cycle loop, see ``tests/machine/workloads.py``) runs the
+   full cycle-accurate simulation and ``require_verified()`` enforces
+   the app's own word-for-word comparison against the same references.
 
-Together: the simulated machine agrees with scipy on every preset. The
-scipy layer skips cleanly where scipy is not installed; the machine
-layer never needs it.
+Together: the simulated machine agrees with scipy on every preset, in
+every run mode. The scipy layer skips cleanly where scipy is not
+installed; the machine layer never needs it.
 """
 
 import pytest
@@ -28,10 +29,10 @@ from repro.apps.spmv import (
 )
 from repro.apps.stencil import PATTERNS, RADIUS, reference_stencil
 from repro.config.presets import all_configs
+from repro.machine.replay import TraceStore
+from tests.machine.workloads import BACKENDS, ENGINES, PRESETS, run_mode
 
 import numpy as np
-
-PRESETS = ("Base", "ISRF1", "ISRF4", "Cache")
 
 
 # ----------------------------------------------------------------------
@@ -106,21 +107,33 @@ def test_dense_differential():
 # ----------------------------------------------------------------------
 # Layer 2: cycle-accurate machine vs the references, everywhere
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("preset", PRESETS)
 @pytest.mark.parametrize("fmt", spmv.FORMATS)
-def test_spmv_verifies_on_every_machine(fmt, preset):
+def test_spmv_verifies_on_every_machine(fmt, preset, backend, engine,
+                                        tmp_path):
     """require_verified() is the word-for-word reference comparison;
     CSC on indexed presets walks the read-write indexed stream path."""
-    result = spmv.run(all_configs()[preset], fmt=fmt,
-                      rows=64, cols=64, strips_to_run=2)
-    result.require_verified()
+    run_mode(
+        lambda cfg: spmv.run(cfg, fmt=fmt, rows=64, cols=64,
+                             strips_to_run=2),
+        all_configs()[preset], backend, engine,
+        TraceStore(str(tmp_path)), f"spmv_{fmt}",
+    )
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("preset", PRESETS)
 @pytest.mark.parametrize("pattern", sorted(PATTERNS))
-def test_stencil_verifies_on_every_machine(pattern, preset):
-    result = stencil.run(all_configs()[preset], pattern=pattern)
-    result.require_verified()
+def test_stencil_verifies_on_every_machine(pattern, preset, backend,
+                                           engine, tmp_path):
+    run_mode(
+        lambda cfg: stencil.run(cfg, pattern=pattern),
+        all_configs()[preset], backend, engine,
+        TraceStore(str(tmp_path)), f"stencil_{pattern}",
+    )
 
 
 @pytest.mark.parametrize("ordering", ORDERINGS)

@@ -272,3 +272,19 @@ def make_context(spec, streams) -> ListContext:
         ctx.bind_table(streams["wtab"],
                        [list(t) for t in data["wtab"]])
     return ctx
+
+
+def assert_same_typed(a, b, where=""):
+    """Equality that also requires identical Python types, recursively.
+
+    ``2 == 2.0 == True`` in Python, so plain ``==`` would let a data
+    path silently turn ints into floats (or bools into ints);
+    architectural state must match *bit for bit*, types included.
+    """
+    assert type(a) is type(b), f"{where}: {type(a)} != {type(b)}"
+    if isinstance(a, (list, tuple)):
+        assert len(a) == len(b), f"{where}: len {len(a)} != {len(b)}"
+        for position, (x, y) in enumerate(zip(a, b)):
+            assert_same_typed(x, y, f"{where}[{position}]")
+    else:
+        assert a == b, f"{where}: {a!r} != {b!r}"

@@ -1,97 +1,57 @@
-"""Property-based backend equivalence over random stream programs.
+"""Property-based machine-vs-reference agreement over random programs.
 
-Two tiers, both over :mod:`tests.fuzz.strategies` programs:
+Two tiers, both over :mod:`tests.fuzz.strategies` programs (dense and
+CSR-shaped sparse index streams):
 
-1. **Engine tier** — the vector engine against the scalar reference
-   interpreter, iteration by iteration, comparing the *entire*
-   observable contract: every IterationTrace entry (op identity and
-   detail, with exact Python types), every carry value after every
-   iteration, all sequential outputs, and final indexed-table
-   contents. This is the strongest statement of drop-in equivalence
-   and is cheap, so it gets the biggest example budget.
+1. **Data tier** — a machine run in record mode captures, iteration by
+   iteration, the detail of every data-bearing stream op: exactly what
+   a replaying run later feeds the timing model in place of the
+   interpreter. Every detail must equal the reference interpreter's,
+   with exact Python types.
 
 2. **Machine tier** — three-way agreement: the reference interpreter
-   over list-backed streams, the full cycle-accurate machine on the
-   scalar backend, and the same machine on the vector backend must all
-   produce identical program outputs; the two machine runs must also
-   produce bit-identical ``ProgramStats``.
+   over list-backed streams, the cycle-accurate machine executing the
+   program, and the same machine re-timed from the recorded trace must
+   all produce identical program outputs and final write-table
+   contents; the two machine runs must also produce bit-identical
+   ``ProgramStats``, and the executing run's Figure 12 breakdown must
+   sum to its total cycles exactly.
+
+One read-write indexed stream program covers the read-modify-write path
+that random specs never draw.
 """
 
-from hypothesis import given, settings, strategies as st
+import dataclasses
+import tempfile
+
+from hypothesis import given, settings
 
 from repro.config import isrf4_config
 from repro.core import SrfArray
-from repro.errors import ExecutionError
 from repro.kernel import KernelBuilder, KernelInterpreter
-from repro.machine import KernelInvocation, StreamProcessor, StreamProgram
-from repro.machine.vector import VectorKernelInterpreter, vector_supported
+from repro.machine import (
+    KernelInvocation, StreamProcessor, StreamProgram, replay,
+)
+from repro.machine.replay import REPLAY_DATA_KINDS, TraceStore
 from repro.memory import load_op, store_op
 from tests.fuzz.strategies import (
     FUZZ_EXAMPLES, LANES, LUT_RECORDS, WTAB_RECORDS, XLUT_RECORDS,
     assert_same_typed, build_kernel, kernel_specs, make_context,
     program_data, sparse_kernel_specs,
 )
-from tests.machine.test_golden_stats import fingerprint
 
-import pytest
-
-
-# ----------------------------------------------------------------------
-# Engine tier
-# ----------------------------------------------------------------------
-@settings(max_examples=FUZZ_EXAMPLES)
-@given(spec=kernel_specs(max_iterations=80),
-       block=st.sampled_from([5, 64]))
-def test_vector_engine_matches_reference(spec, block):
-    """Trace-for-trace, type-for-type equality with the interpreter.
-
-    ``block=5`` forces many mid-program block boundaries; ``block=64``
-    is the production block size (extents above 64 still cross it).
-    """
-    kernel, streams = build_kernel(spec)
-    iterations = spec["iterations"]
-    ref_ctx = make_context(spec, streams)
-    vec_ctx = make_context(spec, streams)
-    ref = KernelInterpreter(kernel, LANES, ref_ctx)
-    vec = VectorKernelInterpreter(kernel, LANES, vec_ctx, iterations,
-                                  block=block)
-    for iteration in range(iterations):
-        ref_trace = ref.run_iteration()
-        vec_trace = vec.run_iteration()
-        assert ([op for op, _ in ref_trace.entries]
-                == [op for op, _ in vec_trace.entries])
-        for (op, ref_detail), (_, vec_detail) in zip(
-                ref_trace.entries, vec_trace.entries):
-            assert_same_typed(
-                ref_detail, vec_detail,
-                f"iter {iteration} op {op.op_id} ({op.kind.name})",
-            )
-        for carry in kernel.carries:
-            assert_same_typed(
-                ref.carry_values(carry.name),
-                vec.carry_values(carry.name),
-                f"iter {iteration} carry {carry.name}",
-            )
-    assert_same_typed(ref_ctx.output("out"), vec_ctx.output("out"),
-                      "out stream")
-    if streams["wtab"] is not None:
-        for lane in range(LANES):
-            assert_same_typed(ref_ctx.table("wtab", lane),
-                              vec_ctx.table("wtab", lane),
-                              f"wtab lane {lane}")
+#: Machine runs that may consult a replay session.
+REPLAY_CONFIG = isrf4_config(timing_source="replay")
 
 
-# ----------------------------------------------------------------------
-# Machine tier
-# ----------------------------------------------------------------------
-def _run_on_machine(spec, kernel, streams, backend):
+def run_on_machine(spec, kernel, streams, config):
     """Run the spec's program on the cycle-accurate machine.
 
     Returns ``(outputs, final write-table contents or None, stats)``.
     """
     data = program_data(spec)
     iterations = spec["iterations"]
-    proc = StreamProcessor(isrf4_config(backend=backend))
+    proc = StreamProcessor(config)
     n = iterations * LANES
     in_arr = SrfArray(proc.srf, n, "in")
     out_arr = SrfArray(proc.srf, n, "out")
@@ -112,7 +72,11 @@ def _run_on_machine(spec, kernel, streams, backend):
     if streams["wtab"] is not None:
         wtab_arr = SrfArray(proc.srf, WTAB_RECORDS * LANES, "wtab")
         wtab_arr.fill_per_lane(data["wtab"])
-        bindings["wtab"] = wtab_arr.inlane_write(WTAB_RECORDS)
+        bindings["wtab"] = (
+            wtab_arr.inlane_readwrite(WTAB_RECORDS)
+            if streams["wtab"].kind.is_read
+            else wtab_arr.inlane_write(WTAB_RECORDS)
+        )
     prog = StreamProgram("fuzz")
     t_load = prog.add_memory(load_op(in_arr.seq_read(), src))
     t_kernel = prog.add_kernel(
@@ -132,33 +96,80 @@ def _run_on_machine(spec, kernel, streams, backend):
     return outputs, tables, stats
 
 
-def _assert_three_way(spec):
-    """Reference interpreter, scalar machine and vector machine agree."""
+def _scaled(spec):
     # Sequential machine streams transfer whole SRF access groups, so
     # round the extent to a multiple of four iterations per lane.
     spec = dict(spec, iterations=spec["iterations"] * 4)
     kernel, streams = build_kernel(spec)
+    return spec, kernel, streams
 
+
+# ----------------------------------------------------------------------
+# Data tier
+# ----------------------------------------------------------------------
+@settings(max_examples=FUZZ_EXAMPLES)
+@given(spec=kernel_specs(max_iterations=6))
+def test_vector_engine_matches_reference(spec):
+    """Row-for-row, type-for-type equality with the interpreter."""
+    spec, kernel, streams = _scaled(spec)
+    ref_traces = KernelInterpreter(
+        kernel, LANES, make_context(spec, streams)
+    ).run(spec["iterations"])
+    with tempfile.TemporaryDirectory() as directory:
+        with replay.session(TraceStore(directory), "fuzz", REPLAY_CONFIG,
+                            "test") as sess:
+            run_on_machine(spec, kernel, streams, REPLAY_CONFIG)
+    [program] = sess.bundle.programs
+    [recorded] = program.invocations.values()
+    data_ops = kernel.stream_ops(*REPLAY_DATA_KINDS)
+    assert len(recorded.rows) == len(ref_traces)
+    for iteration, (row, ref_trace) in enumerate(
+            zip(recorded.rows, ref_traces)):
+        ref_details = {op.op_id: detail for op, detail in ref_trace.entries}
+        assert len(row) == len(data_ops)
+        for op, detail in zip(data_ops, row):
+            assert_same_typed(
+                ref_details[op.op_id], detail,
+                f"iter {iteration} op {op.op_id} ({op.kind.name})",
+            )
+
+
+# ----------------------------------------------------------------------
+# Machine tier
+# ----------------------------------------------------------------------
+def _assert_three_way(spec, kernel, streams):
+    """Reference, executing machine and replaying machine agree."""
     ref_ctx = make_context(spec, streams)
     KernelInterpreter(kernel, LANES, ref_ctx).run(spec["iterations"])
+    with tempfile.TemporaryDirectory() as directory:
+        store = TraceStore(directory)
+        with replay.session(store, "fuzz", REPLAY_CONFIG, "test") as sess:
+            executed = run_on_machine(spec, kernel, streams, REPLAY_CONFIG)
+            assert sess.mode == "record"
+        with replay.session(store, "fuzz", REPLAY_CONFIG, "test") as sess:
+            replayed = run_on_machine(spec, kernel, streams, REPLAY_CONFIG)
+            assert sess.mode == "replay"
     expected = ref_ctx.output("out")
-
-    scalar = _run_on_machine(spec, kernel, streams, "scalar")
-    vector = _run_on_machine(spec, kernel, streams, "vector")
-    assert scalar[0] == expected
-    assert vector[0] == expected
+    assert executed[0] == expected
+    assert replayed[0] == expected
     if streams["wtab"] is not None:
         reference_tables = [ref_ctx.table("wtab", lane)
                             for lane in range(LANES)]
-        assert scalar[1] == reference_tables
-        assert vector[1] == reference_tables
-    assert fingerprint(scalar[2]) == fingerprint(vector[2])
+        assert executed[1] == reference_tables
+        assert replayed[1] == reference_tables
+    # Every program cycle lands in exactly one Figure 12 category. Unlike
+    # the apps' runs, a random kernel's overhead may be negative: a
+    # kernel retires at its last stream event, so a long-ii kernel with
+    # an early stream tail finishes inside ii x iterations.
+    stats = executed[2]
+    assert sum(stats.breakdown().values()) == stats.total_cycles
+    assert dataclasses.asdict(stats) == dataclasses.asdict(replayed[2])
 
 
 @settings(max_examples=FUZZ_EXAMPLES)
 @given(spec=kernel_specs(max_iterations=6))
 def test_three_way_agreement(spec):
-    _assert_three_way(spec)
+    _assert_three_way(*_scaled(spec))
 
 
 @settings(max_examples=FUZZ_EXAMPLES)
@@ -168,77 +179,24 @@ def test_three_way_agreement_sparse(spec):
     uniform, power-law clustered, duplicate-heavy, empty-row sentinel
     runs) driving a predicated clamped gather — the sparse apps' access
     idiom under every index locality the suite sweeps."""
-    _assert_three_way(spec)
+    _assert_three_way(*_scaled(spec))
 
 
-# ----------------------------------------------------------------------
-# Fallback coverage
-# ----------------------------------------------------------------------
-def _readwrite_kernel():
+def test_readwrite_streams_fall_back_to_scalar():
+    """A read-modify-write through one in-lane read-write indexed
+    stream: every read must observe the program-order earlier writes
+    to its record, on the machine (executing and replaying) as in the
+    reference."""
     b = KernelBuilder("rw")
     in_s = b.istream("in")
     out_s = b.ostream("out")
-    table = b.idxl_iostream("tab")
+    table = b.idxl_iostream("wtab")
     index = b.mod(b.read(in_s), b.const(WTAB_RECORDS))
     old = b.idx_read(table, index)
     b.idx_write(table, index, b.add(old, b.const(1)))
     b.write(out_s, old)
-    return b.build(), in_s, out_s, table
-
-
-def test_readwrite_streams_fall_back_to_scalar():
-    """Read-write indexed streams are outside the vector engine's block
-    reordering model: the engine must refuse them and the executor must
-    transparently fall back — with, as everywhere, identical results."""
-    kernel, in_s, out_s, table = _readwrite_kernel()
-    assert not vector_supported(kernel)
-    from repro.kernel.contexts import ListContext
-
-    ctx = ListContext(LANES)
-    ctx.bind_input(in_s, [[1] for _ in range(LANES)])
-    ctx.bind_table(table, [[0] * WTAB_RECORDS for _ in range(LANES)])
-    with pytest.raises(ExecutionError):
-        VectorKernelInterpreter(kernel, LANES, ctx, 1)
-
+    streams = {"in": in_s, "out": out_s, "lut": None, "xlut": None,
+               "wtab": table}
     spec = {"iterations": 8, "ops": [], "use_carry": False,
             "carry_init": 0, "data_seed": 7}
-    data = program_data(spec)
-
-    def run(backend):
-        proc = StreamProcessor(isrf4_config(backend=backend))
-        n = spec["iterations"] * LANES
-        in_arr = SrfArray(proc.srf, n, "in")
-        out_arr = SrfArray(proc.srf, n, "out")
-        tab_arr = SrfArray(proc.srf, WTAB_RECORDS * LANES, "tab")
-        tab_arr.fill_per_lane(data["wtab"])
-        src = proc.memory.allocate(n, "src")
-        dst = proc.memory.allocate(n, "dst")
-        proc.memory.load_region(
-            src, in_arr.stream_image_per_lane(data["inputs"])
-        )
-        prog = StreamProgram("rw")
-        t_load = prog.add_memory(load_op(in_arr.seq_read(), src))
-        t_kernel = prog.add_kernel(
-            KernelInvocation(
-                kernel,
-                {"in": in_arr.seq_read(), "out": out_arr.seq_write(),
-                 "tab": tab_arr.inlane_readwrite(WTAB_RECORDS)},
-                iterations=spec["iterations"],
-            ),
-            deps=[t_load],
-        )
-        prog.add_memory(store_op(out_arr.seq_write(name="st"), dst),
-                        deps=[t_kernel])
-        stats = proc.run_program(prog)
-        outputs = out_arr.per_lane_from_stream_image(
-            proc.memory.dump_region(dst), spec["iterations"]
-        )
-        tables = [tab_arr.read_per_lane(lane, WTAB_RECORDS)
-                  for lane in range(LANES)]
-        return outputs, tables, stats
-
-    scalar = run("scalar")
-    vector = run("vector")
-    assert scalar[0] == vector[0]
-    assert scalar[1] == vector[1]
-    assert fingerprint(scalar[2]) == fingerprint(vector[2])
+    _assert_three_way(spec, b.build(), streams)

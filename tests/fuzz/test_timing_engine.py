@@ -1,12 +1,14 @@
-"""Property-based object/columnar timing-engine equivalence.
+"""Property-based cycle-loop equivalence over random programs.
 
 Random stream programs from :mod:`tests.fuzz.strategies` run on the
-cycle-accurate machine under both timing engines
-(:attr:`MachineConfig.timing_engine`); outputs, final table contents,
-and the *entire* ``ProgramStats`` must match bit for bit. A second
-property drives the fallback boundary: the same random program under
-configs the columnar engine refuses (faults, sanitizer, tracing) must
-fall back to the object engine and still agree exactly.
+cycle-accurate machine under both cycle loops (timing engines in the
+ids of ``tests/machine/workloads.py``): fast-forwarding provably inert
+cycles (the default) and stepping every cycle (``fast_forward=False``).
+Outputs, final table contents, and the *entire* ``ProgramStats`` must
+match bit for bit. A second property drives the boundary between
+skipped and stepped cycles under each knob that hooks the cycle loop
+(faults, sanitizer, tracing, profiler): with the hook on, both loops
+must still agree exactly.
 """
 
 import dataclasses
@@ -14,87 +16,37 @@ import dataclasses
 from hypothesis import given, settings, strategies as st
 
 from repro.config import isrf4_config
-from repro.core import SrfArray
 from repro.kernel import KernelInterpreter
-from repro.machine import KernelInvocation, StreamProgram
-from repro.machine.columnar import build_processor
-from repro.memory import load_op, store_op
 from tests.fuzz.strategies import (
-    FUZZ_EXAMPLES, LANES, LUT_RECORDS, WTAB_RECORDS, XLUT_RECORDS,
-    build_kernel, kernel_specs, make_context, program_data,
+    FUZZ_EXAMPLES, LANES, build_kernel, kernel_specs, make_context,
     sparse_kernel_specs,
 )
+from tests.fuzz.test_three_way import run_on_machine
 
 
-def _run_on_engine(spec, kernel, streams, config):
-    """Run the spec's program on the machine built for ``config``.
-
-    Returns ``(engine, outputs, table contents or None, stats)``.
-    """
-    data = program_data(spec)
-    iterations = spec["iterations"]
-    proc = build_processor(config)
-    n = iterations * LANES
-    in_arr = SrfArray(proc.srf, n, "in")
-    out_arr = SrfArray(proc.srf, n, "out")
-    src = proc.memory.allocate(n, "src")
-    dst = proc.memory.allocate(n, "dst")
-    proc.memory.load_region(src,
-                            in_arr.stream_image_per_lane(data["inputs"]))
-    bindings = {"in": in_arr.seq_read(), "out": out_arr.seq_write()}
-    wtab_arr = None
-    if streams["lut"] is not None:
-        lut_arr = SrfArray(proc.srf, LUT_RECORDS * LANES, "lut")
-        lut_arr.fill_replicated(data["lut"])
-        bindings["lut"] = lut_arr.inlane_read(LUT_RECORDS)
-    if streams["xlut"] is not None:
-        xlut_arr = SrfArray(proc.srf, XLUT_RECORDS, "xlut")
-        xlut_arr.fill_stream_order(data["xlut"])
-        bindings["xlut"] = xlut_arr.crosslane_read(XLUT_RECORDS)
-    if streams["wtab"] is not None:
-        wtab_arr = SrfArray(proc.srf, WTAB_RECORDS * LANES, "wtab")
-        wtab_arr.fill_per_lane(data["wtab"])
-        bindings["wtab"] = wtab_arr.inlane_write(WTAB_RECORDS)
-    prog = StreamProgram("fuzz")
-    t_load = prog.add_memory(load_op(in_arr.seq_read(), src))
-    t_kernel = prog.add_kernel(
-        KernelInvocation(kernel, bindings, iterations=iterations),
-        deps=[t_load],
+def _run_both_loops(spec, overlay):
+    """Both cycle loops on one random program, plus the reference."""
+    spec = dict(spec, iterations=spec["iterations"] * 4)
+    kernel, streams = build_kernel(spec)
+    ref_ctx = make_context(spec, streams)
+    KernelInterpreter(kernel, LANES, ref_ctx).run(spec["iterations"])
+    fast = run_on_machine(spec, kernel, streams, isrf4_config(**overlay))
+    stepped = run_on_machine(
+        spec, kernel, streams,
+        isrf4_config(fast_forward=False, **overlay),
     )
-    prog.add_memory(store_op(out_arr.seq_write(name="st"), dst),
-                    deps=[t_kernel])
-    stats = proc.run_program(prog)
-    outputs = out_arr.per_lane_from_stream_image(
-        proc.memory.dump_region(dst), iterations
-    )
-    tables = None
-    if wtab_arr is not None:
-        tables = [wtab_arr.read_per_lane(lane, WTAB_RECORDS)
-                  for lane in range(LANES)]
-    return proc.engine, outputs, tables, dataclasses.asdict(stats)
+    return ref_ctx.output("out"), fast, stepped
 
 
 def _assert_engines_agree(spec):
-    """Columnar vs object on a random program: everything identical —
-    and the reference interpreter agrees on the outputs, so the two
-    engines cannot be identically wrong about the data."""
-    spec = dict(spec, iterations=spec["iterations"] * 4)
-    kernel, streams = build_kernel(spec)
-
-    ref_ctx = make_context(spec, streams)
-    KernelInterpreter(kernel, LANES, ref_ctx).run(spec["iterations"])
-    expected = ref_ctx.output("out")
-
-    obj = _run_on_engine(spec, kernel, streams, isrf4_config())
-    col = _run_on_engine(
-        spec, kernel, streams, isrf4_config(timing_engine="columnar")
-    )
-    assert obj[0] == "object"
-    assert col[0] == "columnar"  # engagement: no silent fallback
-    assert obj[1] == expected
-    assert col[1] == expected
-    assert obj[2] == col[2]
-    assert obj[3] == col[3]
+    """Both cycle loops on a random program: everything identical — and
+    the reference interpreter agrees on the outputs, so the two loops
+    cannot be identically wrong about the data."""
+    expected, fast, stepped = _run_both_loops(spec, {})
+    assert fast[0] == expected
+    assert stepped[0] == expected
+    assert fast[1] == stepped[1]
+    assert dataclasses.asdict(fast[2]) == dataclasses.asdict(stepped[2])
 
 
 @settings(max_examples=FUZZ_EXAMPLES)
@@ -106,34 +58,29 @@ def test_timing_engines_agree(spec):
 @settings(max_examples=FUZZ_EXAMPLES)
 @given(spec=sparse_kernel_specs(max_iterations=6))
 def test_timing_engines_agree_sparse(spec):
-    """Engine agreement under CSR-shaped index streams: every sparse
+    """Cycle-loop agreement under CSR-shaped index streams: every sparse
     index distribution (including empty-row sentinels masked by the
-    gather predicate) times identically on both engines."""
+    gather predicate) times identically under both loops."""
     _assert_engines_agree(spec)
 
 
-#: Boundary overlays that must force the columnar request back onto the
-#: object engine mid-flight — each hooks the per-cycle path.
-_FALLBACK_OVERLAYS = (
+#: Knobs that hook the cycle loop: fast-forward windows must charge
+#: each exactly as per-cycle stepping does.
+_HOOK_OVERLAYS = (
     dict(fault_seed=11, fault_srf_flips=1, fault_horizon=5_000),
     dict(sanitize=True),
     dict(trace=True),
-    dict(fast_forward=False),
+    dict(profile_sample_period=16),
 )
 
 
 @settings(max_examples=max(FUZZ_EXAMPLES // 5, 5))
 @given(spec=kernel_specs(max_iterations=4),
-       overlay=st.sampled_from(_FALLBACK_OVERLAYS))
+       overlay=st.sampled_from(_HOOK_OVERLAYS))
 def test_fallback_boundary_agrees(spec, overlay):
-    """An ineligible config with timing_engine="columnar" must run the
-    object engine and match the plain object run bit for bit."""
-    spec = dict(spec, iterations=spec["iterations"] * 4)
-    kernel, streams = build_kernel(spec)
-    base = isrf4_config(**overlay)
-    requested = isrf4_config(timing_engine="columnar", **overlay)
-    obj = _run_on_engine(spec, kernel, streams, base)
-    col = _run_on_engine(spec, kernel, streams, requested)
-    assert obj[0] == "object"
-    assert col[0] == "object"  # fell back, honestly
-    assert obj[1:] == col[1:]
+    """With a cycle-loop hook on, fast-forwarding still matches
+    per-cycle stepping bit for bit (faulted outputs may differ from the
+    reference, so only the two machine runs are compared)."""
+    _expected, fast, stepped = _run_both_loops(spec, overlay)
+    assert fast[:2] == stepped[:2]
+    assert dataclasses.asdict(fast[2]) == dataclasses.asdict(stepped[2])

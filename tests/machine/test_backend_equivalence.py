@@ -1,112 +1,123 @@
-"""Scalar/vector backend equivalence across every app and preset.
+"""Kernel-data-source equivalence across every app and preset.
 
-The vector backend (:mod:`repro.machine.vector`) is a pure simulation
-speed knob: for every benchmark application and every Table 2 machine
-configuration it must produce bit-identical ``ProgramStats`` AND
-bit-identical application outputs. These tests enforce that on real
-workloads; ``tests/fuzz`` covers randomly generated programs.
+A running kernel gets its per-iteration stream data from one of two
+backends (``MachineConfig.timing_source``): the scalar
+:class:`~repro.kernel.KernelInterpreter` evaluates every iteration
+(``"execute"``), or a trace recorded by an earlier execution supplies
+it with no interpreter at all (``"replay"``, :mod:`repro.machine.replay`;
+the ``vector`` backend id of ``tests/machine/workloads.py``). The choice
+is a pure simulation-speed knob: for every benchmark application and
+every Table 2 machine configuration both must produce bit-identical
+``ProgramStats`` — every field, not just the fingerprint — AND
+bit-identical application outputs. ``tests/machine/test_replay.py`` pins
+the trace store's keying and invalidation rules; ``tests/fuzz`` covers
+randomly generated programs.
 """
 
+import dataclasses
 import os
 
 import pytest
 
-from repro.apps import fft, filter2d, igraph, rijndael, sort, spmv, stencil
+from repro.apps import fft
 from repro.config.machine import MachineConfig
-from repro.config.presets import BACKEND_ENV, all_configs, base_config
+from repro.config.presets import REPLAY_ENV, all_configs, base_config
 from repro.errors import ConfigurationError
 from repro.machine import executor as executor_mod
-from repro.machine.vector import VectorKernelInterpreter
-from tests.machine.test_golden_stats import fingerprint
+from repro.machine import replay
+from repro.machine.replay import TraceStore
+from tests.machine.workloads import PRESETS, RUNNERS
 
-PRESETS = ("Base", "ISRF1", "ISRF4", "Cache")
 
-#: Small-but-real workloads: every kernel family (FFT butterflies,
-#: Rijndael carry chains, sort merge networks, filter rows, all four
-#: Table 4 index-distribution datasets, sparse gather/scatter and
-#: banded stencils) at CI-friendly sizes.
-RUNNERS = {
-    "fft": lambda cfg: fft.run(cfg, n=16),
-    "rijndael": lambda cfg: rijndael.run(cfg, blocks_per_lane=2),
-    "sort": lambda cfg: sort.run(cfg, n=256),
-    "filter": lambda cfg: filter2d.run(cfg, height=16, width=32),
-    "ig_sml": lambda cfg: igraph.run(cfg, dataset="IG_SML", nodes=128,
-                                     strips_to_run=2),
-    "ig_dms": lambda cfg: igraph.run(cfg, dataset="IG_DMS", nodes=128,
-                                     strips_to_run=2),
-    "ig_dcs": lambda cfg: igraph.run(cfg, dataset="IG_DCS", nodes=128,
-                                     strips_to_run=2),
-    "ig_scl": lambda cfg: igraph.run(cfg, dataset="IG_SCL", nodes=128,
-                                     strips_to_run=2),
-    "spmv_csr": lambda cfg: spmv.run(cfg, fmt="csr", rows=64, cols=64,
-                                     strips_to_run=2),
-    "spmv_csc": lambda cfg: spmv.run(cfg, fmt="csc", rows=64, cols=64,
-                                     strips_to_run=2),
-    "stencil_star": lambda cfg: stencil.run(cfg, pattern="star"),
-    "stencil_box": lambda cfg: stencil.run(cfg, pattern="box"),
-}
+def record_then_replay(store, benchmark, runner, config):
+    """The recording (executing) run and the replaying run, verified."""
+    config = config.replace(timing_source="replay")
+    with replay.session(store, benchmark, config, "test") as sess:
+        executed = runner(config).require_verified()
+        assert sess.mode == "record"
+    with replay.session(store, benchmark, config, "test") as sess:
+        replayed = runner(config).require_verified()
+        assert sess.mode == "replay"
+    return executed, replayed
 
 
 @pytest.mark.parametrize("preset", PRESETS)
 @pytest.mark.parametrize("app", sorted(RUNNERS))
-def test_backends_bit_identical(app, preset):
-    """Same stats fingerprint and same outputs on both backends."""
-    config = all_configs()[preset]
-    scalar = RUNNERS[app](config).require_verified()
-    vector = RUNNERS[app](
-        config.replace(backend="vector")
-    ).require_verified()
-    assert fingerprint(scalar.stats) == fingerprint(vector.stats)
-    assert scalar.details == vector.details
+def test_backends_bit_identical(app, preset, tmp_path):
+    """Same full ProgramStats and same outputs from both backends."""
+    executed, replayed = record_then_replay(
+        TraceStore(str(tmp_path)), app, RUNNERS[app], all_configs()[preset]
+    )
+    assert dataclasses.asdict(executed.stats) == \
+        dataclasses.asdict(replayed.stats)
+    assert executed.details == replayed.details
 
 
-def test_vector_engine_actually_used(monkeypatch):
-    """The equivalence above must not pass vacuously: a vector-backend
-    run of a supported kernel must construct the vector engine."""
+def test_vector_engine_actually_used(tmp_path, monkeypatch):
+    """The equivalence above must not pass vacuously: a replaying run
+    takes every kernel's data from the trace and never builds the
+    interpreter."""
+    store = TraceStore(str(tmp_path))
+    config = all_configs()["ISRF4"].replace(timing_source="replay")
+    with replay.session(store, "fft", config, "test"):
+        fft.run(config, n=16).require_verified()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("replaying run built the interpreter")
+
+    monkeypatch.setattr(executor_mod, "KernelInterpreter", forbidden)
+    with replay.session(store, "fft", config, "test") as sess:
+        fft.run(config, n=16).require_verified()
+        assert sess.mode == "replay"
+
+
+def test_scalar_backend_never_builds_vector_engine(tmp_path, monkeypatch):
+    """An executing run ignores even an active session: it neither
+    records nor reads a trace."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("executing run touched the trace")
+
+    monkeypatch.setattr(replay, "begin_invocation_record", forbidden)
+    monkeypatch.setattr(replay, "invocation_replay", forbidden)
+    config = all_configs()["ISRF4"]
+    with replay.session(TraceStore(str(tmp_path)), "fft", config,
+                        "test") as sess:
+        fft.run(config, n=16).require_verified()
+    assert sess.bundle.programs == []
+
+
+def test_default_backend_is_scalar(monkeypatch):
+    assert MachineConfig().timing_source == "execute"
+    assert base_config().timing_source == "execute"
     built = []
-    real = VectorKernelInterpreter
+    real = executor_mod.KernelInterpreter
 
     def counting(*args, **kwargs):
-        engine = real(*args, **kwargs)
-        built.append(engine)
-        return engine
+        built.append(real(*args, **kwargs))
+        return built[-1]
 
-    monkeypatch.setattr(
-        executor_mod, "VectorKernelInterpreter", counting
-    )
-    fft.run(all_configs()["ISRF4"].replace(backend="vector"), n=16)
-    assert built, "vector backend never engaged the vector engine"
-
-
-def test_scalar_backend_never_builds_vector_engine(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("scalar backend built the vector engine")
-
-    monkeypatch.setattr(
-        executor_mod, "VectorKernelInterpreter", forbidden
-    )
+    monkeypatch.setattr(executor_mod, "KernelInterpreter", counting)
     fft.run(all_configs()["ISRF4"], n=16).require_verified()
-
-
-def test_default_backend_is_scalar():
-    assert MachineConfig().backend == "scalar"
-    assert base_config().backend == "scalar"
+    assert built, "default run never engaged the interpreter"
 
 
 def test_backend_env_overlay(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, "vector")
-    assert base_config().backend == "vector"
+    monkeypatch.setenv(REPLAY_ENV, "replay")
+    assert base_config().timing_source == "replay"
     # Explicit overrides still win over the environment.
-    assert base_config(backend="scalar").backend == "scalar"
-    monkeypatch.setenv(BACKEND_ENV, "warp9")
+    assert base_config(
+        timing_source="execute"
+    ).timing_source == "execute"
+    monkeypatch.setenv(REPLAY_ENV, "warp9")
     with pytest.raises(ConfigurationError):
         base_config()
 
 
 def test_unknown_backend_rejected():
     with pytest.raises(ConfigurationError):
-        MachineConfig(backend="simd").validate()
-    assert os.environ.get(BACKEND_ENV) in (None, "")  # test hygiene
+        MachineConfig(timing_source="simd").validate()
+    assert os.environ.get(REPLAY_ENV) in (None, "")  # test hygiene
 
 
 class TestSeedStability:
@@ -124,43 +135,47 @@ class TestSeedStability:
     def test_fault_plan_identical_across_backends(self):
         from repro.faults import FaultPlan
 
-        scalar_cfg = all_configs()["ISRF4"].replace(**self.FLIPS)
-        vector_cfg = scalar_cfg.replace(backend="vector")
-        scalar_plan = FaultPlan.from_config(scalar_cfg)
-        vector_plan = FaultPlan.from_config(vector_cfg)
+        executed_cfg = all_configs()["ISRF4"].replace(**self.FLIPS)
+        replay_cfg = executed_cfg.replace(timing_source="replay")
+        executed_plan = FaultPlan.from_config(executed_cfg)
+        replay_plan = FaultPlan.from_config(replay_cfg)
         for domain in ("srf_flips", "dram_flips", "crossbar_drops",
                        "memory_delays"):
-            assert (getattr(scalar_plan, domain)
-                    == getattr(vector_plan, domain))
+            assert (getattr(executed_plan, domain)
+                    == getattr(replay_plan, domain))
 
-    def test_faulted_runs_identical_and_fall_back(self, monkeypatch):
-        """Faulted vector runs must fall back to the scalar engine (the
-        functional overlay cannot see mid-block strikes) and therefore
-        match the scalar backend trivially — but bit-exactly."""
+    def test_faulted_runs_identical_and_fall_back(self, tmp_path):
+        """Faulted replay-mode runs fall back to execution (bit flips
+        change functional data, so a trace cannot stand in for them)
+        and therefore match the executing backend — bit-exactly."""
+        executed_cfg = all_configs()["ISRF4"].replace(**self.FLIPS)
+        replay_cfg = executed_cfg.replace(timing_source="replay")
+        executed = fft.run(executed_cfg, n=16, repeats=1)
+        with replay.session(TraceStore(str(tmp_path)), "fft", replay_cfg,
+                            "test") as sess:
+            fallback = fft.run(replay_cfg, n=16, repeats=1)
+        assert sess.bundle.programs == []
+        assert executed.stats.faults.injected > 0
+        assert executed.stats == fallback.stats
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("faulted run built the vector engine")
-
-        monkeypatch.setattr(
-            executor_mod, "VectorKernelInterpreter", forbidden
-        )
-        scalar_cfg = all_configs()["ISRF4"].replace(**self.FLIPS)
-        scalar = fft.run(scalar_cfg, n=16, repeats=1)
-        vector = fft.run(scalar_cfg.replace(backend="vector"), n=16,
-                         repeats=1)
-        assert scalar.stats.faults.injected > 0
-        assert scalar.stats == vector.stats
-
-    def test_profiler_report_identical_across_backends(self):
+    def test_profiler_report_identical_across_backends(self, tmp_path):
         from repro import observe
 
-        config = all_configs()["ISRF4"].replace(profile_sample_period=64)
-        with observe.collect() as scalar_run:
-            fft.run(config, n=16, repeats=1)
-        with observe.collect() as vector_run:
-            fft.run(config.replace(backend="vector"), n=16, repeats=1)
-        scalar_reports = [o.profiler.report()
-                         for o in scalar_run.observers]
-        vector_reports = [o.profiler.report()
-                         for o in vector_run.observers]
-        assert scalar_reports == vector_reports
+        store = TraceStore(str(tmp_path))
+        config = all_configs()["ISRF4"].replace(
+            profile_sample_period=64, timing_source="replay"
+        )
+        with observe.collect() as executed_run:
+            with replay.session(store, "fft", config, "test") as sess:
+                fft.run(config, n=16, repeats=1)
+                assert sess.mode == "record"
+        with observe.collect() as replayed_run:
+            with replay.session(store, "fft", config, "test") as sess:
+                fft.run(config, n=16, repeats=1)
+                assert sess.mode == "replay"
+        executed_reports = [o.profiler.report()
+                            for o in executed_run.observers]
+        replayed_reports = [o.profiler.report()
+                            for o in replayed_run.observers]
+        assert executed_reports
+        assert executed_reports == replayed_reports

@@ -11,9 +11,11 @@ behaviour — intentional or not — shows up as a diff against the
 fixture. It doubles as the enforcement of the
 observability layer's zero-overhead contract: running with tracing,
 metrics, and the profiler all enabled must reproduce the fixture
-bit-for-bit, as must the sanitizer and per-cycle stepping
-(``fast_forward=False``). Every pinned run's Figure 12 breakdown must
-also partition its total cycles exactly.
+bit-for-bit, as must the sanitizer and every run mode of
+``tests/machine/workloads.py`` — trace replay (the ``vector`` legs) and
+per-cycle stepping (``fast_forward=False``, the ``columnar`` legs).
+Every pinned run's Figure 12 breakdown must also partition its total
+cycles exactly.
 
 Regenerate deliberately after an intentional timing change:
 
@@ -37,6 +39,8 @@ from repro.apps import (
     stencil,
 )
 from repro.config.presets import all_configs
+from repro.machine.replay import TraceStore
+from tests.machine.workloads import run_replayed
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_stats.json")
 
@@ -170,6 +174,13 @@ def golden():
         return json.load(handle)
 
 
+@pytest.fixture(scope="module")
+def trace_store(tmp_path_factory):
+    """One store for every replaying leg: an app records once per
+    functional config and each later leg re-times that recording."""
+    return TraceStore(str(tmp_path_factory.mktemp("traces")))
+
+
 @pytest.mark.parametrize("preset", PRESETS)
 @pytest.mark.parametrize("app", sorted(APPS))
 class TestGoldenStats:
@@ -193,13 +204,49 @@ class TestGoldenStats:
         result = APPS[app](config).require_verified()
         assert fingerprint(result.stats) == golden[app][preset]
 
+    def test_vector_backend_is_inert(self, golden, trace_store, app,
+                                     preset):
+        """Trace replay is a pure simulation-speed knob: kernel data
+        from a recording, with no interpreter, must reproduce the
+        *executed* fixture bit-for-bit, not merely be self-consistent."""
+        result = run_replayed(APPS[app], all_configs()[preset],
+                              trace_store, app)
+        assert fingerprint(result.stats) == golden[app][preset]
+
+    def test_columnar_engine_is_inert(self, golden, app, preset):
+        """Per-cycle stepping reproduces the fast-forwarded fixture, and
+        its exact breakdown, on every preset."""
+        config = all_configs()[preset].replace(fast_forward=False)
+        stats = APPS[app](config).require_verified().stats
+        assert_exact_breakdown(stats)
+        assert fingerprint(stats) == golden[app][preset]
+
+    def test_columnar_engine_with_vector_backend_is_inert(
+            self, golden, trace_store, app, preset):
+        """Both run-mode knobs together still pin the fixture: a
+        replayed run stepped every cycle."""
+        config = all_configs()[preset].replace(fast_forward=False)
+        result = run_replayed(APPS[app], config, trace_store, app)
+        assert fingerprint(result.stats) == golden[app][preset]
+
+    def test_vector_backend_with_observability_is_inert(
+            self, golden, trace_store, app, preset):
+        """Trace + metrics + profiler on a replayed run must not move a
+        single cycle either."""
+        config = all_configs()[preset].replace(
+            trace=True, metrics_level=2, profile_sample_period=64,
+        )
+        result = run_replayed(APPS[app], config, trace_store, app)
+        assert fingerprint(result.stats) == golden[app][preset]
+
 
 @pytest.mark.parametrize("app", sorted(APPS))
 def test_fast_forward_off_matches_fixture(golden, app):
     """The cycle-loop fast path must be an exact shortcut, for every
-    app family: per-cycle stepping reproduces the fixture and its
-    exact breakdown."""
-    config = all_configs()["ISRF4"].replace(fast_forward=False)
+    app family: per-cycle stepping with the sanitizer checking every
+    single cycle reproduces the fixture and its exact breakdown."""
+    config = all_configs()["ISRF4"].replace(fast_forward=False,
+                                            sanitize=True)
     stats = APPS[app](config).require_verified().stats
     assert_exact_breakdown(stats)
     assert fingerprint(stats) == golden[app]["ISRF4"]

@@ -2,6 +2,8 @@
 
 from hypothesis import given, strategies as st
 
+from repro.apps import fft
+from repro.config.presets import all_configs
 from repro.machine.stats import KernelRunStats, ProgramStats
 
 
@@ -17,6 +19,14 @@ class TestKernelRunStats:
                              useful_iterations=7.5, total_cycles=100)
         assert run.loop_body_cycles + run.imbalance_cycles == 5 * 10
         assert run.loop_body_cycles == round(5 * 7.5)
+
+    def test_overhead_never_negative(self):
+        # Real runs keep their counters consistent, so the unclamped
+        # remainder stays non-negative on every preset.
+        for name, config in all_configs().items():
+            runs = fft.run(config, n=16).stats.kernel_runs
+            assert runs, name
+            assert all(run.overhead_cycles >= 0 for run in runs), name
 
     def test_overhead_is_the_exact_remainder(self):
         # Inconsistent counters (more stall than total) surface as a

@@ -1,12 +1,16 @@
-"""Object/columnar timing-engine equivalence on every app and preset.
+"""Cycle-loop equivalence on every app and preset.
 
-The columnar engine (:mod:`repro.machine.columnar`) is a pure
-simulation-speed knob: for every benchmark application and every Table 2
-machine configuration it must produce bit-identical ``ProgramStats`` AND
+The processor's cycle loop runs one of two ways (timing engines in the
+ids of ``tests/machine/workloads.py``): by default it fast-forwards
+across provably inert cycles (DESIGN §4b, the ``object`` id), and with
+``fast_forward=False`` it steps every cycle (the ``columnar`` id), the
+per-cycle reference path. Fast-forwarding is a pure simulation-speed
+knob: for every benchmark application and every Table 2 machine
+configuration it must produce bit-identical ``ProgramStats`` AND
 bit-identical application outputs, in direct execution and in
 trace-replay timing mode. These tests enforce that on real workloads —
-and enforce that the columnar engine actually *engages*, so a silent
-fallback to the object engine can never fake an equivalence pass.
+and enforce that the fast path actually *engages*, so a run that never
+skips a cycle can never fake an equivalence pass.
 
 ``tests/fuzz/test_timing_engine.py`` covers randomly generated programs.
 """
@@ -15,24 +19,13 @@ import dataclasses
 
 import pytest
 
-from repro.apps import common as apps_common
 from repro.apps import fft
 from repro.config.machine import MachineConfig
-from repro.config.presets import (
-    TIMING_ENGINE_ENV,
-    all_configs,
-    base_config,
-)
+from repro.config.presets import REPLAY_ENV, all_configs, base_config
 from repro.errors import ConfigurationError
-from repro.machine import replay
-from repro.machine.columnar import (
-    ColumnarProcessor,
-    build_processor,
-    columnar_eligible,
-    engine_for,
-)
+from repro.machine import StreamProcessor, replay
 from repro.machine.replay import TraceStore
-from tests.machine.test_backend_equivalence import PRESETS, RUNNERS
+from tests.machine.workloads import PRESETS, RUNNERS
 
 
 def full_stats(stats) -> dict:
@@ -41,106 +34,108 @@ def full_stats(stats) -> dict:
 
 
 @pytest.fixture
-def engine_log(monkeypatch):
-    """Record the engine of every processor a run builds.
+def skip_log(monkeypatch):
+    """Record the length of every fast-forward window a run takes."""
+    skips = []
+    real = StreamProcessor._fast_forward_window
 
-    Patches the single seam all apps share
-    (:func:`repro.apps.common.make_processor` delegates to
-    ``build_processor``), so the log reflects what actually simulated.
-    """
-    engines = []
+    def recording(self, *args):
+        skip = real(self, *args)
+        if skip > 0:
+            skips.append(skip)
+        return skip
 
-    def recording(config):
-        processor = build_processor(config)
-        engines.append(processor.engine)
-        return processor
-
-    monkeypatch.setattr(apps_common, "build_processor", recording)
-    return engines
+    monkeypatch.setattr(StreamProcessor, "_fast_forward_window", recording)
+    return skips
 
 
 @pytest.mark.parametrize("preset", PRESETS)
 @pytest.mark.parametrize("app", sorted(RUNNERS))
-def test_engines_bit_identical(app, preset, engine_log):
-    """Same full ProgramStats and same outputs on both engines."""
+def test_engines_bit_identical(app, preset, skip_log):
+    """Same full ProgramStats and same outputs from both cycle loops."""
     config = all_configs()[preset]
-    obj = RUNNERS[app](config).require_verified()
-    assert engine_log == ["object"]
-    del engine_log[:]
-    col = RUNNERS[app](
-        config.replace(timing_engine="columnar")
+    fast = RUNNERS[app](config).require_verified()
+    # Engagement: a run that skipped nothing would "pass" trivially.
+    assert skip_log
+    del skip_log[:]
+    stepped = RUNNERS[app](
+        config.replace(fast_forward=False)
     ).require_verified()
-    # Engagement: a fallback would record "object" and could trivially
-    # "pass" the equivalence assertion below.
-    assert engine_log == ["columnar"]
-    assert full_stats(obj.stats) == full_stats(col.stats)
-    assert obj.details == col.details
+    assert skip_log == []
+    assert full_stats(fast.stats) == full_stats(stepped.stats)
+    assert fast.details == stepped.details
 
 
 @pytest.mark.parametrize("preset", PRESETS)
 @pytest.mark.parametrize("app", sorted(RUNNERS))
-def test_engines_bit_identical_in_replay(app, preset, tmp_path,
-                                         engine_log):
-    """Record once, then replay under both engines: identical stats.
+def test_engines_bit_identical_in_replay(app, preset, tmp_path):
+    """Record once, then replay under both cycle loops: identical stats.
 
     Replay mode drives the executor from recorded kernel data instead
-    of the interpreter, exercising the drain-window machinery on a
-    different step path than direct execution.
+    of the interpreter, so the fast-forward windows meet kernels on a
+    different data path than in direct execution.
     """
     store = TraceStore(str(tmp_path))
     config = all_configs()[preset].replace(timing_source="replay")
     with replay.session(store, app, config, "test") as sess:
         recorded = RUNNERS[app](config).require_verified()
         assert sess.mode == "record"
-    del engine_log[:]
     with replay.session(store, app, config, "test") as sess:
-        obj = RUNNERS[app](config).require_verified()
+        fast = RUNNERS[app](config).require_verified()
         assert sess.mode == "replay"
-    columnar_cfg = config.replace(timing_engine="columnar")
-    with replay.session(store, app, columnar_cfg, "test") as sess:
-        col = RUNNERS[app](columnar_cfg).require_verified()
+    stepped_cfg = config.replace(fast_forward=False)
+    with replay.session(store, app, stepped_cfg, "test") as sess:
+        stepped = RUNNERS[app](stepped_cfg).require_verified()
         assert sess.mode == "replay"
-    assert engine_log == ["object", "columnar"]
-    assert full_stats(obj.stats) == full_stats(col.stats)
-    assert full_stats(recorded.stats) == full_stats(col.stats)
+    assert full_stats(fast.stats) == full_stats(stepped.stats)
+    assert full_stats(recorded.stats) == full_stats(stepped.stats)
 
 
 class TestSelection:
-    """Engine selection: config field, env overlay, harness seam."""
+    """Cycle-loop and timing-source selection: config fields, env."""
 
     def test_default_engine_is_object(self):
-        assert MachineConfig().timing_engine == "object"
-        assert base_config().timing_engine == "object"
-        assert build_processor(base_config()).engine == "object"
+        assert MachineConfig().fast_forward is True
+        assert base_config().fast_forward is True
+        assert StreamProcessor(base_config()).config.fast_forward is True
 
-    def test_columnar_selected_when_eligible(self):
+    def test_columnar_selected_when_eligible(self, skip_log):
+        """fast_forward=False steps every cycle on every preset."""
         for name, config in all_configs().items():
-            columnar = config.replace(timing_engine="columnar")
-            assert engine_for(columnar) == "columnar", name
-            assert build_processor(columnar).engine == "columnar", name
+            stepped = fft.run(config.replace(fast_forward=False), n=16)
+            assert skip_log == [], name
+            fast = fft.run(config, n=16)
+            assert skip_log, name
+            del skip_log[:]
+            assert stepped.cycles == fast.cycles, name
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MachineConfig(timing_engine="quantum").validate()
+        # A truthy string must not silently select the fast path.
+        with pytest.raises(ConfigurationError, match="fast_forward"):
+            MachineConfig(fast_forward="no").validate()
 
     def test_env_overlay(self, monkeypatch):
-        monkeypatch.setenv(TIMING_ENGINE_ENV, "columnar")
-        assert base_config().timing_engine == "columnar"
+        """REPRO_REPLAY overlays every preset and leaves the cycle loop
+        alone."""
+        monkeypatch.setenv(REPLAY_ENV, "1")
+        for name, config in all_configs().items():
+            assert config.timing_source == "replay", name
+            assert config.fast_forward is True, name
         # Explicit overrides still win over the environment.
         assert base_config(
-            timing_engine="object"
-        ).timing_engine == "object"
-        monkeypatch.setenv(TIMING_ENGINE_ENV, "warp9")
+            timing_source="execute"
+        ).timing_source == "execute"
+        monkeypatch.setenv(REPLAY_ENV, "warp9")
         with pytest.raises(ConfigurationError):
             base_config()
 
     def test_blank_env_is_ignored(self, monkeypatch):
-        monkeypatch.setenv(TIMING_ENGINE_ENV, "")
-        assert base_config().timing_engine == "object"
+        monkeypatch.setenv(REPLAY_ENV, "")
+        assert base_config().timing_source == "execute"
 
 
-#: Config features the columnar engine must refuse: each hooks the
-#: per-cycle object path in a way batch-stepped windows cannot model.
+#: Knobs that hook the cycle loop, each of which fast-forward windows
+#: and trace replay must honour exactly as per-cycle execution does.
 INELIGIBLE = {
     "faults": dict(fault_seed=7, fault_srf_flips=2, fault_horizon=2_000),
     "sanitize": dict(sanitize=True),
@@ -150,48 +145,63 @@ INELIGIBLE = {
     "per_cycle": dict(fast_forward=False),
 }
 
+#: One setting per hook that the machine cannot honour.
+INVALID = {
+    "faults": dict(fault_srf_flips=2),  # flips need a fault_seed
+    "sanitize": dict(sanitize="off"),
+    "trace": dict(trace=True, trace_buffer_events=0),
+    "metrics": dict(metrics_level=3),
+    "profile": dict(profile_sample_period=-1),
+    "per_cycle": dict(fast_forward="no"),
+}
+
 
 class TestFallback:
-    """The documented fallback matrix, enforced edge by edge."""
+    """Replay's fallback matrix and the hooks' validation, edge by edge."""
 
     @pytest.mark.parametrize("feature", sorted(INELIGIBLE))
-    def test_ineligible_configs_fall_back(self, feature):
+    def test_ineligible_configs_fall_back(self, feature, tmp_path):
+        """Faulted configs fall back from replay to execution (nothing
+        is recorded); every other hook replays. Either way the second
+        run reproduces the first bit for bit."""
+        store = TraceStore(str(tmp_path))
         config = all_configs()["ISRF4"].replace(
-            timing_engine="columnar", **INELIGIBLE[feature]
+            timing_source="replay", **INELIGIBLE[feature]
         )
-        eligible, reason = columnar_eligible(config)
-        assert not eligible and reason
-        assert engine_for(config) == "object"
-        assert build_processor(config).engine == "object"
+        with replay.session(store, "fft", config, "test") as sess:
+            first = fft.run(config, n=16, repeats=1)
+        assert (sess.bundle.programs == []) == (feature == "faults")
+        with replay.session(store, "fft", config, "test") as sess:
+            second = fft.run(config, n=16, repeats=1)
+        # A faulted run consulting this (empty) recording would have
+        # raised ReplayError on the program-count mismatch.
+        assert sess.replaying
+        assert full_stats(first.stats) == full_stats(second.stats)
 
     @pytest.mark.parametrize("feature", sorted(INELIGIBLE))
     def test_direct_construction_refused(self, feature):
-        """A fallback can never masquerade as a columnar run: building
-        ColumnarProcessor for an ineligible config raises instead of
-        running half-modelled."""
-        config = all_configs()["ISRF4"].replace(
-            timing_engine="columnar", **INELIGIBLE[feature]
-        )
+        """A machine is never built half-configured: constructing it
+        from an unvalidated config with a bad hook setting raises."""
+        config = MachineConfig(name="ISRF4", **INVALID[feature])
         with pytest.raises(ConfigurationError):
-            ColumnarProcessor(config)
+            StreamProcessor(config)
 
-    def test_faulted_columnar_run_matches_object(self, engine_log):
-        """A faulted run under timing_engine="columnar" falls back and
-        still reproduces the object engine's faulted stats exactly."""
+    def test_faulted_columnar_run_matches_object(self, skip_log):
+        """A faulted run stepped every cycle reproduces the
+        fast-forwarded faulted stats exactly."""
         faulted = all_configs()["ISRF4"].replace(**INELIGIBLE["faults"])
-        obj = fft.run(faulted, n=16, repeats=1)
-        col = fft.run(
-            faulted.replace(timing_engine="columnar"), n=16, repeats=1
-        )
-        assert engine_log == ["object", "object"]
-        assert obj.stats.faults.injected > 0
-        assert full_stats(obj.stats) == full_stats(col.stats)
+        fast = fft.run(faulted, n=16, repeats=1)
+        assert skip_log
+        stepped = fft.run(faulted.replace(fast_forward=False), n=16,
+                          repeats=1)
+        assert fast.stats.faults.injected > 0
+        assert full_stats(fast.stats) == full_stats(stepped.stats)
 
     def test_eligibility_reasons_are_distinct(self):
+        """Each refusal names what was wrong with it."""
         reasons = set()
-        for overrides in INELIGIBLE.values():
-            config = all_configs()["ISRF4"].replace(**overrides)
-            eligible, reason = columnar_eligible(config)
-            assert not eligible
-            reasons.add(reason)
-        assert len(reasons) == len(INELIGIBLE)
+        for overrides in INVALID.values():
+            with pytest.raises(ConfigurationError) as excinfo:
+                MachineConfig(**overrides).validate()
+            reasons.add(str(excinfo.value))
+        assert len(reasons) == len(INVALID)

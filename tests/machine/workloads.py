@@ -1,14 +1,31 @@
-"""Shared small-but-real workloads for machine-level suites.
+"""Shared small-but-real workloads and run modes for machine-level suites.
 
 Every kernel family (FFT butterflies, Rijndael carry chains, sort merge
 networks, filter rows, all four Table 4 index-distribution datasets,
 sparse gather/scatter and banded stencils) at CI-friendly sizes. The
-replay and chaos suites run them on every Table 2 preset.
+replay, run-mode equivalence and chaos suites run them on every Table 2
+preset.
+
+A workload runs in one of four run modes, and all four must produce
+bit-identical stats and outputs. Parametrized suites name the modes by
+the backend x timing-engine ids they were first written for, so their
+test ids stay stable:
+
+* the **backend** is the kernel data source — ``"scalar"``: the
+  interpreter evaluates every iteration; ``"vector"``: a trace recorded
+  by an earlier execution supplies it (:mod:`repro.machine.replay`);
+* the **engine** is the cycle loop — ``"object"``: provably inert
+  cycles are fast-forwarded; ``"columnar"``: every cycle is stepped
+  (``fast_forward=False``).
 """
 
 from repro.apps import fft, filter2d, igraph, rijndael, sort, spmv, stencil
+from repro.machine import replay
 
 PRESETS = ("Base", "ISRF1", "ISRF4", "Cache")
+
+BACKENDS = ("scalar", "vector")
+ENGINES = ("object", "columnar")
 
 RUNNERS = {
     "fft": lambda cfg: fft.run(cfg, n=16),
@@ -30,3 +47,30 @@ RUNNERS = {
     "stencil_star": lambda cfg: stencil.run(cfg, pattern="star"),
     "stencil_box": lambda cfg: stencil.run(cfg, pattern="box"),
 }
+
+
+def run_replayed(runner, config, store, benchmark: str):
+    """Run ``runner`` re-timed from a trace in ``store``; verified.
+
+    On a trace miss the run is recorded first (a full execution), so the
+    returned result always comes from a replaying run.
+    """
+    config = config.replace(timing_source="replay")
+    with replay.session(store, benchmark, config, "test") as sess:
+        result = runner(config).require_verified()
+    if sess.mode == "replay":
+        return result
+    with replay.session(store, benchmark, config, "test") as sess:
+        result = runner(config).require_verified()
+        assert sess.mode == "replay"
+    return result
+
+
+def run_mode(runner, config, backend: str, engine: str, store,
+             benchmark: str):
+    """Run ``runner`` on ``config`` in one run mode; verified."""
+    if engine == "columnar":
+        config = config.replace(fast_forward=False)
+    if backend == "vector":
+        return run_replayed(runner, config, store, benchmark)
+    return runner(config).require_verified()

@@ -6,7 +6,10 @@ suite's proof that the passes test *real* contracts — a pass that
 cannot catch its own mutation is decoration, not enforcement.
 """
 
+import json
+
 from repro.selfcheck import run_selfcheck
+from repro.selfcheck.baseline import BASELINE_VERSION
 
 from tests.selfcheck.conftest import REPO_ROOT, active_codes
 
@@ -231,6 +234,71 @@ class TestWritesPass:
             "    os.replace(a, b)\n"
         ))
         assert "SC401" not in active_codes(scan(tree_copy))
+
+
+class TestFallbackPass:
+    """The fallback pass is retired with the only engine it audited.
+
+    Its codes (SC501/SC502/SC505) can no longer silence or grandfather
+    anything, and the knob-bookkeeping and lost-anchor edits it used to
+    catch are caught by the fingerprint pass.
+    """
+
+    def test_unchecked_knob_is_sc501(self, tree_copy):
+        # A leftover suppression of the retired code on a knob read
+        # names an unknown code.
+        tree_copy.mutate(
+            "machine/processor.py",
+            "        if config.sanitize:",
+            "        if config.sanitize:  # selfcheck: disable=SC501",
+        )
+        report = scan(tree_copy)
+        assert any(
+            f.code == "SC003" and "SC501" in f.message
+            for f in report.active
+        )
+
+    def test_new_consulted_knob_is_sc501(self, tree_copy):
+        # Add a knob, consult it in the cycle loop, forget to classify
+        # it: the fingerprint pass names it.
+        tree_copy.mutate(
+            "config/machine.py",
+            "    sanitize: bool = False",
+            "    sanitize: bool = False\n"
+            "    turbo_mode: bool = False",
+        )
+        tree_copy.append("machine/executor.py", (
+            "\n\ndef _turbo(config):\n"
+            "    return config.turbo_mode\n"
+        ))
+        report = scan(tree_copy)
+        assert any(
+            f.code == "SC101" and "turbo_mode" in f.message
+            for f in report.active
+        ), [f.describe() for f in report.active]
+
+    def test_stale_modeled_entry_is_sc502(self, tree_copy, tmp_path):
+        # A baseline entry for a retired code matches nothing: stale.
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps({
+            "version": BASELINE_VERSION,
+            "findings": [{"code": "SC502", "path": "machine/processor.py",
+                          "context": "StreamProcessor", "count": 1}],
+        }))
+        report = scan(tree_copy, baseline_path=str(baseline))
+        assert any(
+            f.code == "SC004" and "SC502" in f.message
+            for f in report.active
+        )
+
+    def test_missing_gate_is_sc505(self, tree_copy):
+        # Renaming an anchor the pass keys on is reported, never
+        # silently skipped.
+        tree_copy.mutate(
+            "fingerprint.py",
+            "def config_fingerprint", "def config_digest",
+        )
+        assert "SC105" in active_codes(scan(tree_copy))
 
 
 def test_shipped_tree_is_clean():
