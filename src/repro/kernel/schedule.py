@@ -29,6 +29,8 @@ class StaticSchedule:
     #: Address-data separations the schedule was built for.
     inlane_separation: int
     crosslane_separation: int
+    #: Reorder-buffer words per indexed read stream it was built for.
+    stream_capacity_words: int = 8
     #: Issue slots (mod ii) containing explicit inter-cluster comms.
     comm_slots: frozenset = field(default_factory=frozenset)
 

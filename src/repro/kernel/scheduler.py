@@ -15,6 +15,25 @@ the paper (§5.1). The algorithm is classic modulo scheduling:
    constraints are verified after placement, and the II is increased on
    failure.
 
+The positive-cycle test is exact in at most ``k + 2`` rounds, where
+``k`` is the number of back edges (distance > 0) on the graph's cycles.
+Each round relaxes the distance-0 edges in a topological order of the
+distance-0 subgraph, then the back edges, so after round ``r`` every
+walk that crosses at most ``r - 1`` back edges has fully propagated.
+Without a positive cycle the longest walk to each node is a simple
+path, which crosses each back edge at most once, so round ``k + 2``
+changes nothing; with one, no round is ever quiet (a quiet round is a
+feasible potential). Plain Bellman–Ford needs up to one round per node:
+Rijndael's recurrence has 640 nodes but 44 back edges. If the
+distance-0 edges close a cycle they have no topological order, and the
+test keeps the one-round-per-node bound.
+
+Placement retries the same kernel at successive IIs, so what every
+attempt needs — each op's predecessors by program position, its stream
+group, its reservation-table row, unit count and hold cycles — is
+computed once per :meth:`ModuloScheduler.schedule` call as a
+:class:`_PlacementPlan`.
+
 Because indexed reads contribute their address-data *separation* as the
 issue->data edge latency, kernels with loop-carried dependences through
 index computation (Rijndael, Sort) see their II — the static loop
@@ -25,9 +44,11 @@ depth. That is precisely the behaviour Section 5.4 measures.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from repro.errors import ScheduleError
-from repro.kernel.ir import Kernel
-from repro.kernel.ops import OpKind  # noqa: F401 (used in _stream_group)
+from repro.kernel.ir import DependenceEdge, Kernel
+from repro.kernel.ops import OpKind
 from repro.kernel.resources import (
     ClusterResources,
     min_ii_resources,
@@ -38,6 +59,11 @@ from repro.kernel.schedule import StaticSchedule
 #: Hard cap on the II search to guarantee termination.
 MAX_II = 4096
 
+#: ``(source, sink, latency, distance)`` between dense node numbers.
+_Edge = tuple[int, int, int, int]
+#: ``(source, sink, weight)`` as relaxed by :func:`_positive_cycle`.
+_WeightedEdge = tuple[int, int, int]
+
 
 def min_ii_recurrence(kernel: Kernel, inlane_separation: int,
                       crosslane_separation: int,
@@ -46,6 +72,11 @@ def min_ii_recurrence(kernel: Kernel, inlane_separation: int,
     edges = kernel.dependence_edges(
         inlane_separation, crosslane_separation, stream_capacity_words
     )
+    return _recurrence_ii(kernel.name, edges)
+
+
+def _recurrence_ii(name: str, edges: list[DependenceEdge]) -> int:
+    """RecMII of the kernel called ``name`` with these dependences."""
     if not any(e.distance > 0 for e in edges):
         return 1
     # Dependence cycles live entirely within strongly connected
@@ -61,14 +92,15 @@ def min_ii_recurrence(kernel: Kernel, inlane_separation: int,
     latency_cap = sum(
         latency for _, _, latency, _ in compact if latency > 0
     )
+    forward, back, rounds = _relaxation_order(node_count, compact)
     low, high = 1, min(MAX_II, max(1, latency_cap))
-    if _positive_cycle(node_count, compact, high):
+    if _positive_cycle(node_count, forward, back, rounds, high):
         raise ScheduleError(
-            f"{kernel.name}: recurrence cannot be satisfied below II={MAX_II}"
+            f"{name}: recurrence cannot be satisfied below II={MAX_II}"
         )
     while low < high:
         mid = (low + high) // 2
-        if _positive_cycle(node_count, compact, mid):
+        if _positive_cycle(node_count, forward, back, rounds, mid):
             low = mid + 1
         else:
             high = mid
@@ -153,30 +185,83 @@ def _strongly_connected(adjacency: dict) -> dict:
     return scc_of
 
 
-def _positive_cycle(node_count: int, compact, ii: int) -> bool:
-    """Bellman–Ford check: does any cycle have latency > II * distance?"""
-    weighted = [
-        (source, sink, latency - ii * distance)
-        for source, sink, latency, distance in compact
+def _relaxation_order(node_count: int, compact: list[_Edge]
+                      ) -> tuple[list[_WeightedEdge], list[_Edge], int]:
+    """Edge lists and round count that make :func:`_positive_cycle` exact.
+
+    Returns the distance-0 edges as ``(source, sink, latency)``, sorted
+    by their source's place in a topological order of the distance-0
+    subgraph; the back edges (distance > 0); and ``k + 2`` rounds for
+    ``k`` back edges. If the distance-0 edges close a cycle, they stay
+    unsorted and the round count is ``node_count``, as for plain
+    Bellman–Ford.
+    """
+    forward = [
+        (source, sink, latency)
+        for source, sink, latency, distance in compact if distance == 0
     ]
-    # A walk whose accumulated weight exceeds the sum of all positive
-    # edge weights must traverse a positive cycle (any acyclic walk is
-    # bounded by that sum), so growth past the bound ends the search
-    # early instead of running all node_count relaxation rounds.
-    bound = sum(weight for _, _, weight in weighted if weight > 0)
-    distance = [0.0] * node_count
-    for _iteration in range(node_count):
+    back = [edge for edge in compact if edge[3] > 0]
+    successors: list[list[int]] = [[] for _ in range(node_count)]
+    indegree = [0] * node_count
+    for source, sink, _ in forward:
+        successors[source].append(sink)
+        indegree[sink] += 1
+    # Kahn's algorithm; the loop visits the nodes it appends.
+    order = [node for node in range(node_count) if indegree[node] == 0]
+    for node in order:
+        for sink in successors[node]:
+            indegree[sink] -= 1
+            if indegree[sink] == 0:
+                order.append(sink)
+    if len(order) < node_count:
+        return forward, back, node_count
+    rank = [0] * node_count
+    for place, node in enumerate(order):
+        rank[node] = place
+    forward.sort(key=lambda edge: rank[edge[0]])
+    return forward, back, len(back) + 2
+
+
+def _positive_cycle(node_count: int, forward: list[_WeightedEdge],
+                    back: list[_Edge], rounds: int, ii: int) -> bool:
+    """Bellman–Ford check: does any cycle have latency > II * distance?
+
+    ``forward``, ``back`` and ``rounds`` come from
+    :func:`_relaxation_order`; the module docstring shows why a change
+    in the last of ``rounds`` rounds means a positive cycle.
+    """
+    weighted = forward + [
+        (source, sink, latency - ii * distance)
+        for source, sink, latency, distance in back
+    ]
+    distance = [0] * node_count
+    for _round in range(rounds):
         changed = False
         for source, sink, weight in weighted:
             candidate = distance[source] + weight
-            if candidate > distance[sink] + 1e-9:
+            if candidate > distance[sink]:
                 distance[sink] = candidate
                 changed = True
         if not changed:
             return False
-        if max(distance) > bound:
-            return True
     return True
+
+
+class _PlacementPlan(NamedTuple):
+    """What every placement attempt needs about one kernel.
+
+    ``ops`` has one entry per op in program order: its predecessors
+    earlier in program order as ``(source position, latency,
+    distance)``, its stream-group index, its reservation-table row (both
+    -1 for none), the row's unit count and the op's hold cycles.
+    ``edges`` holds every dependence as ``(source position, sink
+    position, latency, distance)`` for the check after placement.
+    """
+
+    ops: list[tuple[list[tuple[int, int, int]], int, int, int, int]]
+    edges: list[_Edge]
+    group_count: int
+    row_count: int
 
 
 class ModuloScheduler:
@@ -195,14 +280,15 @@ class ModuloScheduler:
         )
         ii = max(
             min_ii_resources(kernel, self.resources),
-            min_ii_recurrence(kernel, inlane_separation,
-                              crosslane_separation, stream_capacity_words),
+            _recurrence_ii(kernel.name, edges),
         )
+        plan = self._plan(kernel, edges)
         while ii <= MAX_II:
-            slots = self._try_place(kernel, edges, ii)
+            slots = _try_place(plan, ii)
             if slots is not None:
                 return self._finish(
-                    kernel, ii, slots, inlane_separation, crosslane_separation
+                    kernel, ii, slots, inlane_separation,
+                    crosslane_separation, stream_capacity_words,
                 )
             ii += 1
         raise ScheduleError(
@@ -227,88 +313,42 @@ class ModuloScheduler:
             return ("fifo", op.stream.name)
         return None
 
-    def _try_place(self, kernel: Kernel, edges, ii: int) -> "dict | None":
-        """One placement attempt at a fixed II; None on failure."""
-        forward = {}  # sink_id -> list of (source_id, latency, distance)
+    def _plan(self, kernel: Kernel,
+              edges: list[DependenceEdge]) -> _PlacementPlan:
+        """Dense per-op placement inputs, shared by every II attempt."""
+        position = {op.op_id: place for place, op in enumerate(kernel.ops)}
+        preds: list[list[tuple[int, int, int]]] = [[] for _ in kernel.ops]
+        checks = []
         for edge in edges:
-            forward.setdefault(edge.sink.op_id, []).append(
-                (edge.source.op_id, edge.latency, edge.distance)
-            )
-
-        def earliest_from_deps(op, placed_slots):
-            earliest = 0
-            for source_id, latency, distance in forward.get(op.op_id, ()):
-                if source_id in placed_slots:
-                    earliest = max(
-                        earliest,
-                        placed_slots[source_id] + latency - ii * distance,
-                    )
-            return earliest
-
-        # ASAP pre-pass (no resources): group floors ensure a stream
-        # group's last member can still be within II of its first.
-        asap = {}
-        for op in kernel.ops:
-            asap[op.op_id] = earliest_from_deps(op, asap)
-        group_floor = {}
-        for op in kernel.ops:
+            source = position[edge.source.op_id]
+            sink = position[edge.sink.op_id]
+            if source < sink:
+                preds[sink].append((source, edge.latency, edge.distance))
+            checks.append((source, sink, edge.latency, edge.distance))
+        groups: dict = {}
+        rows: dict = {}
+        ops = []
+        for op, op_preds in zip(kernel.ops, preds):
             group = self._stream_group(op)
-            if group is not None:
-                floor = max(0, asap[op.op_id] - ii)
-                group_floor[group] = max(group_floor.get(group, 0), floor)
-
-        reservations = {}  # key -> occupied slots mod ii
-        slots = {}
-        group_first = {}
-        group_last = {}
-        for op in kernel.ops:  # program order is topological (fwd edges)
-            earliest = earliest_from_deps(op, slots)
-            group = self._stream_group(op)
-            if group is not None:
-                earliest = max(earliest, group_floor.get(group, 0))
-                if group in group_last:
-                    earliest = max(earliest, group_last[group])
-            placed = self._place_in_window(op, earliest, ii, reservations)
-            if placed is None:
-                return None
-            if group is not None:
-                first = group_first.setdefault(group, placed)
-                if placed - first > ii:
-                    return None  # stream span exceeds one iteration
-                group_last[group] = placed
-            slots[op.op_id] = placed
-        # Verify loop-carried constraints (sources placed after sinks).
-        for edge in edges:
-            lhs = slots[edge.sink.op_id] - slots[edge.source.op_id]
-            if lhs < edge.latency - ii * edge.distance:
-                return None
-        return slots
-
-    def _place_in_window(self, op, earliest: int, ii: int,
-                         reservations: dict) -> "int | None":
-        key = resource_key(op)
-        if key is None:
-            return max(earliest, 0)
-        units = self.resources.count(key)
-        occupied = reservations.setdefault(key, {})
-        hold = op.spec.reserved_cycles
-        for offset in range(ii):
-            slot = max(earliest, 0) + offset
-            cells = [(slot + k) % ii for k in range(min(hold, ii))]
-            if hold > ii:
-                return None  # unpipelined op cannot fit this II
-            if all(occupied.get(cell, 0) < units for cell in cells):
-                for cell in cells:
-                    occupied[cell] = occupied.get(cell, 0) + 1
-                return slot
-        return None
+            key = resource_key(op)
+            ops.append((
+                op_preds,
+                -1 if group is None else groups.setdefault(group, len(groups)),
+                -1 if key is None else rows.setdefault(key, len(rows)),
+                0 if key is None else self.resources.count(key),
+                op.spec.reserved_cycles,
+            ))
+        return _PlacementPlan(ops, checks, len(groups), len(rows))
 
     @staticmethod
-    def _finish(kernel, ii, slots, inlane_separation, crosslane_separation):
+    def _finish(kernel: Kernel, ii: int, placed: list[int],
+                inlane_separation: int, crosslane_separation: int,
+                stream_capacity_words: int) -> StaticSchedule:
+        slots = {}
         depth = 0
         comm_slots = set()
-        for op in kernel.ops:
-            slot = slots[op.op_id]
+        for op, slot in zip(kernel.ops, placed):
+            slots[op.op_id] = slot
             depth = max(depth, slot + max(op.spec.latency, 1))
             if op.kind is OpKind.COMM:
                 comm_slots.add(slot % ii)
@@ -319,5 +359,81 @@ class ModuloScheduler:
             depth=depth,
             inlane_separation=inlane_separation,
             crosslane_separation=crosslane_separation,
+            stream_capacity_words=stream_capacity_words,
             comm_slots=frozenset(comm_slots),
         )
+
+
+def _try_place(plan: _PlacementPlan, ii: int) -> "list[int] | None":
+    """One placement attempt at a fixed II.
+
+    Returns each op's slot in program order, or None on failure.
+    """
+    # ASAP pre-pass (no resources): group floors ensure a stream
+    # group's last member can still be within II of its first.
+    asap: list[int] = []
+    group_floor = [0] * plan.group_count
+    for preds, group, _row, _units, _hold in plan.ops:
+        earliest = 0
+        for source, latency, distance in preds:
+            candidate = asap[source] + latency - ii * distance
+            if candidate > earliest:
+                earliest = candidate
+        asap.append(earliest)
+        if group >= 0 and earliest - ii > group_floor[group]:
+            group_floor[group] = earliest - ii
+
+    tables = [[0] * ii for _ in range(plan.row_count)]
+    slots: list[int] = []
+    group_first = [-1] * plan.group_count
+    group_last = [-1] * plan.group_count
+    for preds, group, row, units, hold in plan.ops:
+        # Program order is topological over the forward edges.
+        earliest = 0
+        for source, latency, distance in preds:
+            candidate = slots[source] + latency - ii * distance
+            if candidate > earliest:
+                earliest = candidate
+        if group >= 0:
+            earliest = max(earliest, group_floor[group], group_last[group])
+        if row < 0:
+            placed = earliest
+        else:
+            if hold > ii:
+                return None  # unpipelined op cannot fit this II
+            found = _reserve(tables[row], earliest, ii, units, hold)
+            if found is None:
+                return None
+            placed = found
+        if group >= 0:
+            if group_first[group] < 0:
+                group_first[group] = placed
+            if placed - group_first[group] > ii:
+                return None  # stream span exceeds one iteration
+            group_last[group] = placed
+        slots.append(placed)
+    # Verify loop-carried constraints (sources placed after sinks).
+    for source, sink, latency, distance in plan.edges:
+        if slots[sink] - slots[source] < latency - ii * distance:
+            return None
+    return slots
+
+
+def _reserve(table: list[int], earliest: int, ii: int, units: int,
+             hold: int) -> "int | None":
+    """Reserve ``hold`` cycles at the first slot of ``earliest ..
+    earliest + ii - 1`` whose cells all have a free unit."""
+    if hold == 1:
+        for slot in range(earliest, earliest + ii):
+            cell = slot % ii
+            if table[cell] < units:
+                table[cell] += 1
+                return slot
+        return None
+    for slot in range(earliest, earliest + ii):
+        cells = [(slot + k) % ii for k in range(hold)]
+        if all(table[cell] < units for cell in cells):
+            for cell in cells:
+                table[cell] += 1
+            return slot
+    return None
