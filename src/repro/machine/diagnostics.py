@@ -181,7 +181,8 @@ def analyze_schedule(schedule: StaticSchedule,
         elif key is ResourceClass.STREAM_PORT:
             bounds.stream_port_bound = bound
     bounds.recurrence_bound = min_ii_recurrence(
-        kernel, schedule.inlane_separation, schedule.crosslane_separation
+        kernel, schedule.inlane_separation, schedule.crosslane_separation,
+        schedule.stream_capacity_words,
     )
     return bounds
 

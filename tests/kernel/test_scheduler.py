@@ -19,7 +19,8 @@ def verify_schedule(schedule, resources=None):
     resources = resources or ClusterResources()
     kernel = schedule.kernel
     edges = kernel.dependence_edges(
-        schedule.inlane_separation, schedule.crosslane_separation
+        schedule.inlane_separation, schedule.crosslane_separation,
+        schedule.stream_capacity_words,
     )
     for edge in edges:
         gap = schedule.slots[edge.sink.op_id] - schedule.slots[edge.source.op_id]

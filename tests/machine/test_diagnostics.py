@@ -49,6 +49,23 @@ class TestScheduleBounds:
         assert bounds.binding_constraint == "loop-carried recurrence"
         assert bounds.recurrence_bound == schedule.ii
 
+    def test_recurrence_bound_uses_the_schedules_capacity(self):
+        # A 16-word reorder buffer covers a separation of 10 at II 1;
+        # the default 8 words would need II 2 (ceil(10 / 8)).
+        b = KernelBuilder("lookup")
+        in_s = b.istream("i")
+        lut = b.idxl_istream("t")
+        out = b.ostream("o")
+        x = b.read(in_s)
+        b.write(out, b.add(x, b.idx_read(lut, x)))
+        schedule = ModuloScheduler().schedule(
+            b.build(), inlane_separation=10, stream_capacity_words=16
+        )
+        bounds = analyze_schedule(schedule)
+        assert schedule.ii == 1
+        assert bounds.recurrence_bound == 1
+        assert bounds.binding_constraint != "loop-carried recurrence"
+
     def test_index_port_bound_kernel(self):
         b = KernelBuilder("lookups")
         in_s = b.istream("i")
