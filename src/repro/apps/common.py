@@ -92,10 +92,3 @@ def accumulator(sums: dict):
             sums[k] = sums.get(k, 0.0) + contribution
         return 0.0
     return accumulate
-
-
-def normalized(value: float, baseline: float) -> float:
-    """``value / baseline`` with a guard for empty baselines."""
-    if baseline == 0:
-        return 0.0
-    return value / baseline

@@ -255,10 +255,6 @@ class Fft2dBenchmark:
                           slot_words[2 * j], slot_words[2 * j + 1]))
         self.a_array.fill_stream_order(image)
 
-    def _finalize_row_phase(self) -> None:
-        """No-op: the last DIF stage's pairs are adjacent, so B is
-        already in row-major slot order."""
-
     def _set_column_stage(self, stage: int) -> None:
         self._stage["pairs"], self._stage["tw"] = self._col_stage_plans[stage]
 

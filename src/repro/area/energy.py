@@ -32,10 +32,6 @@ class EnergyReport:
     def total_nj(self) -> float:
         return self.srf_sequential_nj + self.srf_indexed_nj + self.dram_nj
 
-    @property
-    def total_uj(self) -> float:
-        return self.total_nj / 1e3
-
 
 class EnergyModel:
     """Per-access energies and stat integration."""

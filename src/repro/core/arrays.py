@@ -197,12 +197,6 @@ class SrfArray:
                     image.append(table[local] if local < len(table) else 0)
         return image
 
-    def stream_image_replicated(self, table) -> list:
-        """Stream-order image replicating ``table`` into every lane."""
-        return self.stream_image_per_lane(
-            [list(table)] * self._geometry.lanes
-        )
-
     def per_lane_from_stream_image(self, image, words_per_lane: int) -> list:
         """Invert :meth:`stream_image_per_lane`: split a stream-order
         word list back into per-lane word lists."""

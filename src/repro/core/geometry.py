@@ -92,13 +92,6 @@ class SrfGeometry:
         m = self.words_per_lane_access
         return (bank_local // m) % self.subarrays_per_bank
 
-    def row_of(self, bank_local: int) -> int:
-        """Row within the sub-array (used by the area/energy model)."""
-        self._check_local(bank_local)
-        m = self.words_per_lane_access
-        s = self.subarrays_per_bank
-        return bank_local // (m * s)
-
     # ------------------------------------------------------------------
     # Block helpers for sequential access
     # ------------------------------------------------------------------

@@ -341,9 +341,6 @@ class IndexedStream:
         """True when no addresses or writes remain in flight."""
         return self.pending_words == 0 and self.outstanding_writes == 0
 
-    def pending_addresses(self) -> bool:
-        return self.pending_words > 0
-
 
 class StreamRegisterFile:
     """Cycle-steppable SRF with sequential and indexed access.

@@ -440,10 +440,6 @@ class StreamProcessor:
             candidates.append(cycle + running[1].startup_remaining)
         return max(0, min(candidates) - cycle)
 
-    def run_programs(self, programs) -> list:
-        """Run several programs back to back; returns their stats."""
-        return [self.run_program(program) for program in programs]
-
     # ------------------------------------------------------------------
     def _srf_snapshot(self) -> tuple:
         s = self.srf.stats

@@ -261,9 +261,6 @@ class MemoryController:
     def is_complete(self, op_id: int) -> bool:
         return op_id in self._completed
 
-    def completion_cycle(self, op_id: int) -> int:
-        return self._completed[op_id]
-
     @property
     def busy(self) -> bool:
         return bool(self._active)
