@@ -141,15 +141,11 @@ class MachineConfig:
     #: runs are bit-identical to unobserved ones — observation never
     #: alters timing or control flow.
     trace: bool = False
-    #: Where the harness ``trace`` experiment writes the exported JSON.
-    trace_path: "str | None" = None
     #: Ring-buffer capacity of the tracer (oldest events drop when full).
     trace_buffer_events: int = 1 << 20
     #: Metrics depth: 0 = off, 1 = per-run aggregates via lazy providers,
     #: 2 = adds per-bank conflict counters and occupancy histograms.
     metrics_level: int = 0
-    #: Sampling profiler period in cycles (0 disables the profiler).
-    profile_sample_period: int = 0
 
     # --- Fault injection & protection (repro.faults) --------------------
     #: Seed for the deterministic :class:`repro.faults.FaultPlan`. Must be
@@ -347,10 +343,6 @@ class MachineConfig:
         if self.metrics_level not in (0, 1, 2):
             raise ConfigurationError(
                 f"metrics_level must be 0, 1 or 2, got {self.metrics_level}"
-            )
-        if self.profile_sample_period < 0:
-            raise ConfigurationError(
-                "profile_sample_period must be non-negative"
             )
         fault_counts = (
             self.fault_srf_flips, self.fault_dram_flips,

@@ -122,8 +122,9 @@ OVERLAYS: "tuple[EnvOverlay, ...]" = (
         name="REPRO_TRACE",
         owner="repro.observe.observer",
         doc="Observability overlay for every preset: tracing, metrics "
-            "level, profiler period, export path.",
-        example='REPRO_TRACE="trace=1,metrics=2,profile=64"',
+            "level, trace buffer size; path= sets the trace "
+            "experiment's output file.",
+        example='REPRO_TRACE="trace=1,metrics=2,path=out.json"',
         result_affecting=True,
     ),
     # --- tests -------------------------------------------------------

@@ -131,8 +131,7 @@ def trace_output_path() -> str:
     """
     if _trace_path is not None:
         return _trace_path
-    env = observe.trace_overrides_from_env().get("trace_path")
-    return env or DEFAULT_TRACE_PATH
+    return observe.trace_path_from_env() or DEFAULT_TRACE_PATH
 
 
 def run_benchmark(name: str, config, scale: str) -> AppResult:
@@ -694,13 +693,10 @@ def reliability(scale: "str | None" = None) -> dict:
 # ----------------------------------------------------------------------
 # Observability: exported Base vs ISRF4 execution trace
 # ----------------------------------------------------------------------
-#: Sampling-profiler period used by the trace experiment.
-TRACE_SAMPLE_PERIOD = 64
-
-
 def trace(scale: "str | None" = None) -> dict:
-    """Run FFT 2D on Base and ISRF4 with full observability and export
-    the combined Chrome ``trace_event`` / Perfetto JSON.
+    """Run FFT 2D on Base and ISRF4 with tracing on and export the
+    combined Chrome ``trace_event`` / Perfetto JSON, next to each run's
+    exact Figure 12 cycle breakdown.
 
     Unlike the figure experiments this never goes through the benchmark
     result cache: a cache hit would skip the simulation and produce no
@@ -712,26 +708,13 @@ def trace(scale: "str | None" = None) -> dict:
     scale = scale or default_scale()
     params = SCALES[scale]
     path = trace_output_path()
-    observability = dict(
-        trace=True, metrics_level=2,
-        profile_sample_period=TRACE_SAMPLE_PERIOD,
-    )
     rows = []
     with observe.collect() as collected:
-        for config in (base_config(**observability),
-                       isrf4_config(**observability)):
+        for config in (base_config(trace=True), isrf4_config(trace=True)):
             result = fft.run(config, n=params["fft_n"])
             result.require_verified()
-            profile = {
-                name.split(".")[1]: entry["value"]
-                for name, entry in result.stats.metrics.items()
-                if name.startswith("profile.") and name.endswith(".cycles")
-            }
-            rows.append([
-                config.name, result.cycles,
-                profile.get("kernel", 0) + profile.get("kernel_startup", 0),
-                profile.get("memory_stall", 0), profile.get("idle", 0),
-            ])
+            rows.append([config.name, result.cycles,
+                         *result.stats.breakdown().values()])
     tracers = collected.tracers()
     payload = observe.chrome_trace(tracers)
     phase_counts = observe.validate_chrome_trace(payload)
@@ -743,9 +726,9 @@ def trace(scale: "str | None" = None) -> dict:
     events = sum(len(tracer) for tracer in tracers.values())
     text = render_table(
         f"Trace: FFT 2D on Base vs ISRF4 ({events} events -> {path}; "
-        "load in https://ui.perfetto.dev). Profiled cycles sampled every "
-        f"{TRACE_SAMPLE_PERIOD} cycles.",
-        ["config", "cycles", "~kernel", "~mem stall", "~idle"], rows,
+        "load in https://ui.perfetto.dev)",
+        ["config", "cycles", "loop", "srf stall", "mem stall", "overhead",
+         "idle"], rows,
     )
     return {
         "rows": rows,

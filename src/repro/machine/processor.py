@@ -94,12 +94,10 @@ class StreamProcessor:
         """
         self.observer = Observer.from_config(config)
         self._tracer = None
-        self._profiler = None
         if self.observer is None:
             return
         _register_observer(self.observer)
         self._tracer = self.observer.tracer
-        self._profiler = self.observer.profiler
         self.srf.install_observer(self.observer)
         self.srf.address_network.install_observer(self.observer)
         self.srf.return_network.install_observer(self.observer)
@@ -204,7 +202,6 @@ class StreamProcessor:
         limit = self.deadlock_limit
         use_fast_forward = self.config.fast_forward
         tracer = self._tracer
-        profiler = self._profiler
         if tracer is not None:
             tracer.begin(
                 "processor", f"program:{program.name}", self.cycle,
@@ -287,22 +284,10 @@ class StreamProcessor:
                     if running is None:
                         if self.controller.busy:
                             stats.memory_stall_cycles += skip
-                            if profiler is not None:
-                                profiler.sample_window(
-                                    self.cycle, skip, "memory_stall"
-                                )
                         else:
                             stats.idle_cycles += skip
-                            if profiler is not None:
-                                profiler.sample_window(
-                                    self.cycle, skip, "idle"
-                                )
                     else:
                         running[1].fast_forward(skip)
-                        if profiler is not None:
-                            profiler.sample_window(
-                                self.cycle, skip, "kernel_startup"
-                            )
                     if progressed:
                         last_progress_cycle = self.cycle + 1
                     self.cycle += skip
@@ -314,17 +299,6 @@ class StreamProcessor:
                     continue
 
             # One machine cycle.
-            if profiler is not None:
-                if running is not None:
-                    profiler.sample(
-                        self.cycle,
-                        "kernel_startup"
-                        if running[1].startup_remaining > 0 else "kernel",
-                    )
-                elif self.controller.busy:
-                    profiler.sample(self.cycle, "memory_stall")
-                else:
-                    profiler.sample(self.cycle, "idle")
             self.controller.tick(self.cycle)
             comm_busy = False
             if running is not None:

@@ -114,8 +114,7 @@ TIMING_ONLY_FIELDS = frozenset({
     # Simulation knobs (all proven stats-inert elsewhere).
     "timing_source", "deadlock_cycles", "fast_forward", "sanitize",
     # Observability (read-only probes by construction).
-    "trace", "trace_path", "trace_buffer_events", "metrics_level",
-    "profile_sample_period",
+    "trace", "trace_buffer_events", "metrics_level",
     # Word protection is inert without faults, and faulted configs never
     # replay (the fault_* fields themselves stay functional).
     "srf_protection", "memory_protection",

@@ -1,6 +1,6 @@
 """Zero-overhead-when-disabled observability for the simulator.
 
-Three facilities, all off by default and all inert (no allocated state,
+Two facilities, both off by default and both inert (no allocated state,
 single ``is not None`` guards on hot paths) unless a
 :class:`~repro.config.machine.MachineConfig` turns them on:
 
@@ -9,10 +9,11 @@ single ``is not None`` guards on hot paths) unless a
   ``trace_event`` / Perfetto JSON (``config.trace``);
 * :class:`~repro.observe.metrics.MetricsRegistry` — hierarchical
   counters, gauges and histograms folded into ``ProgramStats.metrics``
-  (``config.metrics_level``);
-* :class:`~repro.observe.profile.CycleProfiler` — sampling attribution
-  of simulated cycles to machine components
-  (``config.profile_sample_period``).
+  (``config.metrics_level``).
+
+Where the simulated cycles went is not estimated here: the machine
+counts Figure 12's categories exactly, and
+:meth:`~repro.machine.stats.ProgramStats.breakdown` returns them.
 """
 
 from repro.observe.events import (
@@ -47,8 +48,8 @@ from repro.observe.observer import (
     collect,
     register,
     trace_overrides_from_env,
+    trace_path_from_env,
 )
-from repro.observe.profile import CycleProfiler
 
 __all__ = [
     "PHASES",
@@ -62,7 +63,6 @@ __all__ = [
     "TRACE_ENV",
     "Collection",
     "Counter",
-    "CycleProfiler",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -75,6 +75,7 @@ __all__ = [
     "register",
     "staging_path",
     "trace_overrides_from_env",
+    "trace_path_from_env",
     "validate_chrome_trace",
     "write_trace",
 ]

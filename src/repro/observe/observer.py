@@ -1,13 +1,13 @@
 """The per-machine observability bundle and its configuration plumbing.
 
-An :class:`Observer` groups the three observability facilities — event
-tracer, metrics registry, cycle profiler — that a
+An :class:`Observer` groups the two observability facilities — event
+tracer and metrics registry — that a
 :class:`~repro.machine.processor.StreamProcessor` installs into its
 components. It is built from :class:`~repro.config.machine.MachineConfig`
-knobs (``trace``, ``metrics_level``, ``profile_sample_period``); with all
-three at their defaults :meth:`Observer.from_config` returns ``None`` and
-the machine carries no observability state at all — the same inertness
-contract the fault package established.
+knobs (``trace``, ``metrics_level``); with both at their defaults
+:meth:`Observer.from_config` returns ``None`` and the machine carries no
+observability state at all — the same inertness contract the fault
+package established.
 
 Because benchmarks construct their processors internally, callers that
 need the traces use the :func:`collect` context manager: every observer
@@ -19,7 +19,7 @@ created while it is active is registered with it::
 
 The ``REPRO_TRACE`` environment variable overlays observability knobs
 onto every machine preset (mirroring ``REPRO_FAULTS``), e.g.
-``REPRO_TRACE="trace=1,metrics=2,profile=64,path=out.json"``.
+``REPRO_TRACE="trace=1,metrics=2,path=out.json"``.
 """
 
 from __future__ import annotations
@@ -30,31 +30,31 @@ from contextlib import contextmanager
 from repro.errors import ConfigurationError
 from repro.observe.events import Tracer
 from repro.observe.metrics import MetricsRegistry
-from repro.observe.profile import CycleProfiler
 
 #: Environment variable carrying observability overrides for the presets.
 TRACE_ENV = "REPRO_TRACE"
 
-#: REPRO_TRACE key -> (MachineConfig field, parser).
+#: REPRO_TRACE key -> (destination, parser). Every destination but
+#: ``path`` is a MachineConfig field; ``path`` is the ``trace``
+#: experiment's output file and never reaches a config.
 _ENV_KEYS = {
     "trace": ("trace", lambda v: bool(int(v))),
-    "path": ("trace_path", str),
+    "path": ("path", str),
     "metrics": ("metrics_level", int),
     "buffer": ("trace_buffer_events", int),
-    "profile": ("profile_sample_period", int),
 }
 
 #: Shorthand values enabling tracing alone: ``REPRO_TRACE=1``.
 _BARE_ON = ("1", "true", "on", "yes")
 
 
-def trace_overrides_from_env(environ=None) -> dict:
-    """Parse ``REPRO_TRACE`` into :class:`MachineConfig` overrides.
+def _parse_env(environ) -> dict:
+    """Parse ``REPRO_TRACE`` into destination -> value.
 
     The variable is a comma-separated ``key=value`` list with keys
-    ``trace``, ``metrics``, ``profile``, ``buffer`` and ``path``; the
-    bare values ``1``/``true``/``on`` enable tracing alone. Empty or
-    unset yields ``{}`` so the presets are untouched by default.
+    ``trace``, ``path``, ``metrics`` and ``buffer``; the bare values
+    ``1``/``true``/``on`` enable tracing alone. Empty or unset yields
+    ``{}``.
     """
     environ = os.environ if environ is None else environ
     spec = environ.get(TRACE_ENV, "").strip()
@@ -62,7 +62,7 @@ def trace_overrides_from_env(environ=None) -> dict:
         return {}
     if spec.lower() in _BARE_ON:
         return {"trace": True}
-    overrides = {}
+    parsed = {}
     for item in spec.split(","):
         item = item.strip()
         if not item:
@@ -75,36 +75,47 @@ def trace_overrides_from_env(environ=None) -> dict:
                 f"bad {TRACE_ENV} entry {item!r} "
                 f"(known keys: {', '.join(_ENV_KEYS)})"
             )
-        field, parser = _ENV_KEYS[key]
+        destination, parser = _ENV_KEYS[key]
         try:
-            overrides[field] = parser(value)
+            parsed[destination] = parser(value)
         except ValueError:
             raise ConfigurationError(
                 f"{TRACE_ENV}: {key} needs an integer, got {value!r}"
             ) from None
+    return parsed
+
+
+def trace_overrides_from_env(environ=None) -> dict:
+    """Parse ``REPRO_TRACE`` into :class:`MachineConfig` overrides.
+
+    Every key but ``path`` maps to a config field (see
+    :func:`trace_path_from_env`). Empty or unset yields ``{}`` so the
+    presets are untouched by default.
+    """
+    overrides = _parse_env(environ)
+    overrides.pop("path", None)
     return overrides
 
 
+def trace_path_from_env(environ=None) -> "str | None":
+    """The ``path=`` entry of ``REPRO_TRACE``, or None when absent."""
+    return _parse_env(environ).get("path")
+
+
 class Observer:
-    """Tracer + metrics + profiler for one simulated machine."""
+    """Tracer + metrics for one simulated machine."""
 
     def __init__(self, tracer: "Tracer | None" = None,
                  metrics: "MetricsRegistry | None" = None,
-                 profiler: "CycleProfiler | None" = None,
-                 machine: str = "", trace_path: "str | None" = None):
+                 machine: str = ""):
         self.tracer = tracer
         self.metrics = metrics
-        self.profiler = profiler
         self.machine = machine
-        self.trace_path = trace_path
-        if profiler is not None and metrics is not None:
-            metrics.add_provider(profiler.report)
 
     @classmethod
     def from_config(cls, config) -> "Observer | None":
         """Build the observer a config asks for, or None when inert."""
-        if not (config.trace or config.metrics_level
-                or config.profile_sample_period):
+        if not (config.trace or config.metrics_level):
             return None
         tracer = (
             Tracer(config.trace_buffer_events, clock_hz=config.clock_hz)
@@ -114,19 +125,7 @@ class Observer:
             MetricsRegistry(level=config.metrics_level)
             if config.metrics_level else None
         )
-        profiler = (
-            CycleProfiler(config.profile_sample_period)
-            if config.profile_sample_period else None
-        )
-        return cls(tracer=tracer, metrics=metrics, profiler=profiler,
-                   machine=config.name, trace_path=config.trace_path)
-
-    @property
-    def enabled(self) -> bool:
-        return (
-            self.tracer is not None or self.metrics is not None
-            or self.profiler is not None
-        )
+        return cls(tracer=tracer, metrics=metrics, machine=config.name)
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ cycles (the default) and stepping every cycle (``fast_forward=False``).
 Outputs, final table contents, and the *entire* ``ProgramStats`` must
 match bit for bit. A second property drives the boundary between
 skipped and stepped cycles under each knob that hooks the cycle loop
-(faults, sanitizer, tracing, profiler): with the hook on, both loops
+(faults, sanitizer, tracing): with the hook on, both loops
 must still agree exactly.
 """
 
@@ -70,7 +70,6 @@ _HOOK_OVERLAYS = (
     dict(fault_seed=11, fault_srf_flips=1, fault_horizon=5_000),
     dict(sanitize=True),
     dict(trace=True),
-    dict(profile_sample_period=16),
 )
 
 

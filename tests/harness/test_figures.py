@@ -115,12 +115,24 @@ class TestTraceExperiment:
         payload = json.loads(path.read_text())
         counts = observe.validate_chrome_trace(payload)
         assert counts["B"] > 0 and counts["B"] == counts["E"]
-        # Both machines appear as named processes, profiled cycle
-        # attribution rides along in the table rows.
+        # One table row per machine, with its exact cycle breakdown.
         labels = {row[0] for row in result["rows"]}
         assert labels == {"Base", "ISRF4"}
         assert all(row[1] > 0 for row in result["rows"])
         assert not list(tmp_path.glob(f"*{observe.STAGING_SUFFIX}"))
+
+    def test_trace_rows_partition_their_cycles(self, tmp_path):
+        """loop + srf stall + mem stall + overhead + idle == cycles,
+        with no part negative: the table is exact, not sampled."""
+        figures.set_trace_path(str(tmp_path / "out.json"))
+        try:
+            rows = figures.trace()["rows"]
+        finally:
+            figures.set_trace_path(None)
+        for _config, cycles, *parts in rows:
+            assert len(parts) == 5
+            assert all(part >= 0 for part in parts)
+            assert sum(parts) == cycles
 
     def test_trace_path_precedence(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)

@@ -9,9 +9,9 @@ the SRF directly: their ``ThroughputResult``, the full ``SrfStats`` and
 both cross-lane networks' ``CrossbarStats``. Any change to cycle-level
 behaviour — intentional or not — shows up as a diff against the
 fixture. It doubles as the enforcement of the
-observability layer's zero-overhead contract: running with tracing,
-metrics, and the profiler all enabled must reproduce the fixture
-bit-for-bit, as must the sanitizer and every run mode of
+observability layer's zero-overhead contract: running with tracing
+and metrics both enabled must reproduce the fixture bit-for-bit, as
+must the sanitizer and every run mode of
 ``tests/machine/workloads.py`` — trace replay (the ``vector`` legs) and
 per-cycle stepping (``fast_forward=False``, the ``columnar`` legs).
 Every pinned run's Figure 12 breakdown must also partition its total
@@ -191,10 +191,8 @@ class TestGoldenStats:
         assert fingerprint(stats) == golden[app][preset]
 
     def test_observability_is_inert(self, golden, app, preset):
-        """Trace + metrics + profiler on must not move a single cycle."""
-        config = all_configs()[preset].replace(
-            trace=True, metrics_level=2, profile_sample_period=64,
-        )
+        """Trace + metrics on must not move a single cycle."""
+        config = all_configs()[preset].replace(trace=True, metrics_level=2)
         result = APPS[app](config).require_verified()
         assert fingerprint(result.stats) == golden[app][preset]
 
@@ -231,11 +229,9 @@ class TestGoldenStats:
 
     def test_vector_backend_with_observability_is_inert(
             self, golden, trace_store, app, preset):
-        """Trace + metrics + profiler on a replayed run must not move a
-        single cycle either."""
-        config = all_configs()[preset].replace(
-            trace=True, metrics_level=2, profile_sample_period=64,
-        )
+        """Trace + metrics on a replayed run must not move a single
+        cycle either."""
+        config = all_configs()[preset].replace(trace=True, metrics_level=2)
         result = run_replayed(APPS[app], config, trace_store, app)
         assert fingerprint(result.stats) == golden[app][preset]
 

@@ -141,7 +141,6 @@ INELIGIBLE = {
     "sanitize": dict(sanitize=True),
     "trace": dict(trace=True),
     "metrics": dict(metrics_level=1),
-    "profile": dict(profile_sample_period=64),
     "per_cycle": dict(fast_forward=False),
 }
 
@@ -151,7 +150,6 @@ INVALID = {
     "sanitize": dict(sanitize="off"),
     "trace": dict(trace=True, trace_buffer_events=0),
     "metrics": dict(metrics_level=3),
-    "profile": dict(profile_sample_period=-1),
     "per_cycle": dict(fast_forward="no"),
 }
 

@@ -11,6 +11,7 @@ from repro.observe import (
     TRACE_ENV,
     collect,
     trace_overrides_from_env,
+    trace_path_from_env,
 )
 
 
@@ -26,17 +27,27 @@ class TestEnvOverlay:
         }
 
     def test_full_spec_maps_to_config_fields(self):
-        spec = "trace=1,metrics=2,profile=64,buffer=4096,path=out.json"
-        assert trace_overrides_from_env({TRACE_ENV: spec}) == {
+        spec = {TRACE_ENV: "trace=1,metrics=2,buffer=4096,path=out.json"}
+        assert trace_overrides_from_env(spec) == {
             "trace": True,
             "metrics_level": 2,
-            "profile_sample_period": 64,
             "trace_buffer_events": 4096,
-            "trace_path": "out.json",
         }
+        # The path is the trace experiment's, not a config field.
+        assert trace_path_from_env(spec) == "out.json"
+        assert trace_path_from_env({}) is None
+
+    def test_path_leaves_every_config_untouched(self, monkeypatch):
+        from repro.harness.resultcache import config_fingerprint
+
+        plain = base_config()
+        monkeypatch.setenv(TRACE_ENV, "path=elsewhere.json")
+        assert base_config() == plain
+        assert config_fingerprint(base_config()) == config_fingerprint(plain)
 
     @pytest.mark.parametrize("bad", ["bogus", "trace", "trace=",
-                                     "metrics=two", "nope=1"])
+                                     "metrics=two", "nope=1",
+                                     "profile=64"])
     def test_bad_entries_raise(self, bad):
         with pytest.raises(ConfigurationError):
             trace_overrides_from_env({TRACE_ENV: bad})
@@ -60,26 +71,11 @@ class TestObserverFromConfig:
 
     def test_each_knob_enables_its_facility(self):
         traced = Observer.from_config(base_config(trace=True))
-        assert traced.tracer is not None
-        assert traced.metrics is None and traced.profiler is None
-        assert traced.enabled and traced.machine == "Base"
+        assert traced.tracer is not None and traced.metrics is None
+        assert traced.machine == "Base"
 
         metered = Observer.from_config(base_config(metrics_level=2))
         assert metered.metrics is not None and metered.tracer is None
-
-        profiled = Observer.from_config(
-            base_config(profile_sample_period=16)
-        )
-        assert profiled.profiler is not None
-
-    def test_profiler_reports_through_metrics(self):
-        observer = Observer.from_config(
-            base_config(metrics_level=1, profile_sample_period=4)
-        )
-        observer.profiler.sample_window(0, 8, "kernel")
-        out = observer.metrics.collect()
-        assert out["profile.kernel.samples"]["value"] == 2
-        assert out["profile.sample_period"]["value"] == 4
 
     def test_tracer_inherits_buffer_and_clock(self):
         config = isrf4_config(trace=True, trace_buffer_events=128)

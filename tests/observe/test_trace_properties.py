@@ -1,6 +1,6 @@
 """Property-based trace invariants, on synthetic and real machine runs.
 
-The synthetic half drives the tracer/profiler/exporter with
+The synthetic half drives the tracer/exporter with
 hypothesis-generated event streams; the real half runs FFT 2D under
 full observability once per preset and checks the invariants the
 exporter and metrics registry promise each other: per-track timestamps
@@ -21,7 +21,6 @@ from repro.observe import (
     PHASE_ASYNC_END,
     PHASE_BEGIN,
     PHASE_END,
-    CycleProfiler,
     Tracer,
     chrome_trace,
     validate_chrome_trace,
@@ -83,55 +82,6 @@ class TestSyntheticStreams:
         assert counts[PHASE_ASYNC_END] == len(ids)
 
 
-class TestProfilerChunkingInvariance:
-    @given(period=st.integers(min_value=1, max_value=17),
-           start=st.integers(min_value=0, max_value=50),
-           chunks=st.lists(st.integers(min_value=1, max_value=40),
-                           min_size=1, max_size=12))
-    @settings(max_examples=100, deadline=None)
-    def test_partitioning_a_window_never_changes_samples(
-            self, period, start, chunks):
-        bulk = CycleProfiler(period)
-        bulk.sample_window(start, sum(chunks), "kernel")
-        chunked = CycleProfiler(period)
-        cycle = start
-        for length in chunks:
-            chunked.sample_window(cycle, length, "kernel")
-            cycle += length
-        assert chunked.samples == bulk.samples
-        assert chunked.attributed_cycles() == bulk.attributed_cycles()
-
-    @given(period=st.integers(min_value=1, max_value=9),
-           cycles=st.integers(min_value=1, max_value=200))
-    @settings(max_examples=50, deadline=None)
-    def test_per_cycle_sampling_matches_bulk_window(self, period, cycles):
-        bulk = CycleProfiler(period)
-        bulk.sample_window(0, cycles, "kernel")
-        stepped = CycleProfiler(period)
-        for cycle in range(cycles):
-            stepped.sample(cycle, "kernel")
-        assert stepped.samples == bulk.samples
-
-    @given(period=st.integers(min_value=1, max_value=9),
-           segments=st.lists(
-               st.tuples(st.integers(min_value=1, max_value=30),
-                         st.sampled_from(["kernel", "memory_stall",
-                                          "idle"])),
-               min_size=1, max_size=10))
-    @settings(max_examples=50, deadline=None)
-    def test_total_samples_independent_of_category_boundaries(
-            self, period, segments):
-        total_cycles = sum(length for length, _ in segments)
-        bulk = CycleProfiler(period)
-        bulk.sample_window(0, total_cycles, "all")
-        mixed = CycleProfiler(period)
-        cycle = 0
-        for length, category in segments:
-            mixed.sample_window(cycle, length, category)
-            cycle += length
-        assert mixed.total_samples == bulk.total_samples
-
-
 # ----------------------------------------------------------------------
 # Real machine runs
 
@@ -139,8 +89,7 @@ class TestProfilerChunkingInvariance:
 @pytest.fixture(scope="module")
 def traced_runs():
     """FFT 2D under full observability on Base and ISRF4, run once."""
-    observability = dict(trace=True, metrics_level=2,
-                         profile_sample_period=32)
+    observability = dict(trace=True, metrics_level=2)
     runs = {}
     with observe.collect() as collected:
         for factory in (base_config, isrf4_config):
@@ -208,16 +157,13 @@ class TestRealRunInvariants:
         assert all(t.dropped_events == 0 for t in tracers.values())
 
     def test_profile_accounts_for_every_cycle(self, traced_runs):
+        """A traced run's Figure 12 cycle profile is an exact partition:
+        no part negative, none missing or counted twice."""
         runs, _ = traced_runs
         for result in runs.values():
-            metrics = result.stats.metrics
-            period = metrics["profile.sample_period"]["value"]
-            sampled = sum(
-                entry["value"] for name, entry in metrics.items()
-                if name.startswith("profile.") and name.endswith(".samples")
-            )
-            # Systematic sampling covers the run to within one period.
-            assert abs(sampled * period - result.cycles) < period
+            parts = result.stats.breakdown().values()
+            assert all(part >= 0 for part in parts)
+            assert sum(parts) == result.cycles
 
     def test_export_validates_against_chrome_schema(self, tracers):
         payload = chrome_trace(tracers)
