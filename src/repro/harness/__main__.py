@@ -10,7 +10,8 @@ Pass experiment names (``fig11 fig17 area ...``) to run a subset, and
 (default ``.repro-cache``, see :mod:`repro.harness.resultcache`).
 
 Bad input — an unknown option or experiment, a malformed value, an
-unknown ``REPRO_SCALE`` — exits 2 with the usage text before anything
+unknown ``REPRO_SCALE``, a malformed ``REPRO_TRACE``/``REPRO_FAULTS``/
+``REPRO_REPLAY`` overlay — exits 2 with the usage text before anything
 runs.
 
 The harness degrades gracefully: a raising, crashing, or (with
@@ -26,8 +27,8 @@ import json
 import os
 import sys
 
-from repro.config.presets import REPLAY_ENV
-from repro.errors import SweepInterrupted
+from repro.config.presets import REPLAY_ENV, base_config
+from repro.errors import ConfigurationError, SweepInterrupted
 from repro.harness import figures, runner
 from repro.harness.resultcache import default_cache_dir
 from repro.harness.sweep import default_sweep_journal
@@ -64,8 +65,9 @@ options:
 
 Workload scale is chosen by the REPRO_SCALE environment variable
 (small / medium / paper; default small). REPRO_TRACE overlays
-observability knobs on every machine config
-(e.g. REPRO_TRACE="trace=1,metrics=2,profile=64"); REPRO_FAULTS
+observability knobs on every machine config, and its path= entry
+names the trace experiment's output
+(e.g. REPRO_TRACE="trace=1,metrics=2,path=out.json"); REPRO_FAULTS
 overlays fault injection the same way."""
 
 
@@ -208,6 +210,13 @@ def main(argv=None) -> int:
     try:
         scale = figures.default_scale()
     except ValueError as exc:
+        return _fail(str(exc))
+    # Every preset applies the REPRO_TRACE/REPRO_FAULTS/REPRO_REPLAY
+    # overlays, so one config built here rejects a malformed one once,
+    # instead of every experiment failing on it separately.
+    try:
+        base_config()
+    except ConfigurationError as exc:
         return _fail(str(exc))
     # The replay timing source travels via the environment: forked
     # workers inherit it, and the preset factories overlay it onto

@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from repro.harness.__main__ import main
 
 
@@ -85,6 +87,26 @@ class TestArgumentErrors:
         assert "Table 3" not in captured.out  # nothing ran
         # Rejected before any overlay reached the environment.
         assert REPLAY_ENV not in os.environ
+
+    @pytest.mark.parametrize("variable, value", [
+        ("REPRO_TRACE", "bogus=1"),
+        ("REPRO_TRACE", "profile=64"),
+        ("REPRO_TRACE", "buffer=0"),
+        ("REPRO_FAULTS", "garbage"),
+        ("REPRO_REPLAY", "maybe"),
+    ])
+    def test_malformed_overlay_fails_with_usage(self, monkeypatch, capsys,
+                                                variable, value):
+        """A malformed overlay is one usage error, not one failure per
+        experiment."""
+        monkeypatch.setenv(variable, value)
+        assert main(["table3", "fig17", "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "usage:" in captured.err
+        assert "Table 3" not in captured.out  # nothing ran
+        assert "Figure 17" not in captured.out
+        assert "FAILED" not in captured.out
 
 
 class TestGracefulDegradation:
