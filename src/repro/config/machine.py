@@ -107,16 +107,16 @@ class MachineConfig:
 
     # --- Simulation knobs (not machine parameters) ----------------------
     #: Where the timing model gets each kernel iteration's stream-access
-    #: details: "execute" evaluates the kernel functionally at issue (the
-    #: default, and the only mode that produces a trace); "replay"
-    #: re-drives the full timing model (processor, SRF arbitration,
-    #: crossbar, DRAM) from a trace recorded by an earlier run with an
-    #: identical *functional* configuration (see
-    #: :mod:`repro.machine.replay`), skipping kernel re-execution across
-    #: timing-only config sweeps. Stats are bit-identical either way;
-    #: replay requires an active :func:`repro.machine.replay.session`
-    #: (without one, or under fault injection, runs execute normally).
-    timing_source: str = "execute"
+    #: details. "replay" (the default) acts only inside a caller's
+    #: :func:`repro.machine.replay.session`: the first run of a
+    #: *functional* configuration executes and records a trace, and
+    #: later runs re-drive the full timing model (processor, SRF
+    #: arbitration, crossbar, DRAM) from it without re-executing the
+    #: kernels. Outside a session, or under fault injection, it
+    #: executes. "execute" evaluates every kernel functionally and never
+    #: records or replays: the reference the equivalence suites compare
+    #: against. Stats are bit-identical either way.
+    timing_source: str = "replay"
     #: Abort a run after this many cycles without forward progress (a bug
     #: in the program or the model). ``None`` uses the simulator default
     #: (:data:`repro.machine.processor.DEADLOCK_CYCLES`).

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 class EnvOverlay:
     """One registered ``REPRO_*`` environment variable."""
 
-    #: Variable name, e.g. ``"REPRO_REPLAY"``.
+    #: Variable name, e.g. ``"REPRO_SCALE"``.
     name: str
     #: Dotted module that owns (parses) the variable.
     owner: str
@@ -87,14 +87,6 @@ OVERLAYS: "tuple[EnvOverlay, ...]" = (
         doc="Test hook: the named harness experiment sleeps forever, "
             "for timeout/watchdog checks.",
         example="REPRO_HANG_EXPERIMENT=fig11",
-    ),
-    EnvOverlay(
-        name="REPRO_REPLAY",
-        owner="repro.config.presets",
-        doc="Timing-source overlay: 1/replay re-times recorded kernel "
-            "traces, 0/execute forces functional execution.",
-        example="REPRO_REPLAY=1",
-        result_affecting=True,
     ),
     EnvOverlay(
         name="REPRO_SCALE",

@@ -19,36 +19,9 @@ stream buffers.
 
 from __future__ import annotations
 
-import os
-
 from repro.config.machine import MachineConfig, SrfMode
-from repro.errors import ConfigurationError
 from repro.faults.plan import fault_overrides_from_env
 from repro.observe.observer import trace_overrides_from_env
-
-#: Environment variable overlaying the timing source
-#: (:attr:`MachineConfig.timing_source`) onto every preset — how the
-#: harness CLI's ``--replay`` flag reaches forked worker processes.
-REPLAY_ENV = "REPRO_REPLAY"
-
-
-def replay_overrides_from_env() -> dict:
-    """Timing-source override from ``REPRO_REPLAY``, empty when unset.
-
-    ``1``/``replay`` select trace-replay timing, ``0``/``execute``
-    explicitly select functional execution (useful to countermand a
-    value exported by a wrapper script).
-    """
-    value = os.environ.get(REPLAY_ENV)
-    if value is None or value == "":
-        return {}
-    if value in ("1", "replay"):
-        return {"timing_source": "replay"}
-    if value in ("0", "execute"):
-        return {"timing_source": "execute"}
-    raise ConfigurationError(
-        f"{REPLAY_ENV}={value!r}: expected 1/replay or 0/execute"
-    )
 
 
 def _finish(cfg: MachineConfig, overrides: dict) -> MachineConfig:
@@ -60,13 +33,11 @@ def _finish(cfg: MachineConfig, overrides: dict) -> MachineConfig:
     under injected faults without touching any call site; explicit
     keyword overrides still win. ``REPRO_TRACE`` (see
     :func:`repro.observe.trace_overrides_from_env`) does the same for
-    the observability knobs, and ``REPRO_REPLAY`` for the timing source
-    (:attr:`MachineConfig.timing_source`).
+    the observability knobs.
     """
     merged = {
         **fault_overrides_from_env(),
         **trace_overrides_from_env(),
-        **replay_overrides_from_env(),
         **overrides,
     }
     return cfg.replace(**merged) if merged else _validated(cfg)

@@ -3,16 +3,17 @@
 Pass experiment names (``fig11 fig17 area ...``) to run a subset, and
 ``--json PATH`` to additionally dump the structured results. Set
 ``REPRO_SCALE`` (small / medium / paper) to choose workload sizes.
-``--replay`` re-times kernels from recorded traces (``REPRO_REPLAY``).
 
 ``--jobs N`` fans independent experiments across N worker processes;
 ``--cache-dir DIR`` / ``--no-cache`` control the on-disk result cache
 (default ``.repro-cache``, see :mod:`repro.harness.resultcache`).
+Every run re-times repeats of a functional config from recorded kernel
+traces (:mod:`repro.machine.replay`), kept in ``<cache-dir>/traces``,
+or under ``--no-cache`` in a temporary directory the run deletes.
 
 Bad input — an unknown option or experiment, a malformed value, an
-unknown ``REPRO_SCALE``, a malformed ``REPRO_TRACE``/``REPRO_FAULTS``/
-``REPRO_REPLAY`` overlay — exits 2 with the usage text before anything
-runs.
+unknown ``REPRO_SCALE``, a malformed ``REPRO_TRACE``/``REPRO_FAULTS``
+overlay — exits 2 with the usage text before anything runs.
 
 The harness degrades gracefully: a raising, crashing, or (with
 ``--timeout``) hung experiment is reported as a structured failure —
@@ -23,11 +24,14 @@ aborting on the first failure.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import shutil
 import sys
+import tempfile
 
-from repro.config.presets import REPLAY_ENV, base_config
+from repro.config.presets import base_config
 from repro.errors import ConfigurationError, SweepInterrupted
 from repro.harness import figures, runner
 from repro.harness.resultcache import default_cache_dir
@@ -52,15 +56,12 @@ options:
   --fail-fast      abort on the first failure instead of degrading
   --json PATH      also dump structured results as JSON to PATH
                    (includes durable-store entry/quarantine counts)
-  --cache-dir DIR  on-disk benchmark result cache (default {cache_dir})
-  --no-cache       disable the on-disk cache for this run
+  --cache-dir DIR  on-disk benchmark result cache and kernel traces
+                   (default {cache_dir})
+  --no-cache       disable the on-disk cache for this run; kernel
+                   traces go to a temporary directory it deletes
   --trace-path P   output file of the `trace` experiment
                    (default repro-trace.json; load in Perfetto)
-  --replay         trace-replay timing mode: record each benchmark's
-                   kernel data once, then re-time later runs and config
-                   sweeps from the recorded trace (bit-identical
-                   stats). Traces live in <cache-dir>/traces.
-                   Equivalent to setting REPRO_REPLAY=1.
   --list           list experiment names and exit
 
 Workload scale is chosen by the REPRO_SCALE environment variable
@@ -68,7 +69,12 @@ Workload scale is chosen by the REPRO_SCALE environment variable
 observability knobs on every machine config, and its path= entry
 names the trace experiment's output
 (e.g. REPRO_TRACE="trace=1,metrics=2,path=out.json"); REPRO_FAULTS
-overlays fault injection the same way."""
+overlays fault injection the same way.
+
+Each benchmark's first run on a functional config records its kernel
+data; later runs on a config that differs only in timing (the fig15/
+fig16 separations, ISRF1 vs ISRF4) re-time that trace, with
+bit-identical stats."""
 
 
 def _usage() -> str:
@@ -113,12 +119,36 @@ def _store_stats(cache_dir: "str | None") -> dict:
     return stats
 
 
+@contextlib.contextmanager
+def _trace_store(cache_dir: "str | None"):
+    """Install the kernel trace store for one run, then remove it.
+
+    Traces live in ``<cache-dir>/traces``; under ``--no-cache`` they go
+    to a temporary directory, deleted when the run ends, so that run
+    leaves nothing on disk. Forked ``--jobs`` workers inherit the
+    installed store and share its traces.
+    """
+    from repro.machine.replay import TraceStore
+
+    temporary = (tempfile.mkdtemp(prefix="repro-traces-")
+                 if cache_dir is None else None)
+    figures.set_trace_store(
+        TraceStore(temporary or os.path.join(cache_dir, "traces"))
+    )
+    try:
+        yield
+    finally:
+        figures.set_trace_store(None)
+        if temporary is not None:
+            shutil.rmtree(temporary, ignore_errors=True)
+
+
 def _parse_args(argv):
     """Split argv into (names, options) or raise ValueError."""
     options = {"json": None, "jobs": 1, "cache_dir": default_cache_dir(),
                "no_cache": False, "list": False, "timeout": None,
                "fail_fast": False, "trace_path": None,
-               "replay": False, "deadline": None, "resume": False}
+               "deadline": None, "resume": False}
     names = []
     position = 0
     while position < len(argv):
@@ -160,8 +190,6 @@ def _parse_args(argv):
             options["no_cache"] = True
         elif token == "--resume":
             options["resume"] = True
-        elif token == "--replay":
-            options["replay"] = True
         elif token == "--fail-fast":
             options["fail_fast"] = True
         elif token == "--list":
@@ -211,30 +239,27 @@ def main(argv=None) -> int:
         scale = figures.default_scale()
     except ValueError as exc:
         return _fail(str(exc))
-    # Every preset applies the REPRO_TRACE/REPRO_FAULTS/REPRO_REPLAY
-    # overlays, so one config built here rejects a malformed one once,
-    # instead of every experiment failing on it separately.
+    # Every preset applies the REPRO_TRACE/REPRO_FAULTS overlays, so one
+    # config built here rejects a malformed one once, instead of every
+    # experiment failing on it separately.
     try:
         base_config()
     except ConfigurationError as exc:
         return _fail(str(exc))
-    # The replay timing source travels via the environment: forked
-    # workers inherit it, and the preset factories overlay it onto
-    # every machine config.
-    if options["replay"]:
-        os.environ[REPLAY_ENV] = "1"
     # Forked workers inherit the path, so isolated runs see it too.
     figures.set_trace_path(options["trace_path"])
     print(f"# repro harness (scale: {scale}, jobs: {options['jobs']})\n")
     sweep_journal = (default_sweep_journal(cache_dir)
                      if cache_dir is not None else None)
     try:
-        results, timings = runner.run_many(
-            selected, jobs=options["jobs"], cache_dir=cache_dir,
-            timeout=options["timeout"], fail_fast=options["fail_fast"],
-            deadline=options["deadline"], sweep_journal=sweep_journal,
-            resume=options["resume"],
-        )
+        with _trace_store(cache_dir):
+            results, timings = runner.run_many(
+                selected, jobs=options["jobs"], cache_dir=cache_dir,
+                timeout=options["timeout"],
+                fail_fast=options["fail_fast"],
+                deadline=options["deadline"],
+                sweep_journal=sweep_journal, resume=options["resume"],
+            )
     except runner.ExperimentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -36,6 +36,7 @@ from repro.harness.report import render_grid, render_table
 from repro.harness.resultcache import config_fingerprint
 from repro.kernel.resources import ClusterResources
 from repro.kernel.scheduler import ModuloScheduler
+from repro.machine import replay
 
 SCALES = {
     "small": dict(fft_n=16, rijndael_blocks=4, sort_n=512,
@@ -70,10 +71,9 @@ _run_cache = {}
 #: installed by the CLI / parallel runner via :func:`set_result_cache`.
 _result_cache = None
 
-#: On-disk store of recorded kernel traces for replay-mode configs
-#: (see :mod:`repro.machine.replay`), installed by the parallel runner
-#: via :func:`set_trace_store`; created lazily under the default cache
-#: directory the first time a replay-mode benchmark runs without one.
+#: On-disk store of recorded kernel traces (see
+#: :mod:`repro.machine.replay`), installed by the CLI via
+#: :func:`set_trace_store`. Without one, every benchmark executes.
 _trace_store = None
 
 
@@ -98,15 +98,6 @@ def set_trace_store(store) -> None:
     """Install (or with None, remove) the replay trace store."""
     global _trace_store
     _trace_store = store
-
-
-def _replay_store():
-    global _trace_store
-    if _trace_store is None:
-        from repro.machine.replay import TraceStore
-
-        _trace_store = TraceStore()
-    return _trace_store
 
 
 #: Explicit trace output path (CLI ``--trace-path``); overrides the
@@ -148,15 +139,14 @@ def run_benchmark(name: str, config, scale: str) -> AppResult:
         if cached is not None:
             _run_cache[key] = cached
             return cached
-    if config.timing_source == "replay" and not config.faults_enabled:
+    if (_trace_store is not None and config.timing_source == "replay"
+            and not config.faults_enabled):
         # Record the kernel trace on the first run of a functional
         # config; replay it on every later one (including under
         # different timing-only parameters). The trace is saved only
         # after the result verified — an unverified run publishes
         # nothing. Faulted configs always execute (flips change data).
-        from repro.machine import replay
-
-        with replay.session(_replay_store(), name, config, scale):
+        with replay.session(_trace_store, name, config, scale):
             result = _simulate(name, config, scale)
     else:
         result = _simulate(name, config, scale)

@@ -35,12 +35,10 @@ recorded as a structured failure instead of running (or retrying)
 unbounded.
 
 Workload scale is selected by the ``REPRO_SCALE`` environment variable
-(as everywhere else in the harness); forked workers inherit it.
-``REPRO_REPLAY`` (the CLI's ``--replay`` flag) selects the trace-replay
-timing source the same way — and since the timing source is a
-:class:`~repro.config.machine.MachineConfig` field, it is part of every
-result-cache key. Workers share recorded kernel traces through a
-``traces/`` subdirectory of the cache directory.
+(as everywhere else in the harness); forked workers inherit it. They
+also inherit the trace store the CLI installs
+(:func:`~repro.harness.figures.set_trace_store`), so every worker
+records into and replays from one directory of kernel traces.
 """
 
 from __future__ import annotations
@@ -193,20 +191,11 @@ def _retry_delay(attempt: int) -> float:
 # Worker-side plumbing
 # ----------------------------------------------------------------------
 def _init_worker(cache_dir: "str | None") -> None:
-    """Install the shared disk cache inside a worker process.
-
-    The replay trace store rides along in a ``traces/`` subdirectory of
-    the cache, so workers of a ``--replay`` run share recorded kernel
-    traces exactly like they share results.
-    """
+    """Install the shared disk cache inside a worker process."""
     if cache_dir is not None:
         from repro.harness.resultcache import ResultCache
-        from repro.machine.replay import TraceStore
 
         figures.set_result_cache(ResultCache(cache_dir))
-        figures.set_trace_store(
-            TraceStore(os.path.join(cache_dir, "traces"))
-        )
 
 
 def _isolate_worker() -> None:
@@ -434,7 +423,6 @@ def _run_serial(names, cache_dir, fail_fast, deadline, journal,
     deadline_at = (time.monotonic() + deadline
                    if deadline is not None else None)
     previous = figures._result_cache
-    previous_store = figures._trace_store
     _init_worker(cache_dir)
     received: dict = {}
     try:
@@ -488,7 +476,6 @@ def _run_serial(names, cache_dir, fail_fast, deadline, journal,
         ) from None
     finally:
         figures.set_result_cache(previous)
-        figures.set_trace_store(previous_store)
     return results, timings
 
 

@@ -50,16 +50,18 @@ Usage
 ::
 
     store = TraceStore(directory)
-    config = isrf4_config(timing_source="replay")
+    config = isrf4_config()              # timing_source="replay"
     with replay.session(store, "FFT 2D", config, "small"):
         result = fft.run(config, n=16)   # records on miss, replays on hit
 
 The first run under a given functional key records (full functional
 execution; stats identical to execute mode) and saves the bundle on
 clean, *verified* exit of the ``with`` block; later runs — including
-under different timing-only parameters — replay. The harness wires this
-up behind ``run_benchmark`` when ``--replay`` / ``REPRO_REPLAY=1`` is
-set, sharing traces through the result-cache directory.
+under different timing-only parameters — replay. ``"replay"`` is the
+default timing source, but it acts only inside a session: with no
+session open, or with ``store=None``, every run executes. The harness
+CLI always installs a store behind ``run_benchmark``: ``<cache-dir>/
+traces``, or a temporary directory deleted after a ``--no-cache`` run.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ import dataclasses
 import gzip
 import hashlib
 import io
-import os
 import pickle
 from dataclasses import dataclass, field
 
@@ -226,16 +227,6 @@ class TraceBundle:
 # ----------------------------------------------------------------------
 # On-disk store
 # ----------------------------------------------------------------------
-def default_trace_dir() -> str:
-    """``<result cache dir>/traces`` — traces ride along with results."""
-    # Imported lazily: the harness is a client of the machine layer
-    # everywhere else, and the dependency must not become circular at
-    # import time.
-    from repro.harness.resultcache import default_cache_dir
-
-    return os.path.join(default_cache_dir(), "traces")
-
-
 class TraceStore:
     """Gzip-pickle codec over a :class:`~repro.store.DurableStore`.
 
@@ -246,8 +237,8 @@ class TraceStore:
     trace rows are highly repetitive.
     """
 
-    def __init__(self, directory: "str | None" = None):
-        self.directory = directory or default_trace_dir()
+    def __init__(self, directory: str):
+        self.directory = directory
         self._store = DurableStore(self.directory, suffix=".trace.gz")
 
     # ------------------------------------------------------------------
@@ -416,15 +407,20 @@ def active_session() -> "ReplaySession | None":
 
 
 @contextlib.contextmanager
-def session(store: TraceStore, benchmark: str, config, scale: str):
+def session(store: "TraceStore | None", benchmark: str, config,
+            scale: str):
     """Scope one benchmark run's recording/replaying.
 
     On a trace miss the body runs in record mode and the bundle is
     saved only when the body exits cleanly — an unverified or crashed
     run never publishes a trace. Sessions do not nest: one session
-    covers one benchmark run end to end.
+    covers one benchmark run end to end. With ``store=None`` no session
+    opens and the body executes (the context value is None).
     """
     global _active_session
+    if store is None:
+        yield None
+        return
     if _active_session is not None:
         raise ReplayError("replay sessions do not nest")
     sess = ReplaySession(store, benchmark, config, scale)

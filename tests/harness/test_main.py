@@ -75,25 +75,26 @@ class TestArgumentErrors:
         assert main(["table3", "--timeout", "0"]) == 2
         assert "--timeout must be positive" in capsys.readouterr().err
 
-    def test_unknown_scale_fails_with_usage(self, monkeypatch, capsys):
-        from repro.config.presets import REPLAY_ENV
+    def test_unknown_scale_fails_with_usage(self, monkeypatch, tmp_path,
+                                            capsys):
+        from repro.harness import figures
 
         monkeypatch.setenv("REPRO_SCALE", "bogus")
-        monkeypatch.delenv(REPLAY_ENV, raising=False)
-        assert main(["table3", "--replay"]) == 2
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        path = str(tmp_path / "never.json")
+        assert main(["table3", "--trace-path", path]) == 2
         captured = capsys.readouterr()
         assert "unknown REPRO_SCALE 'bogus'" in captured.err
         assert "usage:" in captured.err
         assert "Table 3" not in captured.out  # nothing ran
-        # Rejected before any overlay reached the environment.
-        assert REPLAY_ENV not in os.environ
+        # Rejected before any option took effect.
+        assert figures.trace_output_path() == figures.DEFAULT_TRACE_PATH
 
     @pytest.mark.parametrize("variable, value", [
         ("REPRO_TRACE", "bogus=1"),
         ("REPRO_TRACE", "profile=64"),
         ("REPRO_TRACE", "buffer=0"),
         ("REPRO_FAULTS", "garbage"),
-        ("REPRO_REPLAY", "maybe"),
     ])
     def test_malformed_overlay_fails_with_usage(self, monkeypatch, capsys,
                                                 variable, value):
@@ -170,6 +171,51 @@ class TestNewOptions:
         # Second run: a cold in-memory cache is served from disk.
         figures.clear_cache()
         assert main(["fig11", "--cache-dir", str(cache_dir)]) == 0
+
+    def test_no_cache_run_replays_without_writing_to_disk(
+            self, tmp_path, monkeypatch, capsys):
+        """--no-cache keeps traces in a temporary directory: the run
+        still replays, and nothing outlives it."""
+        from repro.harness import figures
+        from repro.machine import replay
+
+        sessions = []
+        real = replay.ReplaySession.__init__
+
+        def spying(self, store, *args):
+            real(self, store, *args)
+            sessions.append((self.mode, store.directory))
+
+        monkeypatch.setattr(replay.ReplaySession, "__init__", spying)
+        monkeypatch.chdir(tmp_path)
+        figures.clear_cache()  # force all 12 simulations
+        assert main(["fig16", "--no-cache"]) == 0
+        assert not (tmp_path / ".repro-cache").exists()
+        modes = [mode for mode, _ in sessions]
+        assert (modes.count("record"), modes.count("replay")) == (2, 10)
+        directories = {directory for _, directory in sessions}
+        assert len(directories) == 1
+        assert not os.path.exists(directories.pop())
+
+    def test_cache_dir_keeps_one_trace_per_functional_config(
+            self, tmp_path, capsys):
+        """The six Figure 16 separations share one trace per benchmark."""
+        from repro.config.presets import isrf4_config
+        from repro.harness import figures
+        from repro.machine.replay import TraceStore
+
+        cache_dir = tmp_path / "cache"
+        figures.clear_cache()
+        assert main(["fig16", "--cache-dir", str(cache_dir)]) == 0
+        traces = cache_dir / "traces"
+        store = TraceStore(str(traces))
+        scale = figures.default_scale()
+        expected = {
+            f"{store.key(bench, isrf4_config(), scale)}.trace.gz"
+            for bench in ("IG_SML", "IG_SCL")
+        }
+        assert {path.name for path in traces.glob("*.trace.gz")} \
+            == expected
 
     def test_trace_path_requires_value(self, capsys):
         assert main(["--trace-path"]) == 2

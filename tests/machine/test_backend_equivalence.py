@@ -15,13 +15,12 @@ randomly generated programs.
 """
 
 import dataclasses
-import os
 
 import pytest
 
 from repro.apps import fft
 from repro.config.machine import MachineConfig
-from repro.config.presets import REPLAY_ENV, all_configs, base_config
+from repro.config.presets import all_configs, base_config
 from repro.errors import ConfigurationError
 from repro.machine import executor as executor_mod
 from repro.machine import replay
@@ -80,7 +79,7 @@ def test_scalar_backend_never_builds_vector_engine(tmp_path, monkeypatch):
 
     monkeypatch.setattr(replay, "begin_invocation_record", forbidden)
     monkeypatch.setattr(replay, "invocation_replay", forbidden)
-    config = all_configs()["ISRF4"]
+    config = all_configs()["ISRF4"].replace(timing_source="execute")
     with replay.session(TraceStore(str(tmp_path)), "fft", config,
                         "test") as sess:
         fft.run(config, n=16).require_verified()
@@ -88,8 +87,11 @@ def test_scalar_backend_never_builds_vector_engine(tmp_path, monkeypatch):
 
 
 def test_default_backend_is_scalar(monkeypatch):
-    assert MachineConfig().timing_source == "execute"
-    assert base_config().timing_source == "execute"
+    """Replay is the default timing source, but with no session open a
+    default run still executes every kernel on the interpreter."""
+    assert MachineConfig().timing_source == "replay"
+    assert base_config().timing_source == "replay"
+    assert replay.active_session() is None
     built = []
     real = executor_mod.KernelInterpreter
 
@@ -103,21 +105,20 @@ def test_default_backend_is_scalar(monkeypatch):
 
 
 def test_backend_env_overlay(monkeypatch):
-    monkeypatch.setenv(REPLAY_ENV, "replay")
-    assert base_config().timing_source == "replay"
-    # Explicit overrides still win over the environment.
-    assert base_config(
-        timing_source="execute"
-    ).timing_source == "execute"
-    monkeypatch.setenv(REPLAY_ENV, "warp9")
-    with pytest.raises(ConfigurationError):
-        base_config()
+    """No environment variable selects the backend: every preset
+    defaults to replay, and only an explicit override changes it."""
+    for value in ("execute", "warp9"):
+        monkeypatch.setenv("REPRO_REPLAY", value)
+        for name, config in all_configs().items():
+            assert config.timing_source == "replay", (value, name)
+        assert base_config(
+            timing_source="execute"
+        ).timing_source == "execute"
 
 
 def test_unknown_backend_rejected():
     with pytest.raises(ConfigurationError):
         MachineConfig(timing_source="simd").validate()
-    assert os.environ.get(REPLAY_ENV) in (None, "")  # test hygiene
 
 
 class TestSeedStability:

@@ -51,34 +51,43 @@ def test_replay_bit_identical(app, preset, tmp_path):
 def test_trace_shared_across_timing_variants(tmp_path):
     """One recording re-times every timing-only sweep point exactly.
 
-    ISRF1 and ISRF4 differ only in indexed bandwidths (timing-only), so
-    a trace recorded under ISRF1 must replay under ISRF4 — and under a
-    separation-sweep variant — with stats bit-identical to fresh
-    execution of each.
+    ISRF1 and ISRF4 differ only in indexed bandwidths, and the Figure
+    15/16 address/data separations are timing-only too, so a trace
+    recorded once on ISRF4 must replay on ISRF1 and at in-lane and
+    cross-lane separations — each with ProgramStats equal to a fresh
+    executing run.
     """
     store = TraceStore(str(tmp_path))
     configs = all_configs()
-    recorder = configs["ISRF1"].replace(timing_source="replay")
-    with replay.session(store, "fft", recorder, "test") as sess:
-        RUNNERS["fft"](recorder).require_verified()
-        assert sess.mode == "record"
-    for variant in (
-        configs["ISRF4"],
-        configs["ISRF1"].replace(inlane_addr_data_separation=10),
-    ):
-        target = variant.replace(timing_source="replay")
-        with replay.session(store, "fft", target, "test") as sess:
-            replayed = RUNNERS["fft"](target).require_verified()
-            assert sess.mode == "replay"
-        executed = RUNNERS["fft"](variant).require_verified()
-        assert fingerprint(replayed.stats) == fingerprint(executed.stats)
+    recorder = configs["ISRF4"]
+    variants = (
+        configs["ISRF1"],
+        recorder.replace(inlane_addr_data_separation=2),
+        recorder.replace(inlane_addr_data_separation=8),
+        recorder.replace(crosslane_addr_data_separation=4),
+        recorder.replace(crosslane_addr_data_separation=24),
+    )
+    for app in ("fft", "ig_sml"):
+        with replay.session(store, app, recorder, "test") as sess:
+            RUNNERS[app](recorder).require_verified()
+            assert sess.mode == "record"
+        for variant in variants:
+            with replay.session(store, app, variant, "test") as sess:
+                replayed = RUNNERS[app](variant).require_verified()
+                assert sess.mode == "replay"
+            executed = RUNNERS[app](
+                variant.replace(timing_source="execute")
+            ).require_verified()
+            assert replayed.stats == executed.stats, (app, variant)
 
 
 def test_replay_config_without_session_executes_normally():
     """timing_source="replay" is inert outside a session (no store)."""
     config = isrf4_config(timing_source="replay")
     result = RUNNERS["fft"](config).require_verified()
-    executed = RUNNERS["fft"](isrf4_config()).require_verified()
+    executed = RUNNERS["fft"](
+        isrf4_config(timing_source="execute")
+    ).require_verified()
     assert fingerprint(result.stats) == fingerprint(executed.stats)
 
 
@@ -100,15 +109,15 @@ class TestConfigValidation:
             base_config(timing_source="psychic")
 
     def test_replay_env_overlay(self, monkeypatch):
-        from repro.config.presets import REPLAY_ENV
-
-        monkeypatch.setenv(REPLAY_ENV, "1")
-        assert base_config().timing_source == "replay"
-        monkeypatch.setenv(REPLAY_ENV, "execute")
-        assert base_config().timing_source == "execute"
-        monkeypatch.setenv(REPLAY_ENV, "maybe")
-        with pytest.raises(ConfigurationError, match="REPRO_REPLAY"):
-            base_config()
+        """Replay is the default; no environment variable selects it."""
+        for value in ("execute", "0", "maybe"):
+            monkeypatch.setenv("REPRO_REPLAY", value)
+            for name, config in all_configs().items():
+                assert config.timing_source == "replay", (value, name)
+            # An explicit override still wins.
+            assert base_config(
+                timing_source="execute"
+            ).timing_source == "execute"
 
 
 class TestFunctionalFingerprint:

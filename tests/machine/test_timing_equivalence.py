@@ -21,7 +21,7 @@ import pytest
 
 from repro.apps import fft
 from repro.config.machine import MachineConfig
-from repro.config.presets import REPLAY_ENV, all_configs, base_config
+from repro.config.presets import all_configs, base_config
 from repro.errors import ConfigurationError
 from repro.machine import StreamProcessor, replay
 from repro.machine.replay import TraceStore
@@ -115,23 +115,26 @@ class TestSelection:
             MachineConfig(fast_forward="no").validate()
 
     def test_env_overlay(self, monkeypatch):
-        """REPRO_REPLAY overlays every preset and leaves the cycle loop
-        alone."""
-        monkeypatch.setenv(REPLAY_ENV, "1")
+        """Every preset defaults to replay timing with the fast cycle
+        loop, and the retired REPRO_REPLAY overlay changes neither."""
+        monkeypatch.setenv("REPRO_REPLAY", "0")
         for name, config in all_configs().items():
             assert config.timing_source == "replay", name
             assert config.fast_forward is True, name
-        # Explicit overrides still win over the environment.
+        # Explicit overrides still win.
         assert base_config(
             timing_source="execute"
         ).timing_source == "execute"
-        monkeypatch.setenv(REPLAY_ENV, "warp9")
-        with pytest.raises(ConfigurationError):
-            base_config()
+        monkeypatch.setenv("REPRO_REPLAY", "warp9")
+        assert base_config().timing_source == "replay"
 
     def test_blank_env_is_ignored(self, monkeypatch):
-        monkeypatch.setenv(REPLAY_ENV, "")
-        assert base_config().timing_source == "execute"
+        monkeypatch.setenv("REPRO_REPLAY", "")
+        for name, config in all_configs().items():
+            assert config.timing_source == "replay", name
+        assert base_config(
+            timing_source="execute"
+        ).timing_source == "execute"
 
 
 #: Knobs that hook the cycle loop, each of which fast-forward windows
