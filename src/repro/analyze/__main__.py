@@ -18,12 +18,11 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import sys
 
 from repro.analyze.diagnostics import Severity
 from repro.analyze.driver import APP_NAMES, DEFAULT_REPS, check_app
 from repro.config.presets import all_configs
-from repro.exitcodes import EXIT_CLEAN, EXIT_FINDINGS
+from repro.exitcodes import EXIT_CLEAN, EXIT_FINDINGS, run_cli
 
 
 def main(argv=None) -> int:
@@ -88,4 +87,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_cli(main)

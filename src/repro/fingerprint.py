@@ -7,7 +7,10 @@ invalidates stale entries, and (b) a deterministic text form of the
 :class:`~repro.config.machine.MachineConfig` under test. This module is
 the single home of both fingerprints so the two caches can never drift
 apart — and it lives outside the harness package so the machine layer
-can use it without a circular import.
+can use it without a circular import. The trace store narrows (b) to
+the fields that change kernel data: that fingerprint lives in
+:mod:`repro.machine.replay`, next to ``TIMING_ONLY_FIELDS``, the one
+list of fields it leaves out.
 
 The code fingerprint is memoized per process: the source tree cannot
 change underneath a running simulation, and every forked harness worker
@@ -62,74 +65,9 @@ def config_fingerprint(config) -> str:
     configs differing only in such a field would alias each other's
     cache entries — the bug class this function exists to close. New
     fields are picked up automatically; no hand-maintained tuple to
-    forget to extend. (The ``repro.selfcheck`` fingerprint pass
-    statically rejects any rewrite of this function that stops
-    enumerating fields via :mod:`dataclasses` — code ``SC106``.)
+    forget to extend. ``tests/config/test_field_partition.py`` changes
+    each field in turn and checks that the fingerprint changes with it.
     """
     fields = dataclasses.asdict(config)
     return repr(sorted(fields.items()))
 
-
-#: MachineConfig fields that change the *functional* kernel data — the
-#: values computed, the indices issued, the words transferred. Together
-#: with :data:`repro.machine.replay.TIMING_ONLY_FIELDS` this must
-#: exactly partition the MachineConfig field set: every field in
-#: exactly one of the two. The partition is enforced three ways —
-#: statically by the ``repro.selfcheck`` fingerprint pass (codes
-#: ``SC101``–``SC104``), at runtime by
-#: :func:`check_field_partition` on every functional-fingerprint use,
-#: and by the regression test ``tests/config/test_field_partition.py``
-#: — so a new config field cannot ship unclassified.
-FUNCTIONAL_FIELDS = frozenset({
-    # The SRF access mode and geometry visible to the program: they
-    # steer stream allocation, per-lane block shapes and index spaces.
-    "srf_mode", "lanes", "srf_bytes", "words_per_lane_access",
-    # Whether the memory system is cache-backed: apps branch on it.
-    "has_cache",
-    # Fault injection mutates computed data; every fault knob keys the
-    # functional space (faulted configs never share traces).
-    "fault_seed", "fault_srf_flips", "fault_dram_flips",
-    "fault_crossbar_drops", "fault_memory_delays", "fault_horizon",
-})
-
-
-def check_field_partition(timing_only,
-                          functional=FUNCTIONAL_FIELDS) -> "list[str]":
-    """Problems with the functional/timing-only field classification.
-
-    Returns a list of human-readable problem strings — empty when
-    ``functional`` and ``timing_only`` are disjoint and their union is
-    exactly the MachineConfig field set. Callers raise their own error
-    type (:class:`~repro.errors.ReplayError` in the replay path, a test
-    failure in the regression suite) so the check has no opinion about
-    severity.
-    """
-    from repro.config.machine import MachineConfig
-
-    names = {field.name for field in dataclasses.fields(MachineConfig)}
-    problems = []
-    stale_timing = set(timing_only) - names
-    if stale_timing:
-        problems.append(
-            f"TIMING_ONLY_FIELDS names unknown config fields: "
-            f"{', '.join(sorted(stale_timing))}"
-        )
-    stale_functional = set(functional) - names
-    if stale_functional:
-        problems.append(
-            f"FUNCTIONAL_FIELDS names unknown config fields: "
-            f"{', '.join(sorted(stale_functional))}"
-        )
-    overlap = set(functional) & set(timing_only)
-    if overlap:
-        problems.append(
-            f"fields classified both functional and timing-only: "
-            f"{', '.join(sorted(overlap))}"
-        )
-    unclassified = names - set(functional) - set(timing_only)
-    if unclassified:
-        problems.append(
-            f"config fields in neither FUNCTIONAL_FIELDS nor "
-            f"TIMING_ONLY_FIELDS: {', '.join(sorted(unclassified))}"
-        )
-    return problems

@@ -33,6 +33,7 @@ import tempfile
 
 from repro.config.presets import base_config
 from repro.errors import ConfigurationError, SweepInterrupted
+from repro.exitcodes import run_cli
 from repro.harness import figures, runner
 from repro.harness.resultcache import default_cache_dir
 from repro.harness.sweep import default_sweep_journal
@@ -320,4 +321,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run_cli(main)

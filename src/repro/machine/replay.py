@@ -34,12 +34,11 @@ fingerprint (:func:`functional_fingerprint`) is the full
 :func:`repro.fingerprint.config_fingerprint` minus an explicit
 blacklist of *timing-only* fields (:data:`TIMING_ONLY_FIELDS`):
 latencies, bandwidths, separations, network/arbitration policies,
-simulation and observability knobs. The blacklist must exactly
-complement :data:`repro.fingerprint.FUNCTIONAL_FIELDS` over the config
-field set — an unclassified new field raises before any trace is keyed
-(and fails ``repro.selfcheck`` statically), so a field can never
-silently land on the wrong side of the key. Any simulator source edit
-rotates the code fingerprint and orphans every stored trace.
+simulation and observability knobs. The blacklist is the only
+classification: every other field keys the trace, so a new field is
+functional until someone lists it here — at worst a redundant
+re-record, never a wrong replay. Any simulator source edit rotates the
+code fingerprint and orphans every stored trace.
 
 Fault injection changes functional data (bit flips), so faulted
 configs never record or replay — the processor falls back to plain
@@ -75,11 +74,7 @@ import pickle
 from dataclasses import dataclass, field
 
 from repro.errors import ReplayError
-from repro.fingerprint import (
-    check_field_partition,
-    code_fingerprint,
-    config_fingerprint,
-)
+from repro.fingerprint import code_fingerprint
 from repro.kernel.ops import OpKind
 from repro.store import DurableStore
 
@@ -93,12 +88,10 @@ REPLAY_DATA_KINDS = (
 )
 
 #: MachineConfig fields that can never change functional kernel data —
-#: everything else participates in the trace key. Must exactly
-#: complement :data:`repro.fingerprint.FUNCTIONAL_FIELDS`: an
-#: unclassified new field fails both the runtime partition check in
-#: :func:`functional_fingerprint` and the static ``repro.selfcheck``
-#: fingerprint pass, so a field can never silently join (or leave)
-#: the trace key.
+#: everything else participates in the trace key. This is the one
+#: classification of config fields: a field missing from it only keys
+#: more traces, while a field listed here by mistake would let two
+#: configs share a trace their kernels compute differently.
 TIMING_ONLY_FIELDS = frozenset({
     # Labels and clocking (config.name only feeds report labels).
     "name", "clock_hz",
@@ -134,25 +127,22 @@ def functional_fingerprint(config) -> str:
     Two configs with equal functional fingerprints produce identical
     kernel data on every benchmark, so they can share one recorded
     trace (e.g. ISRF1 and ISRF4, which differ only in name and indexed
-    bandwidths). The blacklist must exactly complement
-    :data:`repro.fingerprint.FUNCTIONAL_FIELDS` over the MachineConfig
-    field set (:func:`repro.fingerprint.check_field_partition`): a
-    stale or unclassified field raises — a renamed field must not
-    silently widen the key, and a new field must be classified before
-    any trace can be recorded under it.
+    bandwidths). Every field not in :data:`TIMING_ONLY_FIELDS` keys the
+    result. A blacklist entry that names no config field raises: a
+    renamed timing field would otherwise drop out of the blacklist
+    unnoticed and key every trace on its new name.
     """
-    problems = check_field_partition(TIMING_ONLY_FIELDS)
-    if problems:
-        raise ReplayError(
-            "MachineConfig field classification broken: "
-            + "; ".join(problems)
-        )
     fields = dataclasses.asdict(config)
-    functional = [
+    stale = TIMING_ONLY_FIELDS.difference(fields)
+    if stale:
+        raise ReplayError(
+            "TIMING_ONLY_FIELDS names unknown config fields: "
+            + ", ".join(sorted(stale))
+        )
+    return repr(sorted(
         (name, value) for name, value in fields.items()
         if name not in TIMING_ONLY_FIELDS
-    ]
-    return repr(sorted(functional))
+    ))
 
 
 def copy_detail(kind: OpKind, detail):

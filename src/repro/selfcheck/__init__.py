@@ -1,8 +1,7 @@
 """Codebase-invariant linter for the simulator's own source.
 
 ``repro.selfcheck`` statically enforces the cross-cutting contracts the
-test suite can only probe pointwise: every :class:`MachineConfig` field
-classified functional vs timing-only, every ``REPRO_*`` environment
+test suite can only probe pointwise: every ``REPRO_*`` environment
 overlay registered and documented, no ambient entropy inside the
 simulated machine, and durable writes routed through
 :mod:`repro.store`. Run it with

@@ -1,14 +1,13 @@
 """CLI for the selfcheck linter: ``python -m repro.selfcheck [ROOT]``.
 
 Exit codes follow the shared convention in :mod:`repro.exitcodes`:
-``0`` clean (no active findings), ``1`` active findings, ``2`` usage or
-input error (bad flags, unreadable baseline).
+``0`` clean (no active findings), ``1`` active findings, ``2`` usage
+error (bad flags, a root that is not a directory).
 
 The tool scans the installed package root by default, and discovers the
-ratchet baseline (``selfcheck-baseline.json``) and generated overlay
-reference (``ENV.md``) at the repository root (two levels above
-``src/repro``), falling back to the current directory. ``--write-*``
-flags regenerate those artifacts through the same durable-write
+generated overlay reference (``ENV.md``) at the repository root (two
+levels above ``src/repro``), falling back to the current directory.
+``--write-env-md`` regenerates it through the same durable-write
 primitives the tool itself enforces.
 """
 
@@ -21,12 +20,10 @@ import sys
 
 import repro
 from repro.config.overlays import OVERLAYS, render_env_md
-from repro.exitcodes import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE
-from repro.selfcheck.baseline import BaselineError, render_baseline
+from repro.exitcodes import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, run_cli
 from repro.selfcheck.driver import run_selfcheck
 from repro.store.atomic import atomic_write_text
 
-BASELINE_NAME = "selfcheck-baseline.json"
 ENV_MD_NAME = "ENV.md"
 
 
@@ -61,15 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the full report as JSON ('-' for stdout)",
     )
     parser.add_argument(
-        "--baseline", metavar="PATH",
-        help="ratchet baseline file (default: auto-discovered "
-             f"{BASELINE_NAME})",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="rewrite the baseline to grandfather every current finding",
-    )
-    parser.add_argument(
         "--env-md", metavar="PATH",
         help=f"generated overlay reference to check (default: "
              f"auto-discovered {ENV_MD_NAME})",
@@ -77,10 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--write-env-md", action="store_true",
         help="regenerate ENV.md from the overlay registry and exit",
-    )
-    parser.add_argument(
-        "-v", "--verbose", action="store_true",
-        help="also list grandfathered (baselined) findings",
     )
     return parser
 
@@ -103,25 +87,7 @@ def main(argv: "list[str] | None" = None) -> int:
         print(f"wrote {target}")
         return EXIT_CLEAN
 
-    baseline = options.baseline or _discover(root, BASELINE_NAME)
-    try:
-        report = run_selfcheck(
-            root,
-            baseline_path=None if options.write_baseline else baseline,
-            env_md_path=env_md,
-        )
-    except BaselineError as error:
-        print(f"{parser.prog}: error: {error}", file=sys.stderr)
-        return EXIT_USAGE
-
-    if options.write_baseline:
-        target = baseline or os.path.abspath(
-            os.path.join(root, os.pardir, os.pardir, BASELINE_NAME)
-        )
-        atomic_write_text(target, render_baseline(report.active))
-        print(f"wrote {target} ({len(report.active)} grandfathered "
-              f"finding(s))")
-        return EXIT_CLEAN
+    report = run_selfcheck(root, env_md_path=env_md)
 
     if options.json:
         payload = json.dumps(report.to_payload(), indent=2) + "\n"
@@ -132,17 +98,10 @@ def main(argv: "list[str] | None" = None) -> int:
 
     for finding in report.active:
         print(finding.describe())
-    if options.verbose:
-        for finding in report.grandfathered:
-            print(f"{finding.describe()} (baselined)")
 
     scanned = len(report.scanned)
     if report.ok:
-        grandfathered = len(report.grandfathered)
-        suffix = (
-            f", {grandfathered} baselined" if grandfathered else ""
-        )
-        print(f"selfcheck: {scanned} file(s) clean{suffix}")
+        print(f"selfcheck: {scanned} file(s) clean")
         return EXIT_CLEAN
     print(
         f"selfcheck: {len(report.active)} active finding(s) across "
@@ -153,4 +112,4 @@ def main(argv: "list[str] | None" = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_cli(main)

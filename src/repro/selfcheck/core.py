@@ -13,12 +13,12 @@ Suppression: a finding is silenced by a ``# selfcheck: disable=SC301``
 comment on the reported line (comma-separated codes). Suppressions are
 themselves checked — an unused one is an error (``SC002``), as is one
 naming an unknown code (``SC003``) — so stale escapes cannot linger.
+They are the only escape hatch: there is no baseline of tolerated
+findings.
 
 Contexts: each finding carries the qualified name of the enclosing
-function/class (``ColumnarExecutor.stall_window`` or ``<module>``). The ratchet
-baseline (:mod:`repro.selfcheck.baseline`) keys on
-``(code, path, context)`` rather than line numbers, so unrelated edits
-above a grandfathered finding do not churn the baseline.
+function/class (``ColumnarExecutor.stall_window`` or ``<module>``), so
+a report names the code it flags, not just a line number.
 """
 
 from __future__ import annotations
@@ -32,12 +32,11 @@ from dataclasses import dataclass
 
 from repro.analyze.diagnostics import Diagnostic, Severity
 
-#: Framework-level codes (passes declare their own SC1xx–SC4xx).
+#: Framework-level codes (passes declare their own SC2xx–SC4xx).
 FRAMEWORK_CODES = {
     "SC001": "source file does not parse",
     "SC002": "unused selfcheck suppression comment",
     "SC003": "suppression names an unknown selfcheck code",
-    "SC004": "stale ratchet-baseline entry (finding no longer fires)",
 }
 
 _SUPPRESS_RE = re.compile(r"#\s*selfcheck:\s*disable=([A-Za-z0-9_,\s]+)")
@@ -54,12 +53,8 @@ class Finding(Diagnostic):
     #: 1-based line, 0 for file- or tree-level findings.
     line: int = 0
     #: Qualified name of the enclosing def/class, ``<module>`` at top
-    #: level, empty for tree-level findings. Baseline entries key on it.
+    #: level, empty for tree-level findings.
     context: str = ""
-
-    @property
-    def key(self) -> "tuple[str, str, str]":
-        return (self.code, self.path, self.context)
 
     def describe(self) -> str:
         where = f"{self.path}:{self.line}" if self.path else "<tree>"

@@ -1,12 +1,9 @@
-"""Selfcheck driver: parse the tree, run every pass, apply the ratchet."""
+"""Run selfcheck on one tree: parse it, run every pass, check suppressions."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.analyze.diagnostics import Severity
-from repro.selfcheck.baseline import apply_baseline, load_baseline
 from repro.selfcheck.core import (
     FRAMEWORK_CODES,
     Finding,
@@ -26,18 +23,19 @@ class SelfcheckReport:
     root: str
     #: Files scanned (rel paths).
     scanned: "list[str]" = field(default_factory=list)
-    #: Findings that fail the run (not absorbed by the baseline).
+    #: Findings that fail the run (suppressed ones are never recorded).
     active: "list[Finding]" = field(default_factory=list)
-    #: Findings absorbed by the ratchet baseline (reported, non-fatal).
-    grandfathered: "list[Finding]" = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.active
 
     def to_payload(self) -> "dict[str, object]":
-        def rows(findings: "list[Finding]") -> "list[dict[str, object]]":
-            return [
+        return {
+            "root": self.root,
+            "scanned": len(self.scanned),
+            "ok": self.ok,
+            "active": [
                 {
                     "severity": finding.severity.value,
                     "code": finding.code,
@@ -46,15 +44,8 @@ class SelfcheckReport:
                     "context": finding.context,
                     "message": finding.message,
                 }
-                for finding in findings
-            ]
-
-        return {
-            "root": self.root,
-            "scanned": len(self.scanned),
-            "ok": self.ok,
-            "active": rows(self.active),
-            "grandfathered": rows(self.grandfathered),
+                for finding in self.active
+            ],
         }
 
 
@@ -62,9 +53,9 @@ def _finding_order(finding: Finding) -> "tuple[str, int, str, str]":
     return (finding.path, finding.line, finding.code, finding.message)
 
 
-def run_selfcheck(root: str, baseline_path: "str | None" = None,
+def run_selfcheck(root: str,
                   env_md_path: "str | None" = None) -> SelfcheckReport:
-    """Scan ``root``, run every pass, and apply the baseline ratchet."""
+    """Scan ``root`` and run every pass; suppressions apply per line."""
     tree = SourceTree(root)
     ctx = LintContext(tree, env_md_path=env_md_path)
 
@@ -100,28 +91,8 @@ def run_selfcheck(root: str, baseline_path: "str | None" = None,
                         context=sf.context_at(line),
                     )
 
-    findings = sorted(ctx.findings, key=_finding_order)
-
-    allowed: "Counter[tuple[str, str, str]]" = Counter()
-    if baseline_path is not None:
-        allowed = load_baseline(baseline_path)
-    match = apply_baseline(findings, allowed)
-    active = list(match.active)
-    for code, path, context, count in match.stale:
-        active.append(Finding(
-            severity=Severity.ERROR, code="SC004",
-            message=(
-                f"baseline entry ({code}, {path!r}, {context!r}) is "
-                f"stale — the finding fires {count} fewer time(s) than "
-                f"allowed; shrink the baseline "
-                f"(python -m repro.selfcheck --write-baseline)"
-            ),
-            path=path, context=context,
-        ))
-
     return SelfcheckReport(
         root=tree.root,
         scanned=[sf.rel for sf in tree.files],
-        active=sorted(active, key=_finding_order),
-        grandfathered=list(match.grandfathered),
+        active=sorted(ctx.findings, key=_finding_order),
     )

@@ -5,15 +5,10 @@ Each pass module exposes ``NAME`` (short slug), ``CODES`` (stable code
 these), and ``run(ctx)``. Order matters only for output stability.
 """
 
-from repro.selfcheck.passes import (
-    determinism,
-    fingerprint,
-    overlays,
-    writes,
-)
+from repro.selfcheck.passes import determinism, overlays, writes
 
 #: Every registered pass module, in reporting order.
-ALL_PASSES = (fingerprint, overlays, determinism, writes)
+ALL_PASSES = (overlays, determinism, writes)
 
 #: Every pass-declared code, for suppression validation and docs.
 PASS_CODES = {

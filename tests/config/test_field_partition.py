@@ -1,62 +1,55 @@
-"""FUNCTIONAL_FIELDS ∪ TIMING_ONLY_FIELDS exactly partitions the config.
+"""Every MachineConfig field keys the caches it should.
 
-The replay cache and the result cache both key on this classification:
-a field in neither set would silently drop out of the functional
-fingerprint; a field in both would be contradictory. The partition is
-enforced statically (selfcheck codes SC101–SC104) and at runtime
-(:func:`repro.fingerprint.check_field_partition` raising through
-``ReplayError``); this test pins it at the plain-pytest layer so a
-break fails even with the linter skipped.
+The result cache keys on :func:`repro.fingerprint.config_fingerprint`,
+which must see every field. The trace store keys on
+:func:`repro.machine.replay.functional_fingerprint`, which must see
+every field except those in ``TIMING_ONLY_FIELDS``, the one list of
+fields that cannot change kernel data. A fingerprint that skips a field
+aliases cache entries: two configs that differ in it would share one
+result or one trace. Changing each field in turn and comparing the
+fingerprints checks this by behaviour, whatever the fingerprints'
+code looks like.
 """
 
 import dataclasses
+import enum
 
 import pytest
 
 from repro.config.machine import MachineConfig
-from repro.fingerprint import FUNCTIONAL_FIELDS, check_field_partition
-from repro.machine.replay import TIMING_ONLY_FIELDS
+from repro.fingerprint import config_fingerprint
+from repro.machine.replay import TIMING_ONLY_FIELDS, functional_fingerprint
+
+FIELD_NAMES = [field.name for field in dataclasses.fields(MachineConfig)]
 
 
-def field_names():
-    return {field.name for field in dataclasses.fields(MachineConfig)}
+def other_value(value):
+    """A value of the same kind as ``value`` that differs from it."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, enum.Enum):
+        return next(member for member in type(value) if member is not value)
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "-changed"
+    if value is None:
+        return 1
+    raise TypeError(f"no variant for {value!r}")
 
 
 def test_partition_is_exact():
-    names = field_names()
-    assert FUNCTIONAL_FIELDS | TIMING_ONLY_FIELDS == names
-    assert not FUNCTIONAL_FIELDS & TIMING_ONLY_FIELDS
+    assert TIMING_ONLY_FIELDS <= set(FIELD_NAMES)
 
 
-def test_check_field_partition_is_clean():
-    assert check_field_partition(TIMING_ONLY_FIELDS) == []
-
-
-@pytest.mark.parametrize("missing", sorted(FUNCTIONAL_FIELDS)[:2])
-def test_dropping_functional_field_is_reported(missing):
-    problems = check_field_partition(
-        TIMING_ONLY_FIELDS, functional=FUNCTIONAL_FIELDS - {missing}
+@pytest.mark.parametrize("name", FIELD_NAMES)
+def test_every_field_keys_the_caches(name):
+    config = MachineConfig()
+    changed = dataclasses.replace(
+        config, **{name: other_value(getattr(config, name))}
     )
-    assert any(missing in problem for problem in problems)
-
-
-def test_dropped_from_both_sets_is_reported():
-    # The acceptance scenario: a field deleted from both classification
-    # sets must be caught as unclassified.
-    problems = check_field_partition(
-        TIMING_ONLY_FIELDS - {"sanitize"},
-        functional=FUNCTIONAL_FIELDS - {"sanitize"},
+    assert config_fingerprint(changed) != config_fingerprint(config)
+    keys_trace = functional_fingerprint(changed) != functional_fingerprint(
+        config
     )
-    assert any(
-        "neither" in problem and "sanitize" in problem
-        for problem in problems
-    )
-
-
-def test_overlap_is_reported():
-    problems = check_field_partition(
-        TIMING_ONLY_FIELDS | {"srf_mode"}
-    )
-    assert any(
-        "srf_mode" in problem and "both" in problem for problem in problems
-    )
+    assert keys_trace == (name not in TIMING_ONLY_FIELDS)

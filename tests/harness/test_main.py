@@ -2,9 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
+from repro.exitcodes import EXIT_BROKEN_PIPE
 from repro.harness.__main__ import main
 
 
@@ -229,3 +233,21 @@ class TestNewOptions:
                      str(path)]) == 0
         assert str(path) in capsys.readouterr().out
         assert json.loads(path.read_text())["traceEvents"]
+
+
+def test_closed_stdout_ends_without_traceback(tmp_path):
+    """``python -m repro.harness fig14 | head -1`` exits quietly."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.harness", "fig14", "--no-cache"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path,
+        env=dict(os.environ, PYTHONUNBUFFERED="1", PYTHONPATH=os.path.dirname(
+            os.path.dirname(os.path.abspath(repro.__file__))
+        )),
+    )
+    # Unbuffered, the header line arrives before fig14 runs, so the
+    # table it prints afterwards meets a closed pipe.
+    assert proc.stdout.readline().startswith(b"# repro harness")
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=300)
+    assert b"Traceback" not in stderr, stderr.decode()
+    assert proc.returncode == EXIT_BROKEN_PIPE

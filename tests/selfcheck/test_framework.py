@@ -1,13 +1,6 @@
-"""Framework behaviour: suppressions, contexts, baseline ratchet."""
-
-import pytest
+"""Framework behaviour: suppressions, contexts, run_selfcheck itself."""
 
 from repro.selfcheck import run_selfcheck
-from repro.selfcheck.baseline import (
-    BaselineError,
-    load_baseline,
-    render_baseline,
-)
 from repro.selfcheck.core import SourceFile, SourceTree
 from repro.selfcheck.driver import ALL_CODES
 
@@ -86,59 +79,6 @@ class TestDriver:
         report = run_selfcheck(root)
         for finding in report.active:
             assert finding.code in ALL_CODES
-
-
-class TestBaseline:
-    def _report(self, tmp_path, baseline=None):
-        root = write(tmp_path, "mod.py", (
-            "import os\n"
-            "os.replace('a', 'b')\n"
-        ))
-        return run_selfcheck(root, baseline_path=baseline)
-
-    def test_baseline_grandfathers_finding(self, tmp_path):
-        report = self._report(tmp_path)
-        assert active_codes(report) == {"SC401"}
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(render_baseline(report.active))
-        again = self._report(tmp_path, baseline=str(baseline))
-        assert again.ok
-        assert [f.code for f in again.grandfathered] == ["SC401"]
-
-    def test_stale_baseline_entry_is_sc004(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            '{"version": 1, "findings": [{"code": "SC401",'
-            ' "path": "gone.py", "context": "<module>", "count": 1}]}\n'
-        )
-        report = self._report(tmp_path, baseline=str(baseline))
-        assert {"SC401", "SC004"} <= active_codes(report)
-
-    def test_ratchet_does_not_absorb_new_findings(self, tmp_path):
-        # Baseline allows one SC401 in mod.py; a second one must fail.
-        report = self._report(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(render_baseline(report.active))
-        root = write(tmp_path, "mod.py", (
-            "import os\n"
-            "os.replace('a', 'b')\n"
-            "os.replace('c', 'd')\n"
-        ))
-        again = run_selfcheck(root, baseline_path=str(baseline))
-        assert not again.ok
-        assert [f.code for f in again.active] == ["SC401"]
-        assert len(again.grandfathered) == 1
-
-    def test_bad_baseline_rejected(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text("not json")
-        with pytest.raises(BaselineError):
-            load_baseline(str(bad))
-        bad.write_text('{"version": 99, "findings": []}')
-        with pytest.raises(BaselineError):
-            load_baseline(str(bad))
-        with pytest.raises(BaselineError):
-            load_baseline(str(tmp_path / "missing.json"))
 
 
 def test_tree_skips_pycache(tmp_path):

@@ -6,58 +6,13 @@ suite's proof that the passes test *real* contracts — a pass that
 cannot catch its own mutation is decoration, not enforcement.
 """
 
-import json
-
 from repro.selfcheck import run_selfcheck
-from repro.selfcheck.baseline import BASELINE_VERSION
 
 from tests.selfcheck.conftest import REPO_ROOT, active_codes
 
 
 def scan(tree, **kwargs):
     return run_selfcheck(tree.root, **kwargs)
-
-
-class TestFingerprintPass:
-    def test_unclassified_field_is_sc101(self, tree_copy):
-        # Delete a field from both classification sets — the exact
-        # "forgot to classify" failure the acceptance criteria name.
-        tree_copy.mutate("machine/replay.py", '"sanitize",', "")
-        report = scan(tree_copy)
-        assert "SC101" in active_codes(report)
-        assert any(
-            f.code == "SC101" and "sanitize" in f.message
-            for f in report.active
-        )
-
-    def test_stale_timing_entry_is_sc102(self, tree_copy):
-        tree_copy.mutate(
-            "machine/replay.py", '"sanitize",', '"sanitize", "warp_core",'
-        )
-        assert "SC102" in active_codes(scan(tree_copy))
-
-    def test_stale_functional_entry_is_sc103(self, tree_copy):
-        tree_copy.mutate(
-            "fingerprint.py", '"srf_mode",', '"srf_mode", "warp_core",'
-        )
-        assert "SC103" in active_codes(scan(tree_copy))
-
-    def test_double_classification_is_sc104(self, tree_copy):
-        # srf_mode is functional; also blacklisting it is a conflict.
-        tree_copy.mutate(
-            "machine/replay.py", '"sanitize",', '"sanitize", "srf_mode",'
-        )
-        assert "SC104" in active_codes(scan(tree_copy))
-
-    def test_hand_enumerated_fingerprint_is_sc106(self, tree_copy):
-        tree_copy.mutate(
-            "fingerprint.py",
-            "    fields = dataclasses.asdict(config)\n"
-            "    return repr(sorted(fields.items()))",
-            '    parts = [("srf_mode", config.srf_mode)]\n'
-            "    return repr(parts)",
-        )
-        assert "SC106" in active_codes(scan(tree_copy))
 
 
 class TestOverlayPass:
@@ -236,79 +191,12 @@ class TestWritesPass:
         assert "SC401" not in active_codes(scan(tree_copy))
 
 
-class TestFallbackPass:
-    """The fallback pass is retired with the only engine it audited.
-
-    Its codes (SC501/SC502/SC505) can no longer silence or grandfather
-    anything, and the knob-bookkeeping and lost-anchor edits it used to
-    catch are caught by the fingerprint pass.
-    """
-
-    def test_unchecked_knob_is_sc501(self, tree_copy):
-        # A leftover suppression of the retired code on a knob read
-        # names an unknown code.
-        tree_copy.mutate(
-            "machine/processor.py",
-            "        if config.sanitize:",
-            "        if config.sanitize:  # selfcheck: disable=SC501",
-        )
-        report = scan(tree_copy)
-        assert any(
-            f.code == "SC003" and "SC501" in f.message
-            for f in report.active
-        )
-
-    def test_new_consulted_knob_is_sc501(self, tree_copy):
-        # Add a knob, consult it in the cycle loop, forget to classify
-        # it: the fingerprint pass names it.
-        tree_copy.mutate(
-            "config/machine.py",
-            "    sanitize: bool = False",
-            "    sanitize: bool = False\n"
-            "    turbo_mode: bool = False",
-        )
-        tree_copy.append("machine/executor.py", (
-            "\n\ndef _turbo(config):\n"
-            "    return config.turbo_mode\n"
-        ))
-        report = scan(tree_copy)
-        assert any(
-            f.code == "SC101" and "turbo_mode" in f.message
-            for f in report.active
-        ), [f.describe() for f in report.active]
-
-    def test_stale_modeled_entry_is_sc502(self, tree_copy, tmp_path):
-        # A baseline entry for a retired code matches nothing: stale.
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({
-            "version": BASELINE_VERSION,
-            "findings": [{"code": "SC502", "path": "machine/processor.py",
-                          "context": "StreamProcessor", "count": 1}],
-        }))
-        report = scan(tree_copy, baseline_path=str(baseline))
-        assert any(
-            f.code == "SC004" and "SC502" in f.message
-            for f in report.active
-        )
-
-    def test_missing_gate_is_sc505(self, tree_copy):
-        # Renaming an anchor the pass keys on is reported, never
-        # silently skipped.
-        tree_copy.mutate(
-            "fingerprint.py",
-            "def config_fingerprint", "def config_digest",
-        )
-        assert "SC105" in active_codes(scan(tree_copy))
-
-
 def test_shipped_tree_is_clean():
     """The zero-false-positive gate: the real tree scans clean."""
     import repro
     import os
     report = run_selfcheck(
         os.path.dirname(os.path.abspath(repro.__file__)),
-        baseline_path=f"{REPO_ROOT}/selfcheck-baseline.json",
         env_md_path=f"{REPO_ROOT}/ENV.md",
     )
     assert report.ok, [f.describe() for f in report.active]
-    assert not report.grandfathered  # the shipped baseline is empty
