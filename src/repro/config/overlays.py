@@ -104,13 +104,6 @@ OVERLAYS: "tuple[EnvOverlay, ...]" = (
         example='REPRO_STORE_CHAOS="seed=7,enospc=0.05,torn=0.05"',
     ),
     EnvOverlay(
-        name="REPRO_STORE_QUARANTINE_CAP",
-        owner="repro.store.durable",
-        doc="Maximum quarantined (.bad) entries kept per durable store "
-            "directory; oldest evicted beyond it.",
-        example="REPRO_STORE_QUARANTINE_CAP=32",
-    ),
-    EnvOverlay(
         name="REPRO_TRACE",
         owner="repro.observe.observer",
         doc="Observability overlay for every preset: tracing, metrics "

@@ -103,28 +103,12 @@ class MemorySystemError(ReproError):
 
 
 class StoreError(ReproError):
-    """The durable store or its manifest journal is unusable.
+    """A record cannot be written to a :mod:`repro.store` journal.
 
-    Raised by :mod:`repro.store` for conditions a caller cannot recover
-    from by recomputing one entry — an unwritable directory, a manifest
-    journal corrupted beyond its torn tail, or a lock that cannot be
-    acquired. Per-entry corruption never raises: corrupt entries are
-    quarantined and reads report a miss.
+    Raised when a journal record would not encode as one line. Store
+    entries never raise: a failed put returns False, and a corrupt
+    entry is quarantined and reads as a miss.
     """
-
-
-class LockTimeout(StoreError):
-    """An advisory store lock could not be acquired within the timeout.
-
-    Carries the lock ``path`` and, when readable, the ``owner`` record
-    (pid/host/timestamp) of the current live holder, so the error text
-    alone identifies who is blocking the store.
-    """
-
-    def __init__(self, message: str, path: str = "", owner=None):
-        super().__init__(message)
-        self.path = path
-        self.owner = owner
 
 
 class SweepInterrupted(ReproError):

@@ -14,11 +14,11 @@ Deleting the cache directory (default ``.repro-cache``, overridable via
 ``REPRO_CACHE_DIR``) is always safe.
 
 Durability is delegated wholesale to
-:class:`repro.store.DurableStore`: entries are journaled in a manifest
-before they become visible, verified against a SHA-256 checksum on
-every read, quarantined (bounded) when torn or undecodable, and
-recovered after crashes — the cache itself is just the pickle codec
-and the key schema. Both fingerprints live in
+:class:`repro.store.DurableStore`: each entry file carries the SHA-256
+of its payload in a header line, is published by one atomic rename,
+is verified against that header on every read, and is quarantined
+(bounded) when torn or undecodable — the cache itself is just the
+pickle codec and the key schema. Both fingerprints live in
 :mod:`repro.fingerprint` (shared with the kernel trace store of
 :mod:`repro.machine.replay`) and are re-exported here for
 compatibility; the code fingerprint is memoized per process, so
@@ -57,8 +57,8 @@ def default_cache_dir() -> str:
 class ResultCache:
     """Pickle codec over a :class:`~repro.store.DurableStore`.
 
-    Concurrent worker processes share one cache directory safely: the
-    store serializes writes through its advisory lock, readers verify
+    Concurrent worker processes share one cache directory safely: each
+    put publishes one complete file with one rename, readers verify
     checksums, and the worst case is two workers computing the same
     entry, last-write-wins with identical content.
     """
@@ -85,7 +85,7 @@ class ResultCache:
         """Cached result, or None on miss / unreadable entry.
 
         A present-but-unusable entry — torn write (checksum mismatch),
-        unjournaled file, stale class layout, garbage — is *quarantined*
+        missing header, stale class layout, garbage — is *quarantined*
         (renamed to ``<key>.pkl.bad``, bounded per directory) so it is
         not re-parsed on every subsequent run; a later :meth:`put`
         recreates the entry cleanly.
@@ -108,7 +108,7 @@ class ResultCache:
 
         Serialization failures (an unpicklable result) and write
         failures (ENOSPC, permissions) leave the store untouched — no
-        temp files, no manifest entry.
+        temp files, no entry.
         """
         try:
             data = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)

@@ -2,8 +2,9 @@
 
 An interrupted sweep used to lose every completed experiment that had
 not yet been printed. The runner now appends one record per event to a
-:class:`~repro.store.journal.Journal` (same checksummed, torn-tail-
-tolerant format as the store manifest):
+:class:`~repro.store.journal.Journal` (checksummed one-line records, a
+torn tail dropped on read). The parent runner process is its only
+writer, so appends need no lock:
 
 ``sweep``
     Header: journal format version, code/environment fingerprint and

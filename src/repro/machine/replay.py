@@ -220,9 +220,9 @@ class TraceBundle:
 class TraceStore:
     """Gzip-pickle codec over a :class:`~repro.store.DurableStore`.
 
-    Same durability story as the result cache — entries journaled in a
-    write-ahead manifest, SHA-256-verified on read, quarantined
-    (bounded, ``*.bad``) when torn or undecodable, crash-recovered —
+    Same durability story as the result cache — entries published by
+    one atomic rename, SHA-256-verified against their own header on
+    read, quarantined (bounded, ``*.bad``) when torn or undecodable —
     because it *is* the same code path. Bundles are gzip-compressed:
     trace rows are highly repetitive.
     """

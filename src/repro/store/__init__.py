@@ -5,50 +5,40 @@ This package centralizes what used to be per-client durability tricks
 logic, the sweep runner's lost in-flight bookkeeping) into one audited
 code path:
 
+:mod:`repro.store.durable`
+    :class:`DurableStore`: self-verifying entry files (a SHA-256
+    header line, then the payload) published by one atomic rename,
+    with bounded quarantine and a sweep of dead writers' staging files.
 :mod:`repro.store.journal`
     Checksummed append-only journals with torn-tail tolerance — the
-    write-ahead primitive.
-:mod:`repro.store.locking`
-    Advisory ``fcntl`` file locks with stale-lock detection/takeover.
-:mod:`repro.store.durable`
-    :class:`DurableStore`: content-verified entries behind a manifest
-    journal, bounded quarantine, and crash recovery.
+    sweep journal's record format.
 :mod:`repro.store.atomic`
     Bare fsync+rename primitive for single-file artifacts (trace
-    exports, harness JSON reports) outside the journaled store.
+    exports, harness JSON reports, journal rewrites).
 :mod:`repro.store.chaos`
     Deterministic ENOSPC/torn-write injection for the chaos harness.
 
 `harness.resultcache.ResultCache` and `machine.replay.TraceStore` are
 both thin codecs over :class:`DurableStore`, so there is exactly one
-fsync/rename/lock implementation to audit — the same consolidation the
-paper's indexed SRF performs on ad-hoc per-client access paths.
+entry write/verify path to audit — the same consolidation the paper's
+indexed SRF performs on ad-hoc per-client access paths.
 """
 
 from repro.store.atomic import atomic_write_bytes, atomic_write_text
 from repro.store.chaos import CHAOS_ENV, StoreChaos, chaos_from_env
-from repro.store.durable import (
-    DEFAULT_QUARANTINE_CAP,
-    QUARANTINE_CAP_ENV,
-    DurableStore,
-    default_quarantine_cap,
-)
+from repro.store.durable import DEFAULT_QUARANTINE_CAP, DurableStore, pid_alive
 from repro.store.journal import Journal, decode_line, encode_record
-from repro.store.locking import FileLock, pid_alive
 
 __all__ = [
     "CHAOS_ENV",
     "DEFAULT_QUARANTINE_CAP",
-    "QUARANTINE_CAP_ENV",
     "DurableStore",
-    "FileLock",
     "Journal",
     "StoreChaos",
     "atomic_write_bytes",
     "atomic_write_text",
     "chaos_from_env",
     "decode_line",
-    "default_quarantine_cap",
     "encode_record",
     "pid_alive",
 ]

@@ -1,11 +1,11 @@
 """Bare atomic-file-write primitive: staging file, fsync, rename.
 
-:class:`~repro.store.durable.DurableStore` covers journaled,
-checksum-verified entries; this module covers the simpler case of a
+:class:`~repro.store.durable.DurableStore` covers keyed,
+self-verifying entries; this module covers the simpler case of a
 single self-contained artifact (a trace export, a harness ``--json``
-report) that must appear *atomically and durably* at its final path —
-readers either see the complete new file or the previous state, never
-a torn write, even across power loss.
+report, a sweep journal rewrite) that must appear *atomically and
+durably* at its final path — readers either see the complete new file
+or the previous state, never a torn write, even across power loss.
 
 The discipline is the same one the store's entry path uses: write to a
 staging file in the destination directory, flush and ``fsync`` it,

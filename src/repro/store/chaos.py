@@ -13,7 +13,7 @@ failure shapes that matter:
     the non-fatal put path (temp file cleaned up, store untouched).
 
 ``torn``
-    The entry is *committed truncated* — a prefix of the payload is
+    The entry is *committed truncated* — a prefix of the entry file is
     renamed into place as if the filesystem reordered a crash —
     exercising checksum verification and quarantine on read.
 
@@ -38,7 +38,11 @@ _FIELDS = ("seed", "enospc", "torn")
 
 def chaos_from_env() -> "StoreChaos | None":
     """The configured :class:`StoreChaos`, or None when disabled."""
-    value = os.environ.get(CHAOS_ENV)
+    return parse_chaos(os.environ.get(CHAOS_ENV))
+
+
+def parse_chaos(value: "str | None") -> "StoreChaos | None":
+    """The :class:`StoreChaos` a ``REPRO_STORE_CHAOS`` value asks for."""
     if not value:
         return None
     settings = {"seed": 0, "enospc": 0.0, "torn": 0.0}

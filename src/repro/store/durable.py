@@ -3,32 +3,29 @@
 One store = one directory holding:
 
 ``<key><suffix>``
-    Entry payloads (opaque bytes; callers bring their own codec).
-``manifest.log``
-    Write-ahead :class:`~repro.store.journal.Journal` of every
-    mutation. The manifest record for an entry is appended — and
-    fsync'd — *before* the entry is renamed into place, so any entry
-    file present in the directory is journaled; an entry that is
-    journaled but absent simply reads as a miss. This ordering is what
-    makes ``kill -9`` at any instruction recoverable.
-``store.lock``
-    Advisory :class:`~repro.store.locking.FileLock` serializing
-    mutations (puts, quarantine, recovery, compaction). Reads are
-    lock-free: they rely on atomic renames plus checksums.
+    Entry files. Each is self-verifying: a header line
+    ``repro-store/1 <sha256 of payload>``, then the payload (opaque
+    bytes; callers bring their own codec).
 ``.<key>.<pid>.tmp``
-    In-flight staging files; swept by recovery when their writer pid
-    is dead.
+    In-flight staging files; swept when a store is opened if their
+    writer pid is dead.
 ``<key><suffix>.bad``
-    Quarantined entries (checksum mismatch, undecodable payload,
-    unjournaled file). Bounded: the oldest are evicted beyond
-    :data:`DEFAULT_QUARANTINE_CAP` (``REPRO_STORE_QUARANTINE_CAP``),
-    so silent corruption cannot grow the directory without bound.
+    Quarantined entries (checksum mismatch, missing header,
+    undecodable payload). Bounded: the oldest are evicted beyond
+    :data:`DEFAULT_QUARANTINE_CAP`, so silent corruption cannot grow
+    the directory without bound.
 
-Every read verifies the payload's SHA-256 against the manifest, so a
-torn or bit-flipped entry is detected, quarantined, and reported as a
-miss — callers recompute, they never consume garbage. Write failures
-(including injected ``ENOSPC``, see :mod:`repro.store.chaos`) are
-non-fatal: the temp file is removed and the store is untouched.
+A put writes the complete entry file to a private staging file,
+fsyncs it, ``os.replace``\\ s it over the entry and fsyncs the
+directory, so ``kill -9`` at any instruction leaves either the old
+entry or the new one. Concurrent writers of one key need no lock: each
+publishes one complete file with one rename, and readers open one
+inode, never a mixture. Every read verifies the payload against the
+entry's own header, so a torn or bit-flipped entry is detected,
+quarantined, and reported as a miss — callers recompute, they never
+consume garbage. Write failures (including injected ``ENOSPC``, see
+:mod:`repro.store.chaos`) are non-fatal: the staging file is removed
+and the store is untouched.
 """
 
 from __future__ import annotations
@@ -37,68 +34,73 @@ import errno
 import hashlib
 import os
 
+from repro.store.atomic import _fsync_directory
 from repro.store.chaos import chaos_from_env
-from repro.store.journal import Journal, _fsync_directory
-from repro.store.locking import FileLock, pid_alive
 
-#: Manifest journal filename inside a store directory.
-MANIFEST_NAME = "manifest.log"
-
-#: Lock filename inside a store directory.
-LOCK_NAME = "store.lock"
-
-#: Default bound on quarantined (``.bad``) files per store directory.
+#: Bound on quarantined (``.bad``) files per store directory.
 DEFAULT_QUARANTINE_CAP = 32
 
-#: Environment variable overriding the quarantine cap.
-QUARANTINE_CAP_ENV = "REPRO_STORE_QUARANTINE_CAP"
-
-#: Compact the manifest when it holds this many times more records
-#: than live entries (plus a constant floor).
-COMPACTION_FACTOR = 4
-COMPACTION_FLOOR = 64
-
-#: Filenames the store itself owns (never entries).
-_RESERVED = (MANIFEST_NAME, LOCK_NAME)
+#: Start of every entry file's header line; the payload's SHA-256
+#: (hex) and a newline follow.
+HEADER_TAG = b"repro-store/1 "
 
 
-def default_quarantine_cap() -> int:
-    value = os.environ.get(QUARANTINE_CAP_ENV)
-    if value:
-        try:
-            return max(0, int(value))
-        except ValueError:
-            pass
-    return DEFAULT_QUARANTINE_CAP
+def pid_alive(pid: int) -> bool:
+    """Whether ``pid`` names a live process (permission-safe)."""
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True  # alive, owned by someone else
+    except OSError:
+        return False
+    return True
 
 
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _frame(payload: bytes) -> bytes:
+    """Entry file bytes: header line, then ``payload``."""
+    digest = hashlib.sha256(payload).hexdigest().encode()
+    return HEADER_TAG + digest + b"\n" + payload
+
+
+def _unframe(data: bytes) -> "bytes | None":
+    """The payload of entry file bytes, or None if they fail the header."""
+    header, newline, payload = data.partition(b"\n")
+    if not newline or header != (
+            HEADER_TAG + hashlib.sha256(payload).hexdigest().encode()):
+        return None
+    return payload
+
+
+def _staging_pid(filename: str) -> "int | None":
+    """The writer pid of a ``.<name>.<pid>.tmp`` staging file, else None."""
+    if not (filename.startswith(".") and filename.endswith(".tmp")):
+        return None
+    pid = filename[: -len(".tmp")].rpartition(".")[2]
+    return int(pid) if pid.isdigit() else None
 
 
 class DurableStore:
-    """Directory-backed byte store with a write-ahead manifest.
+    """Directory-backed byte store of self-verifying entry files.
 
     ``suffix`` namespaces the entry files (``.pkl`` for the result
     cache, ``.trace.gz`` for the trace store) so existing directory
     layouts — and the tools that glob them — stay recognizable.
+    Opening a store deletes the staging files of writers that died.
     """
 
     def __init__(self, directory: str, suffix: str = ".pkl",
-                 fsync: bool = True, quarantine_cap: "int | None" = None):
+                 fsync: bool = True,
+                 quarantine_cap: int = DEFAULT_QUARANTINE_CAP):
         self.directory = directory
         self.suffix = suffix
-        self.quarantine_cap = (default_quarantine_cap()
-                               if quarantine_cap is None else quarantine_cap)
-        self.journal = Journal(
-            os.path.join(directory, MANIFEST_NAME), fsync=fsync
-        )
-        self.lock = FileLock(os.path.join(directory, LOCK_NAME))
+        self.quarantine_cap = quarantine_cap
         self.fsync = fsync
         self._chaos = chaos_from_env()
-        self._index: "dict[str, dict] | None" = None
-        self._journal_size = -1
-        self._recovered = False
+        self._sweep_staging()
 
     # ------------------------------------------------------------------
     # Paths and naming
@@ -111,13 +113,15 @@ class DurableStore:
             self.directory, f".{key}.{os.getpid()}.tmp"
         )
 
-    def _is_entry(self, filename: str) -> bool:
-        return (filename.endswith(self.suffix)
-                and filename not in _RESERVED
-                and not filename.startswith("."))
-
-    def _entry_key(self, filename: str) -> str:
-        return filename[: -len(self.suffix)]
+    def _kind(self, filename: str) -> "str | None":
+        """Which :meth:`stats` count ``filename`` falls in, if any."""
+        if filename.endswith(".tmp"):
+            return "tmp"
+        if filename.endswith(".bad"):
+            return "quarantined"
+        if filename.endswith(self.suffix) and not filename.startswith("."):
+            return "entries"
+        return None
 
     def _listdir(self) -> list:
         try:
@@ -126,176 +130,80 @@ class DurableStore:
             return []
 
     # ------------------------------------------------------------------
-    # Manifest index
-    # ------------------------------------------------------------------
-    def _load_index(self) -> dict:
-        """(Re)build the key -> {digest, size} map from the manifest."""
-        try:
-            size = os.path.getsize(self.journal.path)
-        except OSError:
-            size = 0
-        if self._index is not None and size == self._journal_size:
-            return self._index
-        index: "dict[str, dict]" = {}
-        records, _dropped = self.journal.read()
-        for record in records:
-            op = record.get("op")
-            if op == "put":
-                index[record["key"]] = {
-                    "digest": record.get("digest"),
-                    "size": record.get("size"),
-                }
-            elif op in ("del", "quarantine"):
-                index.pop(record.get("key"), None)
-            elif op == "clear":
-                index.clear()
-        self._index = index
-        self._journal_size = size
-        return index
-
-    def _invalidate_index(self) -> None:
-        self._index = None
-        self._journal_size = -1
-
-    # ------------------------------------------------------------------
-    # Reads
+    # Reads and writes
     # ------------------------------------------------------------------
     def get_bytes(self, key: str) -> "bytes | None":
         """Verified payload bytes of ``key``, or None on miss.
 
-        A present entry whose bytes fail the manifest checksum — or
-        that the manifest has never heard of (a torn foreign write) —
-        is quarantined and reported as a miss.
+        A present entry that fails its own header — torn, truncated,
+        bit-flipped or foreign — is quarantined and reported as a miss.
         """
-        self._maybe_recover()
-        path = self.path(key)
-        for attempt in range(2):
-            try:
-                with open(path, "rb") as handle:
-                    data = handle.read()
-            except OSError:
-                return None  # plain miss
-            entry = self._load_index().get(key)
-            if entry is not None and entry.get("digest") == _digest(data):
-                return data
-            if attempt == 0:
-                # A concurrent put may have replaced the entry between
-                # our file read and index load; re-read once before
-                # condemning it.
-                self._invalidate_index()
-                continue
+        try:
+            with open(self.path(key), "rb") as handle:
+                payload = _unframe(handle.read())
+        except OSError:
+            return None  # plain miss
+        if payload is None:
             self.quarantine(key)
-            return None
-        return None
+        return payload
 
-    def contains(self, key: str) -> bool:
-        return (os.path.exists(self.path(key))
-                and key in self._load_index())
-
-    # ------------------------------------------------------------------
-    # Writes
-    # ------------------------------------------------------------------
     def put_bytes(self, key: str, data: bytes) -> bool:
         """Durably store ``data`` under ``key``; False on any failure.
 
-        Write-ahead ordering: staging file fsync'd, manifest record
-        appended and fsync'd, *then* the rename publishes the entry.
-        A crash at any point leaves either no entry, or a journaled
-        complete entry — never an unjournaled or half-visible one.
+        The entry is written whole to a private staging file, fsync'd,
+        then renamed into place, so readers see the old entry or the
+        new one, never a partial write.
         """
-        self._maybe_recover()
-        try:
-            os.makedirs(self.directory, exist_ok=True)
-        except OSError:
-            return False
+        entry = _frame(data)
+        if self._chaos is not None:
+            torn = self._chaos.torn_length(key, len(entry))
+            if torn is not None:
+                # Injected torn commit: the rename publishes a
+                # truncated file, as a reordering crash would.
+                entry = entry[:torn]
         temp_path = self._temp_path(key)
         try:
-            with self.lock:
-                self._write_staging(key, temp_path, data)
-                self.journal.append({
-                    "op": "put", "key": key, "digest": _digest(data),
-                    "size": len(data),
-                })
-                self._invalidate_index()
-                torn = (self._chaos.torn_length(key, len(data))
-                        if self._chaos is not None else None)
-                if torn is not None:
-                    # Injected torn commit: publish a truncated entry
-                    # against a full-length manifest record, exactly
-                    # what a reordering crash would leave behind.
-                    with open(temp_path, "r+b") as handle:
-                        handle.truncate(torn)
-                os.replace(temp_path, self.path(key))
-                if self.fsync:
-                    _fsync_directory(self.directory)
-            return True
-        except Exception:
+            os.makedirs(self.directory, exist_ok=True)
+            self._write_staging(key, temp_path, entry)
+            os.replace(temp_path, self.path(key))
+        except OSError:
             try:
-                if os.path.exists(temp_path):
-                    os.unlink(temp_path)
+                os.unlink(temp_path)
             except OSError:
                 pass
             return False
+        if self.fsync:
+            _fsync_directory(self.directory)
+        return True
 
     def _write_staging(self, key: str, temp_path: str,
-                       data: bytes) -> None:
-        fd = os.open(temp_path,
-                     os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-        try:
+                       entry: bytes) -> None:
+        with open(temp_path, "wb") as handle:
             if self._chaos is not None and self._chaos.should_fail_enospc(
                     key):
-                os.write(fd, data[: max(0, len(data) // 2)])
+                handle.write(entry[: len(entry) // 2])
                 raise OSError(errno.ENOSPC, "injected ENOSPC (chaos)")
-            os.write(fd, data)
+            handle.write(entry)
             if self.fsync:
-                os.fsync(fd)
-        finally:
-            os.close(fd)
-
-    def delete(self, key: str) -> bool:
-        """Remove one entry (journaled); False if it did not exist."""
-        with self.lock:
-            existed = os.path.exists(self.path(key))
-            in_index = key in self._load_index()
-            if not existed and not in_index:
-                return False
-            self.journal.append({"op": "del", "key": key})
-            self._invalidate_index()
-            try:
-                os.unlink(self.path(key))
-            except OSError:
-                pass
-            return existed
+                handle.flush()
+                os.fsync(handle.fileno())
 
     # ------------------------------------------------------------------
     # Quarantine
     # ------------------------------------------------------------------
     def quarantine(self, key: str) -> None:
-        """Move ``key``'s entry aside as ``.bad`` (journaled, bounded).
+        """Move ``key``'s entry aside as ``.bad`` (bounded).
 
         Public because callers own the codec: a payload that passes the
-        byte checksum but fails to decode (stale class layout) is just
-        as quarantinable as a torn write.
+        checksum but fails to decode (stale class layout) is just as
+        quarantinable as a torn write. Never raises: at worst the
+        corrupt entry stays and is re-detected on the next read.
         """
         path = self.path(key)
         try:
-            with self.lock:
-                try:
-                    self.journal.append({"op": "quarantine", "key": key})
-                except OSError:
-                    pass
-                self._invalidate_index()
-                try:
-                    os.replace(path, path + ".bad")
-                except OSError:
-                    pass
-                self._enforce_quarantine_cap()
-        except Exception:
-            # Quarantine must never raise into a read path; worst case
-            # the corrupt entry stays and is re-detected next read.
-            pass
-
-    def _enforce_quarantine_cap(self) -> None:
+            os.replace(path, path + ".bad")
+        except OSError:
+            return
         bad = []
         for filename in self._listdir():
             if filename.endswith(".bad"):
@@ -305,17 +213,14 @@ class DurableStore:
                 except OSError:
                     continue
         bad.sort()
-        excess = len(bad) - self.quarantine_cap
-        for _mtime, full in bad[:max(0, excess)]:
+        for _mtime, full in bad[:max(0, len(bad) - self.quarantine_cap)]:
             try:
                 os.unlink(full)
             except OSError:
                 pass
 
     def quarantine_count(self) -> int:
-        return sum(
-            1 for name in self._listdir() if name.endswith(".bad")
-        )
+        return self.stats()["quarantined"]
 
     # ------------------------------------------------------------------
     # Bulk operations
@@ -324,161 +229,62 @@ class DurableStore:
         """Delete every entry; returns how many real entries existed.
 
         Debris — staging files and quarantined entries — is removed
-        too but not counted. The manifest is compacted to a single
-        ``clear`` record.
+        too but not counted.
         """
         removed = 0
-        try:
-            with self.lock:
-                for filename in self._listdir():
-                    if filename in _RESERVED:
-                        continue
-                    full = os.path.join(self.directory, filename)
-                    if self._is_entry(filename):
-                        try:
-                            os.unlink(full)
-                        except OSError:
-                            continue
-                        removed += 1
-                    elif filename.endswith((".tmp", ".bad")):
-                        try:
-                            os.unlink(full)
-                        except OSError:
-                            pass
-                self.journal.rewrite([{"op": "clear"}])
-                self._invalidate_index()
-        except OSError:
-            return removed
+        for filename in self._listdir():
+            kind = self._kind(filename)
+            if kind is None:
+                continue
+            try:
+                os.unlink(os.path.join(self.directory, filename))
+            except OSError:
+                continue
+            removed += kind == "entries"
         return removed
 
-    # ------------------------------------------------------------------
-    # Recovery
-    # ------------------------------------------------------------------
-    def _maybe_recover(self) -> None:
-        if not self._recovered:
-            self._recovered = True
-            if os.path.isdir(self.directory):
-                try:
-                    self.recover()
-                except Exception:
-                    pass  # recovery is best-effort on the hot path
-
-    def recover(self) -> dict:
-        """Crash recovery: sweep staging debris, repair the manifest,
-        quarantine unjournaled entries, compact when oversized.
-
-        Idempotent and safe to run concurrently (serialized by the
-        store lock); every entry surviving recovery is journaled and
-        checksummed. Returns counters for tests and tooling.
-        """
-        report = {"stale_tmp": 0, "torn_journal_records": 0,
-                  "unjournaled": 0, "compacted": False}
-        with self.lock:
-            # 1. Staging files from dead writers.
-            for filename in self._listdir():
-                if not filename.endswith(".tmp"):
-                    continue
-                if not self._stale_tmp(filename):
-                    continue
+    def _sweep_staging(self) -> None:
+        """Delete staging files whose writer pid is dead."""
+        for filename in self._listdir():
+            pid = _staging_pid(filename)
+            if pid is not None and not pid_alive(pid):
                 try:
                     os.unlink(os.path.join(self.directory, filename))
-                    report["stale_tmp"] += 1
                 except OSError:
                     pass
-            # 2. Torn manifest tail: keep the valid prefix.
-            records, dropped = self.journal.read()
-            if dropped:
-                self.journal.rewrite(records)
-                report["torn_journal_records"] = dropped
-            self._invalidate_index()
-            index = self._load_index()
-            # 3. Entries the manifest has never heard of cannot be
-            # trusted (torn foreign writes, pre-manifest leftovers).
-            for filename in self._listdir():
-                if not self._is_entry(filename):
-                    continue
-                key = self._entry_key(filename)
-                if key not in index:
-                    self.quarantine(key)
-                    report["unjournaled"] += 1
-            # 4. Compaction: manifest >> live entries means mostly
-            # superseded records; rewrite it from the index.
-            if len(records) > (COMPACTION_FACTOR * max(1, len(index))
-                               + COMPACTION_FLOOR):
-                live = [
-                    {"op": "put", "key": key, "digest": entry["digest"],
-                     "size": entry["size"]}
-                    for key, entry in sorted(index.items())
-                ]
-                self.journal.rewrite(live)
-                self._invalidate_index()
-                report["compacted"] = True
-        return report
-
-    @staticmethod
-    def _stale_tmp(filename: str) -> bool:
-        """Whether a staging filename's writer pid is dead/unknown."""
-        parts = filename.rsplit(".", 2)  # [".{key}", "{pid}", "tmp"]
-        if len(parts) == 3:
-            try:
-                return not pid_alive(int(parts[1]))
-            except ValueError:
-                return True
-        return True  # foreign naming: nothing we can wait for
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """Entry/quarantine/debris counts for ``--json`` surfacing."""
-        entries = 0
-        quarantined = 0
-        tmp = 0
+        counts = {"entries": 0, "quarantined": 0, "tmp": 0}
         for filename in self._listdir():
-            if self._is_entry(filename):
-                entries += 1
-            elif filename.endswith(".bad"):
-                quarantined += 1
-            elif filename.endswith(".tmp"):
-                tmp += 1
-        return {"entries": entries, "quarantined": quarantined,
-                "tmp": tmp}
+            kind = self._kind(filename)
+            if kind is not None:
+                counts[kind] += 1
+        return counts
 
     def fsck(self) -> dict:
         """Full offline verification (chaos-gate assertion surface).
 
-        Checks every entry file against the manifest; returns counts of
-        ``entries`` (verified good), ``unjournaled`` (present but not
-        manifested), ``checksum_failures``, ``tmp`` staging leftovers,
-        ``quarantined`` files, and ``torn_journal_records``. A store
-        that just finished :meth:`recover` reports zero unjournaled
-        entries and zero live-writer-less tmp files.
+        Checks every entry file against its own header; returns counts
+        of ``entries`` (verified good), ``checksum_failures``, ``tmp``
+        staging leftovers and ``quarantined`` files. Read-only: a
+        failing entry is counted, not moved.
         """
-        records, dropped = self.journal.read()
-        index = self._load_index()
-        report = {"entries": 0, "unjournaled": 0, "checksum_failures": 0,
-                  "tmp": 0, "quarantined": 0,
-                  "torn_journal_records": dropped}
+        counts = {"entries": 0, "checksum_failures": 0, "tmp": 0,
+                  "quarantined": 0}
         for filename in self._listdir():
-            full = os.path.join(self.directory, filename)
-            if filename.endswith(".tmp"):
-                report["tmp"] += 1
-            elif filename.endswith(".bad"):
-                report["quarantined"] += 1
-            elif self._is_entry(filename):
-                key = self._entry_key(filename)
-                entry = index.get(key)
-                if entry is None:
-                    report["unjournaled"] += 1
-                    continue
+            kind = self._kind(filename)
+            if kind == "entries":
                 try:
-                    with open(full, "rb") as handle:
-                        data = handle.read()
+                    with open(os.path.join(self.directory, filename),
+                              "rb") as handle:
+                        if _unframe(handle.read()) is None:
+                            kind = "checksum_failures"
                 except OSError:
-                    report["checksum_failures"] += 1
-                    continue
-                if _digest(data) != entry.get("digest"):
-                    report["checksum_failures"] += 1
-                else:
-                    report["entries"] += 1
-        return report
+                    kind = "checksum_failures"
+            if kind is not None:
+                counts[kind] += 1
+        return counts

@@ -1,18 +1,17 @@
-"""Checksummed append-only journal: the durability primitive.
+"""Checksummed append-only journal: the sweep journal's record format.
 
-Every durable structure in :mod:`repro.store` — the store manifest and
-the harness sweep journal — is an append-only text file of one-line
-records. Each line is ``<sha256-prefix> <json>``: the checksum covers
-the exact JSON bytes, so a torn final line (the only corruption an
-append-only file can suffer from a crash, given appends are serialized
-by the store lock) is detected and dropped rather than misread. A bad
-line *before* the tail indicates real disk corruption; readers stop
-there and report how many trailing records were discarded, never
-raising on a readable prefix.
+The harness sweep journal (:mod:`repro.harness.sweep`) is an
+append-only text file of one-line records. Each line is
+``<sha256-prefix> <json>``: the checksum covers the exact JSON bytes,
+so a torn final line (the only corruption an append-only file with one
+writer can suffer from a crash) is detected and dropped rather than
+misread. A bad line *before* the tail indicates real disk corruption;
+readers stop there and report how many trailing records were
+discarded, never raising on a readable prefix.
 
 Appends are O_APPEND single-``write`` calls followed by ``fsync``, so
 a record either exists completely or not at all — the write-ahead
-contract everything else builds on. ``fsync`` can be disabled per
+contract resume builds on. ``fsync`` of appends can be disabled per
 journal (the in-process tests don't need it) but defaults to on.
 """
 
@@ -23,6 +22,7 @@ import json
 import os
 
 from repro.errors import StoreError
+from repro.store.atomic import atomic_write_bytes
 
 #: Hex digits of SHA-256 prefixed to each record line.
 CHECKSUM_HEX = 16
@@ -63,8 +63,8 @@ def decode_line(line: bytes) -> "dict | None":
 class Journal:
     """Append-only file of checksummed JSON records.
 
-    One writer at a time (callers serialize through the store lock);
-    any number of concurrent readers. ``append`` is write-ahead: it
+    One writer (the sweep journal's is the parent runner process); any
+    number of concurrent readers. ``append`` is write-ahead: it
     returns only after the record is on its way to disk (fsync'd by
     default), so a caller may then perform the action the record
     describes knowing recovery will see the record first.
@@ -100,8 +100,8 @@ class Journal:
         ``dropped`` counts trailing lines discarded as torn or corrupt.
         A missing journal reads as empty. Reading stops at the first
         bad line — records after a corrupt one cannot be trusted to be
-        ordered correctly, and with serialized appenders only the tail
-        can legitimately be bad.
+        ordered correctly, and with one appender only the tail can
+        legitimately be bad.
         """
         try:
             with open(self.path, "rb") as handle:
@@ -122,44 +122,12 @@ class Journal:
 
     # ------------------------------------------------------------------
     def rewrite(self, records) -> None:
-        """Atomically replace the journal with ``records`` (compaction).
+        """Atomically replace the journal with ``records``.
 
-        Written to a temp file in the same directory, fsync'd, then
-        renamed over the journal — a crash leaves either the old or the
-        new journal, never a mixture. Callers must hold the store lock.
+        Goes through :func:`~repro.store.atomic.atomic_write_bytes`
+        (staging file, fsync, rename), so a crash leaves either the old
+        or the new journal, never a mixture.
         """
-        directory = os.path.dirname(self.path) or "."
-        os.makedirs(directory, exist_ok=True)
-        temp_path = f"{self.path}.{os.getpid()}.tmp"
-        fd = os.open(temp_path,
-                     os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-        try:
-            for record in records:
-                os.write(fd, encode_record(record))
-            if self.fsync:
-                os.fsync(fd)
-        finally:
-            os.close(fd)
-        try:
-            os.replace(temp_path, self.path)
-            _fsync_directory(directory)
-        except OSError:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            raise
-
-
-def _fsync_directory(directory: str) -> None:
-    """Persist a rename by fsyncing its directory (best effort)."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
+        atomic_write_bytes(
+            self.path, b"".join(encode_record(record) for record in records)
+        )

@@ -13,8 +13,8 @@ from repro.harness.__main__ import main
 
 
 class TestMain:
-    def test_subset_runs_and_prints(self, capsys):
-        assert main(["table3", "area"]) == 0
+    def test_subset_runs_and_prints(self, tmp_path, capsys):
+        assert main(["table3", "area", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "Table 3" in out
         assert "area overheads" in out
@@ -22,7 +22,8 @@ class TestMain:
 
     def test_json_export(self, tmp_path, capsys):
         path = tmp_path / "results.json"
-        assert main(["table4", "energy", "--json", str(path)]) == 0
+        assert main(["table4", "energy", "--json", str(path),
+                     "--cache-dir", str(tmp_path / "cache")]) == 0
         data = json.loads(path.read_text())
         assert data["scale"] in ("small", "medium", "paper")
         assert "table4" in data["experiments"]
@@ -30,8 +31,8 @@ class TestMain:
         rows = data["experiments"]["table4"]["rows"]
         assert rows[0][0] == "IG_SML"
 
-    def test_fig17_via_cli(self, capsys):
-        assert main(["fig17"]) == 0
+    def test_fig17_via_cli(self, tmp_path, capsys):
+        assert main(["fig17", "--cache-dir", str(tmp_path)]) == 0
         assert "Figure 17" in capsys.readouterr().out
 
 

@@ -1,18 +1,15 @@
-"""Durable store: WAL ordering, verification, quarantine, recovery."""
+"""Durable store: self-verifying entries, quarantine, staging sweep."""
 
+import hashlib
 import os
 import subprocess
 import sys
+import textwrap
+
+import pytest
 
 from repro.store.chaos import CHAOS_ENV
-from repro.store.durable import (
-    COMPACTION_FLOOR,
-    LOCK_NAME,
-    MANIFEST_NAME,
-    QUARANTINE_CAP_ENV,
-    DurableStore,
-    default_quarantine_cap,
-)
+from repro.store.durable import DurableStore, pid_alive
 
 
 def make(tmp_path, **kwargs):
@@ -21,9 +18,22 @@ def make(tmp_path, **kwargs):
 
 
 def dead_pid():
+    """A pid value that belonged to a real — now reaped — process."""
     proc = subprocess.Popen([sys.executable, "-c", "pass"])
     proc.wait()
     return proc.pid
+
+
+class TestPidAlive:
+    def test_own_pid(self):
+        assert pid_alive(os.getpid())
+
+    def test_nonpositive(self):
+        assert not pid_alive(0)
+        assert not pid_alive(-1)
+
+    def test_reaped_child(self):
+        assert not pid_alive(dead_pid())
 
 
 class TestRoundtrip:
@@ -31,12 +41,11 @@ class TestRoundtrip:
         store = make(tmp_path)
         assert store.put_bytes("alpha", b"payload")
         assert store.get_bytes("alpha") == b"payload"
-        assert store.contains("alpha")
 
     def test_missing_key_is_a_miss(self, tmp_path):
         store = make(tmp_path)
         assert store.get_bytes("ghost") is None
-        assert not store.contains("ghost")
+        assert store.quarantine_count() == 0
 
     def test_overwrite(self, tmp_path):
         store = make(tmp_path)
@@ -53,31 +62,25 @@ class TestRoundtrip:
         store.put_bytes("key", b"data")
         assert os.path.exists(tmp_path / "key.trace.gz")
 
-    def test_delete(self, tmp_path):
-        store = make(tmp_path)
-        store.put_bytes("key", b"data")
-        assert store.delete("key")
-        assert store.get_bytes("key") is None
-        assert not store.delete("key")
-
 
 class TestWriteAheadOrdering:
-    def test_entry_is_journaled_before_visible(self, tmp_path):
+    def test_entry_file_is_header_then_payload(self, tmp_path):
         store = make(tmp_path)
         store.put_bytes("key", b"data")
-        ops = [r["op"] for r in store.journal.records()]
-        assert "put" in ops
-        record = [r for r in store.journal.records()
-                  if r.get("key") == "key"][0]
-        assert record["size"] == 4
+        with open(store.path("key"), "rb") as handle:
+            header, _, payload = handle.read().partition(b"\n")
+        tag, digest = header.split(b" ")
+        assert tag == b"repro-store/1"
+        assert digest == hashlib.sha256(b"data").hexdigest().encode()
+        assert payload == b"data"
 
     def test_no_tmp_left_after_put(self, tmp_path):
         store = make(tmp_path)
         store.put_bytes("key", b"data")
         assert store.stats()["tmp"] == 0
 
-    def test_unjournaled_entry_quarantined_on_read(self, tmp_path):
-        """A foreign file the manifest never heard of is untrusted."""
+    def test_foreign_entry_quarantined_on_read(self, tmp_path):
+        """A file the store did not write (no header) is untrusted."""
         store = make(tmp_path)
         store.put_bytes("real", b"data")  # directory now exists
         with open(tmp_path / "foreign.pkl", "wb") as handle:
@@ -105,6 +108,24 @@ class TestVerification:
         assert store.get_bytes("key") is None
         assert store.quarantine_count() == 1
 
+    @pytest.mark.parametrize("damage", ["headerless", "truncated",
+                                        "flipped"])
+    def test_damaged_entry_is_a_quarantined_miss(self, tmp_path, damage):
+        store = make(tmp_path)
+        store.put_bytes("key", b"payload " * 16)
+        with open(store.path("key"), "rb") as handle:
+            data = bytearray(handle.read())
+        if damage == "headerless":
+            data = data.partition(b"\n")[2]
+        elif damage == "truncated":
+            data = data[:-5]
+        else:
+            data[-1] ^= 0x01  # one flipped payload bit
+        with open(store.path("key"), "wb") as handle:
+            handle.write(data)
+        assert store.get_bytes("key") is None
+        assert sorted(os.listdir(tmp_path)) == ["key.pkl.bad"]
+
     def test_good_entries_unaffected_by_bad_neighbours(self, tmp_path):
         store = make(tmp_path)
         store.put_bytes("good", b"fine")
@@ -125,15 +146,6 @@ class TestQuarantineCap:
             assert store.get_bytes(f"key{i}") is None
         assert store.quarantine_count() <= 3
 
-    def test_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(QUARANTINE_CAP_ENV, "7")
-        assert default_quarantine_cap() == 7
-        assert make(tmp_path).quarantine_cap == 7
-
-    def test_env_garbage_falls_back(self, monkeypatch):
-        monkeypatch.setenv(QUARANTINE_CAP_ENV, "lots")
-        assert default_quarantine_cap() == 32
-
 
 class TestClear:
     def test_counts_only_real_entries(self, tmp_path):
@@ -145,67 +157,29 @@ class TestClear:
         with open(tmp_path / "d.pkl.bad", "wb") as handle:
             handle.write(b"quarantined")
         assert store.clear() == 2
-        leftover = set(os.listdir(tmp_path))
-        assert leftover <= {MANIFEST_NAME, LOCK_NAME}
-        assert store.journal.records() == [{"op": "clear"}]
+        assert os.listdir(tmp_path) == []
 
 
 class TestRecovery:
+    """Opening a store sweeps staging files whose writer died."""
+
     def test_dead_writer_tmp_swept(self, tmp_path):
-        store = make(tmp_path)
-        store.put_bytes("real", b"data")
+        make(tmp_path).put_bytes("real", b"data")
         stale = tmp_path / f".victim.{dead_pid()}.tmp"
         with open(stale, "wb") as handle:
             handle.write(b"half-written")
-        report = store.recover()
-        assert report["stale_tmp"] == 1
+        store = make(tmp_path)
         assert not os.path.exists(stale)
+        assert store.get_bytes("real") == b"data"
 
     def test_live_writer_tmp_kept(self, tmp_path):
-        store = make(tmp_path)
-        store.put_bytes("real", b"data")
+        make(tmp_path).put_bytes("real", b"data")
         live = tmp_path / f".inflight.{os.getpid()}.tmp"
         with open(live, "wb") as handle:
             handle.write(b"still being written")
-        report = store.recover()
-        assert report["stale_tmp"] == 0
+        store = make(tmp_path)
         assert os.path.exists(live)
-
-    def test_torn_manifest_tail_repaired(self, tmp_path):
-        store = make(tmp_path)
-        store.put_bytes("key", b"data")
-        with open(store.journal.path, "ab") as handle:
-            handle.write(b"0123456789abcdef {torn")  # no newline
-        report = store.recover()
-        assert report["torn_journal_records"] == 1
-        assert store.journal.read()[1] == 0  # clean after repair
-        assert store.get_bytes("key") == b"data"
-
-    def test_unjournaled_entries_quarantined(self, tmp_path):
-        store = make(tmp_path)
-        store.put_bytes("real", b"data")
-        with open(tmp_path / "foreign.pkl", "wb") as handle:
-            handle.write(b"unjournaled")
-        report = store.recover()
-        assert report["unjournaled"] == 1
-        assert store.fsck()["unjournaled"] == 0
-
-    def test_recovery_is_idempotent(self, tmp_path):
-        store = make(tmp_path)
-        store.put_bytes("key", b"data")
-        store.recover()
-        report = store.recover()
-        assert report == {"stale_tmp": 0, "torn_journal_records": 0,
-                          "unjournaled": 0, "compacted": False}
-
-    def test_compaction_when_manifest_dwarfs_entries(self, tmp_path):
-        store = make(tmp_path)
-        for _ in range(COMPACTION_FLOOR + 10):
-            store.put_bytes("key", b"data")
-        report = store.recover()
-        assert report["compacted"]
-        assert len(store.journal.records()) == 1
-        assert store.get_bytes("key") == b"data"
+        assert store.stats()["tmp"] == 1
 
 
 class TestFsck:
@@ -216,8 +190,8 @@ class TestFsck:
         report = store.fsck()
         assert report["entries"] == 2
         assert report["checksum_failures"] == 0
-        assert report["unjournaled"] == 0
         assert report["tmp"] == 0
+        assert report["quarantined"] == 0
 
     def test_detects_corruption_without_repairing(self, tmp_path):
         store = make(tmp_path)
@@ -249,3 +223,62 @@ class TestChaosInjection:
         monkeypatch.delenv(CHAOS_ENV, raising=False)
         store = make(tmp_path)
         assert store._chaos is None
+
+
+#: One writer of the shared key: put its own payload, read the key back
+#: and check the bytes are some writer's complete payload, 200 times.
+WRITER = textwrap.dedent("""
+    import sys
+    sys.path.insert(0, sys.argv[1])
+    from repro.store.durable import DurableStore
+
+    directory, index, writers = sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+    payloads = [(b"writer %d " % i) * 4096 for i in range(writers)]
+    store = DurableStore(directory, fsync=False)
+    print("ready", flush=True)
+    sys.stdin.readline()  # start together
+    for _ in range(200):
+        assert store.put_bytes("shared", payloads[index])
+        data = store.get_bytes("shared")
+        if data not in payloads:
+            print("bad read", None if data is None else len(data))
+            sys.exit(1)
+    print("ok")
+""")
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.dirname(os.path.abspath(__file__)))), "src")
+
+
+class TestConcurrentWriters:
+    def test_four_processes_share_one_key(self, tmp_path, monkeypatch):
+        """Without a lock, concurrent puts of one key still publish
+        whole files: every get sees one writer's complete payload."""
+        monkeypatch.delenv(CHAOS_ENV, raising=False)
+        store = make(tmp_path)  # opened first: its sweep cannot hide debris
+        writers = 4
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", WRITER, SRC, str(tmp_path),
+                 str(index), str(writers)],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            )
+            for index in range(writers)
+        ]
+        try:
+            for proc in procs:
+                assert proc.stdout.readline().strip() == "ready"
+            for proc in procs:
+                proc.stdin.write("go\n")
+                proc.stdin.flush()
+            outputs = [proc.communicate(timeout=120)[0] for proc in procs]
+        finally:
+            for proc in procs:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+        assert [proc.returncode for proc in procs] == [0] * writers, outputs
+        assert all(out.strip() == "ok" for out in outputs), outputs
+        report = store.fsck()
+        assert report == {"entries": 1, "checksum_failures": 0, "tmp": 0,
+                          "quarantined": 0}

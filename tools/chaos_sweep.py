@@ -4,8 +4,8 @@ Proves the durability story end to end: a harness sweep that is
 SIGKILLed at random points — with torn-write and ENOSPC faults injected
 into the durable store — and then resumed converges to results
 bit-identical to an uninterrupted run, with zero journaled completions
-lost or re-executed and no orphan worker processes, ``.tmp`` staging
-files, or unjournaled store entries left behind.
+lost or re-executed, no orphan worker processes or ``.tmp`` staging
+files left behind, and every injected tear caught by the store.
 
     PYTHONPATH=src python tools/chaos_sweep.py              # full gate
     PYTHONPATH=src python tools/chaos_sweep.py --smoke      # CI subset
@@ -27,8 +27,10 @@ Procedure:
 4. **Audit** — the final payload's ``experiments`` block must equal
    the reference bit-for-bit; the sweep journal must contain no
    ``launch`` after a ``done`` for the same experiment and at most one
-   ``done`` per experiment; after store recovery, ``fsck`` must report
-   zero unjournaled entries and zero ``.tmp`` files.
+   ``done`` per experiment; ``fsck`` of both stores must report zero
+   ``.tmp`` files, checksum failures only when torn commits were
+   injected, and — when they were — at least one checksum failure or
+   quarantined entry, so a run whose tears never landed cannot pass.
 
 Exit status 0 when every gate holds, 1 otherwise.
 """
@@ -49,8 +51,9 @@ SRC = os.path.join(REPO, "src")
 if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
+from repro.errors import ConfigurationError  # noqa: E402
 from repro.harness.sweep import SWEEP_JOURNAL_NAME  # noqa: E402
-from repro.store.chaos import CHAOS_ENV  # noqa: E402
+from repro.store.chaos import CHAOS_ENV, parse_chaos  # noqa: E402
 from repro.store.durable import DurableStore  # noqa: E402
 from repro.store.journal import Journal  # noqa: E402
 
@@ -168,17 +171,20 @@ def audit_journal(journal_path, experiments):
     return violations
 
 
-def audit_stores(cache_dir, faults_injected=False):
-    """Recover then fsck every durable store under the cache dir.
+def audit_stores(cache_dir, torn=0.0):
+    """Fsck every durable store under the cache dir.
 
-    Recovery is part of the resume contract (the next run would do the
-    same lazily); what must *never* survive it is an unjournaled entry
-    or a staging file. Checksum-failing entries at rest are a
-    violation only when no faults were injected: the torn-write chaos
-    tears the same keys on every put (draws are deterministic per
-    key), so such entries legitimately remain on disk — the read path
-    quarantines them and recomputes, which the bit-identity gate
-    already proves.
+    No staging file may remain: opening a store sweeps the staging
+    files of dead writers, and every harness process has exited by
+    now, so one left over is a leak.
+
+    Checksum-failing entries at rest are expected only when torn
+    commits were injected (``torn`` > 0): the draws are deterministic
+    per key, so the same keys are torn on every put and their entries
+    legitimately stay on disk — the read path quarantines them and
+    recomputes, which the bit-identity gate already proves. With tears
+    injected, some store must show a checksum failure or a quarantined
+    entry, or the gate injected nothing and proved nothing.
     """
     violations = []
     report = {}
@@ -187,30 +193,28 @@ def audit_stores(cache_dir, faults_injected=False):
     if os.path.isdir(traces_dir):
         stores.append(("traces", traces_dir, ".trace.gz"))
     for label, directory, suffix in stores:
-        store = DurableStore(directory, suffix=suffix)
-        recovered = store.recover()
-        health = store.fsck()
-        report[label] = {"recovered": recovered, "fsck": health}
-        if health["unjournaled"]:
-            violations.append(
-                f"{label}: {health['unjournaled']} unjournaled entr"
-                "ies after recovery"
-            )
+        health = DurableStore(directory, suffix=suffix).fsck()
+        report[label] = health
+        log(f"{label} store: {health['entries']} entries, "
+            f"{health['checksum_failures']} torn at rest, "
+            f"{health['quarantined']} quarantined, {health['tmp']} .tmp")
         if health["tmp"]:
             violations.append(
-                f"{label}: {health['tmp']} .tmp staging file(s) after "
-                "recovery"
+                f"{label}: {health['tmp']} .tmp staging file(s) left "
+                "behind"
             )
-        if health["checksum_failures"]:
-            if faults_injected:
-                log(f"note: {label}: {health['checksum_failures']} "
-                    "torn entr(y/ies) at rest from injected faults — "
-                    "detected and quarantined on read")
-            else:
-                violations.append(
-                    f"{label}: {health['checksum_failures']} entries "
-                    "fail their manifest checksum after recovery"
-                )
+        if health["checksum_failures"] and not torn:
+            violations.append(
+                f"{label}: {health['checksum_failures']} entries fail "
+                "their checksum with no torn commits injected"
+            )
+    detected = sum(health["checksum_failures"] + health["quarantined"]
+                   for health in report.values())
+    if torn and not detected:
+        violations.append(
+            f"torn={torn:g} was injected but no store shows a checksum "
+            "failure or a quarantined entry: the gate tore nothing"
+        )
     return violations, report
 
 
@@ -271,7 +275,7 @@ def main(argv=None):
     parser.add_argument("--max-delay", type=float, default=None,
                         help="maximum kill delay in seconds "
                              "(default 6.0; smoke 3.0)")
-    parser.add_argument("--store-chaos", default="seed=7,enospc=0.05,torn=0.05",
+    parser.add_argument("--store-chaos", default="seed=7,enospc=0.05,torn=0.2",
                         help="REPRO_STORE_CHAOS spec for chaos runs "
                              "('' disables fault injection)")
     parser.add_argument("--keep", action="store_true",
@@ -279,6 +283,10 @@ def main(argv=None):
     parser.add_argument("--json", default=None,
                         help="write a structured gate report to PATH")
     args = parser.parse_args(argv)
+    try:
+        chaos = parse_chaos(args.store_chaos)
+    except ConfigurationError as exc:
+        parser.error(str(exc))
 
     experiments = SMOKE_EXPERIMENTS if args.smoke else FULL_EXPERIMENTS
     kills = args.kills if args.kills is not None else (2 if args.smoke
@@ -376,7 +384,7 @@ def main(argv=None):
 
         # ---- 4c. store fsck ------------------------------------------
         store_violations, store_report = audit_stores(
-            chaos_cache, faults_injected=bool(args.store_chaos)
+            chaos_cache, torn=chaos.torn if chaos is not None else 0.0
         )
         failures.extend(store_violations)
         report["store_audit"] = store_report
@@ -398,8 +406,7 @@ def main(argv=None):
             log(f"FAIL: {failure}")
         return 1
     log("PASS: killed-and-resumed sweep is bit-identical to the "
-        "reference, with no re-execution, orphans, tmp files, or "
-        "unjournaled entries")
+        "reference, with no re-execution, orphans, or tmp files")
     return 0
 
 
