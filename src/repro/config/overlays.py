@@ -5,15 +5,14 @@ pattern: a harness CLI flag (or an operator) exports ``REPRO_<NAME>``,
 and one owner module parses it into :class:`~repro.config.machine.
 MachineConfig` overrides or behaviour switches. Before this registry,
 the set of live variables existed only as grep output — a new overlay
-could ship undocumented, and the sweep journal's result-affecting
-fingerprint (:data:`repro.harness.sweep.RESULT_ENV_VARS`) had to be
-maintained by hand.
+could ship undocumented, and the list of result-affecting variables
+had to be maintained by hand.
 
 This module is the single source of truth. Every entry carries the
 variable's name, the module that parses it, its scope (``src`` for the
 simulator, ``tests``/``tools`` for the suites around it), whether it
-changes experiment *results* (and therefore must key sweep journals and
-caches), one documentation line, and an example value. ``ENV.md`` at
+changes experiment *results* (and therefore must key the stored
+experiment results), one documentation line, and an example value. ``ENV.md`` at
 the repository root is generated from this table
 (``python -m repro.selfcheck --write-env-md``) and CI fails when it
 drifts.
@@ -48,9 +47,9 @@ class EnvOverlay:
     #: complete).
     scope: str = "src"
     #: True when the variable changes experiment *results* (not just
-    #: speed or diagnostics). These names key the sweep journal
-    #: fingerprint so a journal recorded under one overlay is never
-    #: served under another.
+    #: speed or diagnostics). These names key the harness's stored
+    #: experiment results, so a result stored under one overlay is
+    #: never served under another.
     result_affecting: bool = False
 
 
@@ -135,8 +134,9 @@ OVERLAYS: "tuple[EnvOverlay, ...]" = (
 #: Registered names, for membership tests.
 REGISTERED: "frozenset[str]" = frozenset(entry.name for entry in OVERLAYS)
 
-#: Names that change experiment results — the sweep journal fingerprint
-#: folds these in (see :func:`repro.harness.sweep.sweep_fingerprint`).
+#: Names that change experiment results — every stored experiment's
+#: key folds these in (see
+#: :meth:`repro.harness.resultcache.ResultCache.experiment_key`).
 RESULT_AFFECTING: "tuple[str, ...]" = tuple(
     entry.name for entry in OVERLAYS if entry.result_affecting
 )
@@ -167,8 +167,8 @@ _HEADER = (
     "Every `REPRO_*` variable the repository reads, from the central",
     "registry in `src/repro/config/overlays.py`. *Result-affecting*",
     "variables change experiment results (not just speed or",
-    "diagnostics); they key the sweep journal and result cache, so two",
-    "runs under different values never share cached artifacts.",
+    "diagnostics); they key the stored experiment results, so two",
+    "runs under different values never share a finished experiment.",
 )
 
 

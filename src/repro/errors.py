@@ -102,22 +102,13 @@ class MemorySystemError(ReproError):
     """An illegal memory-system request was issued."""
 
 
-class StoreError(ReproError):
-    """A record cannot be written to a :mod:`repro.store` journal.
-
-    Raised when a journal record would not encode as one line. Store
-    entries never raise: a failed put returns False, and a corrupt
-    entry is quarantined and reads as a miss.
-    """
-
-
 class SweepInterrupted(ReproError):
     """A harness sweep was stopped by SIGINT/SIGTERM and drained.
 
-    The runner terminated every worker process group, journaled the
-    interruption, and re-raised as this error. ``results``/``timings``
-    carry everything completed before the drain; the sweep journal
-    (when one was configured) allows ``--resume`` to continue exactly
+    The runner terminated every worker process group and re-raised as
+    this error. ``results``/``timings`` carry everything completed
+    before the drain. With a cache directory, every completed
+    experiment is also stored there, so rerunning the sweep continues
     where the drain stopped.
     """
 

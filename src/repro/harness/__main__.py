@@ -7,6 +7,9 @@ Pass experiment names (``fig11 fig17 area ...``) to run a subset, and
 ``--jobs N`` fans independent experiments across N worker processes;
 ``--cache-dir DIR`` / ``--no-cache`` control the on-disk result cache
 (default ``.repro-cache``, see :mod:`repro.harness.resultcache`).
+The cache also keeps every finished experiment, so a rerun serves what
+an earlier (possibly interrupted) run completed and executes only the
+rest; ``trace`` always runs, and ``--no-cache`` forces execution.
 Every run re-times repeats of a functional config from recorded kernel
 traces (:mod:`repro.machine.replay`), kept in ``<cache-dir>/traces``,
 or under ``--no-cache`` in a temporary directory the run deletes.
@@ -36,7 +39,6 @@ from repro.errors import ConfigurationError, SweepInterrupted
 from repro.exitcodes import run_cli
 from repro.harness import figures, runner
 from repro.harness.resultcache import default_cache_dir
-from repro.harness.sweep import default_sweep_journal
 from repro.store.atomic import atomic_write_text
 
 USAGE = """\
@@ -48,19 +50,15 @@ Runs every experiment when none is named. Known experiments:
 options:
   --jobs N         run experiments in N parallel worker processes
   --timeout S      per-experiment timeout in seconds (isolated workers)
-  --deadline S     total sweep wall-clock budget; past it, unfinished
-                   experiments become structured failures (exit 1)
-                   instead of running or retrying unbounded
-  --resume         continue an interrupted sweep from the journal in
-                   the cache directory: journaled completions are
-                   served without re-execution (needs the cache)
   --fail-fast      abort on the first failure instead of degrading
   --json PATH      also dump structured results as JSON to PATH
                    (includes durable-store entry/quarantine counts)
-  --cache-dir DIR  on-disk benchmark result cache and kernel traces
-                   (default {cache_dir})
-  --no-cache       disable the on-disk cache for this run; kernel
-                   traces go to a temporary directory it deletes
+  --cache-dir DIR  on-disk cache of benchmark and experiment results
+                   and kernel traces (default {cache_dir}); experiments
+                   finished by an earlier run are served, not rerun
+  --no-cache       disable the on-disk cache for this run, executing
+                   every experiment; kernel traces go to a temporary
+                   directory it deletes
   --trace-path P   output file of the `trace` experiment
                    (default repro-trace.json; load in Perfetto)
   --list           list experiment names and exit
@@ -148,14 +146,13 @@ def _parse_args(argv):
     """Split argv into (names, options) or raise ValueError."""
     options = {"json": None, "jobs": 1, "cache_dir": default_cache_dir(),
                "no_cache": False, "list": False, "timeout": None,
-               "fail_fast": False, "trace_path": None,
-               "deadline": None, "resume": False}
+               "fail_fast": False, "trace_path": None}
     names = []
     position = 0
     while position < len(argv):
         token = argv[position]
         if token in ("--json", "--jobs", "--cache-dir", "--timeout",
-                     "--trace-path", "--deadline"):
+                     "--trace-path"):
             if position + 1 >= len(argv):
                 raise ValueError(f"{token} requires a value")
             value = argv[position + 1]
@@ -165,17 +162,16 @@ def _parse_args(argv):
                 options["cache_dir"] = value
             elif token == "--trace-path":
                 options["trace_path"] = value
-            elif token in ("--timeout", "--deadline"):
-                field = token.lstrip("-")
+            elif token == "--timeout":
                 try:
-                    options[field] = float(value)
+                    options["timeout"] = float(value)
                 except ValueError:
                     raise ValueError(
-                        f"{token} needs a number of seconds, got "
+                        "--timeout needs a number of seconds, got "
                         f"{value!r}"
                     ) from None
-                if options[field] <= 0:
-                    raise ValueError(f"{token} must be positive")
+                if options["timeout"] <= 0:
+                    raise ValueError("--timeout must be positive")
             else:
                 try:
                     options["jobs"] = int(value)
@@ -189,8 +185,6 @@ def _parse_args(argv):
             continue
         if token == "--no-cache":
             options["no_cache"] = True
-        elif token == "--resume":
-            options["resume"] = True
         elif token == "--fail-fast":
             options["fail_fast"] = True
         elif token == "--list":
@@ -234,8 +228,6 @@ def main(argv=None) -> int:
             )
 
     cache_dir = None if options["no_cache"] else options["cache_dir"]
-    if options["resume"] and cache_dir is None:
-        return _fail("--resume requires the on-disk cache (no --no-cache)")
     try:
         scale = figures.default_scale()
     except ValueError as exc:
@@ -250,16 +242,12 @@ def main(argv=None) -> int:
     # Forked workers inherit the path, so isolated runs see it too.
     figures.set_trace_path(options["trace_path"])
     print(f"# repro harness (scale: {scale}, jobs: {options['jobs']})\n")
-    sweep_journal = (default_sweep_journal(cache_dir)
-                     if cache_dir is not None else None)
     try:
         with _trace_store(cache_dir):
             results, timings = runner.run_many(
                 selected, jobs=options["jobs"], cache_dir=cache_dir,
                 timeout=options["timeout"],
                 fail_fast=options["fail_fast"],
-                deadline=options["deadline"],
-                sweep_journal=sweep_journal, resume=options["resume"],
             )
     except runner.ExperimentError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Keyed on-disk cache for benchmark results.
+"""Keyed on-disk cache for benchmark and experiment results.
 
 Running the full figure suite re-simulates the same (benchmark, config,
 scale) triples many times across processes and invocations. The
@@ -12,6 +12,12 @@ field of the machine configuration, and the workload scale, so any
 source change or config tweak invalidates the cache automatically.
 Deleting the cache directory (default ``.repro-cache``, overridable via
 ``REPRO_CACHE_DIR``) is always safe.
+
+The same directory holds each finished harness experiment's result
+dict (:meth:`ResultCache.get_experiment`), keyed on the code
+fingerprint, the experiment name and every result-affecting overlay
+(:data:`~repro.config.overlays.RESULT_AFFECTING`), so a rerun of a
+sweep serves what an earlier, possibly killed, run already finished.
 
 Durability is delegated wholesale to
 :class:`repro.store.DurableStore`: each entry file carries the SHA-256
@@ -31,6 +37,7 @@ import hashlib
 import os
 import pickle
 
+from repro.config.overlays import RESULT_AFFECTING
 from repro.fingerprint import code_fingerprint, config_fingerprint
 from repro.store import DurableStore
 
@@ -77,6 +84,14 @@ class ResultCache:
         )
         return hashlib.sha256(payload.encode()).hexdigest()
 
+    def experiment_key(self, name: str) -> str:
+        """Stable key for one harness experiment under this process's
+        code and result-affecting overlays."""
+        parts = [self._fingerprint, "experiment", name]
+        for variable in RESULT_AFFECTING:
+            parts.append(f"{variable}={os.environ.get(variable, '')}")
+        return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
     def _path(self, key: str) -> str:
         return self._store.path(key)
 
@@ -90,7 +105,27 @@ class ResultCache:
         not re-parsed on every subsequent run; a later :meth:`put`
         recreates the entry cleanly.
         """
-        key = self.key(benchmark, config, scale)
+        return self._load(self.key(benchmark, config, scale))
+
+    def put(self, benchmark: str, config, scale: str, result) -> None:
+        """Store a result; failures to write are non-fatal.
+
+        Serialization failures (an unpicklable result) and write
+        failures (ENOSPC, permissions) leave the store untouched — no
+        temp files, no entry.
+        """
+        self._dump(self.key(benchmark, config, scale), result)
+
+    def get_experiment(self, name: str):
+        """Stored result dict of experiment ``name``, or None (as
+        :meth:`get`)."""
+        return self._load(self.experiment_key(name))
+
+    def put_experiment(self, name: str, result) -> None:
+        """Store experiment ``name``'s result dict (as :meth:`put`)."""
+        self._dump(self.experiment_key(name), result)
+
+    def _load(self, key: str):
         data = self._store.get_bytes(key)
         if data is None:
             return None
@@ -103,18 +138,12 @@ class ResultCache:
             self._store.quarantine(key)
             return None
 
-    def put(self, benchmark: str, config, scale: str, result) -> None:
-        """Store a result; failures to write are non-fatal.
-
-        Serialization failures (an unpicklable result) and write
-        failures (ENOSPC, permissions) leave the store untouched — no
-        temp files, no entry.
-        """
+    def _dump(self, key: str, result) -> None:
         try:
             data = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
             return
-        self._store.put_bytes(self.key(benchmark, config, scale), data)
+        self._store.put_bytes(key, data)
 
     # ------------------------------------------------------------------
     def clear(self) -> "int":

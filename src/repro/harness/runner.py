@@ -1,4 +1,4 @@
-"""Experiment registry and crash-isolated, resumable parallel execution.
+"""Experiment registry and crash-isolated parallel execution.
 
 The figure/table experiments are independent of one another, so the CLI
 can fan them out across worker processes with :func:`run_many`. Workers
@@ -19,20 +19,18 @@ that would fail identically on a re-run) are recorded immediately.
 Opt out of graceful degradation with ``fail_fast=True``, which aborts
 on the first unrecoverable failure.
 
-Sweeps are crash-consistent: with a ``sweep_journal`` configured (the
-CLI wires ``<cache-dir>/sweep.journal``), every launch, completion and
-failure is journaled write-ahead, so an interrupted run — SIGINT,
-SIGTERM, or ``kill -9`` of the parent — can continue with
-``resume=True`` (CLI ``--resume``), serving journaled completions
-without re-executing them. SIGINT/SIGTERM trigger a graceful drain
-that terminates each worker's *process group* (workers run in their
-own groups, with ``PR_SET_PDEATHSIG`` as a backstop against parent
-``kill -9``), journals the interruption, and raises
-:class:`~repro.errors.SweepInterrupted` carrying everything completed.
-A ``deadline`` bounds the sweep's total wall clock: when it passes,
-in-flight workers are stopped and every unfinished experiment is
-recorded as a structured failure instead of running (or retrying)
-unbounded.
+The same cache keeps finished experiments: each successful result dict
+is stored under a key over the code fingerprint, the experiment name
+and every result-affecting overlay, and every run serves the stored
+experiments (with a timing of 0.0) instead of executing them. A rerun
+of an interrupted sweep — SIGINT, SIGTERM, or ``kill -9`` of the
+parent — therefore continues where it stopped. Failures are never
+stored, and the experiments in :data:`ALWAYS_RUN` always execute.
+SIGINT/SIGTERM trigger a graceful drain that terminates each worker's
+*process group* (workers run in their own groups, with
+``PR_SET_PDEATHSIG`` as a backstop against parent ``kill -9``) and
+raises :class:`~repro.errors.SweepInterrupted` carrying everything
+completed.
 
 Workload scale is selected by the ``REPRO_SCALE`` environment variable
 (as everywhere else in the harness); forked workers inherit it. They
@@ -53,7 +51,7 @@ import time
 
 from repro.errors import ReproError, SweepInterrupted
 from repro.harness import figures
-from repro.harness.sweep import SweepJournal
+from repro.harness.resultcache import ResultCache
 
 #: Experiment name -> runner, in report order (the CLI preserves it).
 EXPERIMENTS = {
@@ -77,6 +75,11 @@ EXPERIMENTS = {
     "headline": figures.headline,
     "trace": figures.trace,
 }
+
+#: Experiments that are never stored in the cache, so every run
+#: executes them: ``trace``'s product is the file it writes, not its
+#: result dict.
+ALWAYS_RUN = ("trace",)
 
 #: Test/CI hooks: name an experiment in these variables to force it to
 #: raise or hang, exercising the crash-isolation and timeout paths.
@@ -190,12 +193,10 @@ def _retry_delay(attempt: int) -> float:
 # ----------------------------------------------------------------------
 # Worker-side plumbing
 # ----------------------------------------------------------------------
-def _init_worker(cache_dir: "str | None") -> None:
-    """Install the shared disk cache inside a worker process."""
-    if cache_dir is not None:
-        from repro.harness.resultcache import ResultCache
-
-        figures.set_result_cache(ResultCache(cache_dir))
+def _init_worker(cache: "ResultCache | None") -> None:
+    """Install the shared disk cache behind ``run_benchmark``."""
+    if cache is not None:
+        figures.set_result_cache(cache)
 
 
 def _isolate_worker() -> None:
@@ -232,11 +233,11 @@ def _isolate_worker() -> None:
         os._exit(1)
 
 
-def _worker_entry(name: str, cache_dir: "str | None", conn) -> None:
+def _worker_entry(name: str, cache: "ResultCache | None", conn) -> None:
     """Run one experiment in a forked worker, reporting over ``conn``."""
     _isolate_worker()
     try:
-        _init_worker(cache_dir)
+        _init_worker(cache)
         result = run_experiment(name)
         conn.send((True, result))
     except Exception as exc:  # reported to the parent, not raised
@@ -255,14 +256,14 @@ class _Attempt:
     """One in-flight worker process (its own process group)."""
 
     def __init__(self, name: str, number: int, first_start: float,
-                 context, cache_dir, timeout):
+                 context, cache, timeout):
         self.name = name
         self.number = number
         self.first_start = first_start
         recv, send = multiprocessing.Pipe(duplex=False)
         self.conn = recv
         self.process = context.Process(
-            target=_worker_entry, args=(name, cache_dir, send), daemon=True
+            target=_worker_entry, args=(name, cache, send), daemon=True
         )
         self.process.start()
         send.close()  # parent keeps only the receiving end
@@ -307,10 +308,7 @@ class _Attempt:
 # ----------------------------------------------------------------------
 def run_many(names, jobs: int = 1, cache_dir: "str | None" = None,
              timeout: "float | None" = None,
-             fail_fast: bool = False,
-             deadline: "float | None" = None,
-             sweep_journal: "str | None" = None,
-             resume: bool = False) -> "tuple[dict, dict]":
+             fail_fast: bool = False) -> "tuple[dict, dict]":
     """Run experiments, optionally across ``jobs`` worker processes.
 
     Returns ``(results, timings)``: experiment name -> result dict and
@@ -329,59 +327,41 @@ def run_many(names, jobs: int = 1, cache_dir: "str | None" = None,
     ``fail_fast=True`` raises :class:`ExperimentError` at the first
     unrecoverable failure instead of degrading.
 
-    ``deadline`` bounds the *total* sweep wall clock; past it, every
-    unfinished experiment is recorded as a structured failure.
-    ``sweep_journal`` names a journal file recording progress
-    write-ahead; ``resume=True`` serves completions already journaled
-    there (same code fingerprint and env overlays required) instead of
-    re-executing them. SIGINT/SIGTERM drain the workers and raise
-    :class:`~repro.errors.SweepInterrupted` with partial results.
+    With a ``cache_dir``, every completed experiment is stored in the
+    :class:`~repro.harness.resultcache.ResultCache` there, and one
+    already stored under this code and these result-affecting overlays
+    is served with a timing of 0.0 instead of executing
+    (:data:`ALWAYS_RUN` excepted). SIGINT/SIGTERM drain the workers and
+    raise :class:`~repro.errors.SweepInterrupted` with partial results.
     """
     names = list(names)
     unknown = [name for name in names if name not in EXPERIMENTS]
     if unknown:
         raise ValueError(f"unknown experiments: {', '.join(unknown)}")
-    if resume and sweep_journal is None:
-        raise ValueError("resume=True requires a sweep_journal path")
 
-    journal = None
-    served: "dict[str, tuple]" = {}
-    if sweep_journal is not None:
-        journal = SweepJournal(sweep_journal)
-        if resume and journal.exists():
-            state = journal.load()
-            if state.compatible():
-                served = {
-                    name: state.completed[name]
-                    for name in names if name in state.completed
-                }
-                journal.record_resume(served)
-            else:
-                journal.begin(names)  # stale journal: start over
-        else:
-            journal.begin(names)
-
-    pending = [name for name in names if name not in served]
+    cache = ResultCache(cache_dir) if cache_dir is not None else None
+    results: dict = {}
+    timings: dict = {}
+    if cache is not None:
+        for name in names:
+            stored = cache.get_experiment(name)
+            if stored is not None:
+                results[name] = stored
+                timings[name] = 0.0
+    pending = [name for name in names if name not in results]
     if jobs <= 1 and timeout is None:
-        results, timings = _run_serial(
-            pending, cache_dir, fail_fast, deadline, journal, served
-        )
+        _run_serial(pending, cache, fail_fast, results, timings)
     else:
-        results, timings = _run_isolated(
-            pending, max(1, jobs), cache_dir, timeout, fail_fast,
-            deadline, journal, served
-        )
-    if journal is not None:
-        journal.record_complete()
-    ordered = {name: results[name] for name in names}
-    ordered_timings = {name: timings[name] for name in names}
-    return ordered, ordered_timings
+        _run_isolated(pending, max(1, jobs), cache, timeout, fail_fast,
+                      results, timings)
+    return ({name: results[name] for name in names},
+            {name: timings[name] for name in names})
 
 
-def _seed_served(results, timings, served) -> None:
-    for name, (result, elapsed) in served.items():
-        results[name] = result
-        timings[name] = elapsed
+def _store(cache: "ResultCache | None", name: str, result) -> None:
+    """Keep a completed experiment for later runs to serve."""
+    if cache is not None and name not in ALWAYS_RUN:
+        cache.put_experiment(name, result)
 
 
 @contextlib.contextmanager
@@ -411,105 +391,59 @@ def _sigterm_drains(received: dict):
                 pass
 
 
-def _interrupt_reason(received: dict) -> str:
-    return received.get("signal", "SIGINT")
+def _interrupted(received: dict, results: dict, timings: dict,
+                 cache: "ResultCache | None") -> SweepInterrupted:
+    rerun = "; rerun to continue" if cache is not None else ""
+    return SweepInterrupted(
+        f"sweep interrupted by {received.get('signal', 'SIGINT')} "
+        f"({len(results)} experiment(s) completed{rerun})",
+        results=results, timings=timings,
+    )
 
 
-def _run_serial(names, cache_dir, fail_fast, deadline, journal,
-                served) -> "tuple[dict, dict]":
-    results = {}
-    timings = {}
-    _seed_served(results, timings, served)
-    deadline_at = (time.monotonic() + deadline
-                   if deadline is not None else None)
+def _run_serial(names, cache, fail_fast, results, timings) -> None:
     previous = figures._result_cache
-    _init_worker(cache_dir)
+    _init_worker(cache)
     received: dict = {}
     try:
         with _sigterm_drains(received):
-            for index, name in enumerate(names):
-                if deadline_at is not None \
-                        and time.monotonic() >= deadline_at:
-                    _record_deadline_failures(
-                        names[index:], results, timings, deadline,
-                        journal, {},
-                    )
-                    break
-                if journal is not None:
-                    journal.record_launch(name, attempt=1)
+            for name in names:
                 start = time.perf_counter()
                 try:
                     results[name] = run_experiment(name)
                 except Exception as exc:
                     error = f"{type(exc).__name__}: {exc}"
-                    kind = classify_error(exc)
                     # Record the failure entry AND its timing before
                     # raising: the dicts must stay consistent for
                     # callers that catch ExperimentError (which
                     # carries both).
-                    results[name] = _failure(error, attempts=1,
-                                             error_kind=kind)
+                    results[name] = _failure(
+                        error, attempts=1, error_kind=classify_error(exc)
+                    )
                     timings[name] = time.perf_counter() - start
-                    if journal is not None:
-                        journal.record_failed(
-                            name, error, 1, timings[name], kind
-                        )
                     if fail_fast:
                         raise ExperimentError(
                             name, error, results=results, timings=timings
                         ) from exc
                 else:
                     timings[name] = time.perf_counter() - start
-                    if journal is not None:
-                        journal.record_done(
-                            name, results[name], timings[name]
-                        )
+                    _store(cache, name, results[name])
     except KeyboardInterrupt:
-        reason = _interrupt_reason(received)
-        if journal is not None:
-            journal.record_interrupted(reason)
-        raise SweepInterrupted(
-            f"sweep interrupted by {reason} "
-            f"({len(results)} experiment(s) completed"
-            f"{' — resumable with --resume' if journal else ''})",
-            results=results, timings=timings,
-        ) from None
+        raise _interrupted(received, results, timings, cache) from None
     finally:
         figures.set_result_cache(previous)
-    return results, timings
 
 
-def _record_deadline_failures(unfinished, results, timings, deadline,
-                              journal, attempts_of) -> None:
-    """Mark every unfinished experiment as failed on the deadline."""
-    error = f"sweep deadline of {deadline:g}s exceeded"
-    for name in unfinished:
-        if name in results:
-            continue
-        attempts = attempts_of.get(name, 0)
-        results[name] = _failure(error, attempts=attempts,
-                                 error_kind="deadline")
-        timings[name] = timings.get(name, 0.0)
-        if journal is not None:
-            journal.record_failed(name, error, attempts, timings[name],
-                                  "deadline")
-
-
-def _run_isolated(names, jobs, cache_dir, timeout, fail_fast, deadline,
-                  journal, served) -> "tuple[dict, dict]":
+def _run_isolated(names, jobs, cache, timeout, fail_fast, results,
+                  timings) -> None:
     """Process-group-per-experiment scheduler: timeouts, classified
-    retries with jittered backoff, deadline, journaling, drain."""
+    retries with jittered backoff, drain."""
     context = multiprocessing.get_context("fork")
     ready = list(names)  # (name, attempt=1) launches, FIFO
     attempts_of = {name: 1 for name in names}
     first_start = {}
     delayed = []  # (ready_at, name) retry launches
     active = []  # _Attempt objects
-    results = {}
-    timings = {}
-    _seed_served(results, timings, served)
-    deadline_at = (time.monotonic() + deadline
-                   if deadline is not None else None)
     received: dict = {}
 
     def finish(attempt: _Attempt, success: bool, payload) -> None:
@@ -517,8 +451,7 @@ def _run_isolated(names, jobs, cache_dir, timeout, fail_fast, deadline,
         if success:
             results[attempt.name] = payload
             timings[attempt.name] = elapsed
-            if journal is not None:
-                journal.record_done(attempt.name, payload, elapsed)
+            _store(cache, attempt.name, payload)
             return
         if isinstance(payload, dict):
             error, kind = payload["error"], payload.get("kind",
@@ -536,14 +469,11 @@ def _run_isolated(names, jobs, cache_dir, timeout, fail_fast, deadline,
         directories = {
             os.path.dirname(os.path.abspath(figures.trace_output_path()))
         }
-        if cache_dir is not None:
-            directories.add(os.path.abspath(cache_dir))
+        if cache is not None:
+            directories.add(os.path.abspath(cache.directory))
         for directory in sorted(directories):
             cleanup_orphan_traces(directory, experiment=attempt.name)
-        out_of_time = (deadline_at is not None
-                       and time.monotonic() >= deadline_at)
-        if (attempt.number < MAX_ATTEMPTS and kind == "transient"
-                and not out_of_time):
+        if attempt.number < MAX_ATTEMPTS and kind == "transient":
             # Retry transient failures (OOM-killed workers, contended
             # caches, flaky hangs) with jittered exponential backoff;
             # deterministic failures would fail identically and are
@@ -557,9 +487,6 @@ def _run_isolated(names, jobs, cache_dir, timeout, fail_fast, deadline,
         results[attempt.name] = _failure(error, attempts=attempt.number,
                                          error_kind=kind)
         timings[attempt.name] = elapsed
-        if journal is not None:
-            journal.record_failed(attempt.name, error, attempt.number,
-                                  elapsed, kind)
         if fail_fast:
             raise ExperimentError(
                 attempt.name, error, results=results, timings=timings
@@ -569,15 +496,6 @@ def _run_isolated(names, jobs, cache_dir, timeout, fail_fast, deadline,
         with _sigterm_drains(received):
             while ready or delayed or active:
                 now = time.monotonic()
-                if deadline_at is not None and now >= deadline_at:
-                    for attempt in active:
-                        attempt.stop()
-                    active = []
-                    _record_deadline_failures(
-                        list(attempts_of), results, timings, deadline,
-                        journal, attempts_of,
-                    )
-                    break
                 # Promote retries whose backoff has elapsed.
                 for entry in [e for e in delayed if e[0] <= now]:
                     delayed.remove(entry)
@@ -585,35 +503,27 @@ def _run_isolated(names, jobs, cache_dir, timeout, fail_fast, deadline,
                 # Launch up to the job limit.
                 while ready and len(active) < jobs:
                     name = ready.pop(0)
-                    number = attempts_of[name]
                     start = first_start.setdefault(name,
                                                    time.perf_counter())
-                    if journal is not None:
-                        journal.record_launch(name, attempt=number)
                     active.append(_Attempt(
-                        name, number, start, context, cache_dir, timeout
+                        name, attempts_of[name], start, context, cache,
+                        timeout,
                     ))
                 if not active:
                     if delayed:  # all slots idle: wait out the backoff
                         time.sleep(_bounded_wait(
-                            min(e[0] for e in delayed) - now, deadline_at
+                            [ready_at for ready_at, _ in delayed]
                         ))
                     continue
-                # Wait for a result, a timeout, a retry becoming ready,
-                # or the deadline.
-                wait = None
-                deadlines = [a.deadline for a in active
-                             if a.deadline is not None]
-                if deadlines:
-                    wait = max(0.0, min(deadlines) - time.monotonic())
-                if delayed:
-                    backoff = max(
-                        0.0, min(e[0] for e in delayed) - time.monotonic()
-                    )
-                    wait = backoff if wait is None else min(wait, backoff)
-                wait = _bounded_wait(wait, deadline_at)
+                # Wait for a result, a timeout or a retry becoming
+                # ready.
                 readable = multiprocessing.connection.wait(
-                    [a.conn for a in active], timeout=wait
+                    [a.conn for a in active],
+                    timeout=_bounded_wait(
+                        [a.deadline for a in active
+                         if a.deadline is not None]
+                        + [ready_at for ready_at, _ in delayed]
+                    ),
                 )
                 done = set()
                 for attempt in [a for a in active if a.conn in readable]:
@@ -637,32 +547,19 @@ def _run_isolated(names, jobs, cache_dir, timeout, fail_fast, deadline,
                                f"timed out after {timeout:g}s")
                 active = [a for a in active if a not in done]
     except KeyboardInterrupt:
-        reason = _interrupt_reason(received)
         for attempt in active:
             attempt.stop()
         active = []
-        if journal is not None:
-            journal.record_interrupted(reason)
-        raise SweepInterrupted(
-            f"sweep interrupted by {reason} "
-            f"({len(results)} experiment(s) completed"
-            f"{' — resumable with --resume' if journal else ''})",
-            results=results, timings=timings,
-        ) from None
+        raise _interrupted(received, results, timings, cache) from None
     finally:
         # Reap every worker group no matter how we leave (fail_fast's
         # ExperimentError, an internal bug): no orphans, ever.
         for attempt in active:
             attempt.stop()
-    return results, timings
 
 
-def _bounded_wait(wait: "float | None",
-                  deadline_at: "float | None") -> "float | None":
-    """Cap a wait so the loop re-checks signals and the deadline."""
-    bounds = [0.25]
-    if wait is not None:
-        bounds.append(max(0.0, wait))
-    if deadline_at is not None:
-        bounds.append(max(0.0, deadline_at - time.monotonic()))
-    return min(bounds)
+def _bounded_wait(wakeups) -> float:
+    """Seconds until the earliest monotonic time in ``wakeups``, capped
+    so the loop re-checks signals."""
+    now = time.monotonic()
+    return min([0.25] + [max(0.0, at - now) for at in wakeups])

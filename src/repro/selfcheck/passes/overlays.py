@@ -169,12 +169,6 @@ def env_accesses(
         if origin.startswith("repro.config.overlays.")
         and origin.rsplit(".", 1)[-1] in _REGISTRY_EXPORTS
     }
-    # A module-level rebinding of a registry import (RESULT_ENV_VARS =
-    # RESULT_AFFECTING) keeps the registered-by-construction property.
-    for const_name, value in constants.items():
-        if isinstance(value, tuple) and len(value) == 2 \
-                and value[0] == "alias" and value[1] in registry_names:
-            registry_names.add(const_name)
 
     def resolve_name(name: str) -> "object":
         if name in registry_names:

@@ -5,9 +5,9 @@ The crash-consistency work (PR 7) proved that a bare
 surface as an empty or truncated file after power loss, silently
 corrupting sweep results. The durable-write recipe (staging file →
 flush → fsync → ``os.replace`` → directory fsync) lives in
-``repro.store`` (``atomic_write_text`` / ``atomic_write_bytes`` and the
-journal/segment primitives); everything else in the package must call
-those rather than re-deriving the recipe badly.
+``repro.store`` (``atomic_write_text`` / ``atomic_write_bytes`` and
+``DurableStore``'s entry writes); everything else in the package must
+call those rather than re-deriving the recipe badly.
 
 Codes (all scoped to files *outside* ``store/``):
 

@@ -2,11 +2,12 @@
 
 The in-repo counterpart of ``tools/chaos_sweep.py``: a sweep of
 deterministic experiments is SIGKILLed mid-run several times and
-resumed; the merged results must be bit-identical to an uninterrupted
-run, with journaled completions never re-executed. The trace-bundle
-test pins the end-to-end corruption story for the replay store: a
-garbage bundle is quarantined and the run falls back to fresh
-execution with bit-identical stats.
+rerun on the same cache directory; the merged results must be
+bit-identical to an uninterrupted run, and a further rerun must serve
+every experiment without executing any. The trace-bundle test pins
+the end-to-end corruption story for the replay store: a garbage bundle
+is quarantined and the run falls back to fresh execution with
+bit-identical stats.
 """
 
 import json
@@ -20,7 +21,6 @@ from repro.config.presets import isrf4_config
 from repro.machine import replay
 from repro.machine.replay import TraceStore
 from repro.store.chaos import CHAOS_ENV
-from repro.store.journal import Journal
 from tests.machine.test_golden_stats import fingerprint
 from tests.machine.workloads import RUNNERS
 
@@ -28,14 +28,14 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__)))), "src")
 
 #: A sweep of deterministic fakes, each slow enough for kills to land
-#: mid-run. Always launched with resume=True (idempotent: the first
-#: run simply begins a fresh journal).
+#: mid-run. Every run shares one cache directory, so a rerun serves
+#: what earlier runs finished.
 SWEEP_SCRIPT = textwrap.dedent("""
     import json, sys, time
     sys.path.insert(0, sys.argv[1])
     from repro.harness import runner
 
-    journal, out, exec_log = sys.argv[2], sys.argv[3], sys.argv[4]
+    cache_dir, out, exec_log = sys.argv[2], sys.argv[3], sys.argv[4]
 
     def make(name, duration):
         def fake():
@@ -52,19 +52,18 @@ SWEEP_SCRIPT = textwrap.dedent("""
     }
     print("ready", flush=True)
     results, timings = runner.run_many(
-        list(runner.EXPERIMENTS), jobs=2,
-        sweep_journal=journal, resume=True,
+        list(runner.EXPERIMENTS), jobs=2, cache_dir=cache_dir,
     )
     with open(out, "w") as handle:
         json.dump(results, handle, sort_keys=True)
 """)
 
 
-def run_sweep(journal, out, exec_log, kill_after=None):
+def run_sweep(cache_dir, out, exec_log, kill_after=None):
     """One sweep process; optionally SIGKILL it ``kill_after`` seconds
     after it reports ready. Returns (returncode_or_None, killed)."""
     proc = subprocess.Popen(
-        [sys.executable, "-c", SWEEP_SCRIPT, SRC, journal, out,
+        [sys.executable, "-c", SWEEP_SCRIPT, SRC, cache_dir, out,
          exec_log],
         stdout=subprocess.PIPE, text=True,
     )
@@ -92,7 +91,7 @@ class TestKilledSweepConverges:
         names = ["chaosa", "chaosb", "chaosc", "chaosd"]
         # Ground truth: one uninterrupted run.
         code, killed = run_sweep(
-            str(tmp_path / "ref.journal"), str(tmp_path / "ref.json"),
+            str(tmp_path / "ref-cache"), str(tmp_path / "ref.json"),
             str(tmp_path / "ref.log"),
         )
         assert code == 0 and not killed
@@ -100,16 +99,16 @@ class TestKilledSweepConverges:
             reference = json.load(handle)
 
         # Chaos: SIGKILL the sweep at several points, then finish it.
-        journal = str(tmp_path / "chaos.journal")
+        cache_dir = str(tmp_path / "chaos-cache")
         out = str(tmp_path / "chaos.json")
         log = str(tmp_path / "chaos.log")
         kills = 0
         for delay in (0.5, 0.9, 0.7):
-            _, killed = run_sweep(journal, out, log, kill_after=delay)
+            _, killed = run_sweep(cache_dir, out, log, kill_after=delay)
             if not killed:
                 break
             kills += 1
-        code, killed = run_sweep(journal, out, log)
+        code, killed = run_sweep(cache_dir, out, log)
         assert code == 0 and not killed
         with open(out) as handle:
             resumed = json.load(handle)
@@ -118,28 +117,59 @@ class TestKilledSweepConverges:
         assert resumed == reference
         assert set(resumed) == set(names)
 
-        # Zero re-execution of journaled completions: the journal never
-        # shows a launch after a done, and each name completes once.
-        records, _dropped = Journal(journal).read()
-        done = set()
-        done_counts = {}
-        for record in records:
-            name = record.get("name")
-            if record.get("event") == "done":
-                done.add(name)
-                done_counts[name] = done_counts.get(name, 0) + 1
-            elif record.get("event") == "launch":
-                assert name not in done, \
-                    f"{name} re-launched after completion"
-        assert done == set(names)
-        assert all(count == 1 for count in done_counts.values())
-
         # Interrupted attempts may re-run (their completion was never
-        # journaled), but each name needs at most kills+1 executions.
+        # stored), but each name needs at most kills+1 executions.
         with open(log) as handle:
             ran = [line.strip() for line in handle if line.strip()]
         for name in names:
             assert 1 <= ran.count(name) <= kills + 1
+
+        # One more run serves everything: it executes nothing and
+        # returns the reference.
+        code, killed = run_sweep(cache_dir, out, log)
+        assert code == 0 and not killed
+        with open(out) as handle:
+            assert json.load(handle) == reference
+        with open(log) as handle:
+            assert [line.strip() for line in handle
+                    if line.strip()] == ran
+
+    def test_sigterm_drained_sweep_rerun_serves_stored(self, tmp_path):
+        """The parent stores each result before launching the next
+        experiment, so once the fourth has started (jobs=2), two are
+        stored: the rerun after a SIGTERM drain serves them."""
+        names = ["chaosa", "chaosb", "chaosc", "chaosd"]
+        cache_dir = str(tmp_path / "cache")
+        out = str(tmp_path / "out.json")
+        log = tmp_path / "exec.log"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", SWEEP_SCRIPT, SRC, cache_dir, out,
+             str(log)],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        )
+        try:
+            assert proc.stdout.readline().strip() == "ready"
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline and (
+                    not log.exists()
+                    or len(log.read_text().split()) < len(names)):
+                time.sleep(0.02)
+            proc.terminate()  # SIGTERM: drained, not finished
+            proc.wait(timeout=30)
+        finally:
+            proc.stdout.close()
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        ran = log.read_text().split()
+        assert sorted(ran) == names
+
+        code, killed = run_sweep(cache_dir, out, str(log))
+        assert code == 0 and not killed
+        rerun = log.read_text().split()[len(ran):]
+        assert len(rerun) <= len(names) - 2
+        with open(out) as handle:
+            assert set(json.load(handle)) == set(names)
 
 
 class TestCorruptTraceBundle:

@@ -166,16 +166,24 @@ class TestNewOptions:
         assert data["timings_s"]["table3"] >= 0
         assert "table3" in data["experiments"]
 
-    def test_cache_dir_populated_and_reused(self, tmp_path, capsys):
+    def test_cache_dir_populated_and_reused(self, tmp_path, monkeypatch,
+                                            capsys):
         from repro.harness import figures
+        from repro.harness.runner import FAIL_EXPERIMENT_ENV
 
         cache_dir = tmp_path / "cache"
         figures.clear_cache()  # force simulation so the cache is written
         assert main(["fig11", "--cache-dir", str(cache_dir)]) == 0
         assert list(cache_dir.glob("*.pkl"))
-        # Second run: a cold in-memory cache is served from disk.
+        first = capsys.readouterr().out
+        # Second run: fig11 is served from disk, not executed — the
+        # forced failure would fire if it ran.
         figures.clear_cache()
+        monkeypatch.setenv(FAIL_EXPERIMENT_ENV, "fig11")
         assert main(["fig11", "--cache-dir", str(cache_dir)]) == 0
+        second = capsys.readouterr().out
+        assert "[fig11: 0.0s]" in second
+        assert second.split("[fig11:")[0] == first.split("[fig11:")[0]
 
     def test_no_cache_run_replays_without_writing_to_disk(
             self, tmp_path, monkeypatch, capsys):
@@ -225,6 +233,16 @@ class TestNewOptions:
     def test_trace_path_requires_value(self, capsys):
         assert main(["--trace-path"]) == 2
         assert "requires a value" in capsys.readouterr().err
+
+    def test_trace_runs_again_on_a_shared_cache(self, tmp_path, capsys):
+        """``trace`` is never served: each run writes its own file."""
+        cache_dir = str(tmp_path / "cache")
+        for name in ("a.json", "b.json"):
+            path = tmp_path / name
+            assert main(["trace", "--cache-dir", cache_dir,
+                         "--trace-path", str(path)]) == 0
+            assert f"-> {path}" in capsys.readouterr().out
+            assert json.loads(path.read_text())["traceEvents"]
 
     def test_trace_path_reaches_the_experiment(self, tmp_path, capsys):
         import json

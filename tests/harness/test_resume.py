@@ -1,4 +1,4 @@
-"""Sweep resume, error classification, deadline, and orphan reaping."""
+"""Serving stored experiments, error classification, orphan reaping."""
 
 import os
 import signal
@@ -10,20 +10,15 @@ import time
 import pytest
 
 from repro.errors import ReproError, SweepInterrupted
-from repro.harness import runner
-from repro.harness.__main__ import _parse_args, main
-from repro.harness.sweep import (
-    SWEEP_JOURNAL_NAME,
-    SweepJournal,
-    default_sweep_journal,
-    sweep_fingerprint,
-)
+from repro.harness import resultcache, runner
+from repro.harness.resultcache import ResultCache
 from repro.harness.runner import (
     RETRY_BACKOFF_MAX_S,
     classify_error,
     failed,
     run_many,
 )
+from repro.store.chaos import CHAOS_ENV
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__)))), "src")
@@ -57,27 +52,39 @@ def executions(log_path):
 
 
 class TestResume:
-    def test_resume_requires_journal(self):
-        with pytest.raises(ValueError, match="sweep_journal"):
-            run_many(["table3"], resume=True)
+    """A rerun with the same cache directory serves what is stored."""
 
     def test_completed_sweep_resumes_as_pure_replay(self, tmp_path,
                                                     monkeypatch):
         log = tmp_path / "log"
-        journal = str(tmp_path / SWEEP_JOURNAL_NAME)
+        cache = str(tmp_path / "cache")
         install_fakes(monkeypatch, log, {"expa": None, "expb": None})
-        first, _ = run_many(["expa", "expb"], sweep_journal=journal)
+        first, _ = run_many(["expa", "expb"], cache_dir=cache)
         assert executions(log) == ["expa", "expb"]
-        resumed, timings = run_many(["expa", "expb"],
-                                    sweep_journal=journal, resume=True)
+        served, timings = run_many(["expa", "expb"], cache_dir=cache)
         assert executions(log) == ["expa", "expb"]  # nothing re-ran
-        assert resumed == first
-        assert set(timings) == {"expa", "expb"}
+        assert served == first
+        assert timings == {"expa": 0.0, "expb": 0.0}
+
+    def test_isolated_resume_counts_via_disk(self, tmp_path,
+                                             monkeypatch):
+        """Fork-based workers re-execute nothing on a rerun either."""
+        log = tmp_path / "log"
+        cache = str(tmp_path / "cache")
+        install_fakes(monkeypatch, log, {"expa": None, "expb": None})
+        first, _ = run_many(["expa", "expb"], jobs=2, cache_dir=cache)
+        ran = executions(log)
+        assert sorted(ran) == ["expa", "expb"]
+        served, timings = run_many(["expa", "expb"], jobs=2,
+                                   cache_dir=cache)
+        assert executions(log) == ran
+        assert served == first
+        assert timings == {"expa": 0.0, "expb": 0.0}
 
     def test_interrupted_sweep_resumes_where_it_left_off(
             self, tmp_path, monkeypatch):
         log = tmp_path / "log"
-        journal = str(tmp_path / SWEEP_JOURNAL_NAME)
+        cache = str(tmp_path / "cache")
 
         def interrupt():
             raise KeyboardInterrupt
@@ -85,113 +92,160 @@ class TestResume:
         install_fakes(monkeypatch, log,
                       {"expa": None, "expb": interrupt, "expc": None})
         with pytest.raises(SweepInterrupted) as info:
-            run_many(["expa", "expb", "expc"], sweep_journal=journal)
-        assert "resumable" in str(info.value)
+            run_many(["expa", "expb", "expc"], cache_dir=cache)
+        assert "rerun to continue" in str(info.value)
         assert "text" in info.value.results["expa"]
-        # Heal expb and resume: expa must be served, not re-executed.
+        # Heal expb and rerun: expa must be served, not re-executed.
         install_fakes(monkeypatch, log,
                       {"expa": None, "expb": None, "expc": None})
-        results, _ = run_many(["expa", "expb", "expc"],
-                              sweep_journal=journal, resume=True)
+        results, timings = run_many(["expa", "expb", "expc"],
+                                    cache_dir=cache)
         assert executions(log) == ["expa", "expb", "expb", "expc"]
         assert all("text" in results[n] for n in ("expa", "expb", "expc"))
-
-    def test_isolated_resume_counts_via_disk(self, tmp_path,
-                                             monkeypatch):
-        """Fork-based workers re-execute nothing on resume either."""
-        log = tmp_path / "log"
-        journal = str(tmp_path / SWEEP_JOURNAL_NAME)
-        install_fakes(monkeypatch, log, {"expa": None, "expb": None})
-        first, _ = run_many(["expa", "expb"], jobs=2,
-                            sweep_journal=journal)
-        ran = executions(log)
-        assert sorted(ran) == ["expa", "expb"]
-        resumed, _ = run_many(["expa", "expb"], jobs=2,
-                              sweep_journal=journal, resume=True)
-        assert executions(log) == ran
-        assert resumed == first
+        assert timings["expa"] == 0.0
 
     def test_stale_journal_restarted_not_served(self, tmp_path,
                                                 monkeypatch):
+        """A result stored under another REPRO_SCALE is not served."""
         log = tmp_path / "log"
-        journal = str(tmp_path / SWEEP_JOURNAL_NAME)
+        cache = str(tmp_path / "cache")
         install_fakes(monkeypatch, log, {"expa": None})
         monkeypatch.setenv("REPRO_SCALE", "small")
-        run_many(["expa"], sweep_journal=journal)
-        # A result-affecting env overlay changed: the journaled result
-        # was computed under different conditions and must not be
-        # served.
+        run_many(["expa"], cache_dir=cache)
         monkeypatch.setenv("REPRO_SCALE", "medium")
-        run_many(["expa"], sweep_journal=journal, resume=True)
+        run_many(["expa"], cache_dir=cache)
+        assert executions(log) == ["expa", "expa"]
+        # Each scale keeps its own entry: both are served from now on.
+        run_many(["expa"], cache_dir=cache)
+        monkeypatch.setenv("REPRO_SCALE", "small")
+        run_many(["expa"], cache_dir=cache)
+        assert executions(log) == ["expa", "expa"]
+
+    def test_result_from_other_code_not_served(self, tmp_path,
+                                               monkeypatch):
+        log = tmp_path / "log"
+        cache = str(tmp_path / "cache")
+        install_fakes(monkeypatch, log, {"expa": None})
+        run_many(["expa"], cache_dir=cache)
+        monkeypatch.setattr(resultcache, "code_fingerprint",
+                            lambda: "edited source tree")
+        run_many(["expa"], cache_dir=cache)
         assert executions(log) == ["expa", "expa"]
 
     def test_failed_experiments_are_retried_on_resume(self, tmp_path,
                                                       monkeypatch):
-        """Only completions are served; journaled failures re-run."""
+        """Only completions are stored; failures run again."""
         log = tmp_path / "log"
-        journal = str(tmp_path / SWEEP_JOURNAL_NAME)
+        cache = str(tmp_path / "cache")
 
         def boom():
             raise ValueError("deterministic failure")
 
         install_fakes(monkeypatch, log, {"expa": None, "expb": boom})
-        results, _ = run_many(["expa", "expb"], sweep_journal=journal)
+        results, _ = run_many(["expa", "expb"], cache_dir=cache)
         assert failed(results["expb"])
         install_fakes(monkeypatch, log, {"expa": None, "expb": None})
-        results, _ = run_many(["expa", "expb"], sweep_journal=journal,
-                              resume=True)
+        results, _ = run_many(["expa", "expb"], cache_dir=cache)
         assert executions(log) == ["expa", "expb", "expb"]
         assert "text" in results["expb"]
 
+    def test_trace_always_runs(self, tmp_path, monkeypatch):
+        log = tmp_path / "log"
+        cache = str(tmp_path / "cache")
+        install_fakes(monkeypatch, log, {"trace": None, "expa": None})
+        for _ in range(2):
+            run_many(["trace", "expa"], cache_dir=cache)
+        assert executions(log) == ["trace", "expa", "trace"]
+        assert runner.ALWAYS_RUN == ("trace",)
 
-class TestSweepJournalUnits:
-    def test_empty_journal_is_incompatible(self, tmp_path):
-        journal = SweepJournal(str(tmp_path / "j"))
-        state = journal.load()
-        assert state.header is None
-        assert not state.compatible()
+    def test_no_cache_serves_nothing(self, tmp_path, monkeypatch):
+        log = tmp_path / "log"
+        install_fakes(monkeypatch, log, {"expa": None})
+        run_many(["expa"], cache_dir=str(tmp_path / "cache"))
+        for jobs in (1, 2):
+            run_many(["expa"], jobs=jobs)
+        assert executions(log) == ["expa"] * 3
 
-    def test_begin_makes_compatible(self, tmp_path):
-        journal = SweepJournal(str(tmp_path / "j"))
-        journal.begin(["a", "b"])
-        assert journal.load().compatible()
+    def test_cleared_cache_executes_again(self, tmp_path, monkeypatch):
+        log = tmp_path / "log"
+        cache = str(tmp_path / "cache")
+        install_fakes(monkeypatch, log, {"expa": None})
+        run_many(["expa"], cache_dir=cache)
+        assert ResultCache(cache).clear() == 1
+        run_many(["expa"], cache_dir=cache)
+        assert executions(log) == ["expa", "expa"]
 
-    def test_launch_without_done_is_in_flight(self, tmp_path):
-        journal = SweepJournal(str(tmp_path / "j"))
-        journal.begin(["a"])
-        journal.record_launch("a", attempt=1)
-        state = journal.load()
-        assert state.in_flight == {"a"}
-        assert not state.complete
+    def test_unpicklable_result_is_not_stored(self, tmp_path,
+                                              monkeypatch):
+        log = tmp_path / "log"
+        cache = str(tmp_path / "cache")
 
-    def test_done_round_trips_the_result(self, tmp_path):
-        journal = SweepJournal(str(tmp_path / "j"))
-        journal.begin(["a"])
-        journal.record_launch("a", attempt=1)
-        journal.record_done("a", {"text": "hi", "rows": [1, 2]}, 1.5)
-        journal.record_complete()
-        state = journal.load()
-        result, elapsed = state.completed["a"]
-        assert result == {"text": "hi", "rows": [1, 2]}
-        assert elapsed == 1.5
-        assert state.in_flight == set()
-        assert state.complete
+        def unpicklable():
+            with open(log, "a") as handle:
+                handle.write("expa\n")
+            return {"text": "expa output", "callback": lambda: None}
 
-    def test_unpicklable_result_is_skipped_not_fatal(self, tmp_path):
-        journal = SweepJournal(str(tmp_path / "j"))
-        journal.begin(["a"])
-        journal.record_done("a", {"handle": open(os.devnull)}, 0.1)
-        assert "a" not in journal.load().completed
+        monkeypatch.setattr(runner, "EXPERIMENTS", {"expa": unpicklable})
+        for _ in range(2):
+            results, _ = run_many(["expa"], cache_dir=cache)
+            assert results["expa"]["text"] == "expa output"
+        assert executions(log) == ["expa", "expa"]
+        assert ResultCache(cache).stats()["entries"] == 0
 
-    def test_fingerprint_tracks_result_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "small")
-        small = sweep_fingerprint()
-        monkeypatch.setenv("REPRO_SCALE", "paper")
-        assert sweep_fingerprint() != small
+    def test_torn_entry_quarantined_and_recomputed(self, tmp_path,
+                                                   monkeypatch):
+        log = tmp_path / "log"
+        cache = str(tmp_path / "cache")
+        install_fakes(monkeypatch, log, {"expa": None})
+        monkeypatch.setenv(CHAOS_ENV, "seed=3,torn=1.0")
+        first, _ = run_many(["expa"], cache_dir=cache)
+        monkeypatch.delenv(CHAOS_ENV)
+        again, _ = run_many(["expa"], cache_dir=cache)
+        assert executions(log) == ["expa", "expa"]
+        assert again == first
+        assert ResultCache(cache).quarantine_count() == 1
+        # The recomputed result was stored whole: now it is served.
+        run_many(["expa"], cache_dir=cache)
+        assert executions(log) == ["expa", "expa"]
 
-    def test_default_journal_lives_in_cache_dir(self):
-        assert default_sweep_journal("/x/cache") == \
-            os.path.join("/x/cache", SWEEP_JOURNAL_NAME)
+
+class TestExperimentKey:
+    """What may and may not change a stored experiment's key."""
+
+    def key(self, tmp_path, name="fig11"):
+        return ResultCache(str(tmp_path)).experiment_key(name)
+
+    def test_changes_with_code_fingerprint(self, tmp_path, monkeypatch):
+        before = self.key(tmp_path)
+        monkeypatch.setattr(resultcache, "code_fingerprint",
+                            lambda: "other source tree")
+        assert self.key(tmp_path) != before
+
+    def test_changes_with_name(self, tmp_path):
+        assert self.key(tmp_path, "fig11") != self.key(tmp_path, "fig12")
+
+    @pytest.mark.parametrize("variable, value", [
+        ("REPRO_SCALE", "medium"),
+        ("REPRO_FAULTS", "seed=7,srf=24"),
+        ("REPRO_TRACE", "metrics=2"),
+    ])
+    def test_changes_with_result_affecting_overlay(
+            self, tmp_path, monkeypatch, variable, value):
+        monkeypatch.delenv(variable, raising=False)
+        before = self.key(tmp_path)
+        monkeypatch.setenv(variable, value)
+        assert self.key(tmp_path) != before
+
+    @pytest.mark.parametrize("variable, value", [
+        ("REPRO_CACHE_DIR", "/elsewhere"),
+        (CHAOS_ENV, "seed=3,torn=1.0"),
+    ])
+    def test_ignores_other_overlays(self, tmp_path, monkeypatch,
+                                    variable, value):
+        monkeypatch.delenv(variable, raising=False)
+        before = self.key(tmp_path)
+        monkeypatch.setenv(variable, value)
+        assert self.key(tmp_path) == before
 
 
 class TestErrorClassification:
@@ -240,62 +294,6 @@ class TestErrorClassification:
             for _ in range(20):
                 delay = runner._retry_delay(attempt)
                 assert 0.0 <= delay <= RETRY_BACKOFF_MAX_S
-
-
-class TestDeadline:
-    def test_serial_deadline_produces_structured_failures(
-            self, tmp_path, monkeypatch):
-        log = tmp_path / "log"
-        install_fakes(monkeypatch, log, {
-            "expa": lambda: time.sleep(0.3),
-            "expb": None,
-            "expc": None,
-        })
-        results, timings = run_many(["expa", "expb", "expc"],
-                                    deadline=0.2)
-        assert "text" in results["expa"]
-        for name in ("expb", "expc"):
-            assert failed(results[name])
-            assert results[name]["error_kind"] == "deadline"
-            assert "deadline" in results[name]["error"]
-        assert set(timings) == {"expa", "expb", "expc"}
-        assert executions(log) == ["expa"]
-
-    def test_isolated_deadline_stops_in_flight_workers(
-            self, tmp_path, monkeypatch):
-        log = tmp_path / "log"
-        install_fakes(monkeypatch, log, {
-            "expa": lambda: time.sleep(30),
-            "expb": lambda: time.sleep(30),
-        })
-        start = time.monotonic()
-        results, _ = run_many(["expa", "expb"], jobs=2, deadline=0.5)
-        assert time.monotonic() - start < 20
-        for name in ("expa", "expb"):
-            assert failed(results[name])
-            assert results[name]["error_kind"] == "deadline"
-
-
-class TestCliFlags:
-    def test_deadline_needs_a_number(self, capsys):
-        assert main(["--deadline", "soon"]) == 2
-        assert "--deadline needs a number" in capsys.readouterr().err
-
-    def test_deadline_must_be_positive(self, capsys):
-        assert main(["--deadline", "-3"]) == 2
-        assert "must be positive" in capsys.readouterr().err
-
-    def test_resume_conflicts_with_no_cache(self, capsys):
-        assert main(["--resume", "--no-cache"]) == 2
-        assert "--resume requires" in capsys.readouterr().err
-
-    def test_parse_resume_and_deadline(self):
-        names, options = _parse_args(
-            ["table3", "--resume", "--deadline", "5"]
-        )
-        assert names == ["table3"]
-        assert options["resume"] is True
-        assert options["deadline"] == 5.0
 
 
 class TestOrphanReaping:

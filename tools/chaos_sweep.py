@@ -2,10 +2,11 @@
 
 Proves the durability story end to end: a harness sweep that is
 SIGKILLed at random points — with torn-write and ENOSPC faults injected
-into the durable store — and then resumed converges to results
-bit-identical to an uninterrupted run, with zero journaled completions
-lost or re-executed, no orphan worker processes or ``.tmp`` staging
-files left behind, and every injected tear caught by the store.
+into the durable store — and then rerun on the same cache directory
+converges to results bit-identical to an uninterrupted run, with no
+orphan worker processes or ``.tmp`` staging files left behind, every
+injected tear caught by the store, and every stored experiment served
+afterwards instead of executed.
 
     PYTHONPATH=src python tools/chaos_sweep.py              # full gate
     PYTHONPATH=src python tools/chaos_sweep.py --smoke      # CI subset
@@ -17,20 +18,24 @@ Procedure:
    fresh cache directory; the structured ``--json`` payload is the
    ground truth.
 2. **Chaos runs** — up to ``--kills`` harness processes are launched
-   against a second fresh cache directory (always with ``--resume``,
-   which is idempotent), each SIGKILLed after a random delay drawn from
-   a seeded RNG. ``REPRO_STORE_CHAOS`` injects deterministic torn
-   writes and ENOSPC failures into every store put. After each kill
-   the tool asserts no worker survived its parent (scanned via a
-   marker variable in ``/proc/*/environ`` — no psutil needed).
-3. **Final run** — one more ``--resume`` run must finish with exit 0.
+   against a second fresh cache directory, each SIGKILLed after a
+   random delay drawn from a seeded RNG. ``REPRO_STORE_CHAOS`` injects
+   deterministic torn writes and ENOSPC failures into every store put.
+   After each kill the tool asserts no worker survived its parent
+   (scanned via a marker variable in ``/proc/*/environ`` — no psutil
+   needed).
+3. **Final run** — one more run, still with faults injected, must
+   finish with exit 0.
 4. **Audit** — the final payload's ``experiments`` block must equal
-   the reference bit-for-bit; the sweep journal must contain no
-   ``launch`` after a ``done`` for the same experiment and at most one
-   ``done`` per experiment; ``fsck`` of both stores must report zero
+   the reference bit-for-bit; ``fsck`` of both stores must report zero
    ``.tmp`` files, checksum failures only when torn commits were
    injected, and — when they were — at least one checksum failure or
    quarantined entry, so a run whose tears never landed cannot pass.
+5. **Re-execution audit** — one run without store faults recomputes
+   whatever was torn and must again equal the reference. Then, for
+   each experiment, a run with ``REPRO_FAIL_EXPERIMENT=<name>`` must
+   exit 0 with the reference results: the forced failure fires only if
+   the experiment executes, so a pass proves it was served.
 
 Exit status 0 when every gate holds, 1 otherwise.
 """
@@ -52,10 +57,9 @@ if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
 from repro.errors import ConfigurationError  # noqa: E402
-from repro.harness.sweep import SWEEP_JOURNAL_NAME  # noqa: E402
+from repro.harness.runner import FAIL_EXPERIMENT_ENV  # noqa: E402
 from repro.store.chaos import CHAOS_ENV, parse_chaos  # noqa: E402
 from repro.store.durable import DurableStore  # noqa: E402
-from repro.store.journal import Journal  # noqa: E402
 
 #: Marker env var planted in every chaos-run harness process (and
 #: inherited by its forked workers) so orphans are findable in /proc.
@@ -63,7 +67,7 @@ MARKER_ENV = "REPRO_CHAOS_MARK"
 
 #: Experiments exercised by the gate. ``fig11``/``fig12`` simulate for
 #: several seconds each at small scale, so kills land mid-execution;
-#: the analytic ones exercise the serve-from-journal path.
+#: the analytic ones finish early and exercise the serve path.
 FULL_EXPERIMENTS = ["area", "energy", "fig11", "fig12"]
 SMOKE_EXPERIMENTS = ["area", "energy", "fig11"]
 
@@ -72,15 +76,18 @@ def log(message):
     print(f"[chaos] {message}", flush=True)
 
 
-def harness_env(marker=None, store_chaos=None):
+def harness_env(marker=None, store_chaos=None, fail=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env.setdefault("REPRO_SCALE", "small")
     env.pop(CHAOS_ENV, None)
+    env.pop(FAIL_EXPERIMENT_ENV, None)
     if store_chaos:
         env[CHAOS_ENV] = store_chaos
     if marker:
         env[MARKER_ENV] = marker
+    if fail:
+        env[FAIL_EXPERIMENT_ENV] = fail
     return env
 
 
@@ -91,7 +98,7 @@ def harness_command(experiments, cache_dir, json_path, jobs):
     return [
         sys.executable, "-m", "repro.harness", *experiments,
         "--cache-dir", cache_dir, "--jobs", str(jobs),
-        "--resume", "--json", json_path,
+        "--json", json_path,
     ]
 
 
@@ -131,44 +138,6 @@ def comparable_payload(payload):
     """The bit-identity surface: results only, not wall-clock."""
     return {"scale": payload.get("scale"),
             "experiments": payload.get("experiments")}
-
-
-def audit_journal(journal_path, experiments):
-    """Re-execution audit from the raw record stream.
-
-    Returns a list of violation strings; empty means the journal obeys
-    the contract (no launch after done, at most one done per name).
-    """
-    records, dropped = Journal(journal_path).read()
-    violations = []
-    done = set()
-    done_counts = {}
-    for record in records:
-        event = record.get("event")
-        name = record.get("name")
-        if event == "sweep":
-            done = set()
-            done_counts = {}
-        elif event == "done":
-            done_counts[name] = done_counts.get(name, 0) + 1
-            done.add(name)
-        elif event == "launch" and name in done:
-            violations.append(
-                f"launch of {name!r} after its done record "
-                "(journaled completion re-executed)"
-            )
-    for name, count in done_counts.items():
-        if count > 1:
-            violations.append(
-                f"{count} done records for {name!r} (duplicate execution)"
-            )
-    missing = [n for n in experiments if n not in done]
-    if missing:
-        violations.append(f"no done record for: {', '.join(missing)}")
-    if dropped:
-        log(f"note: journal reader dropped {dropped} torn trailing "
-            "record(s) — tolerated by design")
-    return violations
 
 
 def audit_stores(cache_dir, torn=0.0):
@@ -219,11 +188,12 @@ def audit_stores(cache_dir, torn=0.0):
 
 
 def run_to_completion(experiments, cache_dir, jobs, marker,
-                      store_chaos=None, timeout=900):
+                      store_chaos=None, fail=None, timeout=900):
     json_path = os.path.join(cache_dir, "payload.json")
     proc = subprocess.run(
         harness_command(experiments, cache_dir, json_path, jobs),
-        env=harness_env(marker=marker, store_chaos=store_chaos),
+        env=harness_env(marker=marker, store_chaos=store_chaos,
+                        fail=fail),
         cwd=REPO, capture_output=True, text=True, timeout=timeout,
     )
     payload = None
@@ -233,9 +203,25 @@ def run_to_completion(experiments, cache_dir, jobs, marker,
     return proc, payload
 
 
+def check_run(label, proc, payload, reference):
+    """Failures of one run that must exit 0 with the reference results."""
+    if proc.returncode != 0 or payload is None:
+        log(proc.stderr.strip() or proc.stdout.strip())
+        return [f"{label} exited {proc.returncode}"]
+    results = comparable_payload(payload)
+    if results == reference:
+        return []
+    for name in reference["experiments"]:
+        if (results["experiments"].get(name)
+                != reference["experiments"][name]):
+            log(f"  {label}: mismatch in experiment {name!r}")
+    return [f"{label}: results differ from the uninterrupted reference "
+            "run"]
+
+
 def chaos_kill_round(experiments, cache_dir, jobs, marker, delay_s,
                      store_chaos):
-    """One kill round: launch with --resume, SIGKILL after delay_s.
+    """One kill round: launch a run, SIGKILL it after delay_s.
 
     Returns (killed, orphans): whether the process was still alive at
     kill time, and any marker-carrying PIDs that outlived it.
@@ -345,8 +331,8 @@ def main(argv=None):
                 break
         report["completed_early"] = completed_early
 
-        # ---- 3. final resume to completion ---------------------------
-        log("final resume run")
+        # ---- 3. final run to completion ------------------------------
+        log("final run")
         proc, chaos_payload = run_to_completion(
             experiments, chaos_cache, args.jobs, marker,
             store_chaos=args.store_chaos or None,
@@ -354,40 +340,40 @@ def main(argv=None):
         leftover = wait_no_orphans(marker)
         if leftover:
             failures.append(f"final run left orphan PIDs {leftover}")
-        if proc.returncode != 0 or chaos_payload is None:
-            log(proc.stderr.strip() or proc.stdout.strip())
-            failures.append(
-                f"final resume run exited {proc.returncode}"
-            )
-        else:
-            # ---- 4a. bit-identity ------------------------------------
-            resumed = comparable_payload(chaos_payload)
-            if resumed != reference:
-                failures.append(
-                    "resumed results differ from the uninterrupted "
-                    "reference run"
-                )
-                for name in reference["experiments"]:
-                    if (resumed["experiments"].get(name)
-                            != reference["experiments"][name]):
-                        log(f"  mismatch in experiment {name!r}")
+        # ---- 4a. bit-identity ----------------------------------------
+        failures.extend(
+            check_run("final run", proc, chaos_payload, reference)
+        )
+        if chaos_payload is not None:
             report["store_stats"] = chaos_payload.get("store", {})
 
-        # ---- 4b. journal audit ---------------------------------------
-        journal_path = os.path.join(chaos_cache, SWEEP_JOURNAL_NAME)
-        if os.path.exists(journal_path):
-            violations = audit_journal(journal_path, experiments)
-            failures.extend(violations)
-            report["journal_violations"] = violations
-        else:
-            failures.append("no sweep journal was written")
-
-        # ---- 4c. store fsck ------------------------------------------
+        # ---- 4b. store fsck ------------------------------------------
         store_violations, store_report = audit_stores(
             chaos_cache, torn=chaos.torn if chaos is not None else 0.0
         )
         failures.extend(store_violations)
         report["store_audit"] = store_report
+
+        # ---- 5. re-execution audit -----------------------------------
+        log("fault-free run (recomputes torn entries)")
+        proc, payload = run_to_completion(
+            experiments, chaos_cache, args.jobs, marker
+        )
+        failures.extend(
+            check_run("fault-free run", proc, payload, reference)
+        )
+        for name in experiments:
+            log(f"served run: {FAIL_EXPERIMENT_ENV}={name}")
+            proc, payload = run_to_completion(
+                experiments, chaos_cache, args.jobs, marker, fail=name
+            )
+            failures.extend(check_run(
+                f"{FAIL_EXPERIMENT_ENV}={name} run ({name} must be "
+                "served)", proc, payload, reference,
+            ))
+        leftover = wait_no_orphans(marker)
+        if leftover:
+            failures.append(f"audit runs left orphan PIDs {leftover}")
 
     finally:
         if args.keep:
@@ -405,8 +391,9 @@ def main(argv=None):
         for failure in failures:
             log(f"FAIL: {failure}")
         return 1
-    log("PASS: killed-and-resumed sweep is bit-identical to the "
-        "reference, with no re-execution, orphans, or tmp files")
+    log("PASS: the killed sweep's rerun is bit-identical to the "
+        "reference, stored experiments are served, not re-executed, and "
+        "no orphans or tmp files remain")
     return 0
 
 
