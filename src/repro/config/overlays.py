@@ -81,13 +81,6 @@ OVERLAYS: "tuple[EnvOverlay, ...]" = (
         result_affecting=True,
     ),
     EnvOverlay(
-        name="REPRO_HANG_EXPERIMENT",
-        owner="repro.harness.runner",
-        doc="Test hook: the named harness experiment sleeps forever, "
-            "for timeout/watchdog checks.",
-        example="REPRO_HANG_EXPERIMENT=fig11",
-    ),
-    EnvOverlay(
         name="REPRO_SCALE",
         owner="repro.harness.figures",
         doc="Workload scale for every harness experiment: small, "

@@ -19,10 +19,11 @@ unknown ``REPRO_SCALE``, a malformed ``REPRO_TRACE``/``REPRO_FAULTS``
 overlay — exits 2 with the usage text before anything runs.
 
 The harness degrades gracefully: a raising, crashing, or (with
-``--timeout``) hung experiment is reported as a structured failure —
-and reflected in a non-zero exit code — while every other experiment's
-results are still printed and exported. ``--fail-fast`` opts out,
-aborting on the first failure.
+``--timeout``) hung experiment is reported after one execution as a
+structured failure (``FAILED <name>: <error>``, exit code 1) while
+every other experiment's results are still printed and exported.
+Failures are never stored, so a rerun on the same cache directory
+executes exactly the failed experiments.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ Runs every experiment when none is named. Known experiments:
 options:
   --jobs N         run experiments in N parallel worker processes
   --timeout S      per-experiment timeout in seconds (isolated workers)
-  --fail-fast      abort on the first failure instead of degrading
   --json PATH      also dump structured results as JSON to PATH
                    (includes durable-store entry/quarantine counts)
   --cache-dir DIR  on-disk cache of benchmark and experiment results
@@ -146,7 +146,7 @@ def _parse_args(argv):
     """Split argv into (names, options) or raise ValueError."""
     options = {"json": None, "jobs": 1, "cache_dir": default_cache_dir(),
                "no_cache": False, "list": False, "timeout": None,
-               "fail_fast": False, "trace_path": None}
+               "trace_path": None}
     names = []
     position = 0
     while position < len(argv):
@@ -185,8 +185,6 @@ def _parse_args(argv):
             continue
         if token == "--no-cache":
             options["no_cache"] = True
-        elif token == "--fail-fast":
-            options["fail_fast"] = True
         elif token == "--list":
             options["list"] = True
         elif token in ("-h", "--help"):
@@ -247,11 +245,7 @@ def main(argv=None) -> int:
             results, timings = runner.run_many(
                 selected, jobs=options["jobs"], cache_dir=cache_dir,
                 timeout=options["timeout"],
-                fail_fast=options["fail_fast"],
             )
-    except runner.ExperimentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except SweepInterrupted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 130
@@ -261,10 +255,7 @@ def main(argv=None) -> int:
         result = results[name]
         if runner.failed(result):
             failures.append(name)
-            print(
-                f"FAILED {name} (attempts: {result['attempts']}): "
-                f"{result['error']}"
-            )
+            print(f"FAILED {name}: {result['error']}")
             print(f"[{name}: {timings[name]:.1f}s]\n")
             collected[name] = _jsonable(result)
         else:

@@ -691,9 +691,9 @@ def trace(scale: "str | None" = None) -> dict:
     Unlike the figure experiments this never goes through the benchmark
     result cache: a cache hit would skip the simulation and produce no
     events, so the runs are always simulated fresh. The export is staged
-    as ``<name>.trace.trace.tmp`` (in the result-cache directory when one
-    is installed) and renamed into place atomically; the parallel runner
-    sweeps up staging leftovers if a worker dies mid-export.
+    next to its output file (:func:`repro.store.atomic.staging_path`) and
+    renamed into place atomically; the parallel runner removes a worker's
+    staging file if the worker dies mid-export.
     """
     scale = scale or default_scale()
     params = SCALES[scale]
@@ -708,11 +708,7 @@ def trace(scale: "str | None" = None) -> dict:
     tracers = collected.tracers()
     payload = observe.chrome_trace(tracers)
     phase_counts = observe.validate_chrome_trace(payload)
-    staging_dir = (
-        _result_cache.directory if _result_cache is not None else None
-    )
-    observe.write_trace(payload, path, experiment="trace",
-                        staging_dir=staging_dir)
+    observe.write_trace(payload, path)
     events = sum(len(tracer) for tracer in tracers.values())
     text = render_table(
         f"Trace: FFT 2D on Base vs ISRF4 ({events} events -> {path}; "

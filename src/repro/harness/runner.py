@@ -9,23 +9,19 @@ simulated by one worker is a cache hit for every later experiment that
 needs it — in this run or the next.
 
 The runner degrades gracefully instead of dying: a crashing, raising or
-hung experiment is recorded as a structured failure
-(``{"status": "failed", "error": ..., "attempts": ...,
-"error_kind": ...}``) while every other experiment's results are kept.
-Failures are *classified*: transient ones (worker crashes, timeouts,
-OS-level errors) are retried with jittered exponential backoff, while
-deterministic ones (a ``ValueError``, a failed verification — anything
-that would fail identically on a re-run) are recorded immediately.
-Opt out of graceful degradation with ``fail_fast=True``, which aborts
-on the first unrecoverable failure.
+hung experiment is recorded after one execution as a structured failure
+(``{"status": "failed", "error": ...}``) while every other experiment's
+results are kept. Nothing is retried within a run: failures are never
+stored, so rerunning on the same cache directory executes exactly the
+failed experiments.
 
 The same cache keeps finished experiments: each successful result dict
 is stored under a key over the code fingerprint, the experiment name
 and every result-affecting overlay, and every run serves the stored
 experiments (with a timing of 0.0) instead of executing them. A rerun
 of an interrupted sweep — SIGINT, SIGTERM, or ``kill -9`` of the
-parent — therefore continues where it stopped. Failures are never
-stored, and the experiments in :data:`ALWAYS_RUN` always execute.
+parent — therefore continues where it stopped. The experiments in
+:data:`ALWAYS_RUN` always execute.
 SIGINT/SIGTERM trigger a graceful drain that terminates each worker's
 *process group* (workers run in their own groups, with
 ``PR_SET_PDEATHSIG`` as a backstop against parent ``kill -9``) and
@@ -45,13 +41,13 @@ import contextlib
 import multiprocessing
 import multiprocessing.connection
 import os
-import random
 import signal
 import time
 
-from repro.errors import ReproError, SweepInterrupted
+from repro.errors import SweepInterrupted
 from repro.harness import figures
 from repro.harness.resultcache import ResultCache
+from repro.store.atomic import staging_path
 
 #: Experiment name -> runner, in report order (the CLI preserves it).
 EXPERIMENTS = {
@@ -81,54 +77,12 @@ EXPERIMENTS = {
 #: result dict.
 ALWAYS_RUN = ("trace",)
 
-#: Test/CI hooks: name an experiment in these variables to force it to
-#: raise or hang, exercising the crash-isolation and timeout paths.
+#: Test/CI hook: name an experiment in this variable to force it to
+#: raise, exercising the crash-isolation path.
 FAIL_EXPERIMENT_ENV = "REPRO_FAIL_EXPERIMENT"
-HANG_EXPERIMENT_ENV = "REPRO_HANG_EXPERIMENT"
-
-#: Base seconds before retrying a transient failure (exponential with
-#: jitter: attempt n waits ~ base * 2^(n-1) * uniform(0.5, 1.5)).
-RETRY_BACKOFF_S = 0.25
-
-#: Ceiling on any single retry backoff.
-RETRY_BACKOFF_MAX_S = 10.0
-
-#: Total attempts per experiment (first run + retries of transients).
-MAX_ATTEMPTS = 2
 
 #: Seconds between SIGTERM and SIGKILL when stopping a worker group.
 STOP_GRACE_S = 2.0
-
-#: Exception types whose failures are deterministic: an identical rerun
-#: fails identically, so retrying only wastes the retry budget. Any
-#: *other* exception — and every crash, hang, or OS-level error — is
-#: treated as transient and retried.
-DETERMINISTIC_ERRORS = (
-    ReproError, ValueError, TypeError, KeyError, IndexError,
-    AttributeError, ArithmeticError, AssertionError, NotImplementedError,
-)
-
-#: Exceptions that are always transient even though they subclass a
-#: deterministic base (OSError is not in the set above, listed for
-#: clarity in classify_error's contract).
-TRANSIENT_ERRORS = (OSError, MemoryError, TimeoutError)
-
-
-class ExperimentError(ReproError):
-    """An experiment failed and ``fail_fast`` was requested.
-
-    ``results``/``timings`` carry everything completed before the
-    abort, *including* the failing experiment's structured failure
-    entry and wall-clock — the two dicts are always consistent with
-    each other, exactly as :func:`run_many` would have returned them.
-    """
-
-    def __init__(self, name: str, error: str, results=None, timings=None):
-        super().__init__(f"experiment {name!r} failed: {error}")
-        self.experiment = name
-        self.error = error
-        self.results = dict(results) if results is not None else {}
-        self.timings = dict(timings) if timings is not None else {}
 
 
 def experiment_names() -> list:
@@ -140,9 +94,6 @@ def _apply_test_hooks(name: str) -> None:
         raise RuntimeError(
             f"{name}: forced failure ({FAIL_EXPERIMENT_ENV})"
         )
-    if os.environ.get(HANG_EXPERIMENT_ENV) == name:
-        while True:  # pragma: no cover - killed by the runner's timeout
-            time.sleep(3600)
 
 
 def run_experiment(name: str) -> dict:
@@ -163,31 +114,8 @@ def failed(result) -> bool:
     return isinstance(result, dict) and result.get("status") == "failed"
 
 
-def classify_error(exc: BaseException) -> str:
-    """``"deterministic"`` or ``"transient"`` for one exception.
-
-    Transient wins for :data:`TRANSIENT_ERRORS` (resource exhaustion
-    and I/O can succeed on retry); :data:`DETERMINISTIC_ERRORS` are
-    never retried; everything unknown is conservatively transient —
-    a wasted retry is cheaper than a lost result.
-    """
-    if isinstance(exc, TRANSIENT_ERRORS):
-        return "transient"
-    if isinstance(exc, DETERMINISTIC_ERRORS):
-        return "deterministic"
-    return "transient"
-
-
-def _failure(error: str, attempts: int,
-             error_kind: str = "transient") -> dict:
-    return {"status": "failed", "error": error, "attempts": attempts,
-            "error_kind": error_kind}
-
-
-def _retry_delay(attempt: int) -> float:
-    """Jittered exponential backoff before launching ``attempt``."""
-    base = RETRY_BACKOFF_S * (2 ** max(0, attempt - 2))
-    return min(RETRY_BACKOFF_MAX_S, base * random.uniform(0.5, 1.5))
+def _failure(error: str) -> dict:
+    return {"status": "failed", "error": error}
 
 
 # ----------------------------------------------------------------------
@@ -242,24 +170,19 @@ def _worker_entry(name: str, cache: "ResultCache | None", conn) -> None:
         conn.send((True, result))
     except Exception as exc:  # reported to the parent, not raised
         try:
-            conn.send((False, {
-                "error": f"{type(exc).__name__}: {exc}",
-                "kind": classify_error(exc),
-            }))
+            conn.send((False, f"{type(exc).__name__}: {exc}"))
         except Exception:
             pass
     finally:
         conn.close()
 
 
-class _Attempt:
+class _Worker:
     """One in-flight worker process (its own process group)."""
 
-    def __init__(self, name: str, number: int, first_start: float,
-                 context, cache, timeout):
+    def __init__(self, name: str, context, cache, timeout):
         self.name = name
-        self.number = number
-        self.first_start = first_start
+        self.start = time.perf_counter()
         recv, send = multiprocessing.Pipe(duplex=False)
         self.conn = recv
         self.process = context.Process(
@@ -307,32 +230,30 @@ class _Attempt:
 # Sweep orchestration
 # ----------------------------------------------------------------------
 def run_many(names, jobs: int = 1, cache_dir: "str | None" = None,
-             timeout: "float | None" = None,
-             fail_fast: bool = False) -> "tuple[dict, dict]":
+             timeout: "float | None" = None) -> "tuple[dict, dict]":
     """Run experiments, optionally across ``jobs`` worker processes.
 
     Returns ``(results, timings)``: experiment name -> result dict and
     name -> wall-clock seconds, both in the order of ``names``. A failed
-    experiment's entry is ``{"status": "failed", "error": ...,
-    "attempts": ..., "error_kind": ...}`` (test with :func:`failed`);
-    successful entries are the raw experiment result dicts.
+    experiment's entry is ``{"status": "failed", "error": ...}`` (test
+    with :func:`failed`), recorded after its one execution; successful
+    entries are the raw experiment result dicts.
 
     With ``jobs <= 1`` and no ``timeout`` everything runs in-process
     (sharing the in-memory benchmark cache), isolating failures per
     experiment. Otherwise each experiment runs in its own forked worker
     process — in its own *process group* — so a crash or hang cannot
     take the run down: a worker exceeding ``timeout`` seconds has its
-    group terminated, and transient failures are retried with jittered
-    exponential backoff (deterministic ones are not retried at all).
-    ``fail_fast=True`` raises :class:`ExperimentError` at the first
-    unrecoverable failure instead of degrading.
+    group terminated.
 
     With a ``cache_dir``, every completed experiment is stored in the
     :class:`~repro.harness.resultcache.ResultCache` there, and one
     already stored under this code and these result-affecting overlays
     is served with a timing of 0.0 instead of executing
-    (:data:`ALWAYS_RUN` excepted). SIGINT/SIGTERM drain the workers and
-    raise :class:`~repro.errors.SweepInterrupted` with partial results.
+    (:data:`ALWAYS_RUN` excepted). Failures are not stored, so the
+    next run on ``cache_dir`` executes exactly them again.
+    SIGINT/SIGTERM drain the workers and raise
+    :class:`~repro.errors.SweepInterrupted` with partial results.
     """
     names = list(names)
     unknown = [name for name in names if name not in EXPERIMENTS]
@@ -350,10 +271,10 @@ def run_many(names, jobs: int = 1, cache_dir: "str | None" = None,
                 timings[name] = 0.0
     pending = [name for name in names if name not in results]
     if jobs <= 1 and timeout is None:
-        _run_serial(pending, cache, fail_fast, results, timings)
+        _run_serial(pending, cache, results, timings)
     else:
-        _run_isolated(pending, max(1, jobs), cache, timeout, fail_fast,
-                      results, timings)
+        _run_isolated(pending, max(1, jobs), cache, timeout, results,
+                      timings)
     return ({name: results[name] for name in names},
             {name: timings[name] for name in names})
 
@@ -401,7 +322,7 @@ def _interrupted(received: dict, results: dict, timings: dict,
     )
 
 
-def _run_serial(names, cache, fail_fast, results, timings) -> None:
+def _run_serial(names, cache, results, timings) -> None:
     previous = figures._result_cache
     _init_worker(cache)
     received: dict = {}
@@ -412,19 +333,8 @@ def _run_serial(names, cache, fail_fast, results, timings) -> None:
                 try:
                     results[name] = run_experiment(name)
                 except Exception as exc:
-                    error = f"{type(exc).__name__}: {exc}"
-                    # Record the failure entry AND its timing before
-                    # raising: the dicts must stay consistent for
-                    # callers that catch ExperimentError (which
-                    # carries both).
-                    results[name] = _failure(
-                        error, attempts=1, error_kind=classify_error(exc)
-                    )
+                    results[name] = _failure(f"{type(exc).__name__}: {exc}")
                     timings[name] = time.perf_counter() - start
-                    if fail_fast:
-                        raise ExperimentError(
-                            name, error, results=results, timings=timings
-                        ) from exc
                 else:
                     timings[name] = time.perf_counter() - start
                     _store(cache, name, results[name])
@@ -434,128 +344,69 @@ def _run_serial(names, cache, fail_fast, results, timings) -> None:
         figures.set_result_cache(previous)
 
 
-def _run_isolated(names, jobs, cache, timeout, fail_fast, results,
-                  timings) -> None:
-    """Process-group-per-experiment scheduler: timeouts, classified
-    retries with jittered backoff, drain."""
+def _run_isolated(names, jobs, cache, timeout, results, timings) -> None:
+    """Process-group-per-experiment scheduler: timeouts and drain."""
     context = multiprocessing.get_context("fork")
-    ready = list(names)  # (name, attempt=1) launches, FIFO
-    attempts_of = {name: 1 for name in names}
-    first_start = {}
-    delayed = []  # (ready_at, name) retry launches
-    active = []  # _Attempt objects
+    ready = list(names)
+    active = []  # _Worker objects
     received: dict = {}
 
-    def finish(attempt: _Attempt, success: bool, payload) -> None:
-        elapsed = time.perf_counter() - attempt.first_start
+    def finish(worker: _Worker, success: bool, payload) -> None:
+        results[worker.name] = payload if success else _failure(payload)
+        timings[worker.name] = time.perf_counter() - worker.start
         if success:
-            results[attempt.name] = payload
-            timings[attempt.name] = elapsed
-            _store(cache, attempt.name, payload)
+            _store(cache, worker.name, payload)
             return
-        if isinstance(payload, dict):
-            error, kind = payload["error"], payload.get("kind",
-                                                        "transient")
-        else:  # crash/timeout paths pass a plain string
-            error, kind = str(payload), "transient"
-        # A worker killed mid-export (crash or timeout) leaks its
-        # staged trace file; remove exactly the dead experiment's
-        # leftovers so healthy workers' staging files survive. The
-        # trace experiment stages in the cache directory when one is
-        # installed but next to its output file under --no-cache, so
-        # the output directory is swept regardless of caching.
-        from repro.observe import cleanup_orphan_traces
-
-        directories = {
-            os.path.dirname(os.path.abspath(figures.trace_output_path()))
-        }
-        if cache is not None:
-            directories.add(os.path.abspath(cache.directory))
-        for directory in sorted(directories):
-            cleanup_orphan_traces(directory, experiment=attempt.name)
-        if attempt.number < MAX_ATTEMPTS and kind == "transient":
-            # Retry transient failures (OOM-killed workers, contended
-            # caches, flaky hangs) with jittered exponential backoff;
-            # deterministic failures would fail identically and are
-            # recorded at once.
-            attempts_of[attempt.name] = attempt.number + 1
-            delayed.append((
-                time.monotonic() + _retry_delay(attempt.number + 1),
-                attempt.name,
-            ))
-            return
-        results[attempt.name] = _failure(error, attempts=attempt.number,
-                                         error_kind=kind)
-        timings[attempt.name] = elapsed
-        if fail_fast:
-            raise ExperimentError(
-                attempt.name, error, results=results, timings=timings
-            )
+        # A worker killed mid-export (crash or timeout) leaks the
+        # staging file of the trace it was writing; remove exactly that
+        # worker's, so live workers' files survive.
+        try:
+            os.unlink(staging_path(figures.trace_output_path(),
+                                   worker.process.pid))
+        except OSError:
+            pass
 
     try:
         with _sigterm_drains(received):
-            while ready or delayed or active:
-                now = time.monotonic()
-                # Promote retries whose backoff has elapsed.
-                for entry in [e for e in delayed if e[0] <= now]:
-                    delayed.remove(entry)
-                    ready.append(entry[1])
-                # Launch up to the job limit.
+            while ready or active:
                 while ready and len(active) < jobs:
-                    name = ready.pop(0)
-                    start = first_start.setdefault(name,
-                                                   time.perf_counter())
-                    active.append(_Attempt(
-                        name, attempts_of[name], start, context, cache,
-                        timeout,
-                    ))
-                if not active:
-                    if delayed:  # all slots idle: wait out the backoff
-                        time.sleep(_bounded_wait(
-                            [ready_at for ready_at, _ in delayed]
-                        ))
-                    continue
-                # Wait for a result, a timeout or a retry becoming
-                # ready.
+                    active.append(_Worker(ready.pop(0), context, cache,
+                                          timeout))
                 readable = multiprocessing.connection.wait(
-                    [a.conn for a in active],
+                    [w.conn for w in active],
                     timeout=_bounded_wait(
-                        [a.deadline for a in active
-                         if a.deadline is not None]
-                        + [ready_at for ready_at, _ in delayed]
+                        [w.deadline for w in active
+                         if w.deadline is not None]
                     ),
                 )
                 done = set()
-                for attempt in [a for a in active if a.conn in readable]:
+                for worker in [w for w in active if w.conn in readable]:
                     try:
-                        success, payload = attempt.conn.recv()
+                        success, payload = worker.conn.recv()
                     except EOFError:
-                        exit_code = attempt.process.exitcode
+                        exit_code = worker.process.exitcode
                         success, payload = False, (
                             f"worker crashed (exit code {exit_code})"
                         )
-                    attempt.stop()
-                    done.add(attempt)
-                    finish(attempt, success, payload)
+                    worker.stop()
+                    done.add(worker)
+                    finish(worker, success, payload)
                 now = time.monotonic()
-                for attempt in [a for a in active if a not in done]:
-                    if attempt.deadline is not None \
-                            and now >= attempt.deadline:
-                        attempt.stop()
-                        done.add(attempt)
-                        finish(attempt, False,
+                for worker in [w for w in active if w not in done]:
+                    if worker.deadline is not None \
+                            and now >= worker.deadline:
+                        worker.stop()
+                        done.add(worker)
+                        finish(worker, False,
                                f"timed out after {timeout:g}s")
-                active = [a for a in active if a not in done]
+                active = [w for w in active if w not in done]
     except KeyboardInterrupt:
-        for attempt in active:
-            attempt.stop()
-        active = []
         raise _interrupted(received, results, timings, cache) from None
     finally:
-        # Reap every worker group no matter how we leave (fail_fast's
-        # ExperimentError, an internal bug): no orphans, ever.
-        for attempt in active:
-            attempt.stop()
+        # Reap every worker group no matter how we leave (a drain, an
+        # internal bug): no orphans, ever.
+        for worker in active:
+            worker.stop()
 
 
 def _bounded_wait(wakeups) -> float:

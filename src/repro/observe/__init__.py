@@ -28,10 +28,7 @@ from repro.observe.events import (
     Tracer,
 )
 from repro.observe.export import (
-    STAGING_SUFFIX,
     chrome_trace,
-    cleanup_orphan_traces,
-    staging_path,
     validate_chrome_trace,
     write_trace,
 )
@@ -59,7 +56,6 @@ __all__ = [
     "PHASE_COUNTER",
     "PHASE_END",
     "PHASE_INSTANT",
-    "STAGING_SUFFIX",
     "TRACE_ENV",
     "Collection",
     "Counter",
@@ -70,10 +66,8 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "chrome_trace",
-    "cleanup_orphan_traces",
     "collect",
     "register",
-    "staging_path",
     "trace_overrides_from_env",
     "trace_path_from_env",
     "validate_chrome_trace",

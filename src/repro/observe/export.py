@@ -11,18 +11,14 @@ and the CI smoke run: required keys, known phases, numeric timestamps,
 balanced ``B``/``E`` nesting per track and ``b``/``e`` pairing per async
 id.
 
-Trace files are written atomically: the payload is staged next to the
-final path as ``<name>.<experiment>.trace.tmp`` and renamed into place,
-so readers never observe a half-written trace. A worker killed mid-write
-leaks only the staging file; :func:`cleanup_orphan_traces` removes the
-leftovers of a named experiment (the harness runner calls it after a
-crashed or timed-out worker).
+Trace files are written atomically by :func:`write_trace`, through
+:func:`repro.store.atomic.atomic_write_text`'s staging file next to the
+final path, so readers never observe a half-written trace.
 """
 
 from __future__ import annotations
 
 import json
-import os
 
 from repro.observe.events import (
     PHASE_ASYNC_BEGIN,
@@ -34,9 +30,6 @@ from repro.observe.events import (
     Tracer,
 )
 from repro.store.atomic import atomic_write_text
-
-#: Filename suffix of staged (not yet renamed) trace exports.
-STAGING_SUFFIX = ".trace.tmp"
 
 #: Chrome metadata phase (process/thread naming events).
 PHASE_METADATA = "M"
@@ -180,53 +173,6 @@ def validate_chrome_trace(payload) -> dict:
 
 
 # ----------------------------------------------------------------------
-def staging_path(path: str, experiment: "str | None" = None,
-                 staging_dir: "str | None" = None) -> str:
-    """The temp path a trace export is staged at before the rename.
-
-    The experiment name is embedded in the filename so a crashed
-    worker's leftovers can be attributed (and removed) per experiment.
-    """
-    directory = staging_dir or os.path.dirname(os.path.abspath(path))
-    base = os.path.basename(path)
-    tag = f".{experiment}" if experiment else ""
-    return os.path.join(directory, f"{base}{tag}{STAGING_SUFFIX}")
-
-
-def write_trace(payload: dict, path: str, experiment: "str | None" = None,
-                staging_dir: "str | None" = None) -> str:
-    """Atomically write a trace JSON object to ``path``; returns it.
-
-    Delegates the staging/fsync/rename dance to
-    :func:`repro.store.atomic.atomic_write_text` — the one audited
-    write path — while keeping the per-experiment staging filename so
-    crashed workers' leftovers stay attributable to
-    :func:`cleanup_orphan_traces`.
-    """
-    temp_path = staging_path(path, experiment, staging_dir)
-    return atomic_write_text(path, json.dumps(payload), staging=temp_path)
-
-
-def cleanup_orphan_traces(directory: str,
-                          experiment: "str | None" = None) -> int:
-    """Remove staged ``*.trace.tmp`` leftovers; returns how many.
-
-    With ``experiment`` given, only files that experiment staged (its
-    name is embedded before the suffix) are removed, so concurrent
-    healthy workers' staging files are left alone.
-    """
-    try:
-        entries = os.listdir(directory)
-    except OSError:
-        return 0
-    marker = f".{experiment}{STAGING_SUFFIX}" if experiment else STAGING_SUFFIX
-    removed = 0
-    for filename in entries:
-        if not filename.endswith(marker):
-            continue
-        try:
-            os.unlink(os.path.join(directory, filename))
-        except OSError:
-            continue
-        removed += 1
-    return removed
+def write_trace(payload: dict, path: str) -> str:
+    """Atomically write a trace JSON object to ``path``; returns it."""
+    return atomic_write_text(path, json.dumps(payload))

@@ -10,7 +10,8 @@ logic) into one audited code path:
     with bounded quarantine and a sweep of dead writers' staging files.
 :mod:`repro.store.atomic`
     Bare fsync+rename primitive for single-file artifacts (trace
-    exports, harness JSON reports).
+    exports, harness JSON reports), and ``staging_path``, which names
+    every staging file next to its target.
 :mod:`repro.store.chaos`
     Deterministic ENOSPC/torn-write injection for the chaos harness.
 

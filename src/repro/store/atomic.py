@@ -9,7 +9,8 @@ or the previous state, never a torn write, even across power loss.
 The discipline is the same one the store's entry path uses: write to a
 staging file in the destination directory, flush and ``fsync`` it,
 ``os.replace`` it over the target, then best-effort ``fsync`` the
-directory so the rename itself is durable. The ``repro.selfcheck``
+directory so the rename itself is durable. :func:`staging_path` names
+every staging file, the store's included. The ``repro.selfcheck``
 write-discipline pass (codes ``SC401``/``SC402``) forbids hand-rolled
 ``open(..., "w")`` + ``rename`` sequences outside ``repro.store`` —
 this primitive is what call sites use instead.
@@ -20,25 +21,37 @@ from __future__ import annotations
 import os
 
 
-def atomic_write_bytes(path: str, data: bytes,
-                       staging: "str | None" = None) -> str:
+def staging_path(path: str, pid: "int | None" = None) -> str:
+    """The staging file a write of ``path`` goes through.
+
+    ``.<name>.<pid>.tmp`` in ``path``'s own directory: the rename never
+    crosses a filesystem, and the writer pid (default: this process)
+    tells a dead writer's leftover from a live writer's file.
+    """
+    directory, name = os.path.split(path)
+    if pid is None:
+        pid = os.getpid()
+    return os.path.join(directory, f".{name}.{pid}.tmp")
+
+
+def _staging_pid(filename: str) -> "int | None":
+    """The writer pid of a :func:`staging_path` file name, else None."""
+    if not (filename.startswith(".") and filename.endswith(".tmp")):
+        return None
+    pid = filename[: -len(".tmp")].rpartition(".")[2]
+    return int(pid) if pid.isdigit() else None
+
+
+def atomic_write_bytes(path: str, data: bytes) -> str:
     """Atomically and durably write ``data`` to ``path``; returns it.
 
-    ``staging`` overrides the temp-file path (it must live on the same
-    filesystem as ``path``); callers with crash-sweep naming schemes —
-    the trace exporter's per-experiment ``*.trace.tmp`` files — pass
-    their own so orphans stay attributable. The staging file never
-    survives this call: it is renamed into place on success and
+    The data is staged in the file :func:`staging_path` names, which
+    never survives this call: it is renamed into place on success and
     unlinked on failure.
     """
     target = os.path.abspath(path)
-    if staging is None:
-        staging = os.path.join(
-            os.path.dirname(target),
-            f".{os.path.basename(target)}.{os.getpid()}.tmp",
-        )
-    directory = os.path.dirname(os.path.abspath(staging))
-    os.makedirs(directory, exist_ok=True)
+    staging = staging_path(target)
+    os.makedirs(os.path.dirname(target), exist_ok=True)
     try:
         with open(staging, "wb") as handle:
             handle.write(data)
@@ -55,10 +68,9 @@ def atomic_write_bytes(path: str, data: bytes,
     return path
 
 
-def atomic_write_text(path: str, text: str,
-                      staging: "str | None" = None) -> str:
+def atomic_write_text(path: str, text: str) -> str:
     """UTF-8 text form of :func:`atomic_write_bytes`."""
-    return atomic_write_bytes(path, text.encode("utf-8"), staging=staging)
+    return atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def _fsync_directory(directory: str) -> None:

@@ -6,9 +6,9 @@ One store = one directory holding:
     Entry files. Each is self-verifying: a header line
     ``repro-store/1 <sha256 of payload>``, then the payload (opaque
     bytes; callers bring their own codec).
-``.<key>.<pid>.tmp``
-    In-flight staging files; swept when a store is opened if their
-    writer pid is dead.
+``.<key><suffix>.<pid>.tmp``
+    In-flight staging files (:func:`~repro.store.atomic.staging_path`);
+    swept when a store is opened if their writer pid is dead.
 ``<key><suffix>.bad``
     Quarantined entries (checksum mismatch, missing header,
     undecodable payload). Bounded: the oldest are evicted beyond
@@ -34,7 +34,7 @@ import errno
 import hashlib
 import os
 
-from repro.store.atomic import _fsync_directory
+from repro.store.atomic import _fsync_directory, _staging_pid, staging_path
 from repro.store.chaos import chaos_from_env
 
 #: Bound on quarantined (``.bad``) files per store directory.
@@ -75,14 +75,6 @@ def _unframe(data: bytes) -> "bytes | None":
     return payload
 
 
-def _staging_pid(filename: str) -> "int | None":
-    """The writer pid of a ``.<name>.<pid>.tmp`` staging file, else None."""
-    if not (filename.startswith(".") and filename.endswith(".tmp")):
-        return None
-    pid = filename[: -len(".tmp")].rpartition(".")[2]
-    return int(pid) if pid.isdigit() else None
-
-
 class DurableStore:
     """Directory-backed byte store of self-verifying entry files.
 
@@ -107,11 +99,6 @@ class DurableStore:
     # ------------------------------------------------------------------
     def path(self, key: str) -> str:
         return os.path.join(self.directory, f"{key}{self.suffix}")
-
-    def _temp_path(self, key: str) -> str:
-        return os.path.join(
-            self.directory, f".{key}.{os.getpid()}.tmp"
-        )
 
     def _kind(self, filename: str) -> "str | None":
         """Which :meth:`stats` count ``filename`` falls in, if any."""
@@ -161,7 +148,7 @@ class DurableStore:
                 # Injected torn commit: the rename publishes a
                 # truncated file, as a reordering crash would.
                 entry = entry[:torn]
-        temp_path = self._temp_path(key)
+        temp_path = staging_path(self.path(key))
         try:
             os.makedirs(self.directory, exist_ok=True)
             self._write_staging(key, temp_path, entry)

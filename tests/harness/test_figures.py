@@ -1,8 +1,11 @@
 """Harness experiment runners (the cheap, simulation-light ones)."""
 
+import os
+
 import pytest
 
 from repro.harness import figures
+from repro.harness.resultcache import ResultCache
 
 
 class TestScales:
@@ -119,7 +122,34 @@ class TestTraceExperiment:
         labels = {row[0] for row in result["rows"]}
         assert labels == {"Base", "ISRF4"}
         assert all(row[1] > 0 for row in result["rows"])
-        assert not list(tmp_path.glob(f"*{observe.STAGING_SUFFIX}"))
+        assert os.listdir(tmp_path) == ["out.json"]  # no staging file
+
+    def test_trace_stages_next_to_its_target(self, tmp_path, monkeypatch):
+        """The export is renamed within the target's directory, never
+        from the result-cache directory: a rename cannot cross
+        filesystems, and the cache and --trace-path may sit on two."""
+        target = tmp_path / "out" / "trace.json"
+        target.parent.mkdir()
+        renames = []
+        real_replace = os.replace
+
+        def spy(source, destination):
+            renames.append((str(source), str(destination)))
+            real_replace(source, destination)
+
+        monkeypatch.setattr(os, "replace", spy)
+        figures.set_result_cache(ResultCache(str(tmp_path / "cache")))
+        figures.set_trace_path(str(target))
+        try:
+            figures.trace()
+        finally:
+            figures.set_trace_path(None)
+            figures.set_result_cache(None)
+        staged = [source for source, destination in renames
+                  if destination == str(target)]
+        assert len(staged) == 1
+        assert os.path.dirname(staged[0]) == str(target.parent)
+        assert target.exists()
 
     def test_trace_rows_partition_their_cycles(self, tmp_path):
         """loop + srf stall + mem stall + overhead + idle == cycles,

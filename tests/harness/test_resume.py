@@ -1,4 +1,5 @@
-"""Serving stored experiments, error classification, orphan reaping."""
+"""Serving stored experiments, one execution per failure, orphan
+reaping."""
 
 import os
 import signal
@@ -9,15 +10,10 @@ import time
 
 import pytest
 
-from repro.errors import ReproError, SweepInterrupted
+from repro.errors import SweepInterrupted
 from repro.harness import resultcache, runner
 from repro.harness.resultcache import ResultCache
-from repro.harness.runner import (
-    RETRY_BACKOFF_MAX_S,
-    classify_error,
-    failed,
-    run_many,
-)
+from repro.harness.runner import failed, run_many
 from repro.store.chaos import CHAOS_ENV
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(
@@ -248,52 +244,34 @@ class TestExperimentKey:
         assert self.key(tmp_path) == before
 
 
-class TestErrorClassification:
-    @pytest.mark.parametrize("exc,kind", [
-        (ValueError("x"), "deterministic"),
-        (TypeError("x"), "deterministic"),
-        (AssertionError("x"), "deterministic"),
-        (ReproError("x"), "deterministic"),
-        (OSError("x"), "transient"),
-        (MemoryError(), "transient"),
-        (TimeoutError(), "transient"),
-        (RuntimeError("x"), "transient"),  # unknown: retry is cheap
-    ])
-    def test_classify(self, exc, kind):
-        assert classify_error(exc) == kind
+class TestOneExecutionPerFailure:
+    """A failure is recorded after one execution; a rerun retries it."""
 
-    def test_deterministic_failure_not_retried(self, tmp_path,
-                                               monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("error", [ValueError, OSError, RuntimeError])
+    def test_failure_recorded_after_one_execution(self, tmp_path,
+                                                  monkeypatch, jobs,
+                                                  error):
         log = tmp_path / "log"
 
         def boom():
-            raise ValueError("same result every time")
+            raise error("boom")
 
         install_fakes(monkeypatch, log, {"expa": boom})
-        results, _ = run_many(["expa"], jobs=2)
-        assert failed(results["expa"])
-        assert results["expa"]["attempts"] == 1
-        assert results["expa"]["error_kind"] == "deterministic"
+        results, _ = run_many(["expa"], jobs=jobs)
+        assert results["expa"] == {"status": "failed",
+                                   "error": f"{error.__name__}: boom"}
         assert executions(log) == ["expa"]
 
-    def test_transient_failure_retried(self, tmp_path, monkeypatch):
+    def test_hung_experiment_is_launched_once(self, tmp_path,
+                                              monkeypatch):
         log = tmp_path / "log"
-
-        def flaky():
-            raise OSError("might work next time")
-
-        install_fakes(monkeypatch, log, {"expa": flaky})
-        results, _ = run_many(["expa"], jobs=2)
-        assert failed(results["expa"])
-        assert results["expa"]["attempts"] == 2
-        assert results["expa"]["error_kind"] == "transient"
-        assert executions(log) == ["expa", "expa"]
-
-    def test_retry_delay_is_bounded(self):
-        for attempt in range(2, 12):
-            for _ in range(20):
-                delay = runner._retry_delay(attempt)
-                assert 0.0 <= delay <= RETRY_BACKOFF_MAX_S
+        install_fakes(monkeypatch, log,
+                      {"expa": lambda: time.sleep(3600)})
+        results, _ = run_many(["expa"], timeout=1.0)
+        assert results["expa"] == {"status": "failed",
+                                   "error": "timed out after 1s"}
+        assert executions(log) == ["expa"]
 
 
 class TestOrphanReaping:

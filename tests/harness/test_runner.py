@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import time
 
 import pytest
 
@@ -11,13 +12,18 @@ from repro.harness import figures
 from repro.harness.resultcache import ResultCache, config_fingerprint
 from repro.harness.runner import (
     FAIL_EXPERIMENT_ENV,
-    HANG_EXPERIMENT_ENV,
-    ExperimentError,
     experiment_names,
     failed,
     run_experiment,
     run_many,
 )
+from repro.store.atomic import staging_path
+
+#: The failure record the REPRO_FAIL_EXPERIMENT hook leaves for "area".
+FORCED_AREA_FAILURE = {
+    "status": "failed",
+    "error": "RuntimeError: area: forced failure (REPRO_FAIL_EXPERIMENT)",
+}
 
 
 class TestRegistry:
@@ -64,22 +70,16 @@ class TestGracefulDegradation:
         monkeypatch.setenv(FAIL_EXPERIMENT_ENV, "area")
         results, timings = run_many(["table3", "area"])
         assert "text" in results["table3"]
-        assert failed(results["area"])
-        assert results["area"]["attempts"] == 1
-        assert "forced failure" in results["area"]["error"]
+        assert results["area"] == FORCED_AREA_FAILURE
         assert set(timings) == {"table3", "area"}
 
-    def test_serial_fail_fast_raises(self, monkeypatch):
-        monkeypatch.setenv(FAIL_EXPERIMENT_ENV, "table3")
-        with pytest.raises(ExperimentError, match="table3"):
-            run_many(["table3", "area"], fail_fast=True)
-
     def test_isolated_failure_is_retried_then_recorded(self, monkeypatch):
+        # Recorded after one execution; the retry is a rerun of the
+        # sweep, which executes exactly the failed experiments.
         monkeypatch.setenv(FAIL_EXPERIMENT_ENV, "area")
         results, _ = run_many(["table3", "area"], jobs=2)
         assert "text" in results["table3"]
-        assert failed(results["area"])
-        assert results["area"]["attempts"] == 2
+        assert results["area"] == FORCED_AREA_FAILURE
 
     def test_worker_crash_is_isolated(self, monkeypatch):
         # A worker dying outright (not an exception it can report) must
@@ -95,82 +95,69 @@ class TestGracefulDegradation:
         assert "worker crashed" in results["area"]["error"]
 
     def test_hang_is_killed_by_timeout(self, monkeypatch):
-        monkeypatch.setenv(HANG_EXPERIMENT_ENV, "area")
+        # Forked workers inherit the patched hook.
+        monkeypatch.setattr(
+            "repro.harness.runner._apply_test_hooks",
+            lambda name: name == "area" and time.sleep(3600),
+        )
         results, _ = run_many(["table3", "area"], jobs=2, timeout=1.0)
         assert "text" in results["table3"]
-        assert failed(results["area"])
-        assert "timed out" in results["area"]["error"]
-        assert results["area"]["attempts"] == 2
+        assert results["area"] == {"status": "failed",
+                                   "error": "timed out after 1s"}
 
-    def test_isolated_fail_fast_raises(self, monkeypatch):
-        monkeypatch.setenv(FAIL_EXPERIMENT_ENV, "table3")
-        with pytest.raises(ExperimentError, match="table3"):
-            run_many(["table3", "area"], jobs=2, fail_fast=True)
+    @staticmethod
+    def die_mid_export(monkeypatch, tmp_path, then):
+        """Make the "area" worker stage a trace export, log its pid and
+        then call ``then``; returns (worker pid log, trace path)."""
+        trace_path = str(tmp_path / "out.json")
+        pid_log = tmp_path / "pid"
+        monkeypatch.setattr(figures, "_trace_path", trace_path)
+
+        def hook(name):
+            if name == "area":
+                with open(staging_path(trace_path), "w") as handle:
+                    handle.write("partial")
+                pid_log.write_text(str(os.getpid()))
+                then()
+
+        monkeypatch.setattr("repro.harness.runner._apply_test_hooks",
+                            hook)
+        return pid_log, trace_path
 
     def test_crashed_workers_staged_trace_is_swept(self, monkeypatch,
                                                    tmp_path):
-        # A worker that dies mid-export leaves <out>.<exp>.trace.tmp in
-        # the cache dir; the runner must sweep exactly the failed
-        # experiment's leftovers and spare everyone else's.
-        from repro.observe import STAGING_SUFFIX
-
-        orphan = tmp_path / f"out.json.area{STAGING_SUFFIX}"
-        other = tmp_path / f"out.json.table3{STAGING_SUFFIX}"
-        orphan.write_text("partial")
-        other.write_text("partial")
-        monkeypatch.setenv(FAIL_EXPERIMENT_ENV, "area")
+        # A worker that dies mid-export leaves its staging file next to
+        # the trace path; the runner removes exactly that worker's and
+        # spares a live writer's.
+        pid_log, trace_path = self.die_mid_export(
+            monkeypatch, tmp_path, lambda: os._exit(17))
+        live = staging_path(trace_path, os.getpid())
+        with open(live, "w") as handle:
+            handle.write("in flight")
         results, _ = run_many(["table3", "area"], jobs=2,
-                              cache_dir=str(tmp_path))
-        assert failed(results["area"])
-        assert not orphan.exists()
-        assert other.exists()
+                              cache_dir=str(tmp_path / "cache"))
+        assert "worker crashed" in results["area"]["error"]
+        dead = staging_path(trace_path, int(pid_log.read_text()))
+        assert not os.path.exists(dead)
+        assert os.path.exists(live)
 
     def test_staged_trace_swept_without_cache_dir(self, monkeypatch,
                                                   tmp_path):
-        # Regression: the sweep only ran when a cache directory was
-        # configured, but under --no-cache the trace experiment stages
-        # next to its output file — a crashed worker's leftovers were
-        # never cleaned up there.
-        from repro.observe import STAGING_SUFFIX
-
-        monkeypatch.setattr(figures, "_trace_path",
-                            str(tmp_path / "out.json"))
-        orphan = tmp_path / f"out.json.area{STAGING_SUFFIX}"
-        other = tmp_path / f"out.json.table3{STAGING_SUFFIX}"
-        orphan.write_text("partial")
-        other.write_text("partial")
-        monkeypatch.setenv(FAIL_EXPERIMENT_ENV, "area")
-        results, _ = run_many(["area"], jobs=2, cache_dir=None)
-        assert failed(results["area"])
-        assert not orphan.exists()
-        assert other.exists()  # only the failed experiment's are swept
-
-    def test_serial_fail_fast_carries_consistent_results(self,
-                                                         monkeypatch):
-        # Regression: the serial runner raised before recording the
-        # failing experiment's timing, so results and timings disagreed.
-        monkeypatch.setenv(FAIL_EXPERIMENT_ENV, "area")
-        with pytest.raises(ExperimentError) as info:
-            run_many(["table3", "area"], fail_fast=True)
-        exc = info.value
-        assert exc.experiment == "area"
-        assert "text" in exc.results["table3"]
-        assert failed(exc.results["area"])
-        assert set(exc.timings) == set(exc.results)
-        assert all(t >= 0 for t in exc.timings.values())
-
-    def test_isolated_fail_fast_carries_consistent_results(self,
-                                                           monkeypatch):
-        monkeypatch.setenv(FAIL_EXPERIMENT_ENV, "area")
-        with pytest.raises(ExperimentError) as info:
-            run_many(["table3", "area"], jobs=2, fail_fast=True)
-        exc = info.value
-        assert failed(exc.results["area"])
-        assert set(exc.timings) == set(exc.results)
-        assert "area" in exc.timings
+        # The same holds for a worker killed by --timeout mid-export,
+        # with no cache directory.
+        pid_log, trace_path = self.die_mid_export(
+            monkeypatch, tmp_path, lambda: time.sleep(3600))
+        live = staging_path(trace_path, os.getpid())
+        with open(live, "w") as handle:
+            handle.write("in flight")
+        results, _ = run_many(["area"], jobs=2, timeout=1.0)
+        assert "timed out" in results["area"]["error"]
+        dead = staging_path(trace_path, int(pid_log.read_text()))
+        assert not os.path.exists(dead)
+        assert os.path.exists(live)
 
     def test_failed_predicate(self):
-        assert failed({"status": "failed", "error": "x", "attempts": 2})
+        assert failed({"status": "failed", "error": "x"})
         assert not failed({"text": "fine"})
         assert not failed("not even a dict")
 

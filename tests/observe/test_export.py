@@ -6,11 +6,8 @@ import os
 import pytest
 
 from repro.observe import (
-    STAGING_SUFFIX,
     Tracer,
     chrome_trace,
-    cleanup_orphan_traces,
-    staging_path,
     validate_chrome_trace,
     write_trace,
 )
@@ -119,52 +116,14 @@ class TestValidation:
 
 
 class TestAtomicWrite:
-    def test_staging_path_embeds_experiment(self, tmp_path):
-        path = staging_path(
-            str(tmp_path / "out.json"), experiment="trace",
-            staging_dir=str(tmp_path),
-        )
-        assert path.endswith(f".trace{STAGING_SUFFIX}")
-        assert os.path.dirname(path) == str(tmp_path)
-
     def test_write_leaves_no_staging_file(self, tmp_path):
         target = tmp_path / "out.json"
-        write_trace({"traceEvents": []}, str(target), experiment="trace",
-                    staging_dir=str(tmp_path))
+        write_trace({"traceEvents": []}, str(target))
         assert json.loads(target.read_text()) == {"traceEvents": []}
-        leftovers = [f for f in os.listdir(tmp_path)
-                     if f.endswith(STAGING_SUFFIX)]
-        assert leftovers == []
+        assert os.listdir(tmp_path) == ["out.json"]
 
     def test_failed_write_does_not_create_target(self, tmp_path):
         target = tmp_path / "out.json"
         with pytest.raises(TypeError):
-            write_trace({"bad": object()}, str(target), experiment="trace",
-                        staging_dir=str(tmp_path))
-        assert not target.exists()
-        leftovers = [f for f in os.listdir(tmp_path)
-                     if f.endswith(STAGING_SUFFIX)]
-        assert leftovers == []
-
-
-class TestOrphanCleanup:
-    def test_removes_only_named_experiments_leftovers(self, tmp_path):
-        mine = tmp_path / f"out.json.trace{STAGING_SUFFIX}"
-        other = tmp_path / f"out.json.fig11{STAGING_SUFFIX}"
-        unrelated = tmp_path / "result.pkl"
-        for path in (mine, other, unrelated):
-            path.write_text("x")
-        removed = cleanup_orphan_traces(str(tmp_path), experiment="trace")
-        assert removed == 1
-        assert not mine.exists()
-        assert other.exists() and unrelated.exists()
-
-    def test_without_experiment_removes_all_staging_files(self, tmp_path):
-        for name in (f"a.trace{STAGING_SUFFIX}", f"b.fig11{STAGING_SUFFIX}"):
-            (tmp_path / name).write_text("x")
-        (tmp_path / "keep.json").write_text("x")
-        assert cleanup_orphan_traces(str(tmp_path)) == 2
-        assert os.listdir(tmp_path) == ["keep.json"]
-
-    def test_missing_directory_is_harmless(self, tmp_path):
-        assert cleanup_orphan_traces(str(tmp_path / "nope")) == 0
+            write_trace({"bad": object()}, str(target))
+        assert os.listdir(tmp_path) == []

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.store import atomic
-from repro.store.atomic import atomic_write_bytes
+from repro.store.atomic import _staging_pid, atomic_write_bytes, staging_path
 
 
 class TestAtomicWriteBytes:
@@ -29,3 +29,12 @@ class TestAtomicWriteBytes:
         assert info.value.errno == errno.ENOSPC
         assert target.read_bytes() == b"previous"
         assert os.listdir(tmp_path) == ["out.bin"]
+
+
+class TestStagingPath:
+    def test_names_writer_pid_next_to_target(self, tmp_path):
+        target = str(tmp_path / "out.json")
+        assert staging_path(target, 42) == str(tmp_path / ".out.json.42.tmp")
+        assert staging_path(target) == staging_path(target, os.getpid())
+        assert _staging_pid(os.path.basename(staging_path(target, 42))) == 42
+        assert _staging_pid("out.json") is None
