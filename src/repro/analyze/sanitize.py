@@ -20,8 +20,9 @@ Checked invariants, mirroring the machine's conservation laws:
   space (occupancy + in-flight ≤ capacity);
 * **indexed streams** — the O(1) ``pending_words`` counter equals the
   words actually queued across lane FIFOs, write credits are
-  non-negative, each address FIFO's head cache matches a recomputation,
-  reorder buffers stay within capacity;
+  non-negative, each address FIFO's record counter equals its queued
+  record-end words and stays within capacity, a non-empty FIFO's tail
+  word ends a record, reorder buffers stay within capacity;
 * **crossbars** — address-network port budgets within configured
   bounds, return-network queues plus reservations within queue depth;
 * **completion pipeline** — no in-flight completion is overdue after
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.address_fifo import _STALE
 from repro.core.stream_buffer import _UNFILLED
 from repro.errors import SanitizerError
 
@@ -150,30 +150,28 @@ class MachineSanitizer:
             name = stream.descriptor.name
             queued = 0
             for fifo in stream.fifos:
-                entries = fifo._entries
-                words = sum(len(entry.words) for entry in entries)
-                words -= fifo._head_word
-                queued += words
-                if fifo.occupancy > fifo.capacity:
+                words = fifo._words
+                queued += len(words)
+                # A record leaves the FIFO with its ``last`` word, so the
+                # record counter must equal the queued record ends.
+                ends = sum(1 for word in words if word[4])
+                if ends != fifo.records:
+                    yield (
+                        f"indexed stream '{name}' lane {fifo.lane}: record "
+                        f"counter {fifo.records} != {ends} record-end "
+                        "words queued"
+                    )
+                if ends > fifo.capacity:
                     yield (
                         f"indexed stream '{name}' lane {fifo.lane}: "
-                        f"{fifo.occupancy} FIFO entries exceed capacity "
+                        f"{ends} queued records exceed capacity "
                         f"{fifo.capacity}"
                     )
-                if entries:
-                    if not 0 <= fifo._head_word < len(entries[0].words):
-                        yield (
-                            f"indexed stream '{name}' lane {fifo.lane}: "
-                            f"head-word counter {fifo._head_word} outside "
-                            f"the {len(entries[0].words)}-word head record"
-                        )
-                elif fifo._head_word:
+                if words and not words[-1][4]:
                     yield (
-                        f"indexed stream '{name}' lane {fifo.lane}: "
-                        f"head-word counter {fifo._head_word} with an "
-                        "empty FIFO"
+                        f"indexed stream '{name}' lane {fifo.lane}: tail "
+                        "word does not end a record"
                     )
-                yield from self._check_head_cache(name, fifo)
             if queued != stream.pending_words:
                 yield (
                     f"indexed stream '{name}': pending_words counter "
@@ -188,22 +186,6 @@ class MachineSanitizer:
             if stream.robs is not None:
                 for lane, rob in enumerate(stream.robs):
                     yield from self._check_rob(name, lane, rob)
-
-    @staticmethod
-    def _check_head_cache(name, fifo):
-        cached = fifo._head_cache
-        if cached is _STALE:
-            return
-        fifo._head_cache = _STALE
-        try:
-            expected = fifo.peek_word()
-        finally:
-            fifo._head_cache = cached
-        if cached != expected:
-            yield (
-                f"indexed stream '{name}' lane {fifo.lane}: stale head "
-                f"cache ({cached} cached, {expected} actual)"
-            )
 
     @staticmethod
     def _check_rob(name, lane, rob):

@@ -7,7 +7,7 @@ round-robin arbitration with sub-array conflict detection, and
 cross-lane access over dedicated crossbars.
 """
 
-from repro.core.address_fifo import AddressFifo, RecordAccess, WordAccess
+from repro.core.address_fifo import AddressFifo
 from repro.core.arbiter import RoundRobinArbiter
 from repro.core.arrays import SrfArray
 from repro.core.descriptors import IndexSpace, StreamDescriptor, StreamKind
@@ -28,7 +28,6 @@ __all__ = [
     "IndexedStream",
     "LaneFifo",
     "PortDirection",
-    "RecordAccess",
     "ReorderBuffer",
     "RoundRobinArbiter",
     "SequentialPort",
@@ -41,5 +40,4 @@ __all__ = [
     "StreamDescriptor",
     "StreamKind",
     "StreamRegisterFile",
-    "WordAccess",
 ]

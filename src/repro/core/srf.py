@@ -22,11 +22,19 @@ head in its target bank's bucket in one pass per cycle, then arbitrates
 the banks in order (see :meth:`StreamRegisterFile._grant_indexed`).
 
 Clients (the kernel executor and the memory controller) interact through
-small, explicit protocols: sequential ports expose ``wants_grant`` /
-``on_grant``; indexed streams expose ``can_issue`` / ``issue_read`` /
-``issue_write`` / ``data_ready`` / ``pop_data``. Everything functional
-(actual word values) lives in :class:`~repro.core.storage.SrfStorage`,
-so the timing model and the data model can never diverge.
+small, explicit protocols. Sequential ports expose ``wants_grant`` /
+``on_grant`` to the arbiter and ``pop_simd`` / ``push_simd`` to the
+clusters. Indexed streams take one call per SIMD access —
+``issue_reads(indices)``, ``issue_writes(entries)`` and
+``pop_records(counts)``, each all-or-nothing across the active lanes and
+False when the clusters must stall — plus per-lane ``can_issue`` /
+``issue_read`` / ``issue_write`` / ``data_ready`` / ``record_ready`` /
+``pop_record`` / ``pop_data`` for callers that model lanes one at a time
+(the Figure 17/18 microbenchmarks). Address FIFOs hold plain word-access
+tuples, so an indexed word costs no object beyond its FIFO entry and its
+completion event. Everything functional (actual word values) lives in
+:class:`~repro.core.storage.SrfStorage`, so the timing model and the
+data model can never diverge.
 """
 
 from __future__ import annotations
@@ -37,13 +45,13 @@ from bisect import insort
 from dataclasses import dataclass
 
 from repro.config.machine import MachineConfig
-from repro.core.address_fifo import _STALE, AddressFifo, RecordAccess
+from repro.core.address_fifo import AddressFifo
 from repro.core.arbiter import RoundRobinArbiter
 from repro.core.descriptors import IndexSpace, StreamDescriptor
 from repro.core.geometry import SrfGeometry
 from repro.core.storage import SrfAllocator, SrfStorage
-from repro.core.stream_buffer import LaneFifo, ReorderBuffer
-from repro.errors import SrfError
+from repro.core.stream_buffer import _UNFILLED, LaneFifo, ReorderBuffer
+from repro.errors import SrfAccessError, SrfError
 from repro.interconnect.crossbar import (
     AddressNetwork,
     ReturnNetwork,
@@ -210,6 +218,15 @@ class IndexedStream:
     order (Figure 9's stall semantics). A write stream's FIFO entries
     carry the data words; ``outstanding_writes`` lets the executor
     barrier on write drain at kernel end.
+
+    Clusters run in SIMD lockstep, so the kernel executor drives a
+    stream one SIMD access at a time: :meth:`issue_reads`,
+    :meth:`issue_writes` and :meth:`pop_records` take one entry per lane
+    (``None`` or 0 for a lane predicated off) and act on every active
+    lane, or on none when any of them would block. The per-lane calls
+    (:meth:`can_issue`, :meth:`issue_read`, :meth:`pop_record`, ...)
+    serve the Figure 17/18 microbenchmarks; both forms share
+    :meth:`_enqueue` and :meth:`_dequeue`.
     """
 
     def __init__(self, srf: "StreamRegisterFile", descriptor: StreamDescriptor):
@@ -237,46 +254,194 @@ class IndexedStream:
         self.is_crosslane = descriptor.kind.is_crosslane
         self.is_read = descriptor.kind.is_read
         self.record_words = descriptor.record_words
-        self._local_base = self._compute_local_base()
-        self._per_lane_single = (
-            descriptor.index_space is IndexSpace.PER_LANE
-            and descriptor.record_words == 1
-        )
+        #: Bank-local address of record 0 in every lane (PER_LANE).
+        self.local_base = self._check_layout()
 
-    def _compute_local_base(self) -> int:
+    def _check_layout(self) -> int:
+        """Prove every in-range record lies inside the SRF; returns the
+        bank-local base.
+
+        Issue checks each record index against ``length_records``, so
+        after this check arbitration may index storage unchecked.
+        """
         geometry = self.srf.geometry
-        base = self.descriptor.base
+        descriptor = self.descriptor
+        base = descriptor.base
         if base % geometry.block_words:
             raise SrfError(
-                f"{self.descriptor.name}: indexed streams need block-aligned "
+                f"{descriptor.name}: indexed streams need block-aligned "
                 f"bases (got {base})"
             )
-        return (base // geometry.block_words) * geometry.words_per_lane_access
+        local_base = (
+            (base // geometry.block_words) * geometry.words_per_lane_access
+        )
+        if descriptor.index_space is IndexSpace.PER_LANE:
+            end = local_base + descriptor.length_words
+            if end > geometry.bank_words:
+                raise SrfAccessError(
+                    f"{descriptor.name}: per-lane records span bank-local "
+                    f"words [{local_base},{end}), past the "
+                    f"{geometry.bank_words}-word bank"
+                )
+        else:
+            end = base + descriptor.length_words
+            if end > geometry.total_words:
+                raise SrfAccessError(
+                    f"{descriptor.name}: records span global words "
+                    f"[{base},{end}), past the {geometry.total_words}-word "
+                    "SRF"
+                )
+        return local_base
 
-    # -- address resolution ------------------------------------------------
-    def resolve(self, lane: int, record_index: int) -> list:
-        """Word targets ``(target_lane, bank_local_addr)`` of a record."""
+    # -- shared by the SIMD and per-lane calls ----------------------------
+    def _enqueue(self, lane: int, record_index: int, values) -> None:
+        """Queue one record access of ``lane`` (the caller checked
+        :meth:`can_issue`).
+
+        ``values`` is None for a read, which reserves the record's
+        in-order reorder tickets, or the record's words for a write. The
+        record is expanded into its word accesses here, once: this is
+        the only copy of the record-to-bank address arithmetic.
+        """
         descriptor = self.descriptor
         if not 0 <= record_index < descriptor.length_records:
             raise SrfError(
                 f"{descriptor.name}: record index {record_index} out of "
                 f"range [0,{descriptor.length_records})"
             )
-        if self._per_lane_single:
-            return [(lane, self._local_base + record_index)]
-        rw = descriptor.record_words
-        if descriptor.index_space is IndexSpace.PER_LANE:
-            start = self._local_base + record_index * rw
-            return [(lane, start + j) for j in range(rw)]
-        geometry = self.srf.geometry
-        start = descriptor.base + record_index * rw
-        return [geometry.split(start + j) for j in range(rw)]
+        rw = self.record_words
+        if values is None:
+            # ReorderBuffer.reserve, inline: the caller checked capacity.
+            rob = self.robs[lane]
+            slots = rob._slots
+            ticket = rob._head_ticket + len(slots)
+            if rw == 1:
+                slots.append(_UNFILLED)
+            else:
+                slots.extend([_UNFILLED] * rw)
+            value = None
+        else:
+            if len(values) != rw:
+                raise SrfError(f"{descriptor.name}: record needs {rw} words")
+            ticket = None
+            value = values[0]
+            self.outstanding_writes += rw
+        fifo = self.fifos[lane]
+        queue = fifo._words
+        if rw == 1 and not self.is_crosslane:
+            queue.append(
+                (lane, self.local_base + record_index, ticket, value, True)
+            )
+        else:
+            split = self.srf.geometry.split
+            start = record_index * rw
+            last = rw - 1
+            for j in range(rw):
+                if self.is_crosslane:
+                    target, addr = split(descriptor.base + start + j)
+                else:
+                    target, addr = lane, self.local_base + start + j
+                queue.append((
+                    target, addr,
+                    None if ticket is None else ticket + j,
+                    None if values is None else values[j],
+                    j == last,
+                ))
+        fifo.records += 1
+        self.pending_words += rw
+        hist = self.srf._addr_fifo_hist
+        if hist is not None:
+            hist.record(fifo.records)
 
-    # -- client (cluster) side ----------------------------------------------
+    def _dequeue(self, lane: int):
+        """Pop ``lane``'s oldest record (the caller checked it returned);
+        single-word records come back as the bare word."""
+        rob = self.robs[lane]
+        rw = self.record_words
+        slots = rob._slots
+        rob._head_ticket += rw
+        if rw == 1:
+            return slots.popleft()
+        return tuple([slots.popleft() for _ in range(rw)])
+
+    # -- client (cluster) side, one SIMD access per call ------------------
+    def _can_issue_all(self, per_lane) -> bool:
+        """:meth:`can_issue` of every lane whose entry is not None."""
+        fifos = self.fifos
+        robs = self.robs
+        rw = self.record_words
+        for lane, entry in enumerate(per_lane):
+            if entry is not None:
+                fifo = fifos[lane]
+                if fifo.records >= fifo.capacity:
+                    return False
+                if robs is not None:
+                    rob = robs[lane]
+                    if len(rob._slots) + rw > rob.capacity:
+                        return False
+        return True
+
+    def issue_reads(self, indices) -> bool:
+        """Issue a record read in every lane whose index is not None.
+
+        Returns False, changing nothing, when any such lane's address
+        FIFO or reorder buffer is full (the clusters stall); otherwise
+        issues them all and returns True.
+        """
+        if not self.is_read:
+            raise SrfError(f"{self.descriptor.name}: not a read stream")
+        if not self._can_issue_all(indices):
+            return False
+        enqueue = self._enqueue
+        for lane, index in enumerate(indices):
+            if index is not None:
+                enqueue(lane, index, None)
+        return True
+
+    def issue_writes(self, entries) -> bool:
+        """Issue a record write in every lane whose ``(index, words)``
+        entry is not None; all or nothing, like :meth:`issue_reads`."""
+        if not self.descriptor.kind.is_write:
+            raise SrfError(f"{self.descriptor.name}: not a write stream")
+        if not self._can_issue_all(entries):
+            return False
+        enqueue = self._enqueue
+        for lane, entry in enumerate(entries):
+            if entry is not None:
+                enqueue(lane, entry[0], entry[1])
+        return True
+
+    def pop_records(self, counts):
+        """Pop one record in every lane whose count is nonzero.
+
+        Returns False, popping nothing, when any such lane's record has
+        not fully returned; otherwise the popped records, one entry per
+        lane (None where the count is 0, the bare word for single-word
+        records).
+        """
+        robs = self.robs
+        if robs is None:
+            raise SrfError(f"{self.descriptor.name}: write streams have no data")
+        rw = self.record_words
+        for lane, count in enumerate(counts):
+            if count:
+                slots = robs[lane]._slots
+                if rw == 1:
+                    if not slots or slots[0] is _UNFILLED:
+                        return False
+                elif not robs[lane].head_ready_n(rw):
+                    return False
+        dequeue = self._dequeue
+        return [
+            dequeue(lane) if count else None
+            for lane, count in enumerate(counts)
+        ]
+
+    # -- client (cluster) side, one lane per call ---------------------------
     def can_issue(self, lane: int) -> bool:
         """Whether ``lane`` may enqueue another record access now."""
         fifo = self.fifos[lane]
-        if len(fifo._entries) >= fifo.capacity:
+        if fifo.records >= fifo.capacity:
             return False
         robs = self.robs
         return robs is None or robs[lane].can_reserve(self.record_words)
@@ -285,34 +450,23 @@ class IndexedStream:
         """Enqueue a record read; reserves in-order reorder slots."""
         if not self.is_read:
             raise SrfError(f"{self.descriptor.name}: not a read stream")
-        words = self.resolve(lane, record_index)
-        count = len(words)
-        first = self.robs[lane].reserve(count)
-        tickets = [first] if count == 1 else list(range(first, first + count))
-        fifo = self.fifos[lane]
-        fifo.push(RecordAccess(words, tickets))
-        self.pending_words += count
-        hist = self.srf._addr_fifo_hist
-        if hist is not None:
-            hist.record(fifo.occupancy)
+        if not self.can_issue(lane):
+            raise SrfError(
+                f"{self.descriptor.name}: lane {lane}'s address FIFO or "
+                "reorder buffer is full"
+            )
+        self._enqueue(lane, record_index, None)
 
     def issue_write(self, lane: int, record_index: int, values) -> None:
         """Enqueue a record write carrying its data words."""
         if not self.descriptor.kind.is_write:
             raise SrfError(f"{self.descriptor.name}: not a write stream")
-        words = self.resolve(lane, record_index)
-        values = list(values)
-        if len(values) != len(words):
+        if not self.can_issue(lane):
             raise SrfError(
-                f"{self.descriptor.name}: record needs "
-                f"{self.descriptor.record_words} words"
+                f"{self.descriptor.name}: lane {lane}'s address FIFO or "
+                "reorder buffer is full"
             )
-        self.fifos[lane].push(RecordAccess(words=words, values=values))
-        self.pending_words += len(words)
-        self.outstanding_writes += len(words)
-        hist = self.srf._addr_fifo_hist
-        if hist is not None:
-            hist.record(self.fifos[lane].occupancy)
+        self._enqueue(lane, record_index, values)
 
     def data_ready(self, lane: int) -> bool:
         """Whether the oldest issued record's next word is readable."""
@@ -326,9 +480,12 @@ class IndexedStream:
 
     def pop_record(self, lane: int):
         """Pop one full record; single-word records return the bare word."""
-        if self.record_words == 1:
-            return self.pop_data(lane)
-        return tuple(self.pop_data(lane) for _ in range(self.record_words))
+        if not self.record_ready(lane):
+            raise SrfError(
+                f"{self.descriptor.name}: lane {lane} has no complete "
+                "record to pop"
+            )
+        return self._dequeue(lane)
 
     def pop_data(self, lane: int):
         """Pop the next in-order data word for ``lane``."""
@@ -380,8 +537,8 @@ class StreamRegisterFile:
             source_bandwidth=max(1, config.crosslane_indexed_bandwidth or 1),
         )
         self.return_network = ReturnNetwork(lanes=config.lanes)
-        # Sub-array decode factors, inlined on the per-word grant path
-        # (addresses there were already range-checked at issue time).
+        # Sub-array and storage decode factors, inlined on the per-word
+        # grant path (open_indexed and issue proved its addresses).
         self._subarray_stride = self.geometry.words_per_lane_access
         self._subarray_count = self.geometry.subarrays_per_bank
         # Completion calendar: a ring of per-cycle buckets of typed event
@@ -667,7 +824,15 @@ class StreamRegisterFile:
                 for ev in bucket:
                     kind = ev[0]
                     if kind == 1:
-                        ev[1].fill(ev[2], ev[3])
+                        # ReorderBuffer.fill, inline: one per indexed word.
+                        slots = ev[1]._slots
+                        index = ev[2] - ev[1]._head_ticket
+                        if not 0 <= index < len(slots) or (
+                                slots[index] is not _UNFILLED):
+                            raise SrfError(
+                                f"unknown or already-filled ticket {ev[2]}"
+                            )
+                        slots[index] = ev[3]
                     elif kind == 2:
                         enqueue(ev[1], ev[2], ev[3], ev[4], ev[5], ev[6].fill)
                     elif kind == 3:
@@ -730,24 +895,24 @@ class StreamRegisterFile:
         address_network.begin_cycle()
         lanes = self.geometry.lanes
         # One pass files each live head word in its target bank's bucket,
-        # ordered by (stream position, lane). Only advance() moves a head
-        # mid-cycle: an in-lane grant at bank b moves lane b's FIFO, which
-        # no later bank reads; a cross-lane grant may uncover a word for
-        # a later bank, which is insort-ed into that bank's bucket below.
+        # ordered by (stream position, lane); a head's first field is its
+        # target lane, which for an in-lane stream is the FIFO's own.
+        # Only a grant moves a head mid-cycle: an in-lane grant at bank b
+        # moves lane b's FIFO, which no later bank reads; a cross-lane
+        # grant may uncover a word for a later bank, which is insort-ed
+        # into that bank's bucket below.
         buckets = [[] for _ in range(lanes)]
         position = 0
         for stream in self._indexed_list:
             if not stream.pending_words:
                 continue
-            crosslane = stream.is_crosslane
             lane = 0
             for fifo in stream.fifos:
-                word = fifo._head_cache
-                if word is _STALE:
-                    word = fifo.peek_word()
-                if word is not None:
-                    buckets[word.target_lane if crosslane else lane].append(
-                        (position, lane, stream, word)
+                queue = fifo._words
+                if queue:
+                    word = queue[0]
+                    buckets[word[0]].append(
+                        (position, lane, stream, fifo, word)
                     )
                 lane += 1
             position += 1
@@ -755,12 +920,15 @@ class StreamRegisterFile:
         multi_cap = bank_cap > 1
         sub_stride = self._subarray_stride
         sub_count = self._subarray_count
+        block_words = self.geometry.block_words
         occupancy_policy = self._occupancy_policy
         shared_comm = self._shared_network and self._comm_busy
         return_network = self.return_network
         bank_arbiters = self._bank_arbiters
         bank_conflicts = self._bank_conflicts
-        storage = self.storage
+        # Storage by list index: open_indexed proved every record of a
+        # stream inside the SRF, and issue checked every record index.
+        storage = self.storage._words
         injector = self._fault_injector
         cal = self._cal
         size = self._cal_size
@@ -771,6 +939,7 @@ class StreamRegisterFile:
         crosslane_bucket = cal[crosslane_due % size]
         granted_total = 0
         blocked_total = 0
+        inlane_grants = crosslane_grants = write_grants = 0
         for bank in range(lanes):
             heads = buckets[bank]
             if not heads:
@@ -782,20 +951,20 @@ class StreamRegisterFile:
                 # Stall-aware policy (§5.4): serve the fullest address
                 # FIFOs first — the streams most likely to stall.
                 order = sorted(
-                    range(n_heads),
-                    key=lambda p: -heads[p][2].fifos[heads[p][1]].occupancy,
+                    range(n_heads), key=lambda p: -heads[p][3].records
                 )
             else:
                 order = bank_arbiters[bank].rotation(n_heads)
+            bank_offset = bank * sub_stride
             used_subarrays = 0
             granted = 0
             for index in order:
                 if granted >= bank_cap:
                     break
-                position, lane, stream, word = heads[index]
-                subarray_bit = 1 << (
-                    (word.bank_local_addr // sub_stride) % sub_count
-                )
+                position, lane, stream, fifo, word = heads[index]
+                _target, addr, ticket, value, last = word
+                row = addr // sub_stride
+                subarray_bit = 1 << (row % sub_count)
                 if multi_cap and used_subarrays & subarray_bit:
                     continue
                 crosslane = stream.is_crosslane
@@ -808,35 +977,39 @@ class StreamRegisterFile:
                         continue
                     return_network.reserve(bank)
                 used_subarrays |= subarray_bit
-                fifo = stream.fifos[lane]
-                fifo.advance()
+                queue = fifo._words
+                queue.popleft()
+                if last:
+                    fifo.records -= 1
                 stream.pending_words -= 1
-                if crosslane:
-                    uncovered = fifo.peek_word()
-                    if uncovered is not None and uncovered.target_lane > bank:
+                if crosslane and queue:
+                    uncovered = queue[0]
+                    if uncovered[0] > bank:
                         insort(
-                            buckets[uncovered.target_lane],
-                            (position, lane, stream, uncovered),
+                            buckets[uncovered[0]],
+                            (position, lane, stream, fifo, uncovered),
                         )
                 # Launch: the bank access happens now; its completion is
                 # a calendar event at the access latency.
-                ticket = word.ticket
+                global_addr = (
+                    row * block_words + bank_offset + addr % sub_stride
+                )
                 if ticket is not None:
-                    value = storage.read_lane(bank, word.bank_local_addr)
+                    value = storage[global_addr]
                     if injector is not None:
                         value = self.filter_word(value)
                     rob = stream.robs[lane]
                     if crosslane:
-                        stats.crosslane_grants += 1
-                        crosslane_bucket.append(
-                            (2, bank, lane, ticket, value, word.stream_id, rob)
-                        )
+                        crosslane_grants += 1
+                        crosslane_bucket.append((
+                            2, bank, lane, ticket, value, fifo.stream_id, rob,
+                        ))
                     else:
-                        stats.inlane_grants += 1
+                        inlane_grants += 1
                         inlane_bucket.append((1, rob, ticket, value))
                 else:
-                    stats.indexed_write_grants += 1
-                    storage.write_lane(bank, word.bank_local_addr, word.value)
+                    write_grants += 1
+                    storage[global_addr] = value
                     inlane_bucket.append((3, stream))
                 granted += 1
             bank_arbiters[bank].advance(n_heads)
@@ -849,6 +1022,9 @@ class StreamRegisterFile:
             self._cal_count += granted_total
             self._cal_due[inlane_due % size] = inlane_due
             self._cal_due[crosslane_due % size] = crosslane_due
+            stats.inlane_grants += inlane_grants
+            stats.crosslane_grants += crosslane_grants
+            stats.indexed_write_grants += write_grants
         else:
             stats.empty_indexed_cycles += 1
         stats.blocked_heads += blocked_total

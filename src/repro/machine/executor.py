@@ -20,7 +20,7 @@ import heapq
 import itertools
 
 from repro.config.machine import MachineConfig
-from repro.core.descriptors import IndexSpace, StreamDescriptor
+from repro.core.descriptors import StreamDescriptor
 from repro.core.srf import PortDirection, StreamRegisterFile
 from repro.errors import ExecutionError, ReplayError
 from repro.kernel.interpreter import ExecutionContext, KernelInterpreter
@@ -114,15 +114,7 @@ class _IdxIssue(_Event):
         self.indices = indices  # per-lane record index or None
 
     def fire(self, executor) -> bool:
-        stream = self.stream
-        indices = self.indices
-        for lane, idx in enumerate(indices):
-            if idx is not None and not stream.can_issue(lane):
-                return False
-        for lane, idx in enumerate(indices):
-            if idx is not None:
-                stream.issue_read(lane, idx)
-        return True
+        return self.stream.issue_reads(self.indices)
 
 
 class _IdxData(_Event):
@@ -134,15 +126,7 @@ class _IdxData(_Event):
         self.counts = counts  # per-lane words expected (0 = predicated off)
 
     def fire(self, executor) -> bool:
-        stream = self.stream
-        counts = self.counts
-        for lane, n in enumerate(counts):
-            if n and not stream.record_ready(lane):
-                return False
-        for lane, n in enumerate(counts):
-            if n:
-                stream.pop_record(lane)
-        return True
+        return self.stream.pop_records(self.counts) is not False
 
 
 class _IdxWrite(_Event):
@@ -154,15 +138,7 @@ class _IdxWrite(_Event):
         self.entries = entries  # per-lane (index, [words]) or None
 
     def fire(self, executor) -> bool:
-        stream = self.stream
-        entries = self.entries
-        for lane, entry in enumerate(entries):
-            if entry is not None and not stream.can_issue(lane):
-                return False
-        for lane, entry in enumerate(entries):
-            if entry is not None:
-                stream.issue_write(lane, entry[0], entry[1])
-        return True
+        return self.stream.issue_writes(self.entries)
 
 
 class _Comm(_Event):
@@ -328,25 +304,23 @@ class KernelExecutor:
 
     def functional_idx_read(self, stream: KernelStream, lane: int,
                             record_index: int):
-        overlay_key = (stream.name, lane, record_index)
-        if overlay_key in self._write_overlay:
-            return self._write_overlay[overlay_key]
-        descriptor = self._descriptors[stream.name]
-        rw = descriptor.record_words
+        overlay = self._write_overlay
+        if overlay:
+            overlay_key = (stream.name, lane, record_index)
+            if overlay_key in overlay:
+                return overlay[overlay_key]
+        indexed = self._indexed[stream.name]
+        rw = indexed.record_words
         storage = self.srf.storage
-        if descriptor.index_space is IndexSpace.PER_LANE:
-            geometry = self._geometry
-            local_base = (
-                descriptor.base // geometry.block_words
-            ) * geometry.words_per_lane_access
-            words = [
-                storage.read_lane(lane, local_base + record_index * rw + j)
-                for j in range(rw)
-            ]
-        else:
-            base = descriptor.base + record_index * rw
-            words = [storage.read(base + j) for j in range(rw)]
-        return words[0] if rw == 1 else tuple(words)
+        if indexed.is_crosslane:
+            start = indexed.descriptor.base + record_index * rw
+            if rw == 1:
+                return storage.read(start)
+            return tuple([storage.read(start + j) for j in range(rw)])
+        start = indexed.local_base + record_index * rw
+        if rw == 1:
+            return storage.read_lane(lane, start)
+        return tuple([storage.read_lane(lane, start + j) for j in range(rw)])
 
     # ------------------------------------------------------------------
     # Cycle stepping

@@ -181,6 +181,44 @@ class TestCompletionPipeline:
             proc._sanitizer.check(0)
 
 
+def _two_word_records_queued():
+    """An ISRF4 machine with 2-word in-lane records queued, not granted."""
+    proc = StreamProcessor(isrf4_config(sanitize=True))
+    table = SrfArray(proc.srf, 256, "pairs")
+    stream = proc.srf.open_indexed(table.inlane_read(record_words=2))
+    assert stream.issue_reads([0, 1, None, 3, 4, 5, 6, 7])
+    return proc, stream
+
+
+class TestAddressFifos:
+    def test_queued_records_pass(self):
+        proc, _stream = _two_word_records_queued()
+        proc._sanitizer.check(0)  # must not raise
+
+    def test_record_counter_drift_detected(self):
+        proc, stream = _two_word_records_queued()
+        stream.fifos[3].records += 1
+        with pytest.raises(SanitizerError, match="record counter"):
+            proc._sanitizer.check(0)
+
+    def test_tail_word_that_ends_no_record_detected(self):
+        proc, stream = _two_word_records_queued()
+        words = stream.fifos[4]._words
+        words.append(words.pop()[:4] + (False,))  # clear the last flag
+        with pytest.raises(SanitizerError, match="does not end a record"):
+            proc._sanitizer.check(0)
+
+    def test_over_capacity_fifo_detected(self):
+        proc, stream = _two_word_records_queued()
+        fifo = stream.fifos[0]
+        extra = fifo.capacity
+        fifo._words.extend([(0, 0, None, 0, True)] * extra)
+        fifo.records += extra
+        stream.pending_words += extra
+        with pytest.raises(SanitizerError, match="exceed capacity"):
+            proc._sanitizer.check(0)
+
+
 def _plant_inlane_fill(srf, due, rob, ticket):
     """Queue an in-lane read fill in the completion calendar."""
     slot = due % srf._cal_size

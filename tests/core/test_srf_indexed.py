@@ -3,9 +3,9 @@
 import pytest
 
 from repro.config import isrf1_config, isrf4_config
-from repro.core.descriptors import StreamDescriptor, StreamKind
+from repro.core.descriptors import IndexSpace, StreamDescriptor, StreamKind
 from repro.core.srf import StreamRegisterFile
-from repro.errors import SrfError
+from repro.errors import SrfAccessError, SrfError
 
 
 def make_isrf4(**overrides):
@@ -260,3 +260,160 @@ class TestCrossLaneIndexedRead:
         # only with 2 ports and distinct sub-arrays; records 0 and 1 share
         # a sub-array though, so exactly one is granted plus record 4.
         assert srf.stats.crosslane_grants >= 2
+
+
+class TestStreamExtent:
+    """open_indexed proves a stream's records lie inside the SRF."""
+
+    def test_per_lane_stream_past_its_bank_is_rejected_at_open(self):
+        srf = make_isrf4()
+        # The last block: its records start 4 words before the bank ends.
+        desc = StreamDescriptor(
+            "x", StreamKind.INLANE_INDEXED_READ, base=32736,
+            length_records=64,
+        )
+        with pytest.raises(SrfAccessError, match="x: per-lane records"):
+            srf.open_indexed(desc)
+        assert not srf._indexed_list
+
+    def test_global_stream_past_the_srf_is_rejected_at_open(self):
+        srf = make_isrf4()
+        total = srf.geometry.total_words
+        desc = StreamDescriptor(
+            "g", StreamKind.CROSSLANE_INDEXED_READ, base=total - 32,
+            length_records=33, index_space=IndexSpace.GLOBAL,
+        )
+        with pytest.raises(SrfAccessError, match="g: records span"):
+            srf.open_indexed(desc)
+
+    def test_streams_ending_at_the_boundary_are_accepted(self):
+        srf = make_isrf4()
+        geometry = srf.geometry
+        inlane = srf.open_indexed(StreamDescriptor(
+            "x", StreamKind.INLANE_INDEXED_READ, base=32736,
+            length_records=4,
+        ))
+        inlane.issue_read(7, 3)
+        crosslane = srf.open_indexed(StreamDescriptor(
+            "g", StreamKind.CROSSLANE_INDEXED_READ,
+            base=geometry.total_words - 32, length_records=32,
+            index_space=IndexSpace.GLOBAL,
+        ))
+        crosslane.issue_read(0, 31)
+        for cycle in range(8):
+            srf.tick(cycle)
+        assert inlane.pop_data(7) == 0
+        assert crosslane.pop_data(0) == 0
+
+    def test_record_index_is_still_checked_at_issue(self):
+        srf = make_isrf4()
+        stream = inlane_table(srf, records=8)
+        with pytest.raises(SrfError, match="out of range"):
+            stream.issue_read(0, 8)
+        with pytest.raises(SrfError, match="out of range"):
+            stream.issue_reads([None, -1] + [None] * 6)
+
+
+def _snapshot(stream):
+    """Every lane's queued words and reorder slots, plus the counters."""
+    return (
+        [list(fifo._words) for fifo in stream.fifos],
+        [fifo.records for fifo in stream.fifos],
+        [list(rob._slots) for rob in stream.robs],
+        [rob._head_ticket for rob in stream.robs],
+        stream.pending_words,
+    )
+
+
+class TestSimdCalls:
+    """issue_reads / issue_writes / pop_records act on every active lane
+    or, when any of them would block, on none."""
+
+    def test_issue_reads_with_one_full_fifo_changes_nothing(self):
+        srf = make_isrf4(address_fifo_words=2)
+        stream = inlane_table(srf)
+        stream.issue_read(5, 0)
+        stream.issue_read(5, 1)  # lane 5's FIFO is full
+        stream.issue_read(2, 3)
+        before = _snapshot(stream)
+        assert stream.issue_reads(list(range(8))) is False
+        assert _snapshot(stream) == before
+        # Predicating lane 5 off lets every other lane issue.
+        indices = [10 + lane for lane in range(8)]
+        indices[5] = None
+        assert stream.issue_reads(indices) is True
+        assert [fifo.records for fifo in stream.fifos] == [
+            1, 1, 2, 1, 1, 2, 1, 1
+        ]
+        assert stream.pending_words == 10
+
+    def test_pop_records_with_one_lane_not_ready_pops_nothing(self):
+        srf = make_isrf4()
+        stream = inlane_table(srf)
+        assert stream.issue_reads([lane for lane in range(7)] + [None])
+        for cycle in range(5):
+            srf.tick(cycle)
+        before = _snapshot(stream)
+        assert stream.pop_records([1] * 8) is False  # lane 7 issued nothing
+        assert _snapshot(stream) == before
+        popped = stream.pop_records([1] * 7 + [0])
+        assert popped == [lane * 1000 + lane for lane in range(7)] + [None]
+        assert all(rob.occupancy == 0 for rob in stream.robs)
+
+    def test_multiword_records_pop_as_tuples(self):
+        srf = make_isrf4()
+        records = 8
+        region = srf.allocator.allocate(records * 2 * 8, "pairs")
+        stream = srf.open_indexed(StreamDescriptor(
+            "pairs", StreamKind.INLANE_INDEXED_READ, region.base,
+            length_records=records, record_words=2,
+        ))
+        for lane in range(8):
+            for word in range(records * 2):
+                srf.storage.write_lane(
+                    lane, stream.local_base + word, (lane, word)
+                )
+        assert stream.issue_reads([3] * 8)
+        cycle = 0
+        while not stream.record_ready(0):
+            srf.tick(cycle)
+            cycle += 1
+        assert stream.pop_records([2] * 8) == [
+            ((lane, 6), (lane, 7)) for lane in range(8)
+        ]
+
+    def test_issue_writes_all_or_nothing(self):
+        srf = make_isrf4(address_fifo_words=1)
+        region = srf.allocator.allocate(64 * 8, "wtab")
+        stream = srf.open_indexed(StreamDescriptor(
+            "wtab", StreamKind.INLANE_INDEXED_WRITE, region.base,
+            length_records=64,
+        ))
+        stream.issue_write(4, 0, [1])
+        entries = [(lane, [lane]) for lane in range(8)]
+        assert stream.issue_writes(entries) is False
+        assert stream.outstanding_writes == 1
+        assert stream.pending_words == 1
+        entries[4] = None
+        assert stream.issue_writes(entries) is True
+        assert stream.outstanding_writes == 8
+        for cycle in range(8):
+            srf.tick(cycle)
+        assert stream.quiescent
+        assert [srf.storage.read_lane(lane, stream.local_base + lane)
+                for lane in range(8)] == [0, 1, 2, 3, 0, 5, 6, 7]
+
+    def test_wrong_direction_is_rejected(self):
+        srf = make_isrf4()
+        read = inlane_table(srf)
+        region = srf.allocator.allocate(64, "w")
+        write = srf.open_indexed(StreamDescriptor(
+            "w", StreamKind.INLANE_INDEXED_WRITE, region.base,
+            length_records=8,
+        ))
+        with pytest.raises(SrfError):
+            read.issue_writes([(0, [1])] + [None] * 7)
+        with pytest.raises(SrfError):
+            write.issue_reads([0] + [None] * 7)
+        with pytest.raises(SrfError):
+            write.pop_records([1] + [0] * 7)
