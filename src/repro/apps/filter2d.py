@@ -324,7 +324,10 @@ def run(config: MachineConfig, height: int = 64, width: int = 64,
     """Run the Filter benchmark; returns verified steady-state stats.
 
     ``repeats`` defaults to one full pass over the image (all of its
-    strips, one when the image fits the SRF whole).
+    strips, one when the image fits the SRF whole). Presets strip the
+    image differently, so harness comparisons normalise per output pixel
+    (``details["pixels_processed"]``), counted over every strip of the
+    measured chain, the warmup strip included.
     """
     bench = FilterBenchmark(config, height, width, seed)
     if repeats is None:
@@ -332,10 +335,15 @@ def run(config: MachineConfig, height: int = 64, width: int = 64,
     stats = steady_state_run(bench.proc, bench.build_program,
                              repeats=repeats, warmup=warmup)
     verified = all(bench.verify(rep) for rep in range(warmup + repeats))
+    pixels = sum(
+        bench._strip_rows(rep)[1] * width
+        for rep in range(warmup + repeats)
+    )
     return AppResult(
         benchmark="Filter",
         config_name=config.name,
         stats=stats,
         verified=verified,
-        details={"height": height, "width": width},
+        details={"height": height, "width": width,
+                 "pixels_processed": pixels},
     )

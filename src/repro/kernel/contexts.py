@@ -23,7 +23,10 @@ class ListContext(ExecutionContext):
       (one table per lane — e.g. a replicated lookup table);
     * cross-lane indexed streams: ``bind_global(stream, table)``.
 
-    Indexed writes mutate the bound tables in place.
+    Like every :class:`ExecutionContext`, it serves one SIMD access per
+    call: ``idx_read`` takes one record index per lane (None reads 0)
+    and ``idx_write`` one ``(record_index, value)`` entry per lane (None
+    writes nothing). Indexed writes mutate the bound tables in place.
     """
 
     def __init__(self, lanes: int):
@@ -80,33 +83,40 @@ class ListContext(ExecutionContext):
         for lane, value in enumerate(lane_values):
             sink[lane].append(value)
 
-    def idx_read(self, stream: KernelStream, lane: int, record_index: int):
-        if stream.name in self._lane_tables:
-            table = self._lane_tables[stream.name][lane]
-        elif stream.name in self._global_tables:
-            table = self._global_tables[stream.name]
-        else:
-            raise ExecutionError(f"{stream.name}: no table bound")
-        try:
-            return table[record_index]
-        except IndexError:
-            raise ExecutionError(
-                f"{stream.name}: index {record_index} out of range"
-            ) from None
+    def idx_read(self, stream: KernelStream, indices: list) -> list:
+        tables = self._tables_of(stream)
+        values = []
+        for table, index in zip(tables, indices):
+            if index is None:
+                values.append(0)
+                continue
+            self._check_index(stream, table, index)
+            values.append(table[index])
+        return values
 
-    def idx_write(self, stream: KernelStream, lane: int, record_index: int,
-                  value) -> None:
+    def idx_write(self, stream: KernelStream, entries: list) -> None:
+        tables = self._tables_of(stream)
+        for table, entry in zip(tables, entries):
+            if entry is None:
+                continue
+            record_index, value = entry
+            self._check_index(stream, table, record_index)
+            table[record_index] = value
+
+    def _tables_of(self, stream: KernelStream) -> list:
+        """The table each lane sees: its own, or the one global table."""
         if stream.name in self._lane_tables:
-            table = self._lane_tables[stream.name][lane]
-        elif stream.name in self._global_tables:
-            table = self._global_tables[stream.name]
-        else:
-            raise ExecutionError(f"{stream.name}: no table bound")
-        if not 0 <= record_index < len(table):
+            return self._lane_tables[stream.name]
+        if stream.name in self._global_tables:
+            return [self._global_tables[stream.name]] * self.lanes
+        raise ExecutionError(f"{stream.name}: no table bound")
+
+    @staticmethod
+    def _check_index(stream: KernelStream, table: list, index: int) -> None:
+        if not 0 <= index < len(table):
             raise ExecutionError(
-                f"{stream.name}: index {record_index} out of range"
+                f"{stream.name}: index {index} out of range"
             )
-        table[record_index] = value
 
     # -- inspection --------------------------------------------------------
     def output(self, stream_name: str) -> list:

@@ -22,7 +22,7 @@ import itertools
 from repro.config.machine import MachineConfig
 from repro.core.descriptors import StreamDescriptor
 from repro.core.srf import PortDirection, StreamRegisterFile
-from repro.errors import ExecutionError, ReplayError
+from repro.errors import ExecutionError, ReplayError, SrfAccessError
 from repro.kernel.interpreter import ExecutionContext, KernelInterpreter
 from repro.kernel.ir import KernelStream
 from repro.kernel.ops import OpKind
@@ -53,106 +53,94 @@ class _SrfBackedContext(ExecutionContext):
     def seq_write(self, stream: KernelStream, lane_values) -> None:
         pass  # flows through the timed SeqWrite event
 
-    def idx_read(self, stream: KernelStream, lane: int, record_index: int):
-        return self._executor.functional_idx_read(stream, lane, record_index)
+    def idx_read(self, stream: KernelStream, indices: list) -> list:
+        return self._executor.functional_idx_read(stream, indices)
 
-    def idx_write(self, stream, lane, record_index, value) -> None:
+    def idx_write(self, stream: KernelStream, entries: list) -> None:
         # The architectural write flows through the timed IdxWrite event;
         # the overlay keeps later functional reads of a read-write
         # stream coherent with program order.
-        self._executor.functional_idx_write(stream, lane, record_index, value)
+        self._executor.functional_idx_write(stream, entries)
 
 
 class _Event:
-    """A timed stream access; ``fire`` returns True when it completed."""
+    """A timed stream access; ``fire`` returns True when it completed.
 
-    __slots__ = ("vt",)
+    ``target`` is the op's sequential port or indexed stream (None for a
+    comm) and ``detail`` its iteration's trace detail: the values to
+    push, one record index or word count per lane, or one write entry
+    per lane (None for reads and comms).
+    """
 
-    def fire(self, executor) -> bool:  # pragma: no cover - interface
+    __slots__ = ("target", "detail")
+    is_comm = False
+
+    def __init__(self, target, detail):
+        self.target = target
+        self.detail = detail
+
+    def fire(self) -> bool:  # pragma: no cover - interface
         raise NotImplementedError
-
-    @property
-    def is_comm(self) -> bool:
-        return False
 
 
 class _SeqRead(_Event):
-    __slots__ = ("vt", "port")
+    __slots__ = ()
 
-    def __init__(self, vt, port):
-        self.vt = vt
-        self.port = port
-
-    def fire(self, executor) -> bool:
-        if not self.port.can_pop():
+    def fire(self) -> bool:
+        if not self.target.can_pop():
             return False
-        self.port.pop_simd()
+        self.target.pop_simd()
         return True
 
 
 class _SeqWrite(_Event):
-    __slots__ = ("vt", "port", "values")
+    __slots__ = ()
 
-    def __init__(self, vt, port, values):
-        self.vt = vt
-        self.port = port
-        self.values = values
-
-    def fire(self, executor) -> bool:
-        if not self.port.can_push():
+    def fire(self) -> bool:
+        if not self.target.can_push():
             return False
-        self.port.push_simd(self.values)
+        self.target.push_simd(self.detail)
         return True
 
 
 class _IdxIssue(_Event):
-    __slots__ = ("vt", "stream", "indices")
+    __slots__ = ()
 
-    def __init__(self, vt, stream, indices):
-        self.vt = vt
-        self.stream = stream
-        self.indices = indices  # per-lane record index or None
-
-    def fire(self, executor) -> bool:
-        return self.stream.issue_reads(self.indices)
+    def fire(self) -> bool:
+        return self.target.issue_reads(self.detail)
 
 
 class _IdxData(_Event):
-    __slots__ = ("vt", "stream", "counts")
+    __slots__ = ()
 
-    def __init__(self, vt, stream, counts):
-        self.vt = vt
-        self.stream = stream
-        self.counts = counts  # per-lane words expected (0 = predicated off)
-
-    def fire(self, executor) -> bool:
-        return self.stream.pop_records(self.counts) is not False
+    def fire(self) -> bool:
+        return self.target.pop_records(self.detail) is not False
 
 
 class _IdxWrite(_Event):
-    __slots__ = ("vt", "stream", "entries")
+    __slots__ = ()
 
-    def __init__(self, vt, stream, entries):
-        self.vt = vt
-        self.stream = stream
-        self.entries = entries  # per-lane (index, [words]) or None
-
-    def fire(self, executor) -> bool:
-        return self.stream.issue_writes(self.entries)
+    def fire(self) -> bool:
+        return self.target.issue_writes(self.detail)
 
 
 class _Comm(_Event):
-    __slots__ = ("vt",)
+    __slots__ = ()
+    is_comm = True
 
-    def __init__(self, vt):
-        self.vt = vt
-
-    def fire(self, executor) -> bool:
+    def fire(self) -> bool:
         return True  # statically scheduled comms always have priority
 
-    @property
-    def is_comm(self) -> bool:
-        return True
+
+#: Timed op kind -> the event class that fires it.
+_EVENT_CLASSES = {
+    OpKind.SEQ_READ: _SeqRead,
+    OpKind.SEQ_WRITE: _SeqWrite,
+    OpKind.IDX_ISSUE: _IdxIssue,
+    OpKind.IDX_DATA: _IdxData,
+    OpKind.IDX_WRITE: _IdxWrite,
+    OpKind.COMM: _Comm,
+}
 
 
 class KernelExecutor:
@@ -211,7 +199,16 @@ class KernelExecutor:
                 self._data_ops = invocation.kernel.stream_ops(
                     *REPLAY_DATA_KINDS
                 )
-        self._timed_ops = schedule.timed_stream_ops()
+        #: One ``(slot, event class, port or stream, op_id)`` row per
+        #: timed op, in firing order; every issued iteration turns each
+        #: row into one event.
+        targets = {**self._ports, **self._indexed}
+        self._event_rows = [
+            (schedule.slots[op.op_id], _EVENT_CLASSES[op.kind],
+             targets.get(op.stream.name) if op.stream is not None else None,
+             op.op_id)
+            for op in schedule.timed_stream_ops()
+        ]
         self._heap = []
         self._sequence = itertools.count()
         self._vt = 0
@@ -229,12 +226,16 @@ class KernelExecutor:
             lanes=config.lanes,
         )
         self._seq_cursors = {name: 0 for name in invocation.kernel.streams}
-        #: Program-order shadow of indexed writes, so functional reads of
-        #: a read-write stream observe writes that the timed SRF path has
+        #: SRF storage's word list, which the functional reads index
+        #: directly after their own range checks.
+        self._words = srf.storage._words
+        #: Program-order shadow of indexed writes, stream name ->
+        #: ``{(lane, record_index): value}``, so functional reads of a
+        #: read-write stream observe writes that the timed SRF path has
         #: not retired yet. The timing path needs no equivalent: reads
         #: and writes of one stream share an address FIFO, which keeps
         #: their SRF-side order equal to program order.
-        self._write_overlay = {}
+        self._write_overlay: dict = {}
 
     # ------------------------------------------------------------------
     # Stream binding
@@ -284,43 +285,100 @@ class KernelExecutor:
     # Functional data access (used by the interpreter's context)
     # ------------------------------------------------------------------
     def functional_seq_read(self, stream: KernelStream) -> list:
+        """Every lane's next word of a sequential read stream.
+
+        The lanes' words sit ``m`` words apart in one SRF block, so they
+        are one strided slice of storage once both ends are checked.
+        """
         descriptor = self._descriptors[stream.name]
         geometry = self._geometry
         m = geometry.words_per_lane_access
         cursor = self._seq_cursors[stream.name]
-        block_base = descriptor.base + (cursor // m) * geometry.block_words
-        offset = cursor % m
-        storage = self.srf.storage
-        values = [
-            storage.read(block_base + lane * m + offset)
-            for lane in range(geometry.lanes)
-        ]
+        first = (descriptor.base + (cursor // m) * geometry.block_words
+                 + cursor % m)
+        last = first + (geometry.lanes - 1) * m
+        words = self._words
+        if first < 0 or last >= len(words):
+            raise SrfAccessError(
+                f"{stream.name}: SRF address {first if first < 0 else last} "
+                f"out of range [0,{len(words)})"
+            )
         self._seq_cursors[stream.name] = cursor + 1
-        return values
+        return words[first:last + 1:m]
 
-    def functional_idx_write(self, stream: KernelStream, lane: int,
-                             record_index: int, value) -> None:
-        self._write_overlay[(stream.name, lane, record_index)] = value
+    def functional_idx_write(self, stream: KernelStream,
+                             entries: list) -> None:
+        overlay = self._write_overlay.setdefault(stream.name, {})
+        for lane, entry in enumerate(entries):
+            if entry is not None:
+                record_index, value = entry
+                overlay[lane, record_index] = value
 
-    def functional_idx_read(self, stream: KernelStream, lane: int,
-                            record_index: int):
-        overlay = self._write_overlay
-        if overlay:
-            overlay_key = (stream.name, lane, record_index)
-            if overlay_key in overlay:
-                return overlay[overlay_key]
+    def functional_idx_read(self, stream: KernelStream,
+                            indices: list) -> list:
+        """Every lane's record ``indices[lane]`` (0 where it is None).
+
+        Reads see this kernel's earlier indexed writes through the write
+        overlay, else SRF storage. Each record is checked against the
+        lane's bank (in-lane) or the SRF (cross-lane) before storage is
+        indexed directly, so a bad index raises :class:`SrfAccessError`
+        rather than an ``IndexError`` or a wrapped negative index.
+        Multi-word records come back as tuples.
+        """
         indexed = self._indexed[stream.name]
         rw = indexed.record_words
-        storage = self.srf.storage
+        words = self._words
+        values: list = []
         if indexed.is_crosslane:
-            start = indexed.descriptor.base + record_index * rw
+            # Cross-lane streams are read-only, so no overlay applies.
+            base = indexed.descriptor.base
+            limit = len(words)
+            for index in indices:
+                if index is None:
+                    values.append(0)
+                    continue
+                start = base + index * rw
+                if start < 0 or start + rw > limit:
+                    raise SrfAccessError(
+                        f"{stream.name}: record {index} spans SRF addresses "
+                        f"[{start},{start + rw}), out of range [0,{limit})"
+                    )
+                values.append(
+                    words[start] if rw == 1 else tuple(words[start:start + rw])
+                )
+            return values
+        overlay = self._write_overlay.get(stream.name)
+        geometry = self._geometry
+        m = geometry.words_per_lane_access
+        block_words = geometry.block_words
+        limit = geometry.bank_words
+        local_base = indexed.local_base
+        for lane, index in enumerate(indices):
+            if index is None:
+                values.append(0)
+                continue
+            if overlay and (lane, index) in overlay:
+                values.append(overlay[lane, index])
+                continue
+            start = local_base + index * rw
+            if start < 0 or start + rw > limit:
+                raise SrfAccessError(
+                    f"{stream.name}: lane {lane} record {index} spans "
+                    f"bank-local SRF addresses [{start},{start + rw}), out "
+                    f"of range [0,{limit})"
+                )
+            column = lane * m
             if rw == 1:
-                return storage.read(start)
-            return tuple([storage.read(start + j) for j in range(rw)])
-        start = indexed.local_base + record_index * rw
-        if rw == 1:
-            return storage.read_lane(lane, start)
-        return tuple([storage.read_lane(lane, start + j) for j in range(rw)])
+                super_block, offset = divmod(start, m)
+                values.append(
+                    words[super_block * block_words + column + offset]
+                )
+            else:
+                values.append(tuple([
+                    words[(addr // m) * block_words + column + addr % m]
+                    for addr in range(start, start + rw)
+                ]))
+        return values
 
     # ------------------------------------------------------------------
     # Cycle stepping
@@ -373,16 +431,19 @@ class KernelExecutor:
         return comm_busy
 
     def _issue_ready_iterations(self) -> None:
+        ii = self.schedule.ii
         while (
             self._issued < self.invocation.iterations
-            and self._issued * self.schedule.ii <= self._vt
+            and self._issued * ii <= self._vt
         ):
             details = self._iteration_details()
-            base_vt = self._issued * self.schedule.ii
-            for op in self._timed_ops:
-                vt = base_vt + self.schedule.slots[op.op_id]
-                event = self._make_event(op, vt, details)
-                heapq.heappush(self._heap, (vt, next(self._sequence), event))
+            base_vt = self._issued * ii
+            heap = self._heap
+            sequence = self._sequence
+            for slot, event_class, target, op_id in self._event_rows:
+                vt = base_vt + slot
+                heapq.heappush(heap, (vt, next(sequence),
+                                      event_class(target, details.get(op_id))))
             self._issued += 1
 
     def _iteration_details(self) -> dict:
@@ -415,26 +476,6 @@ class KernelExecutor:
             ])
         return details
 
-    def _make_event(self, op, vt, details) -> _Event:
-        kind = op.kind
-        if kind is OpKind.SEQ_READ:
-            return _SeqRead(vt, self._ports[op.stream.name])
-        if kind is OpKind.SEQ_WRITE:
-            return _SeqWrite(vt, self._ports[op.stream.name],
-                             details[op.op_id])
-        if kind is OpKind.IDX_ISSUE:
-            return _IdxIssue(vt, self._indexed[op.stream.name],
-                             details[op.op_id])
-        if kind is OpKind.IDX_DATA:
-            return _IdxData(vt, self._indexed[op.stream.name],
-                            details[op.op_id])
-        if kind is OpKind.IDX_WRITE:
-            return _IdxWrite(vt, self._indexed[op.stream.name],
-                             details[op.op_id])
-        if kind is OpKind.COMM:
-            return _Comm(vt)
-        raise ExecutionError(f"unexpected timed op {op.name}")
-
     def _fire_events(self) -> bool:
         """Fire all events due at the current virtual time.
 
@@ -446,7 +487,7 @@ class KernelExecutor:
         stalled = False
         while self._heap and self._heap[0][0] <= self._vt:
             _vt, _seq, event = self._heap[0]
-            if event.fire(self):
+            if event.fire():
                 heapq.heappop(self._heap)
                 comm_busy = comm_busy or event.is_comm
             else:

@@ -161,6 +161,20 @@ class TestFilter:
         assert (filter_results["Cache"].cycles
                 == filter_results["Base"].cycles)
 
+    def test_work_units_count_every_strip_of_the_chain(self):
+        # At 64x64 the presets strip the image differently: Base fits it
+        # whole and runs it three times (warmup + max(2, 1) strips of 60
+        # output rows), ISRF4 runs 48 + 12 + 48 rows. The harness must
+        # compare them per output pixel of the whole measured chain.
+        from repro.config import isrf4_config
+        from repro.harness.figures import _work_units
+
+        for cfg, rows in ((base_config(), 3 * 60),
+                          (isrf4_config(), 48 + 12 + 48)):
+            result = filter2d.run(cfg, height=64, width=64)
+            assert result.verified
+            assert _work_units(result) == rows * 64
+
     def test_reference_matches_scipy(self):
         scipy_signal = pytest.importorskip("scipy.signal")
         import numpy as np

@@ -30,8 +30,9 @@ class TestBinding:
         _, _in, _lut, g, _o = streams()
         ctx = ListContext(3)
         ctx.bind_global(g, [7, 8, 9])
-        assert ctx.idx_read(g, 0, 2) == 9
-        assert ctx.idx_read(g, 2, 0) == 7
+        # One SIMD read: every lane indexes the same table, and a lane
+        # predicated off (None) reads 0.
+        assert ctx.idx_read(g, [2, None, 0]) == [9, 0, 7]
 
     def test_unbound_accesses_raise(self):
         _, in_s, lut, g, _o = streams()
@@ -39,9 +40,9 @@ class TestBinding:
         with pytest.raises(ExecutionError):
             ctx.seq_read(in_s)
         with pytest.raises(ExecutionError):
-            ctx.idx_read(lut, 0, 0)
+            ctx.idx_read(lut, [0])
         with pytest.raises(ExecutionError):
-            ctx.idx_write(lut, 0, 0, 1)
+            ctx.idx_write(lut, [(0, 1)])
 
 
 class TestAccessSemantics:
@@ -58,16 +59,17 @@ class TestAccessSemantics:
         _, _in, lut, *_ = streams()
         ctx = ListContext(2)
         ctx.bind_table(lut, [[0, 0], [0, 0]])
-        ctx.idx_write(lut, 1, 0, 42)
-        assert ctx.idx_read(lut, 1, 0) == 42
-        assert ctx.idx_read(lut, 0, 0) == 0  # per-lane isolation
+        ctx.idx_write(lut, [None, (0, 42)])  # lane 0 predicated off
+        assert ctx.idx_read(lut, [0, 0]) == [0, 42]  # per-lane isolation
 
     def test_idx_write_bounds_checked(self):
         _, _in, lut, *_ = streams()
         ctx = ListContext(1)
         ctx.bind_table(lut, [[0]])
         with pytest.raises(ExecutionError):
-            ctx.idx_write(lut, 0, 5, 1)
+            ctx.idx_write(lut, [(5, 1)])
+        with pytest.raises(ExecutionError):
+            ctx.idx_read(lut, [-1])
 
     def test_output_collection(self):
         _, _in, _lut, _g, out = streams()

@@ -1,5 +1,7 @@
 """Functional kernel execution and trace generation."""
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import ExecutionError
@@ -232,3 +234,90 @@ class TestContextErrors:
         ctx.bind_table(lut, [[1, 2]])
         with pytest.raises(ExecutionError):
             KernelInterpreter(k, 1, ctx).run_iteration()
+
+
+class CountingContext(ListContext):
+    """A ListContext that counts its indexed calls."""
+
+    def __init__(self, lanes):
+        super().__init__(lanes)
+        self.calls = Counter()
+
+    def idx_read(self, stream, indices):
+        self.calls["idx_read"] += 1
+        return super().idx_read(stream, indices)
+
+    def idx_write(self, stream, entries):
+        self.calls["idx_write"] += 1
+        super().idx_write(stream, entries)
+
+
+class TestSimdEvaluation:
+    """Each op is evaluated once per SIMD access, not once per lane."""
+
+    def test_one_context_call_per_indexed_op(self):
+        b = KernelBuilder("k")
+        in_s = b.istream("i")
+        lut = b.idxl_istream("t")
+        xlut = b.idx_istream("x")
+        wtab = b.idxl_ostream("w")
+        out = b.ostream("o")
+        x = b.read(in_s)
+        v = b.add(b.idx_read(lut, x), b.idx_read(xlut, x))
+        b.idx_write(wtab, x, v, predicate=b.lt(x, b.const(2)))
+        b.write(out, v)
+        k = b.build()
+        lanes, iterations = 4, 3
+        ctx = CountingContext(lanes)
+        ctx.bind_input(in_s, [[lane, 3 - lane, 1] for lane in range(lanes)])
+        ctx.bind_table(lut, [[10, 20, 30, 40]] * lanes)
+        ctx.bind_global(xlut, [1, 2, 3, 4])
+        ctx.bind_table(wtab, [[0] * 4 for _ in range(lanes)])
+        KernelInterpreter(k, lanes, ctx).run(iterations)
+        assert ctx.calls == {"idx_read": 2 * iterations,
+                             "idx_write": iterations}
+        assert ctx.output("o")[3] == [44, 11, 22]
+        assert ctx.table("w", lane=3) == [11, 22, 0, 0]
+
+    def test_failing_lane_is_named(self):
+        def fails_on_lane_two(lane):
+            if lane == 2:
+                raise ValueError("bad operand")
+            return lane
+
+        b = KernelBuilder("k")
+        out = b.ostream("o")
+        b.write(out, b.logic(fails_on_lane_two, b.laneid(), name="picky"))
+        k = b.build()
+        with pytest.raises(ExecutionError,
+                           match=r"payload of picky failed on lane 2: bad"):
+            KernelInterpreter(k, 4, ListContext(4)).run_iteration()
+
+    def test_side_effecting_payload_runs_once_per_lane_in_order(self):
+        calls = []
+
+        def record(lane, x):
+            calls.append((lane, x))
+            return x
+
+        b = KernelBuilder("k")
+        in_s = b.istream("i")
+        out = b.ostream("o")
+        b.write(out, b.arith(record, b.laneid(), b.read(in_s)))
+        k = b.build()
+        ctx = ListContext(4)
+        ctx.bind_input(in_s, [[10 * lane, 10 * lane + 1] for lane in range(4)])
+        KernelInterpreter(k, 4, ctx).run(2)
+        assert calls == [(lane, 10 * lane) for lane in range(4)] + [
+            (lane, 10 * lane + 1) for lane in range(4)
+        ]
+
+    def test_op_without_operands_runs_once_per_lane(self):
+        calls = []
+        b = KernelBuilder("k")
+        out = b.ostream("o")
+        b.write(out, b.arith(lambda: calls.append(1) or len(calls)))
+        k = b.build()
+        ctx = ListContext(3)
+        KernelInterpreter(k, 3, ctx).run(1)
+        assert ctx.output("o") == [[1], [2], [3]]

@@ -5,7 +5,7 @@ import pytest
 import repro.machine.processor as processor_module
 from repro.config import base_config, isrf4_config
 from repro.core import SrfArray
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, SrfError
 from repro.kernel import KernelBuilder
 from repro.machine import (
     KERNEL_STARTUP_CYCLES,
@@ -62,6 +62,41 @@ class TestBindingValidation:
         }, iterations=1))
         with pytest.raises(Exception, match="sequential-only"):
             proc.run_program(prog)
+
+
+class TestFunctionalReadRange:
+    """An indexed read outside the bank (in-lane) or the SRF (cross-lane)
+    raises an SrfError when the iteration is evaluated: never an
+    IndexError, and never a word read through a wrapped negative index.
+    """
+
+    def run_lookup(self, crosslane, index):
+        proc = StreamProcessor(isrf4_config())
+        lanes = proc.config.lanes
+        b = KernelBuilder("k")
+        table = b.idx_istream("t") if crosslane else b.idxl_istream("t")
+        out_s = b.ostream("o")
+        b.write(out_s, b.idx_read(table, b.const(index)))
+        kernel = b.build()
+        arr = SrfArray(proc.srf, 8 * lanes, "t")
+        out = SrfArray(proc.srf, 4 * lanes, "o")
+        view = (arr.crosslane_read(8 * lanes) if crosslane
+                else arr.inlane_read(8))
+        prog = StreamProgram("p")
+        prog.add_kernel(KernelInvocation(kernel, {
+            "t": view, "o": out.seq_write(),
+        }, iterations=4))
+        proc.run_program(prog)
+
+    @pytest.mark.parametrize("crosslane", [False, True],
+                             ids=["inlane", "crosslane"])
+    @pytest.mark.parametrize("where", ["past_end", "negative"])
+    def test_out_of_range_index_raises_srf_error(self, crosslane, where):
+        index = isrf4_config().srf_words if where == "past_end" else -1
+        # The message is the functional read's: the timed issue's own
+        # record-index check ("record index ...") fires only later.
+        with pytest.raises(SrfError, match="SRF addresses"):
+            self.run_lookup(crosslane, index)
 
 
 class TestDeadlockDetection:
