@@ -8,7 +8,7 @@ tick. Every check is a read-only probe of existing state — the
 sanitizer allocates nothing on the machine, mutates nothing, and a
 machine built without it carries no sanitizer state at all, so stats
 fingerprints are bit-identical either way (the same inertness contract
-as the trace and fault layers).
+as the trace layer).
 
 Checked invariants, mirroring the machine's conservation laws:
 

@@ -62,28 +62,6 @@ class EnergyModel:
         """How much cheaper an indexed SRF access is than DRAM."""
         return self.dram_word_nj / self.indexed_word_nj
 
-    def protection_energy_ratio(self, protection: str) -> float:
-        """Per-access energy multiplier of a word-protection scheme.
-
-        Check bits add ``check_bits/32`` of bit-storage/sensing energy
-        plus an encode/check logic term per check bit (parity ~1.05x,
-        SEC-DED ~1.36x an unprotected access).
-        """
-        from repro.faults.protection import PROTECTION_CHECK_BITS
-
-        if protection not in PROTECTION_CHECK_BITS:
-            raise ValueError(
-                f"unknown protection {protection!r} "
-                f"(known: {', '.join(PROTECTION_CHECK_BITS)})"
-            )
-        check_bits = PROTECTION_CHECK_BITS[protection]
-        if check_bits == 0:
-            return 1.0
-        return (
-            1.0 + check_bits / 32.0
-            + check_bits * self.tech.protection_logic_energy_per_check_bit
-        )
-
     def report(self, srf_stats: SrfStats, dram_stats: DramStats) -> EnergyReport:
         """Integrate per-access energies over run statistics."""
         return EnergyReport(

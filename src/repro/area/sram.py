@@ -175,59 +175,6 @@ class SrfAreaModel:
         )
         return self.banks * t.address_bits * t.wire_pitch_um * span_um * 0.5
 
-    # ------------------------------------------------------------------
-    # Word protection (repro.faults parity / SEC-DED)
-    # ------------------------------------------------------------------
-    #: Named SRF organisations, for :meth:`protection_overhead`.
-    VARIANTS = ("sequential", "isrf1", "isrf4", "crosslane")
-
-    def protected(self, protection: str,
-                  base: "AreaBreakdown | None" = None) -> AreaBreakdown:
-        """An organisation's breakdown with word protection added.
-
-        Check bits widen every word: the cell array, sense amplifiers and
-        column muxes grow by ``check_bits/32``; each sub-array also gains
-        the encode/check (parity) or encode/correct (SEC-DED) logic
-        block. ``base`` defaults to the sequential organisation.
-        """
-        from repro.faults.protection import PROTECTION_CHECK_BITS
-
-        if protection not in PROTECTION_CHECK_BITS:
-            raise ConfigurationError(
-                f"unknown protection {protection!r} "
-                f"(known: {', '.join(PROTECTION_CHECK_BITS)})"
-            )
-        base = base if base is not None else self.sequential()
-        check_bits = PROTECTION_CHECK_BITS[protection]
-        if check_bits == 0:
-            return AreaBreakdown(dict(base.components))
-        word_bits = WORD_BYTES * 8
-        widen = 1.0 + check_bits / word_bits
-        parts = {}
-        for name, area in base.components.items():
-            if name in ("cells", "sense_amps", "sequential_column_mux",
-                        "indexed_column_mux"):
-                parts[name] = area * widen
-            else:
-                parts[name] = area
-        logic = (
-            self.tech.parity_logic_per_subarray_um2 if protection == "parity"
-            else self.tech.ecc_logic_per_subarray_um2
-        )
-        parts["protection_logic"] = self.banks * self.subarrays * logic
-        return AreaBreakdown(parts)
-
-    def protection_overhead(self, protection: str,
-                            variant: str = "sequential") -> float:
-        """Fractional area cost of adding ``protection`` to ``variant``."""
-        if variant not in self.VARIANTS:
-            raise ConfigurationError(
-                f"unknown SRF variant {variant!r} "
-                f"(known: {', '.join(self.VARIANTS)})"
-            )
-        breakdown = getattr(self, variant)()
-        return self.protected(protection, breakdown).overhead_over(breakdown)
-
     def overhead_report(self) -> dict:
         """Fractional overheads over the sequential SRF (paper §4.6)."""
         base = self.sequential()

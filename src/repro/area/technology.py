@@ -40,17 +40,6 @@ class Technology:
     #: Crossbar switch-point area per crossing wire pair, µm².
     crossbar_crosspoint_um2: float = 28.0
 
-    # -- word protection (repro.faults parity / SEC-DED) -----------------
-    #: Parity generate/check tree per sub-array, µm².
-    parity_logic_per_subarray_um2: float = 350.0
-    #: SEC-DED (39,32) encoder + syndrome decoder + correction mux per
-    #: sub-array, µm².
-    ecc_logic_per_subarray_um2: float = 2600.0
-    #: Extra access energy per check bit, as a fraction of the unprotected
-    #: access (encode/check logic switching; the bit-storage overhead is
-    #: modelled separately as check_bits/32).
-    protection_logic_energy_per_check_bit: float = 0.02
-
     # -- energy (used by repro.area.energy) -----------------------------
     #: Energy per word of a sequential block SRF access, nanojoules.
     seq_access_energy_per_word_nj: float = 0.025

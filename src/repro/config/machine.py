@@ -20,9 +20,6 @@ from repro.errors import ConfigurationError
 #: Bytes in one machine word. The paper uses a 32-bit word throughout.
 WORD_BYTES = 4
 
-#: Word-level protection schemes modelled for the SRF and main memory.
-PROTECTION_KINDS = ("none", "parity", "secded")
-
 #: Where the timing model gets each kernel iteration's stream-access
 #: details (see :attr:`MachineConfig.timing_source`).
 TIMING_SOURCES = ("execute", "replay")
@@ -112,10 +109,10 @@ class MachineConfig:
     #: *functional* configuration executes and records a trace, and
     #: later runs re-drive the full timing model (processor, SRF
     #: arbitration, crossbar, DRAM) from it without re-executing the
-    #: kernels. Outside a session, or under fault injection, it
-    #: executes. "execute" evaluates every kernel functionally and never
-    #: records or replays: the reference the equivalence suites compare
-    #: against. Stats are bit-identical either way.
+    #: kernels. Outside a session it executes. "execute" evaluates every
+    #: kernel functionally and never records or replays: the reference
+    #: the equivalence suites compare against. Stats are bit-identical
+    #: either way.
     timing_source: str = "replay"
     #: Abort a run after this many cycles without forward progress (a bug
     #: in the program or the model). ``None`` uses the simulator default
@@ -131,8 +128,8 @@ class MachineConfig:
     #: conservation, stream-buffer credit balance, address-FIFO head
     #: coherence, crossbar budget bounds) every simulated cycle, raising
     #: :class:`repro.errors.SanitizerError` with a forensic report on the
-    #: first violation. Inert when off — like trace/faults, a disabled
-    #: machine carries no sanitizer state and stats are bit-identical.
+    #: first violation. Inert when off — like trace, a disabled machine
+    #: carries no sanitizer state and stats are bit-identical.
     sanitize: bool = False
 
     # --- Observability (repro.observe) -----------------------------------
@@ -146,26 +143,6 @@ class MachineConfig:
     #: Metrics depth: 0 = off, 1 = per-run aggregates via lazy providers,
     #: 2 = adds per-bank conflict counters and occupancy histograms.
     metrics_level: int = 0
-
-    # --- Fault injection & protection (repro.faults) --------------------
-    #: Seed for the deterministic :class:`repro.faults.FaultPlan`. Must be
-    #: set whenever any fault count below is non-zero.
-    fault_seed: "int | None" = None
-    #: Bit flips struck on SRF reads / DRAM transfer words.
-    fault_srf_flips: int = 0
-    fault_dram_flips: int = 0
-    #: Transient cross-lane grant-drop windows and delayed memory
-    #: responses.
-    fault_crossbar_drops: int = 0
-    fault_memory_delays: int = 0
-    #: Fault event cycles are drawn uniformly from ``[0, fault_horizon)``.
-    fault_horizon: int = 50_000
-    #: Word protection for the SRF banks and for main memory transfers:
-    #: "none", "parity" (detect + refetch) or "secded" (correct in
-    #: place). Protection also adds modelled area/energy overhead via
-    #: :mod:`repro.area`.
-    srf_protection: str = "none"
-    memory_protection: str = "none"
 
     # --- Memory system (Table 3) ----------------------------------------
     #: Peak off-chip DRAM bandwidth in bytes/second (9.14 GB/s).
@@ -237,18 +214,6 @@ class MachineConfig:
     def supports_indexing(self) -> bool:
         """True when the SRF accepts indexed accesses (ISRF machines)."""
         return self.srf_mode is SrfMode.INDEXED
-
-    @property
-    def faults_enabled(self) -> bool:
-        """True when any fault-injection counter is non-zero.
-
-        Faulted runs always execute (never replay a recorded trace):
-        bit flips change functional data.
-        """
-        return any((
-            self.fault_srf_flips, self.fault_dram_flips,
-            self.fault_crossbar_drops, self.fault_memory_delays,
-        ))
 
     @property
     def cache_lines(self) -> int:
@@ -344,24 +309,6 @@ class MachineConfig:
             raise ConfigurationError(
                 f"metrics_level must be 0, 1 or 2, got {self.metrics_level}"
             )
-        fault_counts = (
-            self.fault_srf_flips, self.fault_dram_flips,
-            self.fault_crossbar_drops, self.fault_memory_delays,
-        )
-        if any(count < 0 for count in fault_counts):
-            raise ConfigurationError("fault counts must be non-negative")
-        if any(fault_counts) and self.fault_seed is None:
-            raise ConfigurationError(
-                "fault injection requires fault_seed (determinism)"
-            )
-        if self.fault_horizon <= 0:
-            raise ConfigurationError("fault_horizon must be positive")
-        for protection in (self.srf_protection, self.memory_protection):
-            if protection not in PROTECTION_KINDS:
-                raise ConfigurationError(
-                    f"unknown protection {protection!r} "
-                    f"(known: {', '.join(PROTECTION_KINDS)})"
-                )
         if self.dram_bandwidth_bytes_per_s <= 0:
             raise ConfigurationError("DRAM bandwidth must be positive")
         if self.dram_row_words <= 0 or self.dram_banks <= 0:

@@ -73,14 +73,6 @@ OVERLAYS: "tuple[EnvOverlay, ...]" = (
         example="REPRO_FAIL_EXPERIMENT=table4",
     ),
     EnvOverlay(
-        name="REPRO_FAULTS",
-        owner="repro.faults.plan",
-        doc="Fault-injection overlay for every preset: seed, strike "
-            "counts (srf/dram/xbar/delay), horizon, protection.",
-        example='REPRO_FAULTS="seed=7,srf=24,dram=8,protection=secded"',
-        result_affecting=True,
-    ),
-    EnvOverlay(
         name="REPRO_SCALE",
         owner="repro.harness.figures",
         doc="Workload scale for every harness experiment: small, "

@@ -20,26 +20,19 @@ stream buffers.
 from __future__ import annotations
 
 from repro.config.machine import MachineConfig, SrfMode
-from repro.faults.plan import fault_overrides_from_env
 from repro.observe.observer import trace_overrides_from_env
 
 
 def _finish(cfg: MachineConfig, overrides: dict) -> MachineConfig:
     """Apply env overrides, then explicit ones, and validate.
 
-    The ``REPRO_FAULTS`` environment variable (see
-    :func:`repro.faults.fault_overrides_from_env`) overlays fault/
-    protection knobs onto every preset, so the whole harness can run
-    under injected faults without touching any call site; explicit
-    keyword overrides still win. ``REPRO_TRACE`` (see
-    :func:`repro.observe.trace_overrides_from_env`) does the same for
-    the observability knobs.
+    The ``REPRO_TRACE`` environment variable (see
+    :func:`repro.observe.trace_overrides_from_env`) overlays the
+    observability knobs onto every preset, so the whole harness can run
+    traced without touching any call site; explicit keyword overrides
+    still win.
     """
-    merged = {
-        **fault_overrides_from_env(),
-        **trace_overrides_from_env(),
-        **overrides,
-    }
+    merged = {**trace_overrides_from_env(), **overrides}
     return cfg.replace(**merged) if merged else _validated(cfg)
 
 

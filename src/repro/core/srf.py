@@ -179,12 +179,12 @@ class SequentialPort:
         """Perform one block transfer; returns words moved."""
         base = self.descriptor.base + self._blocks_done * self.block_words
         if self.direction is PortDirection.READ:
-            per_lane = self.srf.filter_block([
+            per_lane = [
                 self.srf.storage.read_range(
                     base + lane * self.words_per_lane, self.words_per_lane
                 )
                 for lane in range(self.fifo.lanes)
-            ])
+            ]
             self.srf.schedule_fill(
                 cycle + self.srf.config.srf_sequential_latency, self, per_lane
             )
@@ -555,13 +555,8 @@ class StreamRegisterFile:
         self._cal_count = 0
         self._cal_floor = 0  # next due cycle not yet completed
         self._comm_busy = False
-        # Fault injection (repro.faults); all None/False when disabled so
-        # the hot paths pay a single predicated check at most.
-        self._fault_injector = None
-        self._drop_schedule = None
-        self._faults_enabled = False
-        self._drops_active = False
-        # Observability (repro.observe); same inertness contract.
+        # Observability (repro.observe); all None when disabled so the
+        # hot paths pay a single predicated check at most.
         self._tracer = None
         self._bank_conflicts = None
         self._addr_fifo_hist = None
@@ -687,53 +682,6 @@ class StreamRegisterFile:
         }
 
     # ------------------------------------------------------------------
-    # Fault injection (repro.faults)
-    # ------------------------------------------------------------------
-    def install_faults(self, injector=None, drop_schedule=None) -> None:
-        """Attach a bit-flip injector and/or a crossbar drop schedule.
-
-        ``injector`` is a :class:`repro.faults.BitFlipInjector` applied
-        to words read out of the SRF banks; ``drop_schedule`` a
-        :class:`repro.faults.DropSchedule` whose active windows take the
-        cross-lane address network down.
-        """
-        self._fault_injector = injector
-        self._drop_schedule = drop_schedule
-        self._faults_enabled = injector is not None or drop_schedule is not None
-
-    def _advance_faults(self, cycle: int) -> None:
-        injector = self._fault_injector
-        if injector is not None:
-            injector.advance(cycle)
-        drops = self._drop_schedule
-        if drops is not None:
-            active = drops.active(cycle)
-            if active != self._drops_active:
-                self._drops_active = active
-                self.address_network.set_fault_drop(active)
-
-    def filter_word(self, value):
-        """Route one word read from a bank through any armed strike."""
-        injector = self._fault_injector
-        if injector is None or not injector.armed:
-            return value
-        return injector.filter(value)
-
-    def filter_words(self, values):
-        """Route a flat list of read words through any armed strikes."""
-        injector = self._fault_injector
-        if injector is None or not injector.armed:
-            return values
-        return [injector.filter(v) for v in values]
-
-    def filter_block(self, per_lane):
-        """Route a per-lane block read through any armed strikes."""
-        injector = self._fault_injector
-        if injector is None or not injector.armed:
-            return per_lane
-        return [[injector.filter(v) for v in words] for words in per_lane]
-
-    # ------------------------------------------------------------------
     # Cycle stepping
     # ------------------------------------------------------------------
     def tick(self, cycle: int, comm_busy: bool = False) -> None:
@@ -746,8 +694,6 @@ class StreamRegisterFile:
         """
         self.stats.cycles += 1
         self._comm_busy = comm_busy
-        if self._faults_enabled:
-            self._advance_faults(cycle)
         if self._cal_count:
             self._complete_due(cycle)
         else:
@@ -929,7 +875,6 @@ class StreamRegisterFile:
         # Storage by list index: open_indexed proved every record of a
         # stream inside the SRF, and issue checked every record index.
         storage = self.storage._words
-        injector = self._fault_injector
         cal = self._cal
         size = self._cal_size
         cfg = self.config
@@ -996,8 +941,6 @@ class StreamRegisterFile:
                 )
                 if ticket is not None:
                     value = storage[global_addr]
-                    if injector is not None:
-                        value = self.filter_word(value)
                     rob = stream.robs[lane]
                     if crosslane:
                         crosslane_grants += 1

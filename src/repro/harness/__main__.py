@@ -15,8 +15,8 @@ traces (:mod:`repro.machine.replay`), kept in ``<cache-dir>/traces``,
 or under ``--no-cache`` in a temporary directory the run deletes.
 
 Bad input — an unknown option or experiment, a malformed value, an
-unknown ``REPRO_SCALE``, a malformed ``REPRO_TRACE``/``REPRO_FAULTS``
-overlay — exits 2 with the usage text before anything runs.
+unknown ``REPRO_SCALE``, a malformed ``REPRO_TRACE`` overlay — exits 2
+with the usage text before anything runs.
 
 The harness degrades gracefully: a raising, crashing, or (with
 ``--timeout``) hung experiment is reported after one execution as a
@@ -67,8 +67,7 @@ Workload scale is chosen by the REPRO_SCALE environment variable
 (small / medium / paper; default small). REPRO_TRACE overlays
 observability knobs on every machine config, and its path= entry
 names the trace experiment's output
-(e.g. REPRO_TRACE="trace=1,metrics=2,path=out.json"); REPRO_FAULTS
-overlays fault injection the same way.
+(e.g. REPRO_TRACE="trace=1,metrics=2,path=out.json").
 
 Each benchmark's first run on a functional config records its kernel
 data; later runs on a config that differs only in timing (the fig15/
@@ -230,9 +229,9 @@ def main(argv=None) -> int:
         scale = figures.default_scale()
     except ValueError as exc:
         return _fail(str(exc))
-    # Every preset applies the REPRO_TRACE/REPRO_FAULTS overlays, so one
-    # config built here rejects a malformed one once, instead of every
-    # experiment failing on it separately.
+    # Every preset applies the REPRO_TRACE overlay, so one config built
+    # here rejects a malformed one once, instead of every experiment
+    # failing on it separately.
     try:
         base_config()
     except ConfigurationError as exc:

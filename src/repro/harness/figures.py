@@ -139,13 +139,12 @@ def run_benchmark(name: str, config, scale: str) -> AppResult:
         if cached is not None:
             _run_cache[key] = cached
             return cached
-    if (_trace_store is not None and config.timing_source == "replay"
-            and not config.faults_enabled):
+    if _trace_store is not None and config.timing_source == "replay":
         # Record the kernel trace on the first run of a functional
         # config; replay it on every later one (including under
         # different timing-only parameters). The trace is saved only
         # after the result verified — an unverified run publishes
-        # nothing. Faulted configs always execute (flips change data).
+        # nothing.
         with replay.session(_trace_store, name, config, scale):
             result = _simulate(name, config, scale)
     else:
@@ -608,76 +607,6 @@ def energy_table() -> dict:
         ["quantity", "value"], rows,
     )
     return {"rows": rows, "text": text}
-
-
-# ----------------------------------------------------------------------
-# Reliability: injected faults vs protection, with modelled overheads
-# ----------------------------------------------------------------------
-#: Seeded single-bit-flip plan used by the reliability experiment. The
-#: small horizon keeps every strike inside even the smallest run, so the
-#: protection counters are guaranteed to be exercised.
-RELIABILITY_FAULTS = dict(
-    fault_seed=13, fault_srf_flips=12, fault_dram_flips=12,
-    fault_horizon=2_000,
-)
-
-#: Machine config -> SRF area-model organisation for protection costing.
-_RELIABILITY_VARIANTS = {
-    "Base": "sequential", "ISRF1": "isrf1", "ISRF4": "crosslane",
-    "Cache": "sequential",
-}
-
-
-def reliability(scale: "str | None" = None) -> dict:
-    """The reliability-vs-overhead tradeoff per machine configuration.
-
-    Runs FFT 2D on every Table 2 configuration under a seeded
-    single-bit-flip plan (:data:`RELIABILITY_FAULTS`), once with parity
-    (detect + refetch) and once with SEC-DED ECC (correct in place),
-    and reports the protection counters next to the modelled SRF area
-    overhead and per-access energy ratio of each scheme. Both schemes
-    restore the true word on a single-bit strike, so the benchmark still
-    verifies end to end — the point of paying for protection.
-    """
-    scale = scale or default_scale()
-    configs = all_configs()
-    area = SrfAreaModel()
-    energy = EnergyModel()
-    rows = []
-    data = {}
-    for config_name, config in configs.items():
-        for protection in ("parity", "secded"):
-            faulted = config.replace(
-                srf_protection=protection, memory_protection=protection,
-                **RELIABILITY_FAULTS,
-            )
-            result = run_benchmark("FFT 2D", faulted, scale)
-            faults = result.stats.faults
-            area_overhead = area.protection_overhead(
-                protection, _RELIABILITY_VARIANTS[config_name]
-            )
-            energy_ratio = energy.protection_energy_ratio(protection)
-            data[(config_name, protection)] = {
-                "injected": faults.injected,
-                "corrected": faults.corrected,
-                "detected": faults.detected,
-                "uncorrected": faults.uncorrected,
-                "retries": faults.retries,
-                "srf_area_overhead": area_overhead,
-                "energy_ratio": energy_ratio,
-            }
-            rows.append([
-                config_name, protection, faults.injected, faults.corrected,
-                faults.detected, faults.retries,
-                f"{area_overhead * 100:.1f}%", f"{energy_ratio:.2f}x",
-            ])
-    text = render_table(
-        "Reliability: seeded single-bit faults (FFT 2D) under parity vs "
-        "SEC-DED, with modelled protection overheads",
-        ["config", "protection", "injected", "corrected", "detected",
-         "retries", "SRF area", "energy"], rows,
-    )
-    return {"data": data, "rows": rows, "text": text}
 
 
 # ----------------------------------------------------------------------

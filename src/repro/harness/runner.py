@@ -65,7 +65,6 @@ EXPERIMENTS = {
     "fig16": figures.figure16,
     "fig17": figures.figure17,
     "fig18": figures.figure18,
-    "reliability": figures.reliability,
     "sparse": figures.sparse,
     "locality": figures.locality,
     "headline": figures.headline,

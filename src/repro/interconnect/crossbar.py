@@ -35,9 +35,6 @@ class CrossbarStats:
     words_delivered: int = 0
     deferred_word_cycles: int = 0
     comm_cycles: int = 0
-    #: Routes refused while the network was transiently faulted
-    #: (repro.faults grant-drop windows).
-    dropped_routes: int = 0
 
 
 @dataclass
@@ -85,7 +82,6 @@ class ReturnNetwork:
             f"{prefix}.words_delivered": stats.words_delivered,
             f"{prefix}.deferred_word_cycles": stats.deferred_word_cycles,
             f"{prefix}.comm_cycles": stats.comm_cycles,
-            f"{prefix}.dropped_routes": stats.dropped_routes,
         })
 
     def bank_has_space(self, bank: int) -> bool:
@@ -178,10 +174,6 @@ class AddressNetwork:
         self.source_bandwidth = source_bandwidth
         self._source_budget = [0] * lanes
         self._bank_budget = [0] * lanes
-        #: Transient fault state (repro.faults): while set, every route
-        #: attempt is refused — the grant retries on a later cycle, as a
-        #: real network would after a dropped flit.
-        self._fault_down = False
         self.stats = CrossbarStats()
 
     def install_observer(self, observer, prefix: str = "address_network") -> None:
@@ -191,12 +183,7 @@ class AddressNetwork:
         stats = self.stats
         observer.metrics.add_provider(lambda: {
             f"{prefix}.words_delivered": stats.words_delivered,
-            f"{prefix}.dropped_routes": stats.dropped_routes,
         })
-
-    def set_fault_drop(self, down: bool) -> None:
-        """Mark the network faulted (dropping all grants) or healthy."""
-        self._fault_down = down
 
     def begin_cycle(self) -> None:
         """Reset per-cycle port budgets."""
@@ -212,9 +199,6 @@ class AddressNetwork:
 
     def try_route(self, source_lane: int, bank: int) -> bool:
         """Consume one source slot and one bank port if both are free."""
-        if self._fault_down:
-            self.stats.dropped_routes += 1
-            return False
         if not self.can_route(source_lane, bank):
             return False
         self._source_budget[source_lane] -= 1
@@ -272,9 +256,6 @@ class RingAddressNetwork(AddressNetwork):
         )
 
     def try_route(self, source_lane: int, bank: int) -> bool:
-        if self._fault_down:
-            self.stats.dropped_routes += 1
-            return False
         if not self.can_route(source_lane, bank):
             return False
         for link in self._path(source_lane, bank):

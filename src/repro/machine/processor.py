@@ -23,12 +23,6 @@ from __future__ import annotations
 from repro.config.machine import MachineConfig
 from repro.core.srf import StreamRegisterFile
 from repro.errors import DeadlockError
-from repro.faults import (
-    BitFlipInjector,
-    DelaySchedule,
-    DropSchedule,
-    FaultPlan,
-)
 from repro.kernel.ir import Kernel
 from repro.kernel.resources import ClusterResources
 from repro.kernel.schedule import StaticSchedule
@@ -37,7 +31,7 @@ from repro.machine import replay
 from repro.machine.diagnostics import build_deadlock_report
 from repro.machine.executor import KernelExecutor
 from repro.machine.program import StreamProgram
-from repro.machine.stats import FaultStats, ProgramStats
+from repro.machine.stats import ProgramStats
 from repro.memory.controller import MemoryController
 from repro.memory.mainmem import MainMemory
 from repro.observe.observer import Observer
@@ -61,17 +55,13 @@ class StreamProcessor:
         self.scheduler = ModuloScheduler(ClusterResources.from_config(config))
         self.cycle = 0
         self._schedule_cache = {}
-        #: Machine-lifetime fault counters; per-program deltas land in
-        #: each run's ``ProgramStats.faults``.
-        self.fault_stats = FaultStats()
-        self._install_faults(config)
         self._install_observer(config)
         self._install_sanitizer(config)
 
     def _install_sanitizer(self, config: MachineConfig) -> None:
         """Attach the debug invariant checker (usually None).
 
-        Like the fault and observability layers, a machine built with
+        Like the observability layer, a machine built with
         ``sanitize=False`` carries no sanitizer state at all, and a
         sanitized run's stats are bit-identical to an unsanitized one —
         every check is a read-only probe.
@@ -102,36 +92,6 @@ class StreamProcessor:
         self.srf.address_network.install_observer(self.observer)
         self.srf.return_network.install_observer(self.observer)
         self.controller.install_observer(self.observer)
-
-    def _install_faults(self, config: MachineConfig) -> None:
-        """Wire the configured fault plan into the components (if any)."""
-        plan = FaultPlan.from_config(config)
-        self._faults_enabled = plan is not None
-        if plan is None:
-            return
-        stats = self.fault_stats
-        self.srf.install_faults(
-            injector=(
-                BitFlipInjector(plan.srf_flips, config.srf_protection, stats)
-                if plan.srf_flips else None
-            ),
-            drop_schedule=(
-                DropSchedule(plan.crossbar_drops)
-                if plan.crossbar_drops else None
-            ),
-        )
-        self.controller.install_faults(
-            injector=(
-                BitFlipInjector(
-                    plan.dram_flips, config.memory_protection, stats
-                )
-                if plan.dram_flips else None
-            ),
-            delay_schedule=(
-                DelaySchedule(plan.memory_delays, stats)
-                if plan.memory_delays else None
-            ),
-        )
 
     # ------------------------------------------------------------------
     def schedule_kernel(self, kernel: Kernel) -> StaticSchedule:
@@ -180,14 +140,12 @@ class StreamProcessor:
         # Trace-replay wiring (repro.machine.replay): when the config
         # selects replay timing and a session is active, this program
         # either records each kernel's stream data or is re-timed from
-        # the recorded trace. Faulted runs always execute (bit flips
-        # change functional data). Invocations correlate by task
-        # *index* — task ids are process-global and unstable.
+        # the recorded trace. Invocations correlate by task *index* —
+        # task ids are process-global and unstable.
         replay_session = None
         program_trace = None
         task_index = {}
-        if (self.config.timing_source == "replay"
-                and not self.config.faults_enabled):
+        if self.config.timing_source == "replay":
             replay_session = replay.active_session()
         if replay_session is not None:
             program_trace = replay_session.begin_program(program)
@@ -197,8 +155,6 @@ class StreamProcessor:
         stats = ProgramStats(name=program.name)
         start_cycle = self.cycle
         start_traffic = self.controller.offchip_traffic_words
-        fault_snapshot = self.fault_stats.snapshot()
-        drop_snapshot = self.srf.address_network.stats.dropped_routes
         limit = self.deadlock_limit
         use_fast_forward = self.config.fast_forward
         tracer = self._tracer
@@ -355,11 +311,6 @@ class StreamProcessor:
         stats.offchip_words = (
             self.controller.offchip_traffic_words - start_traffic
         )
-        if self._faults_enabled:
-            stats.faults = self.fault_stats.delta(fault_snapshot)
-            stats.faults.dropped_grants = (
-                self.srf.address_network.stats.dropped_routes - drop_snapshot
-            )
         if tracer is not None:
             tracer.end(
                 "processor", f"program:{program.name}", self.cycle,

@@ -40,10 +40,6 @@ functional until someone lists it here — at worst a redundant
 re-record, never a wrong replay. Any simulator source edit rotates the
 code fingerprint and orphans every stored trace.
 
-Fault injection changes functional data (bit flips), so faulted
-configs never record or replay — the processor falls back to plain
-execution.
-
 Usage
 -----
 ::
@@ -109,9 +105,6 @@ TIMING_ONLY_FIELDS = frozenset({
     "timing_source", "deadlock_cycles", "fast_forward", "sanitize",
     # Observability (read-only probes by construction).
     "trace", "trace_buffer_events", "metrics_level",
-    # Word protection is inert without faults, and faulted configs never
-    # replay (the fault_* fields themselves stay functional).
-    "srf_protection", "memory_protection",
     # Memory-system timing.
     "dram_bandwidth_bytes_per_s", "dram_latency_cycles", "dram_banks",
     "dram_row_words", "dram_row_miss_penalty",

@@ -20,63 +20,6 @@ from dataclasses import dataclass, field
 
 
 @dataclass
-class FaultStats:
-    """Fault-injection and protection counters (repro.faults).
-
-    All zero — and absent from any figure — when fault injection is
-    disabled.
-    """
-
-    #: Bit-flip strikes that landed on an accessed word.
-    injected: int = 0
-    #: Strikes corrected in place by SEC-DED.
-    corrected: int = 0
-    #: Strikes detected (parity or SEC-DED double-bit).
-    detected: int = 0
-    #: Strikes delivered as corrupted data (silent or detected-only).
-    uncorrected: int = 0
-    #: Parity-triggered refetches of a struck word.
-    retries: int = 0
-    #: Cross-lane grants refused by a faulted network.
-    dropped_grants: int = 0
-    #: Memory operations whose response was delayed, and by how much.
-    delayed_ops: int = 0
-    delay_cycles: int = 0
-
-    def merge(self, other: "FaultStats") -> None:
-        self.injected += other.injected
-        self.corrected += other.corrected
-        self.detected += other.detected
-        self.uncorrected += other.uncorrected
-        self.retries += other.retries
-        self.dropped_grants += other.dropped_grants
-        self.delayed_ops += other.delayed_ops
-        self.delay_cycles += other.delay_cycles
-
-    def delta(self, since: "FaultStats") -> "FaultStats":
-        """Counters accumulated since the ``since`` snapshot."""
-        return FaultStats(
-            injected=self.injected - since.injected,
-            corrected=self.corrected - since.corrected,
-            detected=self.detected - since.detected,
-            uncorrected=self.uncorrected - since.uncorrected,
-            retries=self.retries - since.retries,
-            dropped_grants=self.dropped_grants - since.dropped_grants,
-            delayed_ops=self.delayed_ops - since.delayed_ops,
-            delay_cycles=self.delay_cycles - since.delay_cycles,
-        )
-
-    def snapshot(self) -> "FaultStats":
-        return self.delta(FaultStats())
-
-    @property
-    def any(self) -> bool:
-        return bool(
-            self.injected or self.dropped_grants or self.delayed_ops
-        )
-
-
-@dataclass
 class KernelRunStats:
     """Timing and SRF-traffic breakdown of one kernel invocation."""
 
@@ -151,9 +94,6 @@ class ProgramStats:
     idle_cycles: int = 0
     offchip_words: int = 0
     kernel_runs: list = field(default_factory=list)
-    #: Fault-injection/protection counters for this run (all zero when
-    #: fault injection is disabled).
-    faults: FaultStats = field(default_factory=FaultStats)
     #: Observability snapshot (repro.observe): metric name ->
     #: ``{"kind": ..., "value"/...}``. Empty when ``metrics_level`` is 0,
     #: so default-config stats stay bit-identical to the seed.
@@ -188,7 +128,6 @@ class ProgramStats:
         self.idle_cycles += other.idle_cycles
         self.offchip_words += other.offchip_words
         self.kernel_runs.extend(other.kernel_runs)
-        self.faults.merge(other.faults)
         if other.metrics:
             # Registry snapshots are cumulative per machine, so the
             # latest merged run carries the most complete view.

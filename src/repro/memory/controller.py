@@ -95,10 +95,7 @@ class MemoryPort:
             values = self._op.consume_staged(width)
             self._srf.storage.write_range(base, values)
         else:
-            values = self._srf.filter_words(
-                self._srf.storage.read_range(base, width)
-            )
-            self._op.stage(values)
+            self._op.stage(self._srf.storage.read_range(base, width))
         self._blocks_done += 1
         return width
 
@@ -178,9 +175,6 @@ class MemoryController:
         self._round_robin = 0
         self._completed = {}
         self.stats = MemoryStats()
-        # Fault injection (repro.faults); both None when disabled.
-        self._dram_injector = None
-        self._delay_schedule = None
         # Observability (repro.observe); None when disabled.
         self._tracer = None
         self._ops_counter = None
@@ -215,22 +209,6 @@ class MemoryController:
         }
 
     # ------------------------------------------------------------------
-    # Fault injection (repro.faults)
-    # ------------------------------------------------------------------
-    def install_faults(self, injector=None, delay_schedule=None) -> None:
-        """Attach a DRAM-word bit-flip injector and/or a response-delay
-        schedule (:class:`repro.faults.BitFlipInjector` /
-        :class:`repro.faults.DelaySchedule`)."""
-        self._dram_injector = injector
-        self._delay_schedule = delay_schedule
-
-    def _filter_dram(self, value):
-        injector = self._dram_injector
-        if injector is None or not injector.armed:
-            return value
-        return injector.filter(value)
-
-    # ------------------------------------------------------------------
     def issue(self, op: StreamMemoryOp, cycle: int) -> None:
         """Begin executing a stream memory op at ``cycle``.
 
@@ -242,10 +220,6 @@ class MemoryController:
             if self.cache is not None and op.cacheable
             else self.config.dram_latency_cycles
         )
-        if self._delay_schedule is not None:
-            # Faulted memory part: responses issued after a delay event's
-            # cycle arrive late by the event's duration.
-            ready += self._delay_schedule.extra_latency(cycle)
         active = _ActiveOp(op, self.srf, cycle, ready)
         self._active.append(active)
         self.srf.attach_port(active.port)
@@ -355,8 +329,6 @@ class MemoryController:
     # ------------------------------------------------------------------
     def tick(self, cycle: int) -> None:
         """Advance DRAM/cache transfers by one cycle."""
-        if self._dram_injector is not None:
-            self._dram_injector.advance(cycle)
         self.dram.begin_cycle()
         if self.cache is not None:
             self._cache_credit = min(
@@ -418,7 +390,7 @@ class MemoryController:
             self.stats.offchip_words += 1
         # Functional transfer.
         if into_srf:
-            active.stage([self._filter_dram(self.memory.read(addr))])
+            active.stage([self.memory.read(addr)])
         else:
             value = active.consume_staged(1)[0]
             self.memory.write(addr, value)

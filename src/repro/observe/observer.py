@@ -6,8 +6,7 @@ tracer and metrics registry — that a
 components. It is built from :class:`~repro.config.machine.MachineConfig`
 knobs (``trace``, ``metrics_level``); with both at their defaults
 :meth:`Observer.from_config` returns ``None`` and the machine carries no
-observability state at all — the same inertness contract the fault
-package established.
+observability state at all.
 
 Because benchmarks construct their processors internally, callers that
 need the traces use the :func:`collect` context manager: every observer
@@ -18,7 +17,7 @@ created while it is active is registered with it::
     tracer = collected.observers[0].tracer
 
 The ``REPRO_TRACE`` environment variable overlays observability knobs
-onto every machine preset (mirroring ``REPRO_FAULTS``), e.g.
+onto every machine preset, e.g.
 ``REPRO_TRACE="trace=1,metrics=2,path=out.json"``.
 """
 

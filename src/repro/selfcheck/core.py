@@ -145,7 +145,7 @@ class SourceFile:
         Maps name -> ``str`` (string constant), ``tuple[str, ...]``
         (tuple/list of string constants), or ``("alias", name)`` for a
         plain ``X = Y`` rebinding. Used by passes to resolve, e.g.,
-        ``os.environ.get(FAULTS_ENV)``.
+        ``os.environ.get(TRACE_ENV)``.
         """
         constants: "dict[str, object]" = {}
         if self.tree is None:

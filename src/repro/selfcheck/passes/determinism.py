@@ -1,8 +1,8 @@
 """Determinism pass: no ambient entropy inside the simulated machine.
 
 The simulator's core promise is bit-identical replay: the same config
-and kernel must produce the same cycle counts, fingerprints, and fault
-sites on every run. That promise dies the moment simulation code reads
+and kernel must produce the same cycle counts and fingerprints on every
+run. That promise dies the moment simulation code reads
 a wall clock, an unseeded RNG, or iterates a set in hash order. This
 pass forbids those inside the *simulated-machine* packages
 (``core/``, ``machine/``, ``kernel/``, ``memory/``,
@@ -23,8 +23,7 @@ Codes:
 
 Seeded constructions (``random.Random(seed)``,
 ``numpy.random.default_rng(seed)``) are allowed — determinism comes
-from the seed being config-carried, which is exactly how
-``repro.faults`` works.
+from the seed being carried by the config or the caller.
 """
 
 from __future__ import annotations
@@ -155,8 +154,7 @@ def run(ctx: LintContext) -> None:
                 ctx.emit(
                     "SC302",
                     f"process-global RNG ({origin}) — construct a seeded "
-                    f"random.Random(seed) carried by the config, as "
-                    f"repro.faults does",
+                    f"random.Random(seed) carried by the config",
                     sf=sf, line=node.lineno,
                 )
             elif _unseeded_random_construction(node, origin):

@@ -157,8 +157,8 @@ def env_accesses(
     variable names, the ``_FROM_REGISTRY`` sentinel, or None when the
     name cannot be statically determined. ``lookup`` is an optional
     ``(module, name) -> value`` callable resolving constants imported
-    from other files in the scanned tree (``from repro.faults.plan
-    import FAULTS_ENV``).
+    from other files in the scanned tree (``from repro.observe.observer
+    import TRACE_ENV``).
     """
     if sf.tree is None:
         return []

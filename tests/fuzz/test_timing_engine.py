@@ -7,7 +7,7 @@ cycles (the default) and stepping every cycle (``fast_forward=False``).
 Outputs, final table contents, and the *entire* ``ProgramStats`` must
 match bit for bit. A second property drives the boundary between
 skipped and stepped cycles under each knob that hooks the cycle loop
-(faults, sanitizer, tracing): with the hook on, both loops
+(sanitizer, tracing, metrics): with the hook on, both loops
 must still agree exactly.
 """
 
@@ -67,7 +67,7 @@ def test_timing_engines_agree_sparse(spec):
 #: Knobs that hook the cycle loop: fast-forward windows must charge
 #: each exactly as per-cycle stepping does.
 _HOOK_OVERLAYS = (
-    dict(fault_seed=11, fault_srf_flips=1, fault_horizon=5_000),
+    dict(metrics_level=2),
     dict(sanitize=True),
     dict(trace=True),
 )
@@ -78,8 +78,9 @@ _HOOK_OVERLAYS = (
        overlay=st.sampled_from(_HOOK_OVERLAYS))
 def test_fallback_boundary_agrees(spec, overlay):
     """With a cycle-loop hook on, fast-forwarding still matches
-    per-cycle stepping bit for bit (faulted outputs may differ from the
-    reference, so only the two machine runs are compared)."""
-    _expected, fast, stepped = _run_both_loops(spec, overlay)
+    per-cycle stepping bit for bit, and the outputs match the
+    reference."""
+    expected, fast, stepped = _run_both_loops(spec, overlay)
+    assert fast[0] == expected
     assert fast[:2] == stepped[:2]
     assert dataclasses.asdict(fast[2]) == dataclasses.asdict(stepped[2])

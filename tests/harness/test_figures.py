@@ -69,27 +69,6 @@ class TestStaticExperiments:
 
 
 class TestBenchmarkCache:
-    def test_reliability(self):
-        result = figures.reliability()
-        # 4 machine configurations x (parity, secded).
-        assert len(result["rows"]) == 8
-        for (name, protection), entry in result["data"].items():
-            assert entry["injected"] > 0
-            assert entry["uncorrected"] == 0  # both schemes recover
-            if protection == "secded":
-                assert entry["corrected"] == entry["injected"]
-                assert entry["retries"] == 0
-            else:
-                assert entry["corrected"] == 0
-                assert entry["retries"] == entry["injected"]
-            assert entry["srf_area_overhead"] > 0
-            assert entry["energy_ratio"] > 1.0
-        secded = result["data"][("ISRF4", "secded")]
-        parity = result["data"][("ISRF4", "parity")]
-        # SEC-DED pays more than parity, in both area and energy.
-        assert secded["srf_area_overhead"] > parity["srf_area_overhead"]
-        assert secded["energy_ratio"] > parity["energy_ratio"]
-
     def test_run_benchmark_caches(self):
         from repro.config import isrf4_config
 

