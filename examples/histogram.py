@@ -10,8 +10,9 @@ A histogram needs read-modify-write per input element — impossible with
 the paper's read-xor-write streams inside one kernel (the Base machine
 would need one pass per bin, or sort-based binning through memory).
 With an ``idxl_iostream``, each lane increments its private bins in
-place; reads and writes share the stream's address FIFO, which is what
-makes read-after-write order safe.
+place: the kernel executor moves every word in program order, so each
+read sees the earlier increments, and reads and writes share the
+stream's address FIFO, so their SRF accesses keep that order too.
 
 Run:  python examples/histogram.py
 """

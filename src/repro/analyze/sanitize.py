@@ -15,9 +15,9 @@ Checked invariants, mirroring the machine's conservation laws:
 * **allocator** — allocations are disjoint, ordered, block-aligned and
   inside the SRF;
 * **sequential ports** — block progress within bounds, in-flight word
-  credit non-negative, per-lane stream-buffer occupancy uniform (SIMD
-  lockstep) and within capacity, and reads never over-commit buffer
-  space (occupancy + in-flight ≤ capacity);
+  credit non-negative, stream-buffer occupancy within capacity, and
+  reads never over-commit buffer space (occupancy + in-flight ≤
+  capacity);
 * **indexed streams** — the O(1) ``pending_words`` counter equals the
   words actually queued across lane FIFOs, write credits are
   non-negative, each address FIFO's record counter equals its queued
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.stream_buffer import _UNFILLED
+from repro.core.srf import SequentialPort
 from repro.errors import SanitizerError
 
 
@@ -110,8 +110,7 @@ class MachineSanitizer:
 
     def _check_sequential_ports(self):
         for port in self.srf._seq_ports:
-            fifo = getattr(port, "fifo", None)
-            if fifo is None:
+            if not isinstance(port, SequentialPort):
                 continue  # duck-typed memory-system port; no buffer here
             name = port.descriptor.name
             if not 0 <= port._blocks_done <= port.total_blocks:
@@ -124,25 +123,18 @@ class MachineSanitizer:
                     f"sequential port '{name}': negative in-flight word "
                     f"credit ({port._inflight_words})"
                 )
-            depths = {len(lane) for lane in fifo._fifos}
-            if len(depths) > 1:
-                yield (
-                    f"sequential port '{name}': stream-buffer occupancy "
-                    f"not uniform across lanes ({sorted(depths)}) — SIMD "
-                    "lockstep broken"
-                )
-            occupancy = fifo.occupancy
-            if occupancy > fifo.capacity:
+            occupancy = port.occupancy
+            if occupancy > port.capacity:
                 yield (
                     f"sequential port '{name}': buffer occupancy "
-                    f"{occupancy} exceeds capacity {fifo.capacity}"
+                    f"{occupancy} exceeds capacity {port.capacity}"
                 )
             if (port.direction.value == "read"
-                    and occupancy + port._inflight_words > fifo.capacity):
+                    and occupancy + port._inflight_words > port.capacity):
                 yield (
                     f"sequential port '{name}': occupancy {occupancy} + "
                     f"in-flight {port._inflight_words} over-commits the "
-                    f"{fifo.capacity}-word buffer"
+                    f"{port.capacity}-word buffer"
                 )
 
     def _check_indexed_streams(self):
@@ -154,7 +146,7 @@ class MachineSanitizer:
                 queued += len(words)
                 # A record leaves the FIFO with its ``last`` word, so the
                 # record counter must equal the queued record ends.
-                ends = sum(1 for word in words if word[4])
+                ends = sum(1 for word in words if word[3])
                 if ends != fifo.records:
                     yield (
                         f"indexed stream '{name}' lane {fifo.lane}: record "
@@ -167,7 +159,7 @@ class MachineSanitizer:
                         f"{ends} queued records exceed capacity "
                         f"{fifo.capacity}"
                     )
-                if words and not words[-1][4]:
+                if words and not words[-1][3]:
                     yield (
                         f"indexed stream '{name}' lane {fifo.lane}: tail "
                         "word does not end a record"
@@ -249,12 +241,12 @@ class MachineSanitizer:
                     f"calendar window after cycle {cycle}"
                 )
             for event in bucket:
-                # In-lane fills are (1, rob, ticket, value); cross-lane
-                # returns are (2, bank, src_lane, ticket, value, sid, rob).
+                # In-lane fills are (1, rob, ticket); cross-lane returns
+                # are (2, bank, src_lane, ticket, sid, rob).
                 if event[0] == 1:
                     rob, ticket = event[1], event[2]
                 elif event[0] == 2:
-                    rob, ticket = event[6], event[3]
+                    rob, ticket = event[5], event[3]
                 else:
                     continue
                 index = ticket - rob._head_ticket
@@ -264,7 +256,7 @@ class MachineSanitizer:
                         f"for ticket {ticket}, which its reorder buffer "
                         "never reserved"
                     )
-                elif rob._slots[index] is not _UNFILLED:
+                elif rob._slots[index]:
                     yield (
                         f"completion pipeline: fill due at cycle {due} "
                         f"for ticket {ticket}, not an unfilled slot of "

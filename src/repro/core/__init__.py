@@ -20,13 +20,12 @@ from repro.core.srf import (
     StreamRegisterFile,
 )
 from repro.core.storage import SrfAllocation, SrfAllocator, SrfStorage
-from repro.core.stream_buffer import LaneFifo, ReorderBuffer
+from repro.core.stream_buffer import ReorderBuffer
 
 __all__ = [
     "AddressFifo",
     "IndexSpace",
     "IndexedStream",
-    "LaneFifo",
     "PortDirection",
     "ReorderBuffer",
     "RoundRobinArbiter",

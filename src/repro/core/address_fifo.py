@@ -9,13 +9,14 @@ head word access of each FIFO, which is what produces the head-of-line
 blocking studied in Figure 17.
 
 The model does the head counter's expansion when a record is pushed: a
-FIFO holds one plain ``(target_lane, bank_local_addr, ticket, value,
-last)`` tuple per word access, oldest first, and arbitration reads the
-head as ``_words[0]``. ``ticket`` is the reorder-buffer slot a read
-fills (None for a write); ``value`` is the word a write stores (None for
-a read); ``last`` marks a record's final word. For in-lane streams the
-target lane is the FIFO's own lane; a cross-lane record striped across
-banks may straddle lanes.
+FIFO holds one plain ``(target_lane, bank_local_addr, ticket, last)``
+tuple per word access, oldest first, and arbitration reads the head as
+``_words[0]``. ``ticket`` is the reorder-buffer slot a read fills (None
+for a write); ``last`` marks a record's final word. For in-lane streams
+the target lane is the FIFO's own lane; a cross-lane record striped
+across banks may straddle lanes. No entry carries a data word: the
+address decides which bank and sub-array the access occupies, and the
+kernel executor has already moved the word itself.
 """
 
 from __future__ import annotations

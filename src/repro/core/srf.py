@@ -25,16 +25,22 @@ Clients (the kernel executor and the memory controller) interact through
 small, explicit protocols. Sequential ports expose ``wants_grant`` /
 ``on_grant`` to the arbiter and ``pop_simd`` / ``push_simd`` to the
 clusters. Indexed streams take one call per SIMD access —
-``issue_reads(indices)``, ``issue_writes(entries)`` and
+``issue_reads(indices)``, ``issue_writes(indices)`` and
 ``pop_records(counts)``, each all-or-nothing across the active lanes and
 False when the clusters must stall — plus per-lane ``can_issue`` /
 ``issue_read`` / ``issue_write`` / ``data_ready`` / ``record_ready`` /
 ``pop_record`` / ``pop_data`` for callers that model lanes one at a time
 (the Figure 17/18 microbenchmarks). Address FIFOs hold plain word-access
 tuples, so an indexed word costs no object beyond its FIFO entry and its
-completion event. Everything functional (actual word values) lives in
-:class:`~repro.core.storage.SrfStorage`, so the timing model and the
-data model can never diverge.
+completion event.
+
+Kernel streams are timed by counts and tickets alone: the kernel
+executor moves every kernel word between the clusters and
+:class:`~repro.core.storage.SrfStorage` when it issues the access, so a
+sequential port counts buffered words, an address-FIFO entry carries
+only its address, and a reorder-buffer slot is a filled flag. Memory
+streams are the one client whose words move at grant: the memory
+controller's port reads or writes storage in ``on_grant``.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from repro.core.arbiter import RoundRobinArbiter
 from repro.core.descriptors import IndexSpace, StreamDescriptor
 from repro.core.geometry import SrfGeometry
 from repro.core.storage import SrfAllocator, SrfStorage
-from repro.core.stream_buffer import _UNFILLED, LaneFifo, ReorderBuffer
+from repro.core.stream_buffer import ReorderBuffer
 from repro.errors import SrfAccessError, SrfError
 from repro.interconnect.crossbar import (
     AddressNetwork,
@@ -100,12 +106,14 @@ class SrfStats:
 class SequentialPort:
     """One sequential stream's connection to the SRF port.
 
-    The port fetches (reads) or drains (writes) whole ``N x m`` blocks
-    between :class:`~repro.core.storage.SrfStorage` and a per-lane stream
-    buffer; the client moves one word per lane per access on the other
-    side. Streams whose length is not a whole number of blocks are padded
-    with zeros on the final block, as the block-aligned allocator
-    guarantees the space exists.
+    The port's grants fetch (reads) or drain (writes) whole ``N x m``
+    blocks through a per-lane stream buffer, and the client takes or
+    gives one word per lane per access on the other side. The kernel
+    executor moves the words themselves when it issues each access, so
+    the port times the stream by counts alone: clusters run in SIMD
+    lockstep, so every lane's buffer holds the same :attr:`occupancy`
+    words. A write stream's final partial block drains on
+    :meth:`flush` with only the words pushed.
     """
 
     _ids = itertools.count()
@@ -119,13 +127,18 @@ class SequentialPort:
         geometry = srf.geometry
         self.block_words = geometry.block_words
         self.words_per_lane = geometry.words_per_lane_access
+        self.lanes = geometry.lanes
         self.total_blocks = geometry.blocks_spanned(
             descriptor.base, descriptor.length_words
         )
-        self.fifo = LaneFifo(
-            geometry.lanes, buffer_words or srf.config.stream_buffer_words,
-            occupancy_probe=srf._stream_buffer_probe,
-        )
+        #: Stream-buffer words per lane, and words buffered per lane.
+        self.capacity = buffer_words or srf.config.stream_buffer_words
+        if self.capacity <= 0:
+            raise SrfError("stream buffer needs positive capacity")
+        self.occupancy = 0
+        #: Called with the occupancy after every fill or push when
+        #: metrics level 2 samples stream-buffer depth.
+        self._occupancy_probe = srf._stream_buffer_probe
         self._blocks_done = 0
         #: Words per lane granted but not yet delivered (pipelined reads
         #: must reserve buffer space at grant time or back-to-back grants
@@ -135,18 +148,25 @@ class SequentialPort:
 
     # -- client side ------------------------------------------------------
     def can_pop(self) -> bool:
-        return self.direction is PortDirection.READ and self.fifo.can_pop(1)
+        return self.direction is PortDirection.READ and self.occupancy > 0
 
-    def pop_simd(self) -> list:
-        """Pop one word per lane (cluster-side sequential read)."""
-        return self.fifo.pop_simd()
+    def pop_simd(self) -> None:
+        """Take one word per lane (cluster-side sequential read)."""
+        if self.occupancy <= 0:
+            raise SrfError("stream buffer underflow")
+        self.occupancy -= 1
 
     def can_push(self) -> bool:
-        return self.direction is PortDirection.WRITE and self.fifo.can_push(1)
+        return (self.direction is PortDirection.WRITE
+                and self.occupancy < self.capacity)
 
-    def push_simd(self, lane_values) -> None:
-        """Push one word per lane (cluster-side sequential write)."""
-        self.fifo.push_simd(lane_values)
+    def push_simd(self) -> None:
+        """Give one word per lane (cluster-side sequential write)."""
+        if self.occupancy >= self.capacity:
+            raise SrfError("stream buffer overflow")
+        self.occupancy += 1
+        if self._occupancy_probe is not None:
+            self._occupancy_probe(self.occupancy)
 
     def flush(self) -> None:
         """Request that buffered write data be drained even if partial."""
@@ -158,8 +178,7 @@ class SequentialPort:
         if self.direction is PortDirection.READ:
             return self._blocks_done >= self.total_blocks
         return self._blocks_done >= self.total_blocks or (
-            self._flush_requested and self.fifo.occupancy == 0
-            and not self._partial_pending()
+            self._flush_requested and self.occupancy == 0
         )
 
     # -- arbiter side ------------------------------------------------------
@@ -168,56 +187,49 @@ class SequentialPort:
             return False
         if self.direction is PortDirection.READ:
             return (
-                self.fifo.space - self._inflight_words >= self.words_per_lane
+                self.capacity - self.occupancy - self._inflight_words
+                >= self.words_per_lane
             )
-        occupancy = self.fifo.occupancy
+        occupancy = self.occupancy
         if occupancy >= self.words_per_lane:
             return True
         return self._flush_requested and occupancy > 0
 
     def on_grant(self, cycle: int) -> int:
         """Perform one block transfer; returns words moved."""
-        base = self.descriptor.base + self._blocks_done * self.block_words
         if self.direction is PortDirection.READ:
-            per_lane = [
-                self.srf.storage.read_range(
-                    base + lane * self.words_per_lane, self.words_per_lane
-                )
-                for lane in range(self.fifo.lanes)
-            ]
             self.srf.schedule_fill(
-                cycle + self.srf.config.srf_sequential_latency, self, per_lane
+                cycle + self.srf.config.srf_sequential_latency, self
             )
             self._blocks_done += 1
             self._inflight_words += self.words_per_lane
             return self.block_words
-        width = min(self.words_per_lane, self.fifo.occupancy)
-        per_lane = self.fifo.pop_block(width)
-        for lane, words in enumerate(per_lane):
-            self.srf.storage.write_range(
-                base + lane * self.words_per_lane, words
-            )
+        width = min(self.words_per_lane, self.occupancy)
+        self.occupancy -= width
         if width == self.words_per_lane or self._flush_requested:
             self._blocks_done += 1
-        return width * self.fifo.lanes
+        return width * self.lanes
 
-    def deliver_fill(self, per_lane) -> None:
+    def deliver_fill(self) -> None:
         """Complete a pipelined read block (called by the SRF)."""
-        self._inflight_words -= len(per_lane[0])
-        self.fifo.push_block(per_lane)
-
-    def _partial_pending(self) -> bool:
-        return self._blocks_done < self.total_blocks and self.fifo.occupancy > 0
+        self._inflight_words -= self.words_per_lane
+        self.occupancy += self.words_per_lane
+        if self.occupancy > self.capacity:
+            raise SrfError("stream buffer overflow")
+        if self._occupancy_probe is not None:
+            self._occupancy_probe(self.occupancy)
 
 
 class IndexedStream:
-    """Timing and data state for one indexed stream (Table 1 kinds).
+    """Timing state for one indexed stream (Table 1 kinds).
 
     A read stream owns, per lane, an address FIFO and a reorder buffer;
     issuing a record reserves reorder slots so data returns in issue
     order (Figure 9's stall semantics). A write stream's FIFO entries
-    carry the data words; ``outstanding_writes`` lets the executor
-    barrier on write drain at kernel end.
+    carry only addresses, like a read's; ``outstanding_writes`` lets the
+    executor barrier on write drain at kernel end. The words a kernel
+    reads or writes move in the kernel executor when it issues the
+    access, so no data passes through the stream.
 
     Clusters run in SIMD lockstep, so the kernel executor drives a
     stream one SIMD access at a time: :meth:`issue_reads`,
@@ -262,7 +274,8 @@ class IndexedStream:
         bank-local base.
 
         Issue checks each record index against ``length_records``, so
-        after this check arbitration may index storage unchecked.
+        after this check every queued word address names a real bank
+        word.
         """
         geometry = self.srf.geometry
         descriptor = self.descriptor
@@ -294,14 +307,14 @@ class IndexedStream:
         return local_base
 
     # -- shared by the SIMD and per-lane calls ----------------------------
-    def _enqueue(self, lane: int, record_index: int, values) -> None:
+    def _enqueue(self, lane: int, record_index: int, write: bool) -> None:
         """Queue one record access of ``lane`` (the caller checked
         :meth:`can_issue`).
 
-        ``values`` is None for a read, which reserves the record's
-        in-order reorder tickets, or the record's words for a write. The
-        record is expanded into its word accesses here, once: this is
-        the only copy of the record-to-bank address arithmetic.
+        A read reserves the record's in-order reorder tickets; a write
+        counts its words as outstanding. The record is expanded into its
+        word accesses here, once: this is the only copy of the
+        record-to-bank address arithmetic on the timing side.
         """
         descriptor = self.descriptor
         if not 0 <= record_index < descriptor.length_records:
@@ -310,28 +323,22 @@ class IndexedStream:
                 f"range [0,{descriptor.length_records})"
             )
         rw = self.record_words
-        if values is None:
+        if write:
+            ticket = None
+            self.outstanding_writes += rw
+        else:
             # ReorderBuffer.reserve, inline: the caller checked capacity.
             rob = self.robs[lane]
             slots = rob._slots
             ticket = rob._head_ticket + len(slots)
             if rw == 1:
-                slots.append(_UNFILLED)
+                slots.append(False)
             else:
-                slots.extend([_UNFILLED] * rw)
-            value = None
-        else:
-            if len(values) != rw:
-                raise SrfError(f"{descriptor.name}: record needs {rw} words")
-            ticket = None
-            value = values[0]
-            self.outstanding_writes += rw
+                slots.extend([False] * rw)
         fifo = self.fifos[lane]
         queue = fifo._words
         if rw == 1 and not self.is_crosslane:
-            queue.append(
-                (lane, self.local_base + record_index, ticket, value, True)
-            )
+            queue.append((lane, self.local_base + record_index, ticket, True))
         else:
             split = self.srf.geometry.split
             start = record_index * rw
@@ -344,7 +351,6 @@ class IndexedStream:
                 queue.append((
                     target, addr,
                     None if ticket is None else ticket + j,
-                    None if values is None else values[j],
                     j == last,
                 ))
         fifo.records += 1
@@ -353,16 +359,18 @@ class IndexedStream:
         if hist is not None:
             hist.record(fifo.records)
 
-    def _dequeue(self, lane: int):
-        """Pop ``lane``'s oldest record (the caller checked it returned);
-        single-word records come back as the bare word."""
+    def _dequeue(self, lane: int) -> None:
+        """Release ``lane``'s oldest record (the caller checked it
+        returned)."""
         rob = self.robs[lane]
         rw = self.record_words
         slots = rob._slots
         rob._head_ticket += rw
         if rw == 1:
-            return slots.popleft()
-        return tuple([slots.popleft() for _ in range(rw)])
+            slots.popleft()
+        else:
+            for _ in range(rw):
+                slots.popleft()
 
     # -- client (cluster) side, one SIMD access per call ------------------
     def _can_issue_all(self, per_lane) -> bool:
@@ -395,29 +403,27 @@ class IndexedStream:
         enqueue = self._enqueue
         for lane, index in enumerate(indices):
             if index is not None:
-                enqueue(lane, index, None)
+                enqueue(lane, index, False)
         return True
 
-    def issue_writes(self, entries) -> bool:
-        """Issue a record write in every lane whose ``(index, words)``
-        entry is not None; all or nothing, like :meth:`issue_reads`."""
+    def issue_writes(self, indices) -> bool:
+        """Issue a record write in every lane whose index is not None;
+        all or nothing, like :meth:`issue_reads`."""
         if not self.descriptor.kind.is_write:
             raise SrfError(f"{self.descriptor.name}: not a write stream")
-        if not self._can_issue_all(entries):
+        if not self._can_issue_all(indices):
             return False
         enqueue = self._enqueue
-        for lane, entry in enumerate(entries):
-            if entry is not None:
-                enqueue(lane, entry[0], entry[1])
+        for lane, index in enumerate(indices):
+            if index is not None:
+                enqueue(lane, index, True)
         return True
 
-    def pop_records(self, counts):
+    def pop_records(self, counts) -> bool:
         """Pop one record in every lane whose count is nonzero.
 
         Returns False, popping nothing, when any such lane's record has
-        not fully returned; otherwise the popped records, one entry per
-        lane (None where the count is 0, the bare word for single-word
-        records).
+        not fully returned; otherwise pops them all and returns True.
         """
         robs = self.robs
         if robs is None:
@@ -427,15 +433,15 @@ class IndexedStream:
             if count:
                 slots = robs[lane]._slots
                 if rw == 1:
-                    if not slots or slots[0] is _UNFILLED:
+                    if not slots or not slots[0]:
                         return False
                 elif not robs[lane].head_ready_n(rw):
                     return False
         dequeue = self._dequeue
-        return [
-            dequeue(lane) if count else None
-            for lane, count in enumerate(counts)
-        ]
+        for lane, count in enumerate(counts):
+            if count:
+                dequeue(lane)
+        return True
 
     # -- client (cluster) side, one lane per call ---------------------------
     def can_issue(self, lane: int) -> bool:
@@ -455,10 +461,10 @@ class IndexedStream:
                 f"{self.descriptor.name}: lane {lane}'s address FIFO or "
                 "reorder buffer is full"
             )
-        self._enqueue(lane, record_index, None)
+        self._enqueue(lane, record_index, False)
 
-    def issue_write(self, lane: int, record_index: int, values) -> None:
-        """Enqueue a record write carrying its data words."""
+    def issue_write(self, lane: int, record_index: int) -> None:
+        """Enqueue a record write's word addresses."""
         if not self.descriptor.kind.is_write:
             raise SrfError(f"{self.descriptor.name}: not a write stream")
         if not self.can_issue(lane):
@@ -466,32 +472,32 @@ class IndexedStream:
                 f"{self.descriptor.name}: lane {lane}'s address FIFO or "
                 "reorder buffer is full"
             )
-        self._enqueue(lane, record_index, values)
+        self._enqueue(lane, record_index, True)
 
     def data_ready(self, lane: int) -> bool:
-        """Whether the oldest issued record's next word is readable."""
+        """Whether the oldest issued record's next word has returned."""
         return self.robs is not None and self.robs[lane].head_ready()
 
     def record_ready(self, lane: int) -> bool:
-        """Whether a full record (``record_words`` words) is readable."""
+        """Whether a full record (``record_words`` words) has returned."""
         return self.robs is not None and self.robs[lane].head_ready_n(
             self.record_words
         )
 
-    def pop_record(self, lane: int):
-        """Pop one full record; single-word records return the bare word."""
+    def pop_record(self, lane: int) -> None:
+        """Pop one full record of ``lane``."""
         if not self.record_ready(lane):
             raise SrfError(
                 f"{self.descriptor.name}: lane {lane} has no complete "
                 "record to pop"
             )
-        return self._dequeue(lane)
+        self._dequeue(lane)
 
-    def pop_data(self, lane: int):
-        """Pop the next in-order data word for ``lane``."""
+    def pop_data(self, lane: int) -> None:
+        """Pop the next in-order word of ``lane``."""
         if self.robs is None:
             raise SrfError(f"{self.descriptor.name}: write streams have no data")
-        return self.robs[lane].pop()
+        self.robs[lane].pop()
 
     @property
     def quiescent(self) -> bool:
@@ -537,8 +543,8 @@ class StreamRegisterFile:
             source_bandwidth=max(1, config.crosslane_indexed_bandwidth or 1),
         )
         self.return_network = ReturnNetwork(lanes=config.lanes)
-        # Sub-array and storage decode factors, inlined on the per-word
-        # grant path (open_indexed and issue proved its addresses).
+        # Sub-array decode factors, inlined on the per-word grant path
+        # (open_indexed and issue proved its addresses).
         self._subarray_stride = self.geometry.words_per_lane_access
         self._subarray_count = self.geometry.subarrays_per_bank
         # Completion calendar: a ring of per-cycle buckets of typed event
@@ -737,14 +743,14 @@ class StreamRegisterFile:
     # Pipelined completions (calendar ring)
     # ------------------------------------------------------------------
     # Event kinds, typed tuples instead of closures:
-    #   (1, rob, ticket, value)                       in-lane read fill
-    #   (2, bank, src_lane, ticket, value, sid, rob)  cross-lane return
-    #   (3, stream)                                   write retirement
-    #   (4, port, per_lane)                           sequential block fill
-    def schedule_fill(self, due: int, port: SequentialPort, per_lane) -> None:
+    #   (1, rob, ticket)                       in-lane read fill
+    #   (2, bank, src_lane, ticket, sid, rob)  cross-lane return
+    #   (3, stream)                            write retirement
+    #   (4, port)                              sequential block fill
+    def schedule_fill(self, due: int, port: SequentialPort) -> None:
         """Register a pipelined sequential read completion."""
         slot = due % self._cal_size
-        self._cal[slot].append((4, port, per_lane))
+        self._cal[slot].append((4, port))
         self._cal_due[slot] = due
         self._cal_count += 1
 
@@ -773,18 +779,17 @@ class StreamRegisterFile:
                         # ReorderBuffer.fill, inline: one per indexed word.
                         slots = ev[1]._slots
                         index = ev[2] - ev[1]._head_ticket
-                        if not 0 <= index < len(slots) or (
-                                slots[index] is not _UNFILLED):
+                        if not 0 <= index < len(slots) or slots[index]:
                             raise SrfError(
                                 f"unknown or already-filled ticket {ev[2]}"
                             )
-                        slots[index] = ev[3]
+                        slots[index] = True
                     elif kind == 2:
-                        enqueue(ev[1], ev[2], ev[3], ev[4], ev[5], ev[6].fill)
+                        enqueue(ev[1], ev[2], ev[3], ev[4], ev[5].fill)
                     elif kind == 3:
                         ev[1].outstanding_writes -= 1
                     else:
-                        ev[1].deliver_fill(ev[2])
+                        ev[1].deliver_fill()
                 self._cal_count -= len(bucket)
                 cal[floor % size] = []
                 if not self._cal_count:
@@ -866,15 +871,11 @@ class StreamRegisterFile:
         multi_cap = bank_cap > 1
         sub_stride = self._subarray_stride
         sub_count = self._subarray_count
-        block_words = self.geometry.block_words
         occupancy_policy = self._occupancy_policy
         shared_comm = self._shared_network and self._comm_busy
         return_network = self.return_network
         bank_arbiters = self._bank_arbiters
         bank_conflicts = self._bank_conflicts
-        # Storage by list index: open_indexed proved every record of a
-        # stream inside the SRF, and issue checked every record index.
-        storage = self.storage._words
         cal = self._cal
         size = self._cal_size
         cfg = self.config
@@ -900,16 +901,14 @@ class StreamRegisterFile:
                 )
             else:
                 order = bank_arbiters[bank].rotation(n_heads)
-            bank_offset = bank * sub_stride
             used_subarrays = 0
             granted = 0
             for index in order:
                 if granted >= bank_cap:
                     break
                 position, lane, stream, fifo, word = heads[index]
-                _target, addr, ticket, value, last = word
-                row = addr // sub_stride
-                subarray_bit = 1 << (row % sub_count)
+                _target, addr, ticket, last = word
+                subarray_bit = 1 << (addr // sub_stride % sub_count)
                 if multi_cap and used_subarrays & subarray_bit:
                     continue
                 crosslane = stream.is_crosslane
@@ -936,23 +935,18 @@ class StreamRegisterFile:
                         )
                 # Launch: the bank access happens now; its completion is
                 # a calendar event at the access latency.
-                global_addr = (
-                    row * block_words + bank_offset + addr % sub_stride
-                )
                 if ticket is not None:
-                    value = storage[global_addr]
                     rob = stream.robs[lane]
                     if crosslane:
                         crosslane_grants += 1
                         crosslane_bucket.append((
-                            2, bank, lane, ticket, value, fifo.stream_id, rob,
+                            2, bank, lane, ticket, fifo.stream_id, rob,
                         ))
                     else:
                         inlane_grants += 1
-                        inlane_bucket.append((1, rob, ticket, value))
+                        inlane_bucket.append((1, rob, ticket))
                 else:
                     write_grants += 1
-                    storage[global_addr] = value
                     inlane_bucket.append((3, stream))
                 granted += 1
             bank_arbiters[bank].advance(n_heads)
@@ -981,12 +975,11 @@ class StreamRegisterFile:
         """
         lines = []
         for port in self._seq_ports:
-            fifo = getattr(port, "fifo", None)
-            if fifo is not None:
+            if isinstance(port, SequentialPort):
                 lines.append(
                     f"sequential port {port.descriptor.name}: "
                     f"{port._blocks_done}/{port.total_blocks} blocks, "
-                    f"buffer {fifo.occupancy}/{fifo.capacity} words/lane"
+                    f"buffer {port.occupancy}/{port.capacity} words/lane"
                 )
             else:
                 op = getattr(port, "_op", None)

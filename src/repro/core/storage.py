@@ -1,8 +1,11 @@
 """SRF backing storage and stream allocation.
 
-:class:`SrfStorage` holds the actual word values of the SRF (the
-functional state the timing model moves around), addressed either
-globally or per ``(lane, bank_local)`` via :class:`SrfGeometry`.
+:class:`SrfStorage` holds the actual word values of the SRF, addressed
+either globally or per ``(lane, bank_local)`` via :class:`SrfGeometry`.
+Two clients move words in and out of it: the kernel executor, once per
+kernel stream access when it issues the access, and the memory
+controller's SRF port, once per block it grants. The SRF's timing model
+never touches it.
 
 :class:`SrfAllocator` hands out block-aligned regions of the global SRF
 address space, the way the Imagine stream scheduler assigns SRF space to
@@ -94,8 +97,7 @@ class SrfStorage:
     """Word-granular functional contents of the SRF.
 
     Words hold arbitrary Python values (floats, ints, or small tuples for
-    packed records); the timing model never interprets them, only the
-    kernel interpreter does.
+    packed records); only the kernel interpreter interprets them.
     """
 
     def __init__(self, geometry: SrfGeometry):

@@ -10,10 +10,13 @@ Two fully connected crossbars link the lanes (Figure 8c):
 * the **data return network** carries the accessed words back from the
   bank to the requesting lane's indexed stream buffer. Returns share the
   inter-cluster network with explicit (statically scheduled) cluster
-  communication, which has priority. Because SRF banks and stream
-  buffers have their own network ports (Figure 8c), a full crossbar
-  leaves returns and comms contending only weakly: we model an explicit
-  comm cycle as halving the per-destination return slots.
+  communication, which has absolute priority: an explicit-comm cycle
+  delivers no returns, so they wait in their bank's return queue, and
+  a full queue holds back that bank's cross-lane grants.
+
+Both networks time accesses only. A return entry names the reorder
+slot it fills and carries no word: the kernel executor already moved
+the data when it issued the access.
 
 The paper's conclusion — that SRF-port contention, not inter-cluster
 traffic, dominates cross-lane throughput loss — emerges from exactly
@@ -41,9 +44,8 @@ class CrossbarStats:
 class _Return:
     destination_lane: int
     ticket: int
-    value: object
     stream_id: int
-    fill: object = field(repr=False)  # callable(ticket, value)
+    fill: object = field(repr=False)  # callable(ticket)
 
 
 class ReturnNetwork:
@@ -51,9 +53,9 @@ class ReturnNetwork:
 
     Completed accesses are enqueued per source bank; each cycle the
     network delivers up to ``slots_per_destination`` words to every
-    destination lane (halved, rounding up, on explicit-comm cycles).
-    Banks whose return queue is full exert backpressure on local
-    arbitration via :meth:`bank_has_space`.
+    destination lane, and none on an explicit-comm cycle. Banks whose
+    return queue is full exert backpressure on local arbitration via
+    :meth:`bank_has_space`.
     """
 
     def __init__(
@@ -102,15 +104,16 @@ class ReturnNetwork:
         self._reserved[bank] += 1
 
     def enqueue(
-        self, bank: int, destination_lane: int, ticket: int, value, stream_id: int, fill
+        self, bank: int, destination_lane: int, ticket: int, stream_id: int, fill
     ) -> None:
-        """Queue a completed access at its bank for return delivery."""
+        """Queue a completed access at its bank for return delivery;
+        delivery calls ``fill(ticket)``."""
         if self._reserved[bank] > 0:
             self._reserved[bank] -= 1
         elif not self.bank_has_space(bank):
             raise SrfError(f"return queue of bank {bank} is full")
         self._queues[bank].append(
-            _Return(destination_lane, ticket, value, stream_id, fill)
+            _Return(destination_lane, ticket, stream_id, fill)
         )
 
     def pending(self) -> int:
@@ -144,7 +147,7 @@ class ReturnNetwork:
                 item = queue.popleft()
                 if remaining[item.destination_lane] > 0:
                     remaining[item.destination_lane] -= 1
-                    item.fill(item.ticket, item.value)
+                    item.fill(item.ticket)
                     delivered += 1
                 else:
                     undeliverable.append(item)

@@ -74,7 +74,8 @@ class IterationTrace:
     * SEQ_WRITE — per-lane list of values to push;
     * IDX_ISSUE — per-lane record index, or None for predicated-off lanes;
     * IDX_DATA — per-lane word count to pop (0 for predicated-off lanes);
-    * IDX_WRITE — per-lane ``(record_index, [words])`` or None;
+    * IDX_WRITE — per-lane ``(record_index, value)`` or None, the
+      entries the context stored;
     * COMM — None.
     """
 
@@ -215,14 +216,15 @@ class KernelInterpreter:
                 entries.append((op, None))
             elif code == _SEQ_WRITE:
                 lane_values = values[args[0]]
-                context.seq_write(op.stream, list(lane_values))
+                written = list(lane_values)
+                context.seq_write(op.stream, written)
                 values[out] = lane_values
-                entries.append((op, list(lane_values)))
+                entries.append((op, written))
             elif code == _IDX_WRITE:
-                detail, writes = self._write_entries(op, values, args)
+                writes = self._write_entries(op, values, args)
                 context.idx_write(op.stream, writes)
                 values[out] = [None] * lanes
-                entries.append((op, detail))
+                entries.append((op, writes))
             else:  # _COMM
                 payload = values[args[0]]
                 values[out] = [
@@ -258,32 +260,25 @@ class KernelInterpreter:
                 ) from exc
         return result
 
-    def _write_entries(self, op, values: list, args: tuple) -> tuple:
-        """An IDX_WRITE's trace detail and the context's write entries.
-
-        Both hold one entry per lane, None where the predicate is off:
-        ``(record_index, [words])`` for the trace, ``(record_index,
-        value)`` for the context.
-        """
+    def _write_entries(self, op, values: list, args: tuple) -> list:
+        """An IDX_WRITE's ``(record_index, value)`` entries, one per
+        lane and None where the predicate is off; the context stores
+        them and the trace records them."""
         indices = values[args[0]]
         data = values[args[1]]
         predicates = values[args[2]] if len(args) > 2 else None
         rw = op.stream.record_words
-        detail: list = []
         writes: list = []
         for lane in range(self.lanes):
             if predicates is not None and not predicates[lane]:
-                detail.append(None)
                 writes.append(None)
                 continue
             record_index = int(indices[lane])
             value = data[lane]
-            words = list(value) if isinstance(value, tuple) else [value]
-            if len(words) != rw:
+            if (len(value) if isinstance(value, tuple) else 1) != rw:
                 raise ExecutionError(f"{op.name}: record needs {rw} words")
-            detail.append((record_index, words))
             writes.append((record_index, value))
-        return detail, writes
+        return writes
 
     def _width_error(self, op, lane_values) -> ExecutionError:
         return ExecutionError(

@@ -9,9 +9,15 @@ full address FIFO, indexed data still in flight (Figure 9) — stalls the
 whole machine for a cycle and is retried; those cycles are the
 "SRF stall" component of Figure 12.
 
-Functional evaluation at issue is exact because kernel streams are
-read-only or write-only for the duration of a kernel (paper §7), and
-issue order equals program order.
+Kernel data moves once, at issue: a read takes its words from SRF
+storage and a write stores them, in program order, so a read of a
+read-write stream (paper §7) sees every earlier write of the kernel.
+The timed events then carry only what the SRF needs to time the access
+— record indices and word counts — and no word passes through the
+timing model. This is exact because kernels run one at a time, and
+static analysis (``python -m repro.analyze``) rejects as ``srf-race``
+any memory transfer unordered against a kernel that touches its SRF
+words.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from repro.kernel.ir import KernelStream
 from repro.kernel.ops import OpKind
 from repro.kernel.schedule import StaticSchedule
 from repro.machine.program import KernelInvocation
-from repro.machine.replay import REPLAY_DATA_KINDS, copy_detail
+from repro.machine.replay import REPLAY_DATA_KINDS
 from repro.machine.stats import KernelRunStats
 
 #: Fixed per-invocation cost of loading kernel microcode and priming the
@@ -39,9 +45,8 @@ KERNEL_STARTUP_CYCLES = 32
 class _SrfBackedContext(ExecutionContext):
     """Functional stream data wired straight to SRF storage.
 
-    Sequential writes and indexed writes are *not* performed here — the
-    timed events push the real values through the SRF port machinery, so
-    the architectural state is only updated by the timing model.
+    Every access reads or writes storage when the interpreter makes it,
+    which is program order; the timed events only time it.
     """
 
     def __init__(self, executor: "KernelExecutor"):
@@ -51,15 +56,12 @@ class _SrfBackedContext(ExecutionContext):
         return self._executor.functional_seq_read(stream)
 
     def seq_write(self, stream: KernelStream, lane_values) -> None:
-        pass  # flows through the timed SeqWrite event
+        self._executor.functional_seq_write(stream, lane_values)
 
     def idx_read(self, stream: KernelStream, indices: list) -> list:
         return self._executor.functional_idx_read(stream, indices)
 
     def idx_write(self, stream: KernelStream, entries: list) -> None:
-        # The architectural write flows through the timed IdxWrite event;
-        # the overlay keeps later functional reads of a read-write
-        # stream coherent with program order.
         self._executor.functional_idx_write(stream, entries)
 
 
@@ -67,9 +69,9 @@ class _Event:
     """A timed stream access; ``fire`` returns True when it completed.
 
     ``target`` is the op's sequential port or indexed stream (None for a
-    comm) and ``detail`` its iteration's trace detail: the values to
-    push, one record index or word count per lane, or one write entry
-    per lane (None for reads and comms).
+    comm) and ``detail`` its iteration's trace detail. Only indexed ops
+    use it, for one record index or word count per lane; the words
+    themselves moved when the iteration was issued.
     """
 
     __slots__ = ("target", "detail")
@@ -99,7 +101,7 @@ class _SeqWrite(_Event):
     def fire(self) -> bool:
         if not self.target.can_push():
             return False
-        self.target.push_simd(self.detail)
+        self.target.push_simd()
         return True
 
 
@@ -114,11 +116,17 @@ class _IdxData(_Event):
     __slots__ = ()
 
     def fire(self) -> bool:
-        return self.target.pop_records(self.detail) is not False
+        return self.target.pop_records(self.detail)
 
 
 class _IdxWrite(_Event):
     __slots__ = ()
+
+    def __init__(self, target, detail):
+        # The words were stored at issue; the SRF times the indices.
+        self.target = target
+        self.detail = [None if entry is None else entry[0]
+                       for entry in detail]
 
     def fire(self) -> bool:
         return self.target.issue_writes(self.detail)
@@ -226,16 +234,9 @@ class KernelExecutor:
             lanes=config.lanes,
         )
         self._seq_cursors = {name: 0 for name in invocation.kernel.streams}
-        #: SRF storage's word list, which the functional reads index
+        #: SRF storage's word list, which the functional accesses index
         #: directly after their own range checks.
         self._words = srf.storage._words
-        #: Program-order shadow of indexed writes, stream name ->
-        #: ``{(lane, record_index): value}``, so functional reads of a
-        #: read-write stream observe writes that the timed SRF path has
-        #: not retired yet. The timing path needs no equivalent: reads
-        #: and writes of one stream share an address FIFO, which keeps
-        #: their SRF-side order equal to program order.
-        self._write_overlay: dict = {}
 
     # ------------------------------------------------------------------
     # Stream binding
@@ -282,10 +283,11 @@ class KernelExecutor:
             self.srf.close_indexed(stream)
 
     # ------------------------------------------------------------------
-    # Functional data access (used by the interpreter's context)
+    # Functional data access (the interpreter's context, and replay)
     # ------------------------------------------------------------------
-    def functional_seq_read(self, stream: KernelStream) -> list:
-        """Every lane's next word of a sequential read stream.
+    def _seq_slice(self, stream: KernelStream) -> slice:
+        """Storage slice of every lane's next word of a sequential
+        stream; advances the stream's cursor.
 
         The lanes' words sit ``m`` words apart in one SRF block, so they
         are one strided slice of storage once both ends are checked.
@@ -297,45 +299,43 @@ class KernelExecutor:
         first = (descriptor.base + (cursor // m) * geometry.block_words
                  + cursor % m)
         last = first + (geometry.lanes - 1) * m
-        words = self._words
-        if first < 0 or last >= len(words):
+        limit = len(self._words)
+        if first < 0 or last >= limit:
             raise SrfAccessError(
                 f"{stream.name}: SRF address {first if first < 0 else last} "
-                f"out of range [0,{len(words)})"
+                f"out of range [0,{limit})"
             )
         self._seq_cursors[stream.name] = cursor + 1
-        return words[first:last + 1:m]
+        return slice(first, last + 1, m)
 
-    def functional_idx_write(self, stream: KernelStream,
-                             entries: list) -> None:
-        overlay = self._write_overlay.setdefault(stream.name, {})
-        for lane, entry in enumerate(entries):
-            if entry is not None:
-                record_index, value = entry
-                overlay[lane, record_index] = value
+    def functional_seq_read(self, stream: KernelStream) -> list:
+        """Every lane's next word of a sequential read stream."""
+        return self._words[self._seq_slice(stream)]
 
-    def functional_idx_read(self, stream: KernelStream,
-                            indices: list) -> list:
-        """Every lane's record ``indices[lane]`` (0 where it is None).
+    def functional_seq_write(self, stream: KernelStream,
+                             lane_values: list) -> None:
+        """Store every lane's next word of a sequential write stream."""
+        self._words[self._seq_slice(stream)] = lane_values
 
-        Reads see this kernel's earlier indexed writes through the write
-        overlay, else SRF storage. Each record is checked against the
-        lane's bank (in-lane) or the SRF (cross-lane) before storage is
-        indexed directly, so a bad index raises :class:`SrfAccessError`
-        rather than an ``IndexError`` or a wrapped negative index.
-        Multi-word records come back as tuples.
+    def _record_addresses(self, stream: KernelStream, indices) -> list:
+        """Storage indices of every lane's record ``indices[lane]``.
+
+        One entry per lane: None where the index is None, else the
+        storage index of a 1-word record or the list of a longer
+        record's word indices. Each record is checked against the lane's
+        bank (in-lane) or the SRF (cross-lane) before storage is
+        indexed, so a bad index raises :class:`SrfAccessError` rather
+        than an ``IndexError`` or a wrapped negative index.
         """
         indexed = self._indexed[stream.name]
         rw = indexed.record_words
-        words = self._words
-        values: list = []
+        addresses: list = []
         if indexed.is_crosslane:
-            # Cross-lane streams are read-only, so no overlay applies.
             base = indexed.descriptor.base
-            limit = len(words)
+            limit = len(self._words)
             for index in indices:
                 if index is None:
-                    values.append(0)
+                    addresses.append(None)
                     continue
                 start = base + index * rw
                 if start < 0 or start + rw > limit:
@@ -343,11 +343,10 @@ class KernelExecutor:
                         f"{stream.name}: record {index} spans SRF addresses "
                         f"[{start},{start + rw}), out of range [0,{limit})"
                     )
-                values.append(
-                    words[start] if rw == 1 else tuple(words[start:start + rw])
+                addresses.append(
+                    start if rw == 1 else range(start, start + rw)
                 )
-            return values
-        overlay = self._write_overlay.get(stream.name)
+            return addresses
         geometry = self._geometry
         m = geometry.words_per_lane_access
         block_words = geometry.block_words
@@ -355,10 +354,7 @@ class KernelExecutor:
         local_base = indexed.local_base
         for lane, index in enumerate(indices):
             if index is None:
-                values.append(0)
-                continue
-            if overlay and (lane, index) in overlay:
-                values.append(overlay[lane, index])
+                addresses.append(None)
                 continue
             start = local_base + index * rw
             if start < 0 or start + rw > limit:
@@ -370,15 +366,45 @@ class KernelExecutor:
             column = lane * m
             if rw == 1:
                 super_block, offset = divmod(start, m)
-                values.append(
-                    words[super_block * block_words + column + offset]
-                )
+                addresses.append(super_block * block_words + column + offset)
             else:
-                values.append(tuple([
-                    words[(addr // m) * block_words + column + addr % m]
+                addresses.append([
+                    (addr // m) * block_words + column + addr % m
                     for addr in range(start, start + rw)
-                ]))
-        return values
+                ])
+        return addresses
+
+    def functional_idx_read(self, stream: KernelStream,
+                            indices: list) -> list:
+        """Every lane's record ``indices[lane]`` (0 where it is None).
+
+        Multi-word records come back as tuples.
+        """
+        words = self._words
+        addresses = self._record_addresses(stream, indices)
+        if self._indexed[stream.name].record_words == 1:
+            return [0 if address is None else words[address]
+                    for address in addresses]
+        return [0 if address is None else tuple([words[a] for a in address])
+                for address in addresses]
+
+    def functional_idx_write(self, stream: KernelStream,
+                             entries: list) -> None:
+        """Store every lane's ``(record_index, value)`` entry (None
+        writes nothing); a multi-word record's value is its word tuple.
+        """
+        words = self._words
+        addresses = self._record_addresses(stream, [
+            None if entry is None else entry[0] for entry in entries
+        ])
+        single = self._indexed[stream.name].record_words == 1
+        for entry, address in zip(entries, addresses):
+            if entry is not None:
+                if single:
+                    words[address] = entry[1]
+                else:
+                    for a, word in zip(address, entry[1]):
+                        words[a] = word
 
     # ------------------------------------------------------------------
     # Cycle stepping
@@ -449,11 +475,12 @@ class KernelExecutor:
     def _iteration_details(self) -> dict:
         """Stream-access details of the next iteration, by op id.
 
-        Execute mode runs the interpreter on real data (and optionally
-        records the data-bearing details); replay mode rehydrates them
-        from the recorded trace without touching an interpreter. Details
-        are copied at the recording/replaying boundary so SRF-side
-        mutation can never corrupt a stored row.
+        Execute mode runs the interpreter on real data, which moves the
+        iteration's words (and optionally records the data-bearing
+        details); replay mode rehydrates them from the recorded trace
+        without an interpreter and stores each recorded write through
+        the same functional calls, in program order. Nothing mutates a
+        detail, so rows are recorded and replayed without copies.
         """
         if self._replay_rows is not None:
             row = self._replay_rows[self._issued]
@@ -463,17 +490,20 @@ class KernelExecutor:
                     f"row has {len(row)} details for "
                     f"{len(self._data_ops)} data ops"
                 )
-            return {
-                op.op_id: copy_detail(op.kind, detail)
-                for op, detail in zip(self._data_ops, row)
-            }
+            details = {}
+            for op, detail in zip(self._data_ops, row):
+                if op.kind is OpKind.SEQ_WRITE:
+                    self.functional_seq_write(op.stream, detail)
+                elif op.kind is OpKind.IDX_WRITE:
+                    self.functional_idx_write(op.stream, detail)
+                details[op.op_id] = detail
+            return details
         trace = self._interpreter.run_iteration()
         details = {op.op_id: detail for op, detail in trace.entries}
         if self._record_rows is not None:
-            self._record_rows.append([
-                copy_detail(op.kind, details[op.op_id])
-                for op in self._data_ops
-            ])
+            self._record_rows.append(
+                [details[op.op_id] for op in self._data_ops]
+            )
         return details
 
     def _fire_events(self) -> bool:

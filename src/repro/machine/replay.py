@@ -16,11 +16,13 @@ What is recorded
 ----------------
 :class:`~repro.machine.executor.KernelExecutor` turns each iteration's
 :class:`~repro.kernel.interpreter.IterationTrace` into timed SRF events.
-Only four op kinds carry data the events need (everything else —
+Only four op kinds carry data a replay needs (everything else —
 ``SEQ_READ`` pops, ``COMM`` slots — is data-free): ``SEQ_WRITE``
 (per-lane values), ``IDX_ISSUE`` (per-lane record indices),
 ``IDX_DATA`` (per-lane word counts) and ``IDX_WRITE`` (per-lane
-``(record_index, words)`` entries). A trace row is the tuple of those
+``(record_index, value)`` entries). The events time the indices and
+counts; replay stores the written values into SRF storage at issue,
+as execution does. A trace row is the tuple of those
 details for one iteration, ordered by the ops' *program order* in
 ``kernel.ops`` — deliberately not by ``op_id`` (a process-global
 counter) nor by schedule slot (timing-dependent), so a trace recorded
@@ -76,7 +78,7 @@ from repro.store import DurableStore
 
 #: Bump whenever the on-disk layout or row semantics change; bundles
 #: with any other version are quarantined, never misread.
-TRACE_FORMAT_VERSION = 1
+TRACE_FORMAT_VERSION = 2
 
 #: Timed op kinds whose events carry functional data (see module doc).
 REPLAY_DATA_KINDS = (
@@ -136,23 +138,6 @@ def functional_fingerprint(config) -> str:
         (name, value) for name, value in fields.items()
         if name not in TIMING_ONLY_FIELDS
     ))
-
-
-def copy_detail(kind: OpKind, detail):
-    """Deep-copy one recorded detail so SRF machinery cannot alias it.
-
-    Timed events hand detail lists straight to ports and indexed
-    streams; without a copy per use, a replayed (or recorded) row could
-    be mutated by the first run that consumes it.
-    """
-    if detail is None:
-        return None
-    if kind is OpKind.IDX_WRITE:
-        return [
-            None if entry is None else (entry[0], list(entry[1]))
-            for entry in detail
-        ]
-    return list(detail)
 
 
 def invocation_signature(invocation) -> tuple:

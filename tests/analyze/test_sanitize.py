@@ -161,16 +161,16 @@ class TestCompletionPipeline:
         # zero SRF latency would schedule) sits in the calendar until
         # the ring wraps: the sanitizer names it at once.
         proc, _stream = _inlane_reads_in_flight()
-        port = SimpleNamespace(deliver_fill=lambda per_lane: None)
-        proc.srf.schedule_fill(0, port, [[0]])
+        port = SimpleNamespace(deliver_fill=lambda: None)
+        proc.srf.schedule_fill(0, port)
         with pytest.raises(SanitizerError, match="due at cycle 0 still"):
             proc._sanitizer.check(0)
 
     def test_event_beyond_the_calendar_window_detected(self):
         proc, _stream = _inlane_reads_in_flight()
-        port = SimpleNamespace(deliver_fill=lambda per_lane: None)
+        port = SimpleNamespace(deliver_fill=lambda: None)
         due = 1 + proc.srf._cal_size
-        proc.srf.schedule_fill(due, port, [[0]])
+        proc.srf.schedule_fill(due, port)
         with pytest.raises(SanitizerError, match="calendar window"):
             proc._sanitizer.check(0)
 
@@ -204,7 +204,7 @@ class TestAddressFifos:
     def test_tail_word_that_ends_no_record_detected(self):
         proc, stream = _two_word_records_queued()
         words = stream.fifos[4]._words
-        words.append(words.pop()[:4] + (False,))  # clear the last flag
+        words.append(words.pop()[:3] + (False,))  # clear the last flag
         with pytest.raises(SanitizerError, match="does not end a record"):
             proc._sanitizer.check(0)
 
@@ -212,7 +212,7 @@ class TestAddressFifos:
         proc, stream = _two_word_records_queued()
         fifo = stream.fifos[0]
         extra = fifo.capacity
-        fifo._words.extend([(0, 0, None, 0, True)] * extra)
+        fifo._words.extend([(0, 0, None, True)] * extra)
         fifo.records += extra
         stream.pending_words += extra
         with pytest.raises(SanitizerError, match="exceed capacity"):
@@ -222,7 +222,7 @@ class TestAddressFifos:
 def _plant_inlane_fill(srf, due, rob, ticket):
     """Queue an in-lane read fill in the completion calendar."""
     slot = due % srf._cal_size
-    srf._cal[slot].append((1, rob, ticket, 99))
+    srf._cal[slot].append((1, rob, ticket))
     srf._cal_due[slot] = due
     srf._cal_count += 1
 
@@ -249,7 +249,7 @@ class TestReorderBuffers:
     def test_overfull_reorder_buffer_detected(self):
         proc, stream = _inlane_reads_in_flight()
         rob = stream.robs[2]
-        rob._slots.extend([0.0] * rob.capacity)
+        rob._slots.extend([False] * rob.capacity)
         with pytest.raises(SanitizerError, match="exceeds capacity"):
             proc._sanitizer.check(0)
 

@@ -1,18 +1,22 @@
 """Address FIFOs: record->word expansion, record capacity, head order.
 
-A FIFO holds one ``(target_lane, bank_local_addr, ticket, value, last)``
-tuple per word access; its indexed stream pushes them and the SRF's
-arbitration consumes the head, so the tests drive both through an
-:class:`~repro.core.srf.IndexedStream`.
+A FIFO holds one ``(target_lane, bank_local_addr, ticket, last)`` tuple
+per word access and no data word; its indexed stream pushes them and
+the SRF's arbitration consumes the head, so the tests drive both through
+an :class:`~repro.core.srf.IndexedStream`.
 """
 
 import pytest
 
 from repro.config import isrf4_config
+from repro.core import SrfArray
 from repro.core.address_fifo import AddressFifo
 from repro.core.descriptors import IndexSpace, StreamDescriptor, StreamKind
 from repro.core.srf import StreamRegisterFile
 from repro.errors import SrfError
+from repro.kernel import KernelBuilder
+from repro.machine import KernelInvocation, StreamProcessor
+from repro.machine.executor import KernelExecutor
 
 
 def open_stream(kind, record_words=1, records=16, fifo_records=2):
@@ -38,9 +42,7 @@ class TestAddressFifo:
         fifo = stream.fifos[3]
         assert fifo.lane == 3
         assert fifo.stream_id == stream.descriptor.stream_id
-        assert list(fifo._words) == [
-            (3, stream.local_base + 10, 0, None, True)
-        ]
+        assert list(fifo._words) == [(3, stream.local_base + 10, 0, True)]
         assert fifo.records == 1
         srf.tick(0)
         assert not fifo._words
@@ -56,9 +58,7 @@ class TestAddressFifo:
         stream.issue_read(0, 1)  # global words 3, 4, 5
         split = srf.geometry.split
         start = stream.descriptor.base + 3
-        expected = [
-            (*split(start + j), j, None, j == 2) for j in range(3)
-        ]
+        expected = [(*split(start + j), j, j == 2) for j in range(3)]
         assert list(stream.fifos[0]._words) == expected
         assert len({word[0] for word in expected}) == 2
         assert stream.fifos[0].records == 1
@@ -97,20 +97,35 @@ class TestAddressFifo:
         assert srf.stats.inlane_grants == 1
 
     def test_write_records_carry_values(self):
-        srf, stream = open_stream(
-            StreamKind.INLANE_INDEXED_WRITE, record_words=2
+        # The executor stores a write record's words when it issues the
+        # write; the record's FIFO entries carry the word addresses they
+        # went to, with no ticket and no word.
+        proc = StreamProcessor(isrf4_config())
+        b = KernelBuilder("k")
+        b.idxl_ostream("t", record_words=2)
+        kernel = b.build()
+        view = SrfArray(proc.srf, 16 * 2 * 8, "t").inlane_write(16, 2)
+        executor = KernelExecutor(
+            proc.config, proc.srf,
+            KernelInvocation(kernel, {"t": view}, iterations=0),
+            proc.schedule_kernel(kernel),
         )
-        stream.issue_write(0, 4, ["a", "b"])
+        executor.functional_idx_write(
+            kernel.streams["t"], [(4, ("a", "b"))] + [None] * 7
+        )
+        stream = executor._indexed["t"]
+        assert stream.issue_writes([4] + [None] * 7)
         base = stream.local_base + 8
         assert list(stream.fifos[0]._words) == [
-            (0, base, None, "a", False),
-            (0, base + 1, None, "b", True),
+            (0, base, None, False),
+            (0, base + 1, None, True),
         ]
+        assert proc.srf.storage.read_lane(0, base) == "a"
+        assert proc.srf.storage.read_lane(0, base + 1) == "b"
         assert stream.outstanding_writes == 2
         for cycle in range(8):
-            srf.tick(cycle)
-        assert srf.storage.read_lane(0, base) == "a"
-        assert srf.storage.read_lane(0, base + 1) == "b"
+            proc.srf.tick(cycle)
+        assert proc.srf.stats.indexed_write_grants == 2
         assert stream.quiescent
 
     def test_advance_on_empty_raises(self):

@@ -1,4 +1,10 @@
-"""Indexed SRF access: in-lane, cross-lane, conflicts, ISRF1 vs ISRF4."""
+"""Indexed SRF access: in-lane, cross-lane, conflicts, ISRF1 vs ISRF4.
+
+The SRF times indexed accesses by address alone: the kernel executor
+moves the words at issue. So these tests check the address each access
+queued (and the word stored there) and the order in which the accesses
+return.
+"""
 
 import pytest
 
@@ -33,6 +39,11 @@ def inlane_table(srf, records=64, name="lut"):
     return stream
 
 
+def queued(stream, lane):
+    """``(target_lane, bank_local_addr)`` of each word ``lane`` queued."""
+    return [word[:2] for word in stream.fifos[lane]._words]
+
+
 def drain_until_ready(srf, stream, lane, limit=32, start=0):
     cycle = start
     while not stream.data_ready(lane):
@@ -48,8 +59,12 @@ class TestInLaneIndexedRead:
         srf = make_isrf4()
         stream = inlane_table(srf)
         stream.issue_read(lane=3, record_index=17)
+        # The access names lane 3's own bank word, which holds 3017.
+        assert queued(stream, 3) == [(3, stream.local_base + 17)]
+        assert srf.storage.read_lane(3, stream.local_base + 17) == 3017
         drain_until_ready(srf, stream, lane=3)
-        assert stream.pop_data(3) == 3017
+        stream.pop_data(3)
+        assert not stream.data_ready(3)
 
     def test_latency_is_pipelined_four_cycles(self):
         srf = make_isrf4()
@@ -70,13 +85,16 @@ class TestInLaneIndexedRead:
         stream = inlane_table(srf)
         stream.issue_read(0, 0)
         stream.issue_read(0, 4)  # different sub-array, same stream
-        for cycle in range(5):
+        srf.tick(0)
+        assert queued(stream, 0) == [(0, stream.local_base + 4)]
+        for cycle in range(1, 5):
             srf.tick(cycle)
         assert stream.data_ready(0)
-        assert stream.pop_data(0) == 0
+        stream.pop_data(0)  # record 0's word
         assert not stream.data_ready(0)
         srf.tick(5)
-        assert stream.pop_data(0) == 4
+        assert stream.data_ready(0)  # record 4's word, a cycle later
+        stream.pop_data(0)
 
     def test_distinct_streams_and_subarrays_proceed_in_parallel(self):
         # ISRF4's extra bandwidth shows up with multiple indexed streams
@@ -110,36 +128,41 @@ class TestInLaneIndexedRead:
         # Records 0 and 1 share a sub-array: second access waits a cycle.
         stream.issue_read(0, 0)
         stream.issue_read(0, 1)
-        for cycle in range(5):
+        srf.tick(0)
+        assert queued(stream, 0) == [(0, stream.local_base + 1)]
+        for cycle in range(1, 5):
             srf.tick(cycle)
         assert stream.data_ready(0)
-        assert stream.pop_data(0) == 0
+        stream.pop_data(0)  # record 0's word
         assert not stream.data_ready(0)
         srf.tick(5)
-        assert stream.data_ready(0)
-        assert stream.pop_data(0) == 1
+        assert stream.data_ready(0)  # record 1's word
+        stream.pop_data(0)
 
     def test_isrf1_grants_one_word_per_lane_per_cycle(self):
         srf = make_isrf1()
         stream = inlane_table(srf)
         stream.issue_read(0, 0)
         stream.issue_read(0, 4)  # different sub-arrays, still serialized
-        for cycle in range(5):
+        srf.tick(0)
+        assert queued(stream, 0) == [(0, stream.local_base + 4)]
+        for cycle in range(1, 5):
             srf.tick(cycle)
-        assert stream.pop_data(0) == 0
+        stream.pop_data(0)  # record 0's word
         assert not stream.data_ready(0)
         srf.tick(5)
-        assert stream.pop_data(0) == 4
+        stream.pop_data(0)  # record 4's word
 
     def test_lanes_are_independent(self):
         srf = make_isrf4()
         stream = inlane_table(srf)
         for lane in range(8):
             stream.issue_read(lane, lane)
+            assert queued(stream, lane) == [(lane, stream.local_base + lane)]
         for cycle in range(5):
             srf.tick(cycle)
         for lane in range(8):
-            assert stream.pop_data(lane) == lane * 1000 + lane
+            stream.pop_data(lane)
         assert srf.stats.inlane_grants == 8
         assert srf.stats.indexed_cycles == 1
 
@@ -174,14 +197,15 @@ class TestInLaneIndexedWrite:
             length_records=records,
         )
         stream = srf.open_indexed(desc)
-        stream.issue_write(2, 5, [42])
+        stream.issue_write(2, 5)
+        local_base = (region.base // srf.geometry.block_words) * 4
+        assert queued(stream, 2) == [(2, local_base + 5)]
         assert stream.outstanding_writes == 1
         for cycle in range(6):
             srf.tick(cycle)
+        assert srf.stats.indexed_write_grants == 1
         assert stream.outstanding_writes == 0
         assert stream.quiescent
-        local_base = (region.base // srf.geometry.block_words) * 4
-        assert srf.storage.read_lane(2, local_base + 5) == 42
 
     def test_read_api_rejected_on_write_stream(self):
         srf = make_isrf4()
@@ -213,10 +237,13 @@ class TestCrossLaneIndexedRead:
         stream = srf.open_indexed(desc)
         # Record 37 lives in lane (37 // 4) % 8 = 1; read it from lane 6.
         stream.issue_read(6, 37)
+        (target, addr), = queued(stream, 6)
+        assert target == 1
+        assert srf.storage.read_lane(target, addr) == 370
         for cycle in range(8):
             srf.tick(cycle)
         assert stream.data_ready(6)
-        assert stream.pop_data(6) == 370
+        stream.pop_data(6)
         assert srf.stats.crosslane_grants == 1
 
     def test_bank_port_limit_serializes_same_bank_targets(self):
@@ -233,10 +260,11 @@ class TestCrossLaneIndexedRead:
         # Records 0 and 1 both live in bank 0; issue from two lanes.
         stream.issue_read(4, 0)
         stream.issue_read(5, 1)
+        assert [queued(stream, lane)[0][0] for lane in (4, 5)] == [0, 0]
         for cycle in range(16):
             srf.tick(cycle)
-        assert stream.pop_data(4) == 0
-        assert stream.pop_data(5) == 1
+        stream.pop_data(4)
+        stream.pop_data(5)
         # Only one port: the two accesses cannot be granted the same cycle.
         assert srf.stats.crosslane_grants == 2
         assert srf.stats.blocked_heads >= 1
@@ -300,10 +328,14 @@ class TestStreamExtent:
             index_space=IndexSpace.GLOBAL,
         ))
         crosslane.issue_read(0, 31)
+        # Both name the last word of lane 7's bank.
+        last = (7, geometry.bank_words - 1)
+        assert queued(inlane, 7) == [last]
+        assert queued(crosslane, 0) == [last]
         for cycle in range(8):
             srf.tick(cycle)
-        assert inlane.pop_data(7) == 0
-        assert crosslane.pop_data(0) == 0
+        inlane.pop_data(7)
+        crosslane.pop_data(0)
 
     def test_record_index_is_still_checked_at_issue(self):
         srf = make_isrf4()
@@ -356,8 +388,7 @@ class TestSimdCalls:
         before = _snapshot(stream)
         assert stream.pop_records([1] * 8) is False  # lane 7 issued nothing
         assert _snapshot(stream) == before
-        popped = stream.pop_records([1] * 7 + [0])
-        assert popped == [lane * 1000 + lane for lane in range(7)] + [None]
+        assert stream.pop_records([1] * 7 + [0]) is True
         assert all(rob.occupancy == 0 for rob in stream.robs)
 
     def test_multiword_records_pop_as_tuples(self):
@@ -374,13 +405,19 @@ class TestSimdCalls:
                     lane, stream.local_base + word, (lane, word)
                 )
         assert stream.issue_reads([3] * 8)
-        cycle = 0
+        # Record 3 of lane l is the tuple of lane l's words 6 and 7.
+        for lane in range(8):
+            assert [srf.storage.read_lane(*word)
+                    for word in queued(stream, lane)] == [(lane, 6), (lane, 7)]
+        srf.tick(0)
+        assert not stream.record_ready(0)  # one word per stream per cycle
+        cycle = 1
         while not stream.record_ready(0):
+            assert not stream.pop_records([2] * 8)
             srf.tick(cycle)
             cycle += 1
-        assert stream.pop_records([2] * 8) == [
-            ((lane, 6), (lane, 7)) for lane in range(8)
-        ]
+        assert stream.pop_records([2] * 8) is True
+        assert all(rob.occupancy == 0 for rob in stream.robs)
 
     def test_issue_writes_all_or_nothing(self):
         srf = make_isrf4(address_fifo_words=1)
@@ -389,19 +426,22 @@ class TestSimdCalls:
             "wtab", StreamKind.INLANE_INDEXED_WRITE, region.base,
             length_records=64,
         ))
-        stream.issue_write(4, 0, [1])
-        entries = [(lane, [lane]) for lane in range(8)]
-        assert stream.issue_writes(entries) is False
+        stream.issue_write(4, 0)
+        indices = list(range(8))
+        assert stream.issue_writes(indices) is False
         assert stream.outstanding_writes == 1
         assert stream.pending_words == 1
-        entries[4] = None
-        assert stream.issue_writes(entries) is True
+        indices[4] = None
+        assert stream.issue_writes(indices) is True
         assert stream.outstanding_writes == 8
+        assert [queued(stream, lane) for lane in range(8)] == [
+            [(lane, stream.local_base + (0 if lane == 4 else lane))]
+            for lane in range(8)
+        ]
         for cycle in range(8):
             srf.tick(cycle)
         assert stream.quiescent
-        assert [srf.storage.read_lane(lane, stream.local_base + lane)
-                for lane in range(8)] == [0, 1, 2, 3, 0, 5, 6, 7]
+        assert srf.stats.indexed_write_grants == 8
 
     def test_wrong_direction_is_rejected(self):
         srf = make_isrf4()
@@ -412,7 +452,7 @@ class TestSimdCalls:
             length_records=8,
         ))
         with pytest.raises(SrfError):
-            read.issue_writes([(0, [1])] + [None] * 7)
+            read.issue_writes([0] + [None] * 7)
         with pytest.raises(SrfError):
             write.issue_reads([0] + [None] * 7)
         with pytest.raises(SrfError):

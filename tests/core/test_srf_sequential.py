@@ -1,11 +1,20 @@
-"""Sequential SRF access through stream buffers (paper Section 4.3)."""
+"""Sequential SRF access through stream buffers (paper Section 4.3).
+
+The port times a stream by word counts: the kernel executor moves the
+words themselves at issue (``tests/machine/test_functional_access.py``
+checks where they come from and land), so these tests see counts,
+grants and drain state.
+"""
 
 import pytest
 
 from repro.config import base_config, isrf4_config
+from repro.core import SrfArray
 from repro.core.descriptors import StreamDescriptor, StreamKind
 from repro.core.srf import StreamRegisterFile
 from repro.errors import SrfError
+from repro.kernel import KernelBuilder
+from repro.machine import KernelInvocation, StreamProcessor, StreamProgram
 
 
 def make_srf():
@@ -22,7 +31,6 @@ class TestSequentialRead:
     def test_block_arrives_after_pipeline_latency(self):
         srf = make_srf()
         region = srf.allocator.allocate(32, "in")
-        srf.storage.write_range(region.base, list(range(32)))
         desc = StreamDescriptor(
             "in", StreamKind.SEQUENTIAL_READ, region.base, length_records=32
         )
@@ -32,26 +40,29 @@ class TestSequentialRead:
         assert not port.can_pop()  # latency is 3 cycles
         run_cycles(srf, 1, 3)
         assert port.can_pop()
-        # Block striping: lane l's first word is global word l*m.
-        assert port.pop_simd() == [0, 4, 8, 12, 16, 20, 24, 28]
-        assert port.pop_simd() == [1, 5, 9, 13, 17, 21, 25, 29]
+        # The block brings m = 4 words per lane, one per SIMD pop.
+        assert port.occupancy == 4
+        port.pop_simd()
+        port.pop_simd()
+        assert port.occupancy == 2
 
     def test_whole_stream_transfers_in_order(self):
         srf = make_srf()
         words = 96  # three blocks
         region = srf.allocator.allocate(words, "in")
-        srf.storage.write_range(region.base, list(range(words)))
         desc = StreamDescriptor(
             "in", StreamKind.SEQUENTIAL_READ, region.base, length_records=words
         )
         port = srf.open_sequential(desc)
-        lane0 = []
+        pops = []
         for cycle in range(60):
             srf.tick(cycle)
             while port.can_pop():
-                lane0.append(port.pop_simd()[0])
-        # Lane 0 sees words 0..3 of every block, i.e. 0..3, 32..35, 64..67.
-        assert lane0 == [0, 1, 2, 3, 32, 33, 34, 35, 64, 65, 66, 67]
+                port.pop_simd()
+                pops.append(cycle)
+        # Each lane takes 4 words of every block, the blocks in order.
+        assert len(pops) == 12
+        assert srf.stats.sequential_grants == 3
         assert port.drained
 
     def test_stats_count_words(self):
@@ -71,21 +82,27 @@ class TestSequentialRead:
 
 class TestSequentialWrite:
     def test_written_data_lands_in_storage(self):
-        srf = make_srf()
-        region = srf.allocator.allocate(32, "out")
-        desc = StreamDescriptor(
-            "out", StreamKind.SEQUENTIAL_WRITE, region.base, length_records=32
-        )
-        port = srf.open_sequential(desc)
-        # Push m=4 words per lane: one full block.
-        for i in range(4):
-            port.push_simd([100 * lane + i for lane in range(8)])
-        srf.tick(0)
+        # A kernel writes 100 * lane + i in iteration i: m = 4 words per
+        # lane, one full block. The executor stores each word when it
+        # issues the write; the port drains the block in one grant.
+        proc = StreamProcessor(base_config())
+        b = KernelBuilder("w")
+        out_s = b.ostream("out")
+        i = b.carry(0, "i")
+        b.update(i, b.add(i, b.const(1)))
+        b.write(out_s, b.add(b.mul(b.laneid(), b.const(100)), i))
+        out = SrfArray(proc.srf, 32, "out")
+        prog = StreamProgram("p")
+        prog.add_kernel(KernelInvocation(
+            b.build(), {"out": out.seq_write()}, iterations=4
+        ))
+        proc.run_program(prog)
         # Lane 2's words occupy global addresses base+8..base+11.
-        assert srf.storage.read_range(region.base + 8, 4) == [
+        assert proc.srf.storage.read_range(out.base + 8, 4) == [
             200, 201, 202, 203,
         ]
-        assert port.drained
+        assert proc.srf.stats.sequential_grants == 1
+        assert proc.srf.stats.sequential_words == 32
 
     def test_partial_final_block_needs_flush(self):
         srf = make_srf()
@@ -94,15 +111,16 @@ class TestSequentialWrite:
             "out", StreamKind.SEQUENTIAL_WRITE, region.base, length_records=16
         )
         port = srf.open_sequential(desc)
-        port.push_simd(list(range(8)))
-        port.push_simd(list(range(8)))
+        port.push_simd()
+        port.push_simd()
         srf.tick(0)
         assert not port.drained  # only 2 words/lane buffered, no flush yet
+        assert srf.stats.sequential_grants == 0
         port.flush()
         srf.tick(1)
         assert port.drained
-        assert srf.storage.read_range(region.base, 2) == [0, 0]
-        assert srf.storage.read_range(region.base + 4, 2) == [1, 1]
+        # The partial block drains only the 2 words per lane pushed.
+        assert srf.stats.sequential_words == 16
 
     def test_push_beyond_capacity_raises(self):
         srf = make_srf()
@@ -111,10 +129,10 @@ class TestSequentialWrite:
             "out", StreamKind.SEQUENTIAL_WRITE, region.base, length_records=320
         )
         port = srf.open_sequential(desc)
-        for i in range(8):  # fill the 8-word buffer without ticking
-            port.push_simd([i] * 8)
+        for _ in range(8):  # fill the 8-word buffer without ticking
+            port.push_simd()
         with pytest.raises(SrfError):
-            port.push_simd([9] * 8)
+            port.push_simd()
 
 
 class TestPortArbitration:

@@ -12,19 +12,30 @@ def drive_random_reads(srf, streams, records, cycles, seed,
                        tables):
     """Issue random reads on every stream/lane; pop eagerly.
 
-    Returns (popped values per stream per lane, expected values)."""
+    The SRF carries no words, so each read is checked by the word its
+    queued address names in storage. Returns (per stream per lane, the
+    named words of the reads popped, in pop order; the table entries of
+    the reads issued, in issue order)."""
     rng = random.Random(seed)
     lanes = srf.geometry.lanes
     expected = [[[] for _ in range(lanes)] for _ in streams]
+    named = [[[] for _ in range(lanes)] for _ in streams]
     got = [[[] for _ in range(lanes)] for _ in streams]
+
+    def pop_ready(s, stream, lane):
+        while stream.data_ready(lane):
+            stream.pop_data(lane)
+            got[s][lane].append(named[s][lane][len(got[s][lane])])
+
     for cycle in range(cycles):
         for s, stream in enumerate(streams):
             for lane in range(lanes):
-                while stream.data_ready(lane):
-                    got[s][lane].append(stream.pop_data(lane))
+                pop_ready(s, stream, lane)
                 if rng.random() < 0.7 and stream.can_issue(lane):
                     record = rng.randrange(records)
                     stream.issue_read(lane, record)
+                    target, addr, _ticket, _last = stream.fifos[lane]._words[-1]
+                    named[s][lane].append(srf.storage.read_lane(target, addr))
                     expected[s][lane].append(tables[s][record])
         srf.tick(cycle)
     # Drain.
@@ -32,8 +43,7 @@ def drive_random_reads(srf, streams, records, cycles, seed,
         srf.tick(cycle)
         for s, stream in enumerate(streams):
             for lane in range(lanes):
-                while stream.data_ready(lane):
-                    got[s][lane].append(stream.pop_data(lane))
+                pop_ready(s, stream, lane)
     return got, expected
 
 
@@ -45,8 +55,9 @@ def drive_random_reads(srf, streams, records, cycles, seed,
 )
 def test_random_traffic_preserves_values_and_order(seed, stream_count,
                                                    make_config):
-    """Every popped word equals the table entry of its issue, in issue
-    order, for any random traffic mix on ISRF1 and ISRF4."""
+    """Every read's queued address names the table entry it was issued
+    for, and every read returns, in issue order, for any random traffic
+    mix on ISRF1 and ISRF4."""
     config = make_config()
     srf = StreamRegisterFile(config)
     records = 64

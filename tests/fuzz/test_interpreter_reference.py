@@ -104,9 +104,7 @@ class PerLaneReference:
                     record_index = int(operands[0][lane])
                     value = operands[1][lane]
                     self.table(op.stream, lane)[record_index] = value
-                    words = (list(value) if isinstance(value, tuple)
-                             else [value])
-                    detail.append((record_index, words))
+                    detail.append((record_index, value))
                 result = [None for _ in lanes]
                 entries.append((op, detail))
             elif kind is OpKind.COMM:

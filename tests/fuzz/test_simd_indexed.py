@@ -7,10 +7,10 @@ cross-lane read and an in-lane write. One SRF uses ``issue_reads`` /
 lockstep caller would use without them: ``can_issue`` on every active
 lane, then ``issue_read`` / ``issue_write`` per lane; ``record_ready``
 on every active lane, then ``pop_record`` per lane. Every step's return
-values and every cycle's ``SrfStats`` must match, and at the end so do
-the popped words, the return network's counters and the SRF contents.
-As in a kernel, a read's data is popped with the predicate it was
-issued with, oldest issue first; a drain phase pops what is left.
+values, every cycle's ``SrfStats`` and queued FIFO words must match, and
+at the end so do the return network's counters and the stream
+counters. As in a kernel, a read's data is popped with the predicate it
+was issued with, oldest issue first; a drain phase pops what is left.
 """
 
 import random
@@ -72,10 +72,6 @@ def _machine(spec):
         if space is IndexSpace.PER_LANE:
             footprint *= LANES
         region = srf.allocator.allocate(footprint, f"s{number}")
-        srf.storage.write_range(
-            region.base,
-            [number * 100_000 + offset for offset in range(footprint)],
-        )
         streams.append(srf.open_indexed(StreamDescriptor(
             f"s{number}", kind, region.base, length_records=RECORDS,
             record_words=words, index_space=space,
@@ -83,16 +79,16 @@ def _machine(spec):
     return srf, streams
 
 
-def _per_lane_issue(stream, per_lane, write):
-    for lane, entry in enumerate(per_lane):
-        if entry is not None and not stream.can_issue(lane):
+def _per_lane_issue(stream, indices, write):
+    for lane, index in enumerate(indices):
+        if index is not None and not stream.can_issue(lane):
             return False
-    for lane, entry in enumerate(per_lane):
-        if entry is not None:
+    for lane, index in enumerate(indices):
+        if index is not None:
             if write:
-                stream.issue_write(lane, entry[0], entry[1])
+                stream.issue_write(lane, index)
             else:
-                stream.issue_read(lane, entry)
+                stream.issue_read(lane, index)
     return True
 
 
@@ -100,10 +96,10 @@ def _per_lane_pop(stream, counts):
     for lane, count in enumerate(counts):
         if count and not stream.record_ready(lane):
             return False
-    return [
-        stream.pop_record(lane) if count else None
-        for lane, count in enumerate(counts)
-    ]
+    for lane, count in enumerate(counts):
+        if count:
+            stream.pop_record(lane)
+    return True
 
 
 def _step(stream, action, issued, simd):
@@ -120,7 +116,7 @@ def _step(stream, action, issued, simd):
         counts = issued[0]
         got = (stream.pop_records(counts) if simd
                else _per_lane_pop(stream, counts))
-        if got is not False:
+        if got:
             issued.popleft()
         return got
     if kind != ISSUE:
@@ -131,10 +127,6 @@ def _step(stream, action, issued, simd):
         rng.randrange(RECORDS) if on else None for on in active
     ]
     if write:
-        per_lane = [
-            None if index is None else (index, [rng.randrange(1 << 20)])
-            for index in per_lane
-        ]
         return (stream.issue_writes(per_lane) if simd
                 else _per_lane_issue(stream, per_lane, True))
     ok = (stream.issue_reads(per_lane) if simd
@@ -142,6 +134,12 @@ def _step(stream, action, issued, simd):
     if ok:
         issued.append([stream.record_words if on else 0 for on in active])
     return ok
+
+
+def _queued(streams):
+    """Every stream's queued FIFO words, lane by lane."""
+    return [[list(fifo._words) for fifo in stream.fifos]
+            for stream in streams]
 
 
 #: Cycles after the drawn ones in which every read stream pops.
@@ -154,7 +152,6 @@ _DRAIN = ([(POP, 0, 0)] * len(STREAMS), False)
 def test_simd_calls_match_per_lane_calls(spec):
     sides = [_machine(spec), _machine(spec)]
     issued = [[deque() for _ in STREAMS] for _ in sides]
-    popped = ([], [])
     program = spec["cycles"] + [_DRAIN] * DRAIN_CYCLES
     for cycle, (actions, comm_busy) in enumerate(program):
         for number, action in enumerate(actions):
@@ -164,16 +161,12 @@ def test_simd_calls_match_per_lane_calls(spec):
                 for side, (_srf, streams) in enumerate(sides)
             )
             assert got == want, (cycle, number, action)
-            if action[0] == POP and got:
-                popped[0].append(got)
-                popped[1].append(want)
         for srf, _streams in sides:
             srf.tick(cycle, comm_busy=comm_busy)
         assert sides[0][0].stats == sides[1][0].stats, cycle
-    assert popped[0] == popped[1]
+        assert _queued(sides[0][1]) == _queued(sides[1][1]), cycle
     (simd_srf, simd_streams), (lane_srf, lane_streams) = sides
     assert simd_srf.return_network.stats == lane_srf.return_network.stats
-    assert simd_srf.storage._words == lane_srf.storage._words
     for simd_stream, lane_stream in zip(simd_streams, lane_streams):
         assert simd_stream.pending_words == lane_stream.pending_words
         assert simd_stream.outstanding_writes == lane_stream.outstanding_writes

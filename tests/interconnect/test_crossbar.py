@@ -38,22 +38,22 @@ class TestAddressNetwork:
 class TestReturnNetwork:
     def collect(self):
         received = []
-        return received, lambda ticket, value: received.append((ticket, value))
+        return received, received.append
 
     def test_delivery_invokes_fill(self):
         net = ReturnNetwork(lanes=2)
         received, fill = self.collect()
-        net.enqueue(bank=0, destination_lane=1, ticket=7, value="v",
-                    stream_id=0, fill=fill)
+        net.enqueue(bank=0, destination_lane=1, ticket=7, stream_id=0,
+                    fill=fill)
         net.tick(comm_busy=False)
-        assert received == [(7, "v")]
+        assert received == [7]
         assert net.pending() == 0
 
     def test_destination_slot_cap(self):
         net = ReturnNetwork(lanes=2, slots_per_destination=2)
         received, fill = self.collect()
         for ticket in range(3):
-            net.enqueue(0, 1, ticket, ticket, 0, fill)
+            net.enqueue(0, 1, ticket, 0, fill)
         net.tick(comm_busy=False)
         assert len(received) == 2
         net.tick(comm_busy=False)
@@ -63,7 +63,7 @@ class TestReturnNetwork:
         net = ReturnNetwork(lanes=2, slots_per_destination=2)
         received, fill = self.collect()
         for ticket in range(2):
-            net.enqueue(0, 0, ticket, ticket, 0, fill)
+            net.enqueue(0, 0, ticket, 0, fill)
         net.tick(comm_busy=True)
         assert received == []  # explicit comms have absolute priority
         net.tick(comm_busy=False)
@@ -72,18 +72,18 @@ class TestReturnNetwork:
     def test_bank_queue_backpressure(self):
         net = ReturnNetwork(lanes=2, bank_queue_depth=2)
         _, fill = self.collect()
-        net.enqueue(0, 0, 0, 0, 0, fill)
-        net.enqueue(0, 0, 1, 1, 0, fill)
+        net.enqueue(0, 0, 0, 0, fill)
+        net.enqueue(0, 0, 1, 0, fill)
         assert not net.bank_has_space(0)
         assert net.bank_has_space(1)
         with pytest.raises(SrfError):
-            net.enqueue(0, 0, 2, 2, 0, fill)
+            net.enqueue(0, 0, 2, 0, fill)
 
     def test_fairness_across_banks(self):
         net = ReturnNetwork(lanes=4, slots_per_destination=1)
         received, fill = self.collect()
-        net.enqueue(0, 2, 0, "a", 0, fill)
-        net.enqueue(1, 2, 1, "b", 0, fill)
+        net.enqueue(0, 2, 0, 0, fill)
+        net.enqueue(1, 2, 1, 0, fill)
         net.tick(comm_busy=False)
         assert len(received) == 1  # one slot at destination 2
         net.tick(comm_busy=False)

@@ -166,7 +166,7 @@ class TestIndexedAccess:
         assert ctx.table("w", lane=0) == [-1]
         assert ctx.table("w", lane=1) == [5]
         (_op, detail), = trace.by_kind(OpKind.IDX_WRITE)
-        assert detail == [None, (0, [5])]
+        assert detail == [None, (0, 5)]
 
     def test_global_table_for_crosslane(self):
         b = KernelBuilder("k")

@@ -1,12 +1,13 @@
 """Read-write indexed SRF streams — the paper's §7 future-work extension.
 
 "We are exploring support for data structures that require both reads
-and writes simultaneously in the SRF." The implementation rides on the
-existing address-FIFO machinery: reads and writes of one read-write
-stream share the FIFO, so read-after-write order equals program order.
-The canonical use case is in-SRF histogramming (read bin, increment,
-write back), which is impossible with read-xor-write streams in a
-single kernel.
+and writes simultaneously in the SRF." The kernel executor moves every
+word when it issues the access, in program order, so each read of a
+read-write stream sees the kernel's earlier writes; on the timing side
+reads and writes of the stream share one address FIFO, so their bank
+accesses keep program order too. The canonical use case is in-SRF
+histogramming (read bin, increment, write back), which is impossible
+with read-xor-write streams in a single kernel.
 """
 
 import pytest
@@ -110,4 +111,4 @@ class TestMachineSemantics:
         assert desc.kind is StreamKind.INLANE_INDEXED_READWRITE
         stream = proc.srf.open_indexed(desc)
         assert stream.robs is not None  # readable
-        stream.issue_write(0, 0, [5])   # and writable
+        stream.issue_write(0, 0)   # and writable
