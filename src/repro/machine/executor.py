@@ -290,14 +290,21 @@ class KernelExecutor:
         stream; advances the stream's cursor.
 
         The lanes' words sit ``m`` words apart in one SRF block, so they
-        are one strided slice of storage once both ends are checked.
+        are one strided slice of storage once the block is checked
+        against the stream's and both ends against the SRF's.
         """
         descriptor = self._descriptors[stream.name]
         geometry = self._geometry
         m = geometry.words_per_lane_access
         cursor = self._seq_cursors[stream.name]
-        first = (descriptor.base + (cursor // m) * geometry.block_words
-                 + cursor % m)
+        block = cursor // m
+        blocks = self._ports[stream.name].total_blocks
+        if block >= blocks:
+            raise SrfAccessError(
+                f"{stream.name}: lane word {cursor} out of range: the "
+                f"stream's {blocks} blocks hold {blocks * m} words a lane"
+            )
+        first = descriptor.base + block * geometry.block_words + cursor % m
         last = first + (geometry.lanes - 1) * m
         limit = len(self._words)
         if first < 0 or last >= limit:

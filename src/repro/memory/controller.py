@@ -13,6 +13,15 @@ Data staged between DRAM and the SRF lives in a bounded per-op staging
 buffer (the memory-side stream buffer), so a stalled SRF port throttles
 DRAM fetches and vice versa, exactly the decoupling the paper relies on
 to overlap memory transfers with kernel execution.
+
+Each cycle's transfer round is one pass over the active ops in issue
+order. A ready op moves as many words as its staging room and the
+bandwidth allow: a non-cached op charges its run of addresses to DRAM
+in one :meth:`DramModel.access_run` call, and a cached op makes one
+cache access per word. Since a refusal is final within a cycle, this
+moves the same words in the same order as moving one word at a time
+and restarting from the oldest op. The SRF port moves whole blocks
+between the staging buffer and SRF storage when it is granted.
 """
 
 from __future__ import annotations
@@ -23,21 +32,13 @@ from repro.cache.cache import BankedCache
 from repro.config.machine import MachineConfig
 from repro.core.srf import StreamRegisterFile
 from repro.errors import MemorySystemError
-from repro.memory.dram import DramModel
+from repro.memory.dram import (
+    DramModel,
+    accrue_credit,
+    idle_cycles_until_positive,
+)
 from repro.memory.mainmem import MainMemory
 from repro.memory.ops import StreamMemoryOp
-
-
-def _accrual_cycles_until_positive(credit: float, step: float,
-                                   cap: float) -> int:
-    """Idle cycles before a per-cycle ``min(credit + step, cap)`` refill
-    lifts ``credit`` above zero (0 = the very next accrual suffices)."""
-    accruals = 0
-    while True:
-        credit = min(credit + step, cap)
-        accruals += 1
-        if credit > 0.0:
-            return accruals - 1
 
 
 @dataclass
@@ -55,48 +56,41 @@ class MemoryPort:
 
     Implements the same ``wants_grant``/``on_grant`` protocol as kernel
     :class:`~repro.core.srf.SequentialPort` objects, so the single SRF
-    port arbitrates between kernel and memory streams uniformly.
+    port arbitrates between kernel and memory streams uniformly. Each
+    grant moves one block of the op's block-aligned SRF stream between
+    storage and the op's staging buffer.
     """
 
     def __init__(self, op: "_ActiveOp", srf: StreamRegisterFile):
         self._op = op
-        self._srf = srf
-        self._into_srf = op.op.into_srf
-        geometry = srf.geometry
-        self.block_words = geometry.block_words
-        self._total_blocks = geometry.blocks_spanned(
-            op.op.srf.base, op.op.words
-        )
+        self._storage = srf.storage
+        self._into_srf = op.into_srf
+        self._base = op.op.srf.base
+        self.block_words = srf.geometry.block_words
+        self._total_blocks = srf.geometry.blocks_spanned(self._base, op.words)
         self._blocks_done = 0
-
-    @property
-    def srf_done(self) -> bool:
-        return self._blocks_done >= self._total_blocks
-
-    def _block_window(self) -> tuple:
-        base = self._op.op.srf.base + self._blocks_done * self.block_words
-        width = min(
-            self.block_words,
-            self._op.op.words - self._blocks_done * self.block_words,
-        )
-        return base, width
+        #: Words of the next block, kept by :meth:`on_grant`.
+        self._width = min(self.block_words, op.words)
 
     def wants_grant(self) -> bool:
         if self._blocks_done >= self._total_blocks:
             return False
-        _base, width = self._block_window()
         if self._into_srf:
-            return self._op.staged_available() >= width
-        return self._op.staging_space() >= width
+            return len(self._op.staging) >= self._width
+        return (self._op.staging_capacity - len(self._op.staging)
+                >= self._width)
 
     def on_grant(self, cycle: int) -> int:
-        base, width = self._block_window()
+        op = self._op
+        width = self._width
+        base = self._base + op.srf_cursor
         if self._into_srf:
-            values = self._op.consume_staged(width)
-            self._srf.storage.write_range(base, values)
+            self._storage.write_range(base, op.unstage(width))
         else:
-            self._op.stage(self._srf.storage.read_range(base, width))
+            op.staging.extend(self._storage.read_range(base, width))
         self._blocks_done += 1
+        op.srf_cursor += width
+        self._width = min(self.block_words, op.words - op.srf_cursor)
         return width
 
 
@@ -108,51 +102,43 @@ class _ActiveOp:
     STAGING_BLOCKS = 2
 
     def __init__(self, op: StreamMemoryOp, srf: StreamRegisterFile,
-                 issue_cycle: int, ready_cycle: int):
+                 issue_cycle: int, ready_cycle: int, cached: bool):
         self.op = op
         self.into_srf = op.into_srf
+        self.addrs = op.mem_addrs
+        self.words = len(op.mem_addrs)
+        #: Whether the words go through the cache (a cacheable op on a
+        #: machine with one).
+        self.cached = cached
         self.issue_cycle = issue_cycle
         self.ready_cycle = ready_cycle
         self.mem_cursor = 0  # words moved on the DRAM/cache side
-        self._staging = []
-        self._staging_consumed = 0
+        self.srf_cursor = 0  # words moved through the SRF port
+        #: Words between the two sides, oldest first: read from memory
+        #: and not yet granted into the SRF (loads), or granted out of
+        #: the SRF and not yet written to memory (stores).
+        self.staging = []
         self.port = MemoryPort(self, srf)
         self.staging_capacity = self.STAGING_BLOCKS * self.port.block_words
-        self.complete_cycle = None
 
-    # -- staging buffer ---------------------------------------------------
-    def staged_available(self) -> int:
-        return len(self._staging) - self._staging_consumed
-
-    def staging_space(self) -> int:
-        return self.staging_capacity - self.staged_available()
-
-    def stage(self, values) -> None:
-        self._staging.extend(values)
-
-    def consume_staged(self, count: int) -> list:
-        start = self._staging_consumed
-        if self.staged_available() < count:
-            raise MemorySystemError(f"{self.op.describe()}: staging underrun")
-        self._staging_consumed += count
-        values = self._staging[start : start + count]
-        if self._staging_consumed >= 4 * self.staging_capacity:
-            del self._staging[: self._staging_consumed]
-            self._staging_consumed = 0
+    def unstage(self, count: int) -> list:
+        """Take the ``count`` oldest staged words."""
+        values = self.staging[:count]
+        del self.staging[:count]
         return values
-
-    # -- progress ----------------------------------------------------------
-    @property
-    def mem_done(self) -> bool:
-        return self.mem_cursor >= self.op.words
 
     @property
     def done(self) -> bool:
+        """Every word has reached its destination side.
+
+        A load is done when its last block is granted into the SRF and a
+        store when its last word is written to memory: with block-aligned
+        streams each side's words are the op's, so the other side and the
+        staging buffer are then necessarily finished too.
+        """
         if self.into_srf:
-            return self.mem_done and self.port.srf_done
-        return self.port.srf_done and self.mem_done and (
-            self.staged_available() == 0
-        )
+            return self.srf_cursor >= self.words
+        return self.mem_cursor >= self.words
 
 
 class MemoryController:
@@ -172,7 +158,6 @@ class MemoryController:
         self.cache = BankedCache(config) if config.has_cache else None
         self._cache_credit = 0.0
         self._active = []
-        self._round_robin = 0
         self._completed = {}
         self.stats = MemoryStats()
         # Observability (repro.observe); None when disabled.
@@ -213,14 +198,21 @@ class MemoryController:
         """Begin executing a stream memory op at ``cycle``.
 
         ``cacheable`` is a hint: on machines without a cache it simply
-        degrades to a plain DRAM access pattern.
+        degrades to a plain DRAM access pattern. The op's SRF stream must
+        start on a block boundary, since the port moves whole blocks.
         """
+        block_words = self.srf.geometry.block_words
+        if op.srf.base % block_words:
+            raise MemorySystemError(
+                f"{op.describe()}: SRF base {op.srf.base} is not aligned "
+                f"to a {block_words}-word block"
+            )
+        cached = self.cache is not None and op.cacheable
         ready = cycle + (
-            self.cache.hit_latency
-            if self.cache is not None and op.cacheable
+            self.cache.hit_latency if cached
             else self.config.dram_latency_cycles
         )
-        active = _ActiveOp(op, self.srf, cycle, ready)
+        active = _ActiveOp(op, self.srf, cycle, ready, cached)
         self._active.append(active)
         self.srf.attach_port(active.port)
         if self._tracer is not None:
@@ -263,7 +255,7 @@ class MemoryController:
         for active in self._active:
             if active.done:
                 return cycle  # retirement pending at the next tick
-            if active.mem_done:
+            if active.mem_cursor >= active.words:
                 continue  # progress now comes through the SRF port
             if active.ready_cycle > cycle:
                 candidate = active.ready_cycle
@@ -281,26 +273,23 @@ class MemoryController:
     def _transfer_stall_cycles(self, active: _ActiveOp) -> "int | None":
         """Cycles before ``active`` could move its next word, or None.
 
-        Mirrors the gating of :meth:`_move_one_word` without side
+        Mirrors the refusals of :meth:`_transfer_round` without side
         effects. ``None`` means the op waits on SRF-port progress (its
         stream-buffer staging), which the SRF reports separately; an
         integer means the op is bandwidth-bound and unblocks after that
         many credit-accrual cycles.
         """
-        op = active.op
         if active.into_srf:
-            if active.staging_space() <= 0:
+            if len(active.staging) >= active.staging_capacity:
                 return None
-        elif active.staged_available() <= 0:
+        elif not active.staging:
             return None
-        if op.cacheable and self.cache is not None:
-            wait = _accrual_cycles_until_positive(
-                self._cache_credit,
-                self.cache.words_per_cycle,
-                4.0 * self.cache.words_per_cycle,
+        if active.cached:
+            step = self.cache.words_per_cycle
+            wait = idle_cycles_until_positive(
+                self._cache_credit, step, 4.0 * step
             )
-            addr = op.mem_addrs[active.mem_cursor]
-            if not self.cache.probe(addr):
+            if not self.cache.probe(active.addrs[active.mem_cursor]):
                 wait = max(wait, self.dram.cycles_until_can_access())
             return wait
         return self.dram.cycles_until_can_access()
@@ -315,14 +304,10 @@ class MemoryController:
         """
         self.dram.accrue_idle_cycles(cycles)
         if self.cache is not None:
-            credit = self._cache_credit
             step = self.cache.words_per_cycle
-            cap = 4.0 * step
-            for _ in range(cycles):
-                if credit == cap:
-                    break
-                credit = min(credit + step, cap)
-            self._cache_credit = credit
+            self._cache_credit = accrue_credit(
+                self._cache_credit, step, 4.0 * step, cycles
+            )
         if self._active:
             self.stats.busy_cycles += cycles
 
@@ -335,8 +320,9 @@ class MemoryController:
                 self._cache_credit + self.cache.words_per_cycle,
                 4.0 * self.cache.words_per_cycle,
             )
-        if self._active:
-            self.stats.busy_cycles += 1
+        if not self._active:
+            return
+        self.stats.busy_cycles += 1
         self._transfer_round(cycle)
         self._retire(cycle)
 
@@ -347,55 +333,74 @@ class MemoryController:
         so the oldest transfer gets the full remaining bus — this is
         what lets a dependent kernel start as early as possible while
         later (prefetch) transfers fill leftover bandwidth.
-        """
-        progressing = True
-        while progressing:
-            progressing = False
-            for active in self._active:  # issue order
-                if cycle < active.ready_cycle or active.mem_done:
-                    continue
-                if self._move_one_word(active):
-                    progressing = True
-                    break
 
-    def _move_one_word(self, active: _ActiveOp) -> bool:
-        """Try to move the next word of ``active`` on the memory side."""
-        op = active.op
-        into_srf = active.into_srf
-        if into_srf:
-            if active.staging_space() <= 0:
-                return False
-        elif active.staged_available() <= 0:
-            return False
-        addr = op.mem_addrs[active.mem_cursor]
-        is_write = not into_srf
-        if op.cacheable and self.cache is not None:
-            if self._cache_credit <= 0.0:
-                return False
-            if not self.cache.probe(addr) and not self.dram.can_access():
-                return False  # a miss needs DRAM budget for the fill
-            result = self.cache.access(addr, is_write)
-            self._cache_credit -= 1.0
+        Each ready op moves words until its staging buffer or the
+        bandwidth refuses the next one. A refusal is final for the
+        cycle: staging changes only at SRF grants, which come after this
+        tick; DRAM and cache credit only fall; and a cache fill that
+        could make a later probe hit needs the DRAM credit the refusal
+        proved spent. So one pass in issue order moves the same words
+        in the same order as restarting from the oldest op after every
+        word.
+        """
+        for active in self._active:  # issue order
+            cursor = active.mem_cursor
+            if cycle < active.ready_cycle or cursor >= active.words:
+                continue
+            # Staging room: free slots for a load, staged words for a
+            # store.
+            if active.into_srf:
+                room = active.staging_capacity - len(active.staging)
+            else:
+                room = len(active.staging)
+            stop = min(cursor + room, active.words)
+            if stop <= cursor:
+                continue
+            if active.cached:
+                moved = self._move_cached(active, cursor, stop)
+            else:
+                moved = self.dram.access_run(
+                    active.addrs, cursor, stop, not active.into_srf
+                )
+                self.stats.offchip_words += moved
+            if not moved:
+                continue
+            # Functional transfer.
+            addrs = active.addrs[cursor : cursor + moved]
+            if active.into_srf:
+                active.staging.extend(self.memory.read_words(addrs))
+            else:
+                self.memory.write_words(addrs, active.unstage(moved))
+            active.mem_cursor = cursor + moved
+
+    def _move_cached(self, active: _ActiveOp, cursor: int, stop: int) -> int:
+        """Access ``active``'s words ``cursor..stop-1`` through the cache,
+        one at a time, until cache credit runs out or a miss finds no
+        DRAM credit for its fill; returns the number accessed."""
+        cache = self.cache
+        dram = self.dram
+        stats = self.stats
+        addrs = active.addrs
+        is_write = not active.into_srf
+        credit = self._cache_credit
+        index = cursor
+        while index < stop and credit > 0.0:
+            addr = addrs[index]
+            if not dram.can_access() and not cache.probe(addr):
+                break  # a miss needs DRAM budget for the fill
+            result = cache.access(addr, is_write)
+            credit -= 1.0
             if result.hit:
-                self.stats.cache_hit_words += 1
+                stats.cache_hit_words += 1
             else:
                 for k in range(result.dram_read_words):
-                    self.dram.charge(result.fill_base + k, False)
+                    dram.charge(result.fill_base + k, False)
                 for k in range(result.dram_writeback_words):
-                    self.dram.charge(result.writeback_base + k, True)
-                self.stats.offchip_words += result.dram_words
-        else:
-            if not self.dram.try_access(addr, is_write):
-                return False
-            self.stats.offchip_words += 1
-        # Functional transfer.
-        if into_srf:
-            active.stage([self.memory.read(addr)])
-        else:
-            value = active.consume_staged(1)[0]
-            self.memory.write(addr, value)
-        active.mem_cursor += 1
-        return True
+                    dram.charge(result.writeback_base + k, True)
+                stats.offchip_words += result.dram_words
+            index += 1
+        self._cache_credit = credit
+        return index - cursor
 
     def _retire(self, cycle: int) -> None:
         finished = [a for a in self._active if a.done]
@@ -420,8 +425,8 @@ class MemoryController:
             lines.append(
                 f"{active.op.describe()} ({direction}): issued cycle "
                 f"{active.issue_cycle}, ready cycle {active.ready_cycle}, "
-                f"{active.mem_cursor}/{active.op.words} words moved, "
-                f"{active.staged_available()} staged"
+                f"{active.mem_cursor}/{active.words} words moved, "
+                f"{len(active.staging)} staged"
             )
         return lines
 

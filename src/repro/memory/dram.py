@@ -27,6 +27,33 @@ from repro.config.machine import MachineConfig
 from repro.errors import MemorySystemError
 
 
+# Bandwidth credit (DRAM bus and cache) refills once a cycle as
+# ``min(credit + step, cap)``. Fast-forward replays that recurrence with
+# the same float operations, so a skipped window leaves the credit
+# bit-identical to stepping each cycle.
+def accrue_credit(credit: float, step: float, cap: float,
+                  cycles: int) -> float:
+    """``credit`` after ``cycles`` refills; stops early at the cap, after
+    which further refills change nothing."""
+    for _ in range(cycles):
+        if credit == cap:
+            break
+        credit = min(credit + step, cap)
+    return credit
+
+
+def idle_cycles_until_positive(credit: float, step: float,
+                               cap: float) -> int:
+    """Idle cycles before a refill lifts ``credit`` above zero (0 = the
+    very next refill suffices)."""
+    idle = 0
+    while True:
+        credit = min(credit + step, cap)
+        if credit > 0.0:
+            return idle
+        idle += 1
+
+
 @dataclass
 class DramStats:
     """Traffic and locality counters."""
@@ -52,8 +79,9 @@ class DramModel:
     """Credit-based DRAM bandwidth with per-bank open-row state.
 
     Use :meth:`begin_cycle` once per simulated cycle, then
-    :meth:`try_access` for each word the memory controller wants to move;
-    it returns False when this cycle's budget is exhausted.
+    :meth:`access_run` for each run of words the memory controller wants
+    to move (or :meth:`try_access` for one word); they stop when this
+    cycle's budget is exhausted.
     """
 
     def __init__(self, config: MachineConfig):
@@ -106,40 +134,22 @@ class DramModel:
         self._credit = min(self._credit + self.words_per_cycle, self._max_credit)
 
     def accrue_idle_cycles(self, cycles: int) -> None:
-        """Apply ``cycles`` consecutive :meth:`begin_cycle` calls in bulk.
-
-        Replays the per-cycle ``min`` update (same float operations, so
-        the resulting credit is bit-identical to stepping), stopping
-        early once the credit saturates at the cap — after which further
-        cycles are no-ops.
-        """
-        credit = self._credit
-        cap = self._max_credit
-        step = self.words_per_cycle
-        for _ in range(cycles):
-            if credit == cap:
-                break
-            credit = min(credit + step, cap)
-        self._credit = credit
+        """Apply ``cycles`` consecutive :meth:`begin_cycle` calls in bulk."""
+        self._credit = accrue_credit(
+            self._credit, self.words_per_cycle, self._max_credit, cycles
+        )
 
     def cycles_until_can_access(self) -> int:
         """Whole cycles to skip before an access could be admitted.
 
         0 means the very next :meth:`begin_cycle` already lifts the
-        credit above zero (an access can go ahead this cycle). The
-        prediction replays the exact per-cycle accrual, so skipping that
-        many idle cycles and then ticking normally admits the access on
-        precisely the same cycle as per-cycle stepping would.
+        credit above zero (an access can go ahead this cycle); skipping
+        that many idle cycles and then ticking normally admits the access
+        on precisely the same cycle as per-cycle stepping would.
         """
-        credit = self._credit
-        cap = self._max_credit
-        step = self.words_per_cycle
-        accruals = 0
-        while True:
-            credit = min(credit + step, cap)
-            accruals += 1
-            if credit > 0.0:
-                return accruals - 1
+        return idle_cycles_until_positive(
+            self._credit, self.words_per_cycle, self._max_credit
+        )
 
     def can_access(self) -> bool:
         """Whether the bus has budget for another access this cycle.
@@ -160,6 +170,49 @@ class DramModel:
             return False
         self.charge(addr, is_write)
         return True
+
+    def access_run(self, addrs: list, start: int, stop: int,
+                   is_write: bool) -> int:
+        """Move ``addrs[start:stop]`` in order while the budget lasts.
+
+        The same as calling :meth:`try_access` on each word until one
+        returns False (same row-buffer updates and float operations);
+        returns the number of words moved.
+        """
+        credit = self._credit
+        open_rows = self._open_rows
+        row_words = self.row_words
+        banks = self.banks
+        miss_cost = 1.0 + self.row_miss_cost
+        bank_misses = self._bank_misses
+        misses = 0
+        index = start
+        while index < stop and credit > 0.0:
+            addr = addrs[index]
+            if addr < 0:
+                raise MemorySystemError(f"negative DRAM address {addr}")
+            row = addr // row_words
+            bank = row % banks
+            if open_rows[bank] == row:
+                credit -= 1.0
+            else:
+                open_rows[bank] = row
+                credit -= miss_cost
+                misses += 1
+                if bank_misses is not None:
+                    bank_misses[bank].add()
+            index += 1
+        self._credit = credit
+        moved = index - start
+        stats = self.stats
+        stats.row_hits += moved - misses
+        stats.row_misses += misses
+        stats.word_accesses += moved
+        if is_write:
+            stats.write_words += moved
+        else:
+            stats.read_words += moved
+        return moved
 
     def charge(self, addr: int, is_write: bool) -> None:
         """Unconditionally account one word access (overdraft allowed).

@@ -83,12 +83,27 @@ class MainMemory:
             raise MemorySystemError(f"negative memory address {addr}")
         self._words[addr] = value
 
+    def read_words(self, addrs) -> list:
+        """Read the word at each of ``addrs``, in order."""
+        if addrs and min(addrs) < 0:
+            raise MemorySystemError(f"negative memory address {min(addrs)}")
+        words = self._words
+        return [words.get(addr, 0) for addr in addrs]
+
+    def write_words(self, addrs, values) -> None:
+        """Write ``values[j]`` to ``addrs[j]``, in order."""
+        if addrs and min(addrs) < 0:
+            raise MemorySystemError(f"negative memory address {min(addrs)}")
+        words = self._words
+        for addr, value in zip(addrs, values):
+            words[addr] = value
+
     def read_range(self, base: int, count: int) -> list:
-        return [self.read(base + i) for i in range(count)]
+        return self.read_words(range(base, base + count))
 
     def write_range(self, base: int, values) -> None:
-        for i, value in enumerate(values):
-            self.write(base + i, value)
+        values = list(values)
+        self.write_words(range(base, base + len(values)), values)
 
     def load_region(self, region: MemoryRegion, values) -> None:
         """Initialise a region's contents from a sequence."""

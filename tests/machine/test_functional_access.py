@@ -15,7 +15,7 @@ from repro.config import isrf4_config
 from repro.core import SrfArray
 from repro.errors import SrfAccessError
 from repro.kernel import KernelBuilder
-from repro.machine import KernelInvocation, StreamProcessor
+from repro.machine import KernelInvocation, StreamProcessor, StreamProgram
 from repro.machine.executor import KernelExecutor
 
 LANES = 8
@@ -94,6 +94,33 @@ class TestSequential:
         with pytest.raises(SrfAccessError, match="out of range"):
             executor.functional_seq_write(streams["out"], [2] * LANES)
         assert 2 not in srf.storage._words
+
+
+    def test_access_past_the_streams_blocks_raises(self):
+        # A copy kernel runs 8 iterations over a 1-block input (4 words
+        # a lane) that an array of 7s follows in the SRF. Its fifth read
+        # must fail naming the stream, not read (and copy) the
+        # neighbour's words and then stall to the deadlock horizon.
+        b = KernelBuilder("copy")
+        b.write(b.ostream("out"), b.read(b.istream("in")))
+        kernel = b.build()
+        proc = StreamProcessor(isrf4_config())
+        src = SrfArray(proc.srf, 32, "in")
+        src.fill_stream_order(range(32))
+        SrfArray(proc.srf, 32, "next").fill_stream_order([7] * 32)
+        out = SrfArray(proc.srf, 64, "out")
+        prog = StreamProgram("p")
+        prog.add_kernel(KernelInvocation(
+            kernel, {"in": src.seq_read(), "out": out.seq_write()},
+            iterations=8,
+        ))
+        with pytest.raises(SrfAccessError, match="^in: .*out of range"):
+            proc.run_program(prog)
+        assert proc.cycle < 1000
+        # Lane 0's first four output words are the input's; its fifth
+        # (the second block's first word) was never written.
+        assert proc.srf.storage.read_range(out.base, 4) == [0, 1, 2, 3]
+        assert proc.srf.storage.read_range(out.base + 32, 1) == [0]
 
 
 def inlane_table(kind="inlane_read", record_words=1, records=64):

@@ -83,6 +83,20 @@ class TestLoadStore:
         assert controller.offchip_traffic_words == 96
 
 
+    def test_misaligned_srf_base_rejected(self):
+        # The port moves whole blocks from the stream's base, so a
+        # stream starting mid-block would straddle a block boundary.
+        srf, memory, controller = make_machine()
+        region = memory.allocate(32, "input")
+        alloc = srf.allocator.allocate(64, "s")
+        desc = StreamDescriptor(
+            "s", StreamKind.SEQUENTIAL_READ, alloc.base + 4, 32
+        )
+        with pytest.raises(MemorySystemError, match="load:s: SRF base"):
+            controller.issue(load_op(desc, region), 0)
+        assert not controller.busy
+
+
 class TestGatherScatter:
     def test_gather_collects_arbitrary_addresses(self):
         srf, memory, controller = make_machine()

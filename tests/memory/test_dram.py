@@ -5,7 +5,10 @@ import random
 import pytest
 
 from repro.config import base_config
+from repro.errors import MemorySystemError
 from repro.memory.dram import DramModel
+from repro.observe.metrics import MetricsRegistry
+from repro.observe.observer import Observer
 
 
 def make_dram(**overrides):
@@ -120,3 +123,53 @@ class TestRowBuffer:
         dram.begin_cycle()
         with pytest.raises(Exception):
             dram.try_access(-1, False)
+
+
+class TestAccessRun:
+    """``access_run`` is ``try_access`` over a run of words, in one call."""
+
+    @staticmethod
+    def observed_dram():
+        dram = make_dram()
+        metrics = MetricsRegistry(level=2)
+        dram.install_observer(Observer(metrics=metrics))
+        return dram, metrics
+
+    @pytest.mark.parametrize("is_write", [False, True])
+    def test_matches_per_word_try_access(self, is_write):
+        rng = random.Random(3)
+        # Row hits and misses across every bank.
+        addrs = [rng.randrange(16 * 512) for _ in range(400)]
+        run, run_metrics = self.observed_dram()
+        word, word_metrics = self.observed_dram()
+        cursor = 0
+        for _ in range(5000):
+            if cursor == len(addrs):
+                break
+            run.begin_cycle()
+            word.begin_cycle()
+            moved = run.access_run(addrs, cursor, len(addrs), is_write)
+            expected = 0
+            while (cursor + expected < len(addrs)
+                   and word.try_access(addrs[cursor + expected], is_write)):
+                expected += 1
+            assert moved == expected
+            assert run._credit == word._credit
+            cursor += moved
+        assert cursor == len(addrs)
+        assert run.stats == word.stats
+        assert run._open_rows == word._open_rows
+        assert run_metrics.collect() == word_metrics.collect()
+        assert run.stats.row_misses > 8  # the bank counters saw misses
+
+    def test_stops_at_the_run_end(self):
+        dram = make_dram()
+        for _ in range(10):
+            dram.begin_cycle()  # credit capped at 4 cycles' worth
+        assert dram.access_run([0, 1, 2, 3], 1, 3, False) == 2
+
+    def test_negative_address_rejected(self):
+        dram = make_dram()
+        dram.begin_cycle()
+        with pytest.raises(MemorySystemError, match="negative DRAM address"):
+            dram.access_run([-1], 0, 1, False)
