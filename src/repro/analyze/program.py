@@ -19,17 +19,22 @@ and the task dependence graph — and checks what only that view can:
   lock-stepped machine; that is decidable from op counts × trip count;
 * **hazards** — unordered tasks whose SRF footprints overlap with at
   least one writer race in the simulator. Memory transfers genuinely
-  run concurrently, so those overlaps are errors; kernel pairs
-  serialise on the single microcontroller (order may still be
-  timing-dependent), so those are warnings.
+  run concurrently, so those overlaps are errors (``srf-race``); kernel
+  pairs serialise on the single microcontroller (order may still be
+  timing-dependent), so those are warnings. Main memory is a second
+  address space: unordered memory transfers whose address spans
+  overlap with at least one writer race too (``mem-race``).
 
 Footprints are block-aligned: the allocator hands out whole N×m
 blocks, so block granularity is conservative *within* an allocation
 but can never merge two distinct allocations — which is what keeps the
-hazard check free of false positives.
+hazard check free of false positives. A main-memory span likewise
+never leaves its transfer's region.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from repro.analyze.banks import bank_estimates
 from repro.analyze.diagnostics import AnalysisReport, error, info, warning
@@ -250,22 +255,29 @@ def _check_extents(task, geometry: SrfGeometry):
 
 # ----------------------------------------------------------------------
 def _access_ranges(task, geometry: SrfGeometry):
-    """(start, end, writes, stream-name) footprints of one task."""
+    """(space, start, end, writes, name) footprints of one task.
+
+    A memory op also spans ``[min, max + 1)`` of its main-memory
+    addresses, which is conservative for a gather or scatter.
+    """
     if task.is_kernel:
         for name, descriptor in sorted(task.work.bindings.items()):
             start, end = footprint(descriptor, geometry)
             if descriptor.kind.is_read:
-                yield start, end, False, name
+                yield "SRF", start, end, False, name
             if descriptor.kind.is_write:
-                yield start, end, True, name
+                yield "SRF", start, end, True, name
     else:
         op = task.work
         start, end = footprint(op.srf, geometry)
-        yield start, end, op.into_srf, op.srf.name
+        yield "SRF", start, end, op.into_srf, op.srf.name
+        yield ("main-memory", min(op.mem_addrs), max(op.mem_addrs) + 1,
+               not op.into_srf, op.describe())
 
 
 def _check_hazards(program: StreamProgram, geometry: SrfGeometry):
-    """Unordered overlapping SRF accesses with at least one writer."""
+    """Unordered overlapping accesses to one address space (the SRF or
+    main memory) with at least one writer."""
     tasks = program.tasks
     ancestors = {}
     for task in tasks:
@@ -284,33 +296,33 @@ def _check_hazards(program: StreamProgram, geometry: SrfGeometry):
                         first.task_id, frozenset())):
                 continue
             conflicts = sorted({
-                (name_a, name_b)
-                for (a0, a1, wr_a, name_a) in first_ranges
-                for (b0, b1, wr_b, name_b) in second_ranges
-                if (wr_a or wr_b) and a0 < b1 and b0 < a1
+                (space, name_a, name_b)
+                for (space, a0, a1, wr_a, name_a) in first_ranges
+                for (space_b, b0, b1, wr_b, name_b) in second_ranges
+                if space == space_b and (wr_a or wr_b)
+                and a0 < b1 and b0 < a1
             })
-            if not conflicts:
-                continue
-            pairs = ", ".join(
-                f"{a!r}/{b!r}" for a, b in conflicts
-            )
-            if first.is_kernel and second.is_kernel:
-                yield warning(
-                    "kernel-overlap-unordered",
-                    f"kernels '{first.name}' (task {first.task_id}) and "
-                    f"'{second.name}' (task {second.task_id}) touch "
-                    f"overlapping SRF streams ({pairs}) with no ordering "
-                    "dependency; they serialise on the microcontroller but "
-                    "their order is timing-dependent",
-                    task=first.name,
-                )
-            else:
-                yield error(
-                    "srf-race",
-                    f"tasks '{first.name}' (task {first.task_id}) and "
-                    f"'{second.name}' (task {second.task_id}) access "
-                    f"overlapping SRF words ({pairs}) with at least one "
-                    "writer and no ordering dependency — they can run "
-                    "concurrently and race",
-                    task=first.name,
-                )
+            for space, group in itertools.groupby(
+                conflicts, key=lambda conflict: conflict[0]
+            ):
+                pairs = ", ".join(f"{a!r}/{b!r}" for _, a, b in group)
+                if space == "SRF" and first.is_kernel and second.is_kernel:
+                    yield warning(
+                        "kernel-overlap-unordered",
+                        f"kernels '{first.name}' (task {first.task_id}) and "
+                        f"'{second.name}' (task {second.task_id}) touch "
+                        f"overlapping SRF streams ({pairs}) with no ordering "
+                        "dependency; they serialise on the microcontroller "
+                        "but their order is timing-dependent",
+                        task=first.name,
+                    )
+                else:
+                    yield error(
+                        "srf-race" if space == "SRF" else "mem-race",
+                        f"tasks '{first.name}' (task {first.task_id}) and "
+                        f"'{second.name}' (task {second.task_id}) access "
+                        f"overlapping {space} words ({pairs}) with at least "
+                        "one writer and no ordering dependency — they can "
+                        "run concurrently and race",
+                        task=first.name,
+                    )

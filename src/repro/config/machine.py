@@ -114,10 +114,6 @@ class MachineConfig:
     #: the equivalence suites compare against. Stats are bit-identical
     #: either way.
     timing_source: str = "replay"
-    #: Abort a run after this many cycles without forward progress (a bug
-    #: in the program or the model). ``None`` uses the simulator default
-    #: (:data:`repro.machine.processor.DEADLOCK_CYCLES`).
-    deadlock_cycles: "int | None" = None
     #: Let :meth:`repro.machine.processor.StreamProcessor.run_program`
     #: skip straight over cycles that are provably pure waits (DRAM
     #: latency windows, kernel startup with quiescent stream units),
@@ -301,8 +297,6 @@ class MachineConfig:
             # A truthy string such as "no" must not silently switch on.
             if not isinstance(getattr(self, switch), bool):
                 raise ConfigurationError(f"{switch} must be True or False")
-        if self.deadlock_cycles is not None and self.deadlock_cycles <= 0:
-            raise ConfigurationError("deadlock_cycles must be positive")
         if self.trace_buffer_events <= 0:
             raise ConfigurationError("trace_buffer_events must be positive")
         if self.metrics_level not in (0, 1, 2):

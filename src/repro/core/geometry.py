@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import SrfAccessError
+from repro.errors import SrfAccessError, SrfError
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,16 @@ class SrfGeometry:
         base = block * self.block_words
         self._check_global(base)
         return base
+
+    def check_block_aligned(self, base: int, stream: str,
+                            error: type = SrfError) -> None:
+        """Raise ``error`` naming ``stream`` unless ``base`` starts a
+        block, as every SRF stream must: its port moves whole blocks."""
+        if base % self.block_words:
+            raise error(
+                f"{stream}: SRF base {base} is not aligned to a "
+                f"{self.block_words}-word block"
+            )
 
     def blocks_spanned(self, base: int, length: int) -> int:
         """Number of N x m blocks touched by ``length`` words at ``base``."""

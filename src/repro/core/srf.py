@@ -34,13 +34,13 @@ False when the clusters must stall — plus per-lane ``can_issue`` /
 tuples, so an indexed word costs no object beyond its FIFO entry and its
 completion event.
 
-Kernel streams are timed by counts and tickets alone: the kernel
-executor moves every kernel word between the clusters and
-:class:`~repro.core.storage.SrfStorage` when it issues the access, so a
-sequential port counts buffered words, an address-FIFO entry carries
-only its address, and a reorder-buffer slot is a filled flag. Memory
-streams are the one client whose words move at grant: the memory
-controller's port reads or writes storage in ``on_grant``.
+Every stream is timed by counts and tickets alone: the kernel executor
+moves every kernel word between the clusters and
+:class:`~repro.core.storage.SrfStorage` when it issues the access, and
+the memory controller moves a memory op's words when it issues the op,
+so a sequential port or memory op counts buffered words, an
+address-FIFO entry carries only its address, and a reorder-buffer slot
+is a filled flag. No grant touches storage.
 """
 
 from __future__ import annotations
@@ -280,11 +280,7 @@ class IndexedStream:
         geometry = self.srf.geometry
         descriptor = self.descriptor
         base = descriptor.base
-        if base % geometry.block_words:
-            raise SrfError(
-                f"{descriptor.name}: indexed streams need block-aligned "
-                f"bases (got {base})"
-            )
+        geometry.check_block_aligned(base, descriptor.name)
         local_base = (
             (base // geometry.block_words) * geometry.words_per_lane_access
         )
@@ -586,6 +582,7 @@ class StreamRegisterFile:
         buffer_words: "int | None" = None,
     ) -> SequentialPort:
         """Attach a sequential stream to the SRF port."""
+        self.geometry.check_block_aligned(descriptor.base, descriptor.name)
         if direction is None:
             direction = (
                 PortDirection.READ
@@ -602,22 +599,19 @@ class StreamRegisterFile:
             )
         return port
 
-    def close_sequential(self, port: SequentialPort) -> None:
-        """Detach a sequential port (its stream finished)."""
+    def close_sequential(self, port) -> None:
+        """Detach a sequential port, or a requester registered with
+        :meth:`attach_port` (its stream finished)."""
         self._seq_ports.remove(port)
 
     def attach_port(self, port) -> None:
-        """Register a duck-typed sequential requester (memory-system port).
+        """Register a duck-typed sequential requester (a memory op).
 
         ``port`` must expose ``wants_grant() -> bool`` and
         ``on_grant(cycle) -> int`` (words moved), like
         :class:`SequentialPort`.
         """
         self._seq_ports.append(port)
-
-    def detach_port(self, port) -> None:
-        """Unregister a port attached with :meth:`attach_port`."""
-        self._seq_ports.remove(port)
 
     def open_indexed(self, descriptor: StreamDescriptor) -> IndexedStream:
         """Attach an indexed stream (requires an ISRF machine)."""
@@ -975,19 +969,13 @@ class StreamRegisterFile:
         """
         lines = []
         for port in self._seq_ports:
+            # Memory ops report through MemoryController.inflight_report.
             if isinstance(port, SequentialPort):
                 lines.append(
                     f"sequential port {port.descriptor.name}: "
                     f"{port._blocks_done}/{port.total_blocks} blocks, "
                     f"buffer {port.occupancy}/{port.capacity} words/lane"
                 )
-            else:
-                op = getattr(port, "_op", None)
-                if op is not None:
-                    lines.append(
-                        f"memory-stream port {op.op.describe()}: "
-                        f"{port._blocks_done}/{port._total_blocks} blocks"
-                    )
         for stream in self._indexed_list:
             lines.append(
                 f"indexed stream {stream.descriptor.name}: "

@@ -4,8 +4,8 @@
 either globally or per ``(lane, bank_local)`` via :class:`SrfGeometry`.
 Two clients move words in and out of it: the kernel executor, once per
 kernel stream access when it issues the access, and the memory
-controller's SRF port, once per block it grants. The SRF's timing model
-never touches it.
+controller, once per stream memory op when it issues the op. The SRF's
+timing model never touches it.
 
 :class:`SrfAllocator` hands out block-aligned regions of the global SRF
 address space, the way the Imagine stream scheduler assigns SRF space to

@@ -329,47 +329,36 @@ class KernelExecutor:
 
         One entry per lane: None where the index is None, else the
         storage index of a 1-word record or the list of a longer
-        record's word indices. Each record is checked against the lane's
-        bank (in-lane) or the SRF (cross-lane) before storage is
-        indexed, so a bad index raises :class:`SrfAccessError` rather
-        than an ``IndexError`` or a wrapped negative index.
+        record's word indices. Each index is checked against the
+        stream's records before storage is indexed, so a bad index
+        raises :class:`SrfAccessError` and touches no neighbouring
+        allocation; ``open_indexed`` proved that every in-range record
+        lies inside the lane's bank (in-lane) or the SRF (cross-lane).
         """
         indexed = self._indexed[stream.name]
         rw = indexed.record_words
-        addresses: list = []
-        if indexed.is_crosslane:
-            base = indexed.descriptor.base
-            limit = len(self._words)
-            for index in indices:
-                if index is None:
-                    addresses.append(None)
-                    continue
-                start = base + index * rw
-                if start < 0 or start + rw > limit:
-                    raise SrfAccessError(
-                        f"{stream.name}: record {index} spans SRF addresses "
-                        f"[{start},{start + rw}), out of range [0,{limit})"
-                    )
-                addresses.append(
-                    start if rw == 1 else range(start, start + rw)
-                )
-            return addresses
+        records = indexed.descriptor.length_records
+        crosslane = indexed.is_crosslane
+        base = indexed.descriptor.base if crosslane else indexed.local_base
         geometry = self._geometry
         m = geometry.words_per_lane_access
         block_words = geometry.block_words
-        limit = geometry.bank_words
-        local_base = indexed.local_base
+        addresses: list = []
         for lane, index in enumerate(indices):
             if index is None:
                 addresses.append(None)
                 continue
-            start = local_base + index * rw
-            if start < 0 or start + rw > limit:
+            if not 0 <= index < records:
                 raise SrfAccessError(
-                    f"{stream.name}: lane {lane} record {index} spans "
-                    f"bank-local SRF addresses [{start},{start + rw}), out "
-                    f"of range [0,{limit})"
+                    f"{stream.name}: lane {lane} record index {index} out "
+                    f"of range [0,{records})"
                 )
+            start = base + index * rw
+            if crosslane:
+                addresses.append(
+                    start if rw == 1 else range(start, start + rw)
+                )
+                continue
             column = lane * m
             if rw == 1:
                 super_block, offset = divmod(start, m)

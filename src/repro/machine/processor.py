@@ -37,9 +37,8 @@ from repro.memory.mainmem import MainMemory
 from repro.observe.observer import Observer
 from repro.observe.observer import register as _register_observer
 
-#: Abort knob: a program making no forward progress for this many cycles
-#: is declared deadlocked (a bug in the program or the model). Used when
-#: :attr:`MachineConfig.deadlock_cycles` is None.
+#: A program making no forward progress for this many cycles is declared
+#: deadlocked (a bug in the program or the model).
 DEADLOCK_CYCLES = 200_000
 
 
@@ -117,13 +116,6 @@ class StreamProcessor:
             )
         return self._schedule_cache[key]
 
-    @property
-    def deadlock_limit(self) -> int:
-        """Effective no-progress abort threshold for this machine."""
-        if self.config.deadlock_cycles is not None:
-            return self.config.deadlock_cycles
-        return DEADLOCK_CYCLES
-
     # ------------------------------------------------------------------
     def run_program(self, program: StreamProgram) -> ProgramStats:
         """Execute a stream program to completion; returns its stats.
@@ -155,7 +147,7 @@ class StreamProcessor:
         stats = ProgramStats(name=program.name)
         start_cycle = self.cycle
         start_traffic = self.controller.offchip_traffic_words
-        limit = self.deadlock_limit
+        limit = DEADLOCK_CYCLES
         use_fast_forward = self.config.fast_forward
         tracer = self._tracer
         if tracer is not None:

@@ -104,7 +104,7 @@ TIMING_ONLY_FIELDS = frozenset({
     "inlane_addr_data_separation", "crosslane_addr_data_separation",
     "crosslane_network", "shared_interlane_network", "indexed_arbitration",
     # Simulation knobs (all proven stats-inert elsewhere).
-    "timing_source", "deadlock_cycles", "fast_forward", "sanitize",
+    "timing_source", "fast_forward", "sanitize",
     # Observability (read-only probes by construction).
     "trace", "trace_buffer_events", "metrics_level",
     # Memory-system timing.

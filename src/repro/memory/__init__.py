@@ -1,6 +1,6 @@
 """Off-chip memory system: DRAM model, main memory, stream memory ops."""
 
-from repro.memory.controller import MemoryController, MemoryPort, MemoryStats
+from repro.memory.controller import MemoryController, MemoryStats
 from repro.memory.dram import DramModel, DramStats
 from repro.memory.mainmem import MainMemory, MemoryRegion
 from repro.memory.ops import (
@@ -18,7 +18,6 @@ __all__ = [
     "MainMemory",
     "MemoryController",
     "MemoryOpKind",
-    "MemoryPort",
     "MemoryRegion",
     "MemoryStats",
     "StreamMemoryOp",

@@ -6,13 +6,17 @@ cycle, mediating between three rate-limited resources:
 * DRAM bus budget and row-buffer locality (:class:`DramModel`);
 * optional on-chip cache bandwidth (``Cache`` configuration);
 * the SRF port, which memory streams share with kernel streams via their
-  own stream-buffer ports (paper §4.3) — modelled by registering a
-  :class:`MemoryPort` per active op with the SRF arbiter.
+  own stream-buffer ports (paper §4.3) — modelled by registering each
+  active op with the SRF arbiter as a sequential requester.
 
-Data staged between DRAM and the SRF lives in a bounded per-op staging
-buffer (the memory-side stream buffer), so a stalled SRF port throttles
-DRAM fetches and vice versa, exactly the decoupling the paper relies on
-to overlap memory transfers with kernel execution.
+An op's words move once, when :meth:`MemoryController.issue` copies
+them between :class:`MainMemory` and SRF storage; the rest of the op is
+timed by counts alone. This is exact because ``python -m repro.analyze``
+rejects as ``srf-race`` or ``mem-race`` any task that could see the
+words in between. A bounded per-op staging count (the memory-side
+stream buffer) lets a stalled SRF port throttle DRAM fetches and vice
+versa, exactly the decoupling the paper relies on to overlap memory
+transfers with kernel execution.
 
 Each cycle's transfer round is one pass over the active ops in issue
 order. A ready op moves as many words as its staging room and the
@@ -20,8 +24,8 @@ bandwidth allow: a non-cached op charges its run of addresses to DRAM
 in one :meth:`DramModel.access_run` call, and a cached op makes one
 cache access per word. Since a refusal is final within a cycle, this
 moves the same words in the same order as moving one word at a time
-and restarting from the oldest op. The SRF port moves whole blocks
-between the staging buffer and SRF storage when it is granted.
+and restarting from the oldest op. An SRF grant moves one block of the
+op's stream between the staging buffer and the SRF side.
 """
 
 from __future__ import annotations
@@ -51,57 +55,22 @@ class MemoryStats:
     busy_cycles: int = 0
 
 
-class MemoryPort:
-    """SRF-port adapter for one active memory stream op.
+class _ActiveOp:
+    """Runtime state of one in-flight stream memory operation.
 
-    Implements the same ``wants_grant``/``on_grant`` protocol as kernel
+    The op is its own SRF-port client: it implements the same
+    ``wants_grant``/``on_grant`` protocol as kernel
     :class:`~repro.core.srf.SequentialPort` objects, so the single SRF
     port arbitrates between kernel and memory streams uniformly. Each
     grant moves one block of the op's block-aligned SRF stream between
-    storage and the op's staging buffer.
+    the SRF and the staging buffer; the words themselves moved at issue.
     """
-
-    def __init__(self, op: "_ActiveOp", srf: StreamRegisterFile):
-        self._op = op
-        self._storage = srf.storage
-        self._into_srf = op.into_srf
-        self._base = op.op.srf.base
-        self.block_words = srf.geometry.block_words
-        self._total_blocks = srf.geometry.blocks_spanned(self._base, op.words)
-        self._blocks_done = 0
-        #: Words of the next block, kept by :meth:`on_grant`.
-        self._width = min(self.block_words, op.words)
-
-    def wants_grant(self) -> bool:
-        if self._blocks_done >= self._total_blocks:
-            return False
-        if self._into_srf:
-            return len(self._op.staging) >= self._width
-        return (self._op.staging_capacity - len(self._op.staging)
-                >= self._width)
-
-    def on_grant(self, cycle: int) -> int:
-        op = self._op
-        width = self._width
-        base = self._base + op.srf_cursor
-        if self._into_srf:
-            self._storage.write_range(base, op.unstage(width))
-        else:
-            op.staging.extend(self._storage.read_range(base, width))
-        self._blocks_done += 1
-        op.srf_cursor += width
-        self._width = min(self.block_words, op.words - op.srf_cursor)
-        return width
-
-
-class _ActiveOp:
-    """Runtime state of one in-flight stream memory operation."""
 
     #: Staging (memory-side stream buffer) capacity in words: two full
     #: SRF blocks of decoupling per op.
     STAGING_BLOCKS = 2
 
-    def __init__(self, op: StreamMemoryOp, srf: StreamRegisterFile,
+    def __init__(self, op: StreamMemoryOp, block_words: int,
                  issue_cycle: int, ready_cycle: int, cached: bool):
         self.op = op
         self.into_srf = op.into_srf
@@ -114,18 +83,31 @@ class _ActiveOp:
         self.ready_cycle = ready_cycle
         self.mem_cursor = 0  # words moved on the DRAM/cache side
         self.srf_cursor = 0  # words moved through the SRF port
-        #: Words between the two sides, oldest first: read from memory
-        #: and not yet granted into the SRF (loads), or granted out of
-        #: the SRF and not yet written to memory (stores).
-        self.staging = []
-        self.port = MemoryPort(self, srf)
-        self.staging_capacity = self.STAGING_BLOCKS * self.port.block_words
+        #: Words between the two sides: read from memory and not yet
+        #: granted into the SRF (loads), or granted out of the SRF and
+        #: not yet written to memory (stores).
+        self.staged = 0
+        self.block_words = block_words
+        self.staging_capacity = self.STAGING_BLOCKS * block_words
+        #: Words of the next block, kept by :meth:`on_grant`.
+        self._width = min(block_words, self.words)
 
-    def unstage(self, count: int) -> list:
-        """Take the ``count`` oldest staged words."""
-        values = self.staging[:count]
-        del self.staging[:count]
-        return values
+    def wants_grant(self) -> bool:
+        if self.srf_cursor >= self.words:
+            return False
+        if self.into_srf:
+            return self.staged >= self._width
+        return self.staging_capacity - self.staged >= self._width
+
+    def on_grant(self, cycle: int) -> int:
+        width = self._width
+        if self.into_srf:
+            self.staged -= width
+        else:
+            self.staged += width
+        self.srf_cursor += width
+        self._width = min(self.block_words, self.words - self.srf_cursor)
+        return width
 
     @property
     def done(self) -> bool:
@@ -144,9 +126,10 @@ class _ActiveOp:
 class MemoryController:
     """Cycle-steppable controller for all stream memory traffic.
 
-    ``issue`` starts an op (registering its SRF port); ``tick`` advances
-    DRAM/cache transfers by one cycle; ``is_complete`` reports
-    completion for the machine's stream-op dependency tracking.
+    ``issue`` starts an op (moving its words and registering it with the
+    SRF port); ``tick`` advances DRAM/cache transfers by one cycle;
+    ``is_complete`` reports completion for the machine's stream-op
+    dependency tracking.
     """
 
     def __init__(self, config: MachineConfig, srf: StreamRegisterFile,
@@ -200,21 +183,28 @@ class MemoryController:
         ``cacheable`` is a hint: on machines without a cache it simply
         degrades to a plain DRAM access pattern. The op's SRF stream must
         start on a block boundary, since the port moves whole blocks.
+        This is the only place the op's words move.
         """
-        block_words = self.srf.geometry.block_words
-        if op.srf.base % block_words:
-            raise MemorySystemError(
-                f"{op.describe()}: SRF base {op.srf.base} is not aligned "
-                f"to a {block_words}-word block"
+        geometry = self.srf.geometry
+        srf_base = op.srf.base
+        geometry.check_block_aligned(
+            srf_base, op.describe(), MemorySystemError
+        )
+        storage = self.srf.storage
+        if op.into_srf:
+            storage.write_range(srf_base, self.memory.read_words(op.mem_addrs))
+        else:
+            self.memory.write_words(
+                op.mem_addrs, storage.read_range(srf_base, op.words)
             )
         cached = self.cache is not None and op.cacheable
         ready = cycle + (
             self.cache.hit_latency if cached
             else self.config.dram_latency_cycles
         )
-        active = _ActiveOp(op, self.srf, cycle, ready, cached)
+        active = _ActiveOp(op, geometry.block_words, cycle, ready, cached)
         self._active.append(active)
-        self.srf.attach_port(active.port)
+        self.srf.attach_port(active)
         if self._tracer is not None:
             self._tracer.async_begin(
                 "memory", op.describe(), cycle, event_id=op.op_id,
@@ -280,9 +270,9 @@ class MemoryController:
         many credit-accrual cycles.
         """
         if active.into_srf:
-            if len(active.staging) >= active.staging_capacity:
+            if active.staged >= active.staging_capacity:
                 return None
-        elif not active.staging:
+        elif not active.staged:
             return None
         if active.cached:
             step = self.cache.words_per_cycle
@@ -327,21 +317,21 @@ class MemoryController:
         self._retire(cycle)
 
     def _transfer_round(self, cycle: int) -> None:
-        """Move words for active ops, oldest op first.
+        """Advance the memory side of active ops, oldest op first.
 
         The stream controller drains its command queue in issue order,
         so the oldest transfer gets the full remaining bus — this is
         what lets a dependent kernel start as early as possible while
         later (prefetch) transfers fill leftover bandwidth.
 
-        Each ready op moves words until its staging buffer or the
-        bandwidth refuses the next one. A refusal is final for the
-        cycle: staging changes only at SRF grants, which come after this
-        tick; DRAM and cache credit only fall; and a cache fill that
-        could make a later probe hit needs the DRAM credit the refusal
-        proved spent. So one pass in issue order moves the same words
-        in the same order as restarting from the oldest op after every
-        word.
+        Each ready op advances its memory-side cursor until its staging
+        buffer or the bandwidth refuses the next word. A refusal is final
+        for the cycle: staging changes only at SRF grants, which come
+        after this tick; DRAM and cache credit only fall; and a cache
+        fill that could make a later probe hit needs the DRAM credit the
+        refusal proved spent. So one pass in issue order moves the same
+        words in the same order as restarting from the oldest op after
+        every word.
         """
         for active in self._active:  # issue order
             cursor = active.mem_cursor
@@ -350,9 +340,9 @@ class MemoryController:
             # Staging room: free slots for a load, staged words for a
             # store.
             if active.into_srf:
-                room = active.staging_capacity - len(active.staging)
+                room = active.staging_capacity - active.staged
             else:
-                room = len(active.staging)
+                room = active.staged
             stop = min(cursor + room, active.words)
             if stop <= cursor:
                 continue
@@ -365,12 +355,10 @@ class MemoryController:
                 self.stats.offchip_words += moved
             if not moved:
                 continue
-            # Functional transfer.
-            addrs = active.addrs[cursor : cursor + moved]
             if active.into_srf:
-                active.staging.extend(self.memory.read_words(addrs))
+                active.staged += moved
             else:
-                self.memory.write_words(addrs, active.unstage(moved))
+                active.staged -= moved
             active.mem_cursor = cursor + moved
 
     def _move_cached(self, active: _ActiveOp, cursor: int, stop: int) -> int:
@@ -406,8 +394,7 @@ class MemoryController:
         finished = [a for a in self._active if a.done]
         for active in finished:
             self._active.remove(active)
-            self.srf.detach_port(active.port)
-            active.port = None  # the port points back at its op
+            self.srf.close_sequential(active)
             self._completed[active.op.op_id] = cycle
             self.stats.ops_completed += 1
             if self._tracer is not None:
@@ -426,7 +413,8 @@ class MemoryController:
                 f"{active.op.describe()} ({direction}): issued cycle "
                 f"{active.issue_cycle}, ready cycle {active.ready_cycle}, "
                 f"{active.mem_cursor}/{active.words} words moved, "
-                f"{len(active.staging)} staged"
+                f"{active.staged} staged, {active.srf_cursor}/{active.words} "
+                "through the SRF port"
             )
         return lines
 

@@ -336,6 +336,44 @@ class TestHazards:
         assert "srf-race" not in {d.code for d in report.diagnostics}
 
 
+def memory_pair(proc, second, same_region=True, ordered=False):
+    """A load, then a ``second`` ("load" or "store") memory op, on
+    disjoint SRF arrays, over one main-memory region or two."""
+    first_region = proc.memory.allocate(64, "r1")
+    second_region = (first_region if same_region
+                     else proc.memory.allocate(64, "r2"))
+    build = load_op if second == "load" else store_op
+    prog = StreamProgram("pair")
+    t_load = prog.add_memory(load_op(
+        SrfArray(proc.srf, 64, "a").seq_read(), first_region
+    ))
+    prog.add_memory(
+        build(SrfArray(proc.srf, 64, "b").seq_read(), second_region),
+        deps=[t_load] if ordered else [],
+    )
+    return prog
+
+
+class TestMemoryHazards:
+    """Main memory is a second address space: unordered memory ops whose
+    address spans overlap with at least one writer race."""
+
+    def test_unordered_load_and_store_of_one_region_race(self, isrf):
+        report = analyze_program(memory_pair(isrf, "store"), isrf.config)
+        assert error_codes(report) == {"mem-race"}  # and no srf-race
+
+    def test_ordered_load_and_store_do_not_race(self, isrf):
+        prog = memory_pair(isrf, "store", ordered=True)
+        assert analyze_program(prog, isrf.config).ok
+
+    def test_unordered_loads_of_one_region_do_not_race(self, isrf):
+        assert analyze_program(memory_pair(isrf, "load"), isrf.config).ok
+
+    def test_unordered_disjoint_regions_do_not_race(self, isrf):
+        prog = memory_pair(isrf, "store", same_region=False)
+        assert analyze_program(prog, isrf.config).ok
+
+
 class TestDependencies:
     def test_dangling_dependency(self, isrf):
         a = SrfArray(isrf.srf, 64, "a")

@@ -3,8 +3,8 @@
 A machine left in a reference cycle stays allocated until the cyclic
 garbage collector's next full pass, so a sweep's peak memory would
 depend on when that pass happens to run. Kernel payloads therefore hold
-plain state, never the benchmark object, and the executor and memory
-controller drop their back-references when their work retires.
+plain state, never the benchmark object, the executor drops its
+back-references when its work retires, and a memory op holds none.
 """
 
 import gc

@@ -33,8 +33,6 @@ def other_value(value):
         return value + 1
     if isinstance(value, str):
         return value + "-changed"
-    if value is None:
-        return 1
     raise TypeError(f"no variant for {value!r}")
 
 

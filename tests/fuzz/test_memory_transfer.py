@@ -12,11 +12,13 @@ order.
 Both controllers, each with its own SRF and main memory, run the same
 random ops on the Base and Cache configurations: 1–5 loads, stores,
 gathers or scatters of 1–300 words, gather/scatter addresses over 1–16
-DRAM rows, cacheable or not, issued at random cycles. Ops may overlap
-in main memory, so the final contents also pin the order of the words.
-Every cycle the two must agree on which ops are complete and on each
-active op's memory-side cursor; at the end, on the memory, DRAM and
-cache stats, the bandwidth credits, main memory and SRF storage.
+DRAM rows, cacheable or not, issued at random cycles. Both move an
+op's words when they issue it and count the words they stage, so the
+per-cycle cursors, not the final memory contents, pin the order in
+which the words are timed. Every cycle the two must agree on which ops
+are complete and on each active op's memory-side cursor; at the end,
+on the memory, DRAM and cache stats, the bandwidth credits, main memory
+and SRF storage.
 """
 
 import random
@@ -60,9 +62,9 @@ class PerWordController(MemoryController):
     def _move_one_word(self, active) -> bool:
         into_srf = active.into_srf
         if into_srf:
-            if len(active.staging) >= active.staging_capacity:
+            if active.staged >= active.staging_capacity:
                 return False
-        elif not active.staging:
+        elif not active.staged:
             return False
         addr = active.addrs[active.mem_cursor]
         is_write = not into_srf
@@ -85,10 +87,7 @@ class PerWordController(MemoryController):
             if not self.dram.try_access(addr, is_write):
                 return False
             self.stats.offchip_words += 1
-        if into_srf:
-            active.staging.append(self.memory.read(addr))
-        else:
-            self.memory.write(addr, active.unstage(1)[0])
+        active.staged += 1 if into_srf else -1
         active.mem_cursor += 1
         return True
 

@@ -93,9 +93,9 @@ class TestFunctionalReadRange:
     @pytest.mark.parametrize("where", ["past_end", "negative"])
     def test_out_of_range_index_raises_srf_error(self, crosslane, where):
         index = isrf4_config().srf_words if where == "past_end" else -1
-        # The message is the functional read's: the timed issue's own
-        # record-index check ("record index ...") fires only later.
-        with pytest.raises(SrfError, match="SRF addresses"):
+        # The message is the functional read's, which names the lane: the
+        # timed issue's own record-index check fires only later.
+        with pytest.raises(SrfError, match="lane 0 record index"):
             self.run_lookup(crosslane, index)
 
 

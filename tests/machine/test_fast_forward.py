@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+import repro.machine.processor as processor_module
 from repro.apps import fft, sort
 from repro.config import base_config
 from repro.config.presets import all_configs
@@ -59,37 +60,31 @@ class TestDeadlockNotMasked:
         return prog
 
     @pytest.mark.parametrize("fast_forward", [True, False])
-    def test_configured_limit_aborts(self, fast_forward):
-        config = base_config().replace(
-            deadlock_cycles=500, fast_forward=fast_forward
-        )
+    def test_configured_limit_aborts(self, fast_forward, monkeypatch):
+        monkeypatch.setattr(processor_module, "DEADLOCK_CYCLES", 500)
+        config = base_config().replace(fast_forward=fast_forward)
         proc = StreamProcessor(config)
         with pytest.raises(ExecutionError, match="no progress for 500"):
             proc.run_program(self._stuck_program(proc))
 
-    def test_abort_cycle_identical_across_modes(self):
+    def test_abort_cycle_identical_across_modes(self, monkeypatch):
         # Fast-forward must not skip past the deadlock horizon: a stuck
         # program aborts on exactly the same cycle either way.
+        monkeypatch.setattr(processor_module, "DEADLOCK_CYCLES", 400)
         abort_cycles = []
         for fast_forward in (True, False):
-            config = base_config().replace(
-                deadlock_cycles=400, fast_forward=fast_forward
-            )
+            config = base_config().replace(fast_forward=fast_forward)
             proc = StreamProcessor(config)
             with pytest.raises(ExecutionError, match="no progress for 400"):
                 proc.run_program(self._stuck_program(proc))
             abort_cycles.append(proc.cycle)
         assert abort_cycles[0] == abort_cycles[1]
 
-    def test_deadlock_cycles_validated(self):
-        with pytest.raises(Exception, match="deadlock_cycles"):
-            base_config().replace(deadlock_cycles=0)
-
     @pytest.mark.parametrize("fast_forward", [True, False])
-    def test_abort_raises_deadlock_error_with_report(self, fast_forward):
-        config = base_config().replace(
-            deadlock_cycles=500, fast_forward=fast_forward
-        )
+    def test_abort_raises_deadlock_error_with_report(self, fast_forward,
+                                                     monkeypatch):
+        monkeypatch.setattr(processor_module, "DEADLOCK_CYCLES", 500)
+        config = base_config().replace(fast_forward=fast_forward)
         proc = StreamProcessor(config)
         with pytest.raises(DeadlockError) as excinfo:
             proc.run_program(self._stuck_program(proc))
@@ -117,11 +112,11 @@ class TestDeadlockNotMasked:
         prog.validate = lambda: None  # bypass static validation
         return prog
 
-    def test_forensics_listings_are_deterministic(self):
-        config = base_config().replace(deadlock_cycles=400)
+    def test_forensics_listings_are_deterministic(self, monkeypatch):
+        monkeypatch.setattr(processor_module, "DEADLOCK_CYCLES", 400)
         texts = []
         for _ in range(2):
-            proc = StreamProcessor(config)
+            proc = StreamProcessor(base_config())
             with pytest.raises(DeadlockError) as excinfo:
                 proc.run_program(self._multi_stuck_program(proc))
             report = excinfo.value.report
@@ -137,9 +132,9 @@ class TestDeadlockNotMasked:
             texts.append(re.sub(r"task \d+", "task N", report.describe()))
         assert texts[0] == texts[1]
 
-    def test_report_names_the_blocked_task_and_its_deps(self):
-        config = base_config().replace(deadlock_cycles=500)
-        proc = StreamProcessor(config)
+    def test_report_names_the_blocked_task_and_its_deps(self, monkeypatch):
+        monkeypatch.setattr(processor_module, "DEADLOCK_CYCLES", 500)
+        proc = StreamProcessor(base_config())
         with pytest.raises(DeadlockError) as excinfo:
             proc.run_program(self._stuck_program(proc))
         report = excinfo.value.report

@@ -13,7 +13,8 @@ import pytest
 
 from repro.config import isrf4_config
 from repro.core import SrfArray
-from repro.errors import SrfAccessError
+from repro.core.descriptors import StreamDescriptor, StreamKind
+from repro.errors import SrfAccessError, SrfError
 from repro.kernel import KernelBuilder
 from repro.machine import KernelInvocation, StreamProcessor, StreamProgram
 from repro.machine.executor import KernelExecutor
@@ -122,6 +123,31 @@ class TestSequential:
         assert proc.srf.storage.read_range(out.base, 4) == [0, 1, 2, 3]
         assert proc.srf.storage.read_range(out.base + 32, 1) == [0]
 
+    def test_misaligned_stream_does_not_open(self):
+        # A copy kernel reads a 32-word stream that starts 4 words into
+        # its block. Opened, its port would span 2 blocks and take an
+        # extra grant, and lane l would read lane l+1's stripe.
+        b = KernelBuilder("copy")
+        b.write(b.ostream("out"), b.read(b.istream("in")))
+        kernel = b.build()
+        proc = StreamProcessor(isrf4_config())
+        src = SrfArray(proc.srf, 64, "in")
+        src.fill_stream_order(range(64))
+        out = SrfArray(proc.srf, 32, "out")
+        view = StreamDescriptor(
+            "in", StreamKind.SEQUENTIAL_READ, src.base + 4, 32
+        )
+        prog = StreamProgram("p")
+        prog.add_kernel(KernelInvocation(
+            kernel, {"in": view, "out": out.seq_write()}, iterations=4,
+        ))
+        with pytest.raises(
+            SrfError, match=rf"^in: SRF base {src.base + 4} is not aligned"
+        ):
+            proc.run_program(prog)
+        assert proc.srf.stats.sequential_grants == 0
+        assert proc.srf.storage.read_range(out.base, 32) == [0] * 32
+
 
 def inlane_table(kind="inlane_read", record_words=1, records=64):
     """Executor with one in-lane indexed stream ``t`` whose lane ``l``
@@ -211,3 +237,44 @@ class TestIndexed:
         with pytest.raises(SrfAccessError, match="lane 5 record"):
             executor.functional_idx_write(stream, entries)
         assert srf.storage._words == before
+
+
+class TestIndexPastTheRecords:
+    """An indexed access past its stream's records raises before it
+    touches storage, even where the record would still lie inside the
+    lane's bank or the SRF: here, in the allocation of 7s that follows
+    the stream's 4-record (in-lane) or 32-record (cross-lane) table."""
+
+    @pytest.mark.parametrize("kind", [
+        "inlane_read", "inlane_write", "crosslane_read",
+    ])
+    def test_access_raises_and_leaves_the_neighbour_untouched(self, kind):
+        proc = StreamProcessor(isrf4_config())
+        table = SrfArray(proc.srf, 32, "table")  # one block
+        neighbour = SrfArray(proc.srf, 32, "next")
+        neighbour.fill_stream_order([7] * 32)
+        out = SrfArray(proc.srf, 32, "out")
+        records = 32 if kind == "crosslane_read" else 4
+        b = KernelBuilder("probe")
+        it = b.carry(0, "it")
+        b.update(it, b.add(it, b.const(1)))
+        index = b.add(it, b.const(records))  # records, records + 1, ...
+        if kind == "inlane_write":
+            b.idx_write(b.idxl_ostream("table"), index, b.const(99))
+            bindings = {"table": table.inlane_write(records)}
+        else:
+            stream = (b.idx_istream("table") if kind == "crosslane_read"
+                      else b.idxl_istream("table"))
+            b.write(b.ostream("out"), b.idx_read(stream, index))
+            bindings = {"table": getattr(table, kind)(records),
+                        "out": out.seq_write()}
+        prog = StreamProgram("p")
+        prog.add_kernel(KernelInvocation(b.build(), bindings, iterations=4))
+        with pytest.raises(
+            SrfAccessError,
+            match=rf"^table: lane 0 record index {records} out of range",
+        ):
+            proc.run_program(prog)
+        storage = proc.srf.storage
+        assert storage.read_range(neighbour.base, 32) == [7] * 32
+        assert storage.read_range(out.base, 32) == [0] * 32

@@ -151,6 +151,60 @@ class TestGatherScatter:
         assert gather_cycles > 1.5 * seq_cycles
 
 
+class TestWordsMoveAtIssue:
+    """``issue`` is the only place an op's words move; the ticks that
+    follow time the transfer by counts."""
+
+    @pytest.mark.parametrize("kind", ["load", "gather"])
+    def test_words_reach_the_srf_before_any_tick(self, kind):
+        srf, memory, controller = make_machine()
+        region = memory.allocate(128, "table")
+        memory.load_region(region, [i * 10 for i in range(128)])
+        alloc = srf.allocator.allocate(32, "s")
+        desc = StreamDescriptor("s", StreamKind.SEQUENTIAL_READ, alloc.base, 32)
+        offsets = [(7 * i) % 128 for i in range(32)]
+        op = (load_op(desc, region, 0, 32) if kind == "load"
+              else gather_op(desc, region, offsets))
+        controller.issue(op, 0)
+        expected = [i * 10 for i in range(32)] if kind == "load" else [
+            off * 10 for off in offsets
+        ]
+        assert srf.storage.read_range(alloc.base, 32) == expected
+        assert not controller.is_complete(op.op_id)
+
+    @pytest.mark.parametrize("kind", ["store", "scatter"])
+    def test_words_reach_memory_before_any_tick(self, kind):
+        srf, memory, controller = make_machine()
+        region = memory.allocate(128, "out")
+        alloc = srf.allocator.allocate(32, "s")
+        srf.storage.write_range(alloc.base, [100 + i for i in range(32)])
+        desc = StreamDescriptor("s", StreamKind.SEQUENTIAL_WRITE, alloc.base, 32)
+        offsets = [(11 * i) % 128 for i in range(32)]
+        op = (store_op(desc, region, 0, 32) if kind == "store"
+              else scatter_op(desc, region, offsets))
+        controller.issue(op, 0)
+        targets = range(32) if kind == "store" else offsets
+        assert [memory.read(region.addr(off)) for off in targets] == [
+            100 + j for j in range(32)
+        ]
+        assert not controller.is_complete(op.op_id)
+
+    def test_inflight_report_names_both_sides(self):
+        # The op is its own SRF-port client, so deadlock forensics read
+        # both of its cursors here.
+        srf, memory, controller = make_machine()
+        region = memory.allocate(64, "input")
+        alloc = srf.allocator.allocate(64, "s")
+        desc = StreamDescriptor("s", StreamKind.SEQUENTIAL_READ, alloc.base, 64)
+        controller.issue(load_op(desc, region), 0)
+        ready = base_config().dram_latency_cycles
+        assert controller.inflight_report() == [
+            f"load:s (mem->SRF): issued cycle 0, ready cycle {ready}, "
+            "0/64 words moved, 0 staged, 0/64 through the SRF port"
+        ]
+        assert not any("load:s" in line for line in srf.occupancy_report())
+
+
 class TestConcurrency:
     def test_oldest_op_gets_priority(self):
         # The stream controller drains transfers in issue order: the
