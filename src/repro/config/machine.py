@@ -114,12 +114,6 @@ class MachineConfig:
     #: the equivalence suites compare against. Stats are bit-identical
     #: either way.
     timing_source: str = "replay"
-    #: Let :meth:`repro.machine.processor.StreamProcessor.run_program`
-    #: skip straight over cycles that are provably pure waits (DRAM
-    #: latency windows, kernel startup with quiescent stream units),
-    #: charging them to the same stall categories in bulk. Results are
-    #: bit-identical to per-cycle stepping; disable only to cross-check.
-    fast_forward: bool = True
     #: Debug mode: assert cycle-level machine invariants (SRF occupancy
     #: conservation, stream-buffer credit balance, address-FIFO head
     #: coherence, crossbar budget bounds) every simulated cycle, raising
@@ -230,6 +224,13 @@ class MachineConfig:
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on inconsistent parameters."""
+        for field in dataclasses.fields(self):
+            # A truthy string such as "no" must not silently switch a
+            # flag on. (Annotations are strings under the __future__
+            # import.)
+            if field.type == "bool" and not isinstance(
+                    getattr(self, field.name), bool):
+                raise ConfigurationError(f"{field.name} must be True or False")
         if self.lanes <= 0:
             raise ConfigurationError("lanes must be positive")
         if self.srf_bytes % (self.lanes * WORD_BYTES):
@@ -293,10 +294,6 @@ class MachineConfig:
                 f"unknown timing_source {self.timing_source!r} "
                 f"(known: {', '.join(TIMING_SOURCES)})"
             )
-        for switch in ("fast_forward", "sanitize"):
-            # A truthy string such as "no" must not silently switch on.
-            if not isinstance(getattr(self, switch), bool):
-                raise ConfigurationError(f"{switch} must be True or False")
         if self.trace_buffer_events <= 0:
             raise ConfigurationError("trace_buffer_events must be positive")
         if self.metrics_level not in (0, 1, 2):

@@ -702,36 +702,14 @@ class StreamRegisterFile:
         self._arbitrate(cycle)
 
     def next_event_cycle(self, cycle: int) -> "int | None":
-        """Earliest cycle at which :meth:`tick` could change state.
-
-        ``cycle`` itself when the next tick may arbitrate an access (a
-        port wants a grant, indexed addresses are queued, or return data
-        is waiting), the due cycle of the oldest pipelined completion
-        otherwise, and ``None`` when the SRF is fully quiescent. Cycles
-        before the returned value may be skipped via :meth:`fast_forward`
-        with results bit-identical to per-cycle ticking.
-        """
-        for port in self._seq_ports:
-            if port.wants_grant():
-                return cycle
-        for stream in self._indexed_list:
-            if stream.pending_words:
-                return cycle
-        if self.return_network.pending():
-            return cycle
-        if self._cal_count:
-            return self._next_due()
-        return None
+        """No caller; kept because bench/layers.py wraps it by name
+        (ROADMAP item 8)."""
+        raise NotImplementedError("every cycle ticks the SRF")
 
     def fast_forward(self, cycles: int) -> None:
-        """Account ``cycles`` ticks in bulk across a quiescent window.
-
-        Only valid when :meth:`next_event_cycle` reported no possible
-        state change for the whole window (so arbitration, pipelined
-        completions, and the return network would all have been no-ops).
-        """
-        self.stats.cycles += cycles
-        self._comm_busy = False
+        """No caller; kept because bench/layers.py wraps it by name
+        (ROADMAP item 8)."""
+        raise NotImplementedError("every cycle ticks the SRF")
 
     # ------------------------------------------------------------------
     # Pipelined completions (calendar ring)
@@ -757,11 +735,6 @@ class StreamRegisterFile:
         """
         size = self._cal_size
         floor = self._cal_floor
-        if cycle - floor >= size:
-            # A fast-forward skipped past the floor. The skip contract
-            # guarantees nothing fell due inside the skipped window, so
-            # every live due is >= cycle.
-            floor = cycle
         cal = self._cal
         enqueue = self.return_network.enqueue
         while floor <= cycle:

@@ -128,9 +128,9 @@ def trace_output_path() -> str:
 def run_benchmark(name: str, config, scale: str) -> AppResult:
     """Run (and cache) one benchmark on one machine configuration."""
     # Key on a fingerprint of every config field: the config *name*
-    # alone would alias derived variants (separation sweeps,
-    # fast_forward or timing_source toggles), and repr() would miss any
-    # field declared with repr=False.
+    # alone would alias derived variants (separation sweeps or
+    # timing_source toggles), and repr() would miss any field declared
+    # with repr=False.
     key = (name, config_fingerprint(config), scale)
     if key in _run_cache:
         return _run_cache[key]

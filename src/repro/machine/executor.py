@@ -411,29 +411,14 @@ class KernelExecutor:
         return self._startup_remaining
 
     def fast_forward(self, cycles: int) -> None:
-        """Consume ``cycles`` of the fixed startup delay in bulk.
+        """No caller; kept because bench/layers.py wraps it by name
+        (ROADMAP item 8)."""
+        raise NotImplementedError("every cycle steps the kernel")
 
-        Equivalent to ``cycles`` calls to :meth:`step` while the startup
-        countdown is running (each would only bump the cycle counter).
-        """
-        if cycles > self._startup_remaining:
-            raise ExecutionError(
-                f"{self.invocation.name}: cannot fast-forward {cycles} "
-                f"cycles with {self._startup_remaining} startup cycles left"
-            )
-        self.stats.total_cycles += cycles
-        self._startup_remaining -= cycles
-
-    # No caller left; kept because bench/layers.py wraps it by name.
     def fast_forward_steady(self, cycles: int) -> None:
-        """Consume ``cycles`` steady-state cycles that would only wait.
-
-        Valid only while no iteration issue or timed event is due in
-        the window: each skipped step would have bumped ``total_cycles``
-        and virtual time and done nothing else.
-        """
-        self.stats.total_cycles += cycles
-        self._vt += cycles
+        """No caller; kept because bench/layers.py wraps it by name
+        (ROADMAP item 8)."""
+        raise NotImplementedError("every cycle steps the kernel")
 
     def step(self) -> bool:
         """Advance one machine cycle; returns comm_busy for this cycle.

@@ -120,13 +120,9 @@ class StreamProcessor:
     def run_program(self, program: StreamProgram) -> ProgramStats:
         """Execute a stream program to completion; returns its stats.
 
-        The loop is event-aware: task scans rerun only when a completion
-        can have changed readiness, and stretches of cycles in which no
-        component can change state (DRAM latency windows, bandwidth
-        credit refills, kernel startup with quiescent stream units) are
-        skipped in bulk via the components' ``next_event_cycle`` /
-        ``fast_forward`` protocol. Stats are bit-identical to per-cycle
-        stepping (``MachineConfig.fast_forward=False``).
+        One cycle loop: every cycle ticks the memory controller, the
+        running kernel (if any) and the SRF once each. Task scans rerun
+        only when a completion can have changed readiness.
         """
         program.validate()
         # Trace-replay wiring (repro.machine.replay): when the config
@@ -148,7 +144,6 @@ class StreamProcessor:
         start_cycle = self.cycle
         start_traffic = self.controller.offchip_traffic_words
         limit = DEADLOCK_CYCLES
-        use_fast_forward = self.config.fast_forward
         tracer = self._tracer
         if tracer is not None:
             tracer.begin(
@@ -218,33 +213,6 @@ class StreamProcessor:
                             progressed = True
                             break
                 scan_needed = False
-
-            # Fast-forward across provably inert cycles.
-            if use_fast_forward and (
-                running is None or running[1].startup_remaining > 0
-            ):
-                skip = self._fast_forward_window(
-                    running, progressed, last_progress_cycle, limit
-                )
-                if skip > 0:
-                    self.controller.fast_forward(skip)
-                    self.srf.fast_forward(skip)
-                    if running is None:
-                        if self.controller.busy:
-                            stats.memory_stall_cycles += skip
-                        else:
-                            stats.idle_cycles += skip
-                    else:
-                        running[1].fast_forward(skip)
-                    if progressed:
-                        last_progress_cycle = self.cycle + 1
-                    self.cycle += skip
-                    if self.cycle - last_progress_cycle > limit:
-                        raise self._deadlock(
-                            program, limit, remaining_count,
-                            mem_waiting, kernel_waiting, running, completed,
-                        )
-                    continue
 
             # One machine cycle.
             self.controller.tick(self.cycle)
@@ -327,35 +295,6 @@ class StreamProcessor:
             f"cycles ({remaining_count} tasks left)",
             report=report,
         )
-
-    def _fast_forward_window(self, running, progressed: bool,
-                             last_progress_cycle: int, limit: int) -> int:
-        """Cycles safely skippable from ``self.cycle``, possibly 0.
-
-        A cycle is skippable when neither the memory controller nor the
-        SRF can change state during it and any running kernel is still
-        in its fixed startup countdown — ticking it would only bump
-        counters, which the caller charges in bulk. The window is capped
-        at the deadlock horizon so a stuck program aborts on exactly the
-        same cycle as per-cycle stepping.
-        """
-        cycle = self.cycle
-        mem_next = self.controller.next_event_cycle(cycle)
-        if mem_next == cycle:
-            return 0
-        srf_next = self.srf.next_event_cycle(cycle)
-        if srf_next is not None and srf_next <= cycle:
-            return 0
-        effective_progress = cycle + 1 if progressed else last_progress_cycle
-        horizon = effective_progress + limit  # last no-progress tick
-        candidates = [horizon + 1]
-        if mem_next is not None:
-            candidates.append(mem_next)
-        if srf_next is not None:
-            candidates.append(srf_next)
-        if running is not None:
-            candidates.append(cycle + running[1].startup_remaining)
-        return max(0, min(candidates) - cycle)
 
     # ------------------------------------------------------------------
     def _srf_snapshot(self) -> tuple:

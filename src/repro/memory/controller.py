@@ -36,11 +36,7 @@ from repro.cache.cache import BankedCache
 from repro.config.machine import MachineConfig
 from repro.core.srf import StreamRegisterFile
 from repro.errors import MemorySystemError
-from repro.memory.dram import (
-    DramModel,
-    accrue_credit,
-    idle_cycles_until_positive,
-)
+from repro.memory.dram import DramModel
 from repro.memory.mainmem import MainMemory
 from repro.memory.ops import StreamMemoryOp
 
@@ -227,79 +223,15 @@ class MemoryController:
         return len(self._completed)
 
     # ------------------------------------------------------------------
-    # Fast-forward support
-    # ------------------------------------------------------------------
     def next_event_cycle(self, cycle: int) -> "int | None":
-        """Earliest cycle at which :meth:`tick` could change state.
-
-        Returns ``cycle`` itself when the upcoming tick may do real work
-        (a retirement is pending, or a ready transfer can move a word),
-        a future cycle when every active op is waiting out a fixed
-        latency or a bandwidth-credit refill, and ``None`` when any
-        remaining activity is driven purely from the SRF side (or there
-        is none). Callers may skip the intervening cycles provided they
-        route them through :meth:`fast_forward` so credit accrual and
-        busy accounting stay bit-identical to per-cycle stepping.
-        """
-        nxt = None
-        for active in self._active:
-            if active.done:
-                return cycle  # retirement pending at the next tick
-            if active.mem_cursor >= active.words:
-                continue  # progress now comes through the SRF port
-            if active.ready_cycle > cycle:
-                candidate = active.ready_cycle
-            else:
-                wait = self._transfer_stall_cycles(active)
-                if wait is None:
-                    continue  # blocked on the SRF side, not on memory
-                if wait == 0:
-                    return cycle
-                candidate = cycle + wait
-            if nxt is None or candidate < nxt:
-                nxt = candidate
-        return nxt
-
-    def _transfer_stall_cycles(self, active: _ActiveOp) -> "int | None":
-        """Cycles before ``active`` could move its next word, or None.
-
-        Mirrors the refusals of :meth:`_transfer_round` without side
-        effects. ``None`` means the op waits on SRF-port progress (its
-        stream-buffer staging), which the SRF reports separately; an
-        integer means the op is bandwidth-bound and unblocks after that
-        many credit-accrual cycles.
-        """
-        if active.into_srf:
-            if active.staged >= active.staging_capacity:
-                return None
-        elif not active.staged:
-            return None
-        if active.cached:
-            step = self.cache.words_per_cycle
-            wait = idle_cycles_until_positive(
-                self._cache_credit, step, 4.0 * step
-            )
-            if not self.cache.probe(active.addrs[active.mem_cursor]):
-                wait = max(wait, self.dram.cycles_until_can_access())
-            return wait
-        return self.dram.cycles_until_can_access()
+        """No caller; kept because bench/layers.py wraps it by name
+        (ROADMAP item 8)."""
+        raise NotImplementedError("every cycle ticks the controller")
 
     def fast_forward(self, cycles: int) -> None:
-        """Apply ``cycles`` ticks of counter-only bookkeeping in bulk.
-
-        Only valid when :meth:`next_event_cycle` reported no possible
-        state change for the whole window: accrues DRAM/cache bandwidth
-        credit exactly as ``cycles`` calls to :meth:`tick` would and
-        charges busy-cycle accounting, without scanning transfers.
-        """
-        self.dram.accrue_idle_cycles(cycles)
-        if self.cache is not None:
-            step = self.cache.words_per_cycle
-            self._cache_credit = accrue_credit(
-                self._cache_credit, step, 4.0 * step, cycles
-            )
-        if self._active:
-            self.stats.busy_cycles += cycles
+        """No caller; kept because bench/layers.py wraps it by name
+        (ROADMAP item 8)."""
+        raise NotImplementedError("every cycle ticks the controller")
 
     # ------------------------------------------------------------------
     def tick(self, cycle: int) -> None:

@@ -27,33 +27,6 @@ from repro.config.machine import MachineConfig
 from repro.errors import MemorySystemError
 
 
-# Bandwidth credit (DRAM bus and cache) refills once a cycle as
-# ``min(credit + step, cap)``. Fast-forward replays that recurrence with
-# the same float operations, so a skipped window leaves the credit
-# bit-identical to stepping each cycle.
-def accrue_credit(credit: float, step: float, cap: float,
-                  cycles: int) -> float:
-    """``credit`` after ``cycles`` refills; stops early at the cap, after
-    which further refills change nothing."""
-    for _ in range(cycles):
-        if credit == cap:
-            break
-        credit = min(credit + step, cap)
-    return credit
-
-
-def idle_cycles_until_positive(credit: float, step: float,
-                               cap: float) -> int:
-    """Idle cycles before a refill lifts ``credit`` above zero (0 = the
-    very next refill suffices)."""
-    idle = 0
-    while True:
-        credit = min(credit + step, cap)
-        if credit > 0.0:
-            return idle
-        idle += 1
-
-
 @dataclass
 class DramStats:
     """Traffic and locality counters."""
@@ -132,24 +105,6 @@ class DramModel:
     def begin_cycle(self) -> None:
         """Accrue one cycle of bus budget."""
         self._credit = min(self._credit + self.words_per_cycle, self._max_credit)
-
-    def accrue_idle_cycles(self, cycles: int) -> None:
-        """Apply ``cycles`` consecutive :meth:`begin_cycle` calls in bulk."""
-        self._credit = accrue_credit(
-            self._credit, self.words_per_cycle, self._max_credit, cycles
-        )
-
-    def cycles_until_can_access(self) -> int:
-        """Whole cycles to skip before an access could be admitted.
-
-        0 means the very next :meth:`begin_cycle` already lifts the
-        credit above zero (an access can go ahead this cycle); skipping
-        that many idle cycles and then ticking normally admits the access
-        on precisely the same cycle as per-cycle stepping would.
-        """
-        return idle_cycles_until_positive(
-            self._credit, self.words_per_cycle, self._max_credit
-        )
 
     def can_access(self) -> bool:
         """Whether the bus has budget for another access this cycle.

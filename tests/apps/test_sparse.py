@@ -11,9 +11,9 @@ Two layers compose into a machine-vs-scipy proof:
    ``scipy.ndimage.correlate`` (different accumulation order, so
    tightly-toleranced).
 2. **Machine vs reference** — every preset x run mode (kernel data
-   source x cycle loop, see ``tests/machine/workloads.py``) runs the
-   full cycle-accurate simulation and ``require_verified()`` enforces
-   the app's own word-for-word comparison against the same references.
+   source, see ``tests/machine/workloads.py``) runs the full
+   cycle-accurate simulation and ``require_verified()`` enforces the
+   app's own word-for-word comparison against the same references.
 
 Together: the simulated machine agrees with scipy on every preset, in
 every run mode. The scipy layer skips cleanly where scipy is not
@@ -30,7 +30,7 @@ from repro.apps.spmv import (
 from repro.apps.stencil import PATTERNS, RADIUS, reference_stencil
 from repro.config.presets import all_configs
 from repro.machine.replay import TraceStore
-from tests.machine.workloads import BACKENDS, ENGINES, PRESETS, run_mode
+from tests.machine.workloads import BACKENDS, PRESETS, run_mode
 
 import numpy as np
 
@@ -107,31 +107,28 @@ def test_dense_differential():
 # ----------------------------------------------------------------------
 # Layer 2: cycle-accurate machine vs the references, everywhere
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("preset", PRESETS)
 @pytest.mark.parametrize("fmt", spmv.FORMATS)
-def test_spmv_verifies_on_every_machine(fmt, preset, backend, engine,
-                                        tmp_path):
+def test_spmv_verifies_on_every_machine(fmt, preset, backend, tmp_path):
     """require_verified() is the word-for-word reference comparison;
     CSC on indexed presets walks the read-write indexed stream path."""
     run_mode(
         lambda cfg: spmv.run(cfg, fmt=fmt, rows=64, cols=64,
                              strips_to_run=2),
-        all_configs()[preset], backend, engine,
+        all_configs()[preset], backend,
         TraceStore(str(tmp_path)), f"spmv_{fmt}",
     )
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("preset", PRESETS)
 @pytest.mark.parametrize("pattern", sorted(PATTERNS))
 def test_stencil_verifies_on_every_machine(pattern, preset, backend,
-                                           engine, tmp_path):
+                                           tmp_path):
     run_mode(
         lambda cfg: stencil.run(cfg, pattern=pattern),
-        all_configs()[preset], backend, engine,
+        all_configs()[preset], backend,
         TraceStore(str(tmp_path)), f"stencil_{pattern}",
     )
 

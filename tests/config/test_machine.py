@@ -1,5 +1,7 @@
 """Tests for MachineConfig validation and derived quantities."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import MachineConfig, SrfMode, WORD_BYTES
@@ -84,6 +86,15 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=field):
             MachineConfig(**{field: 0}).validate()
         MachineConfig(**{field: 1}).validate()
+
+    @pytest.mark.parametrize("field", [
+        f.name for f in dataclasses.fields(MachineConfig)
+        if isinstance(f.default, bool)
+    ])
+    def test_truthy_string_flag_rejected(self, field):
+        # "no" is truthy: a flag set to it must not silently switch on.
+        with pytest.raises(ConfigurationError, match=field):
+            MachineConfig(**{field: "no"}).validate()
 
     def test_cache_set_bank_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -197,7 +197,7 @@ class TestResultCache:
                                                             "medium")
         assert cache.key("a", config, "small") != cache.key("b", config,
                                                             "small")
-        variant = config.replace(fast_forward=False)
+        variant = config.replace(timing_source="execute")
         assert cache.key("a", config, "small") != cache.key("a", variant,
                                                             "small")
         sanitized = config.replace(sanitize=True)

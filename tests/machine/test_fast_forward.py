@@ -1,51 +1,38 @@
-"""Fast-forward equivalence: skipping pure-wait cycles in bulk must be
-invisible in every statistic the paper's figures are built from."""
+"""One cycle loop: every component ticks once per simulated cycle, and
+a stuck program aborts exactly on the deadlock horizon."""
 
 import re
 
 import pytest
 
 import repro.machine.processor as processor_module
-from repro.apps import fft, sort
+from repro.apps import fft
 from repro.config import base_config
 from repro.config.presets import all_configs
-from repro.core import SrfArray
+from repro.core import SrfArray, StreamRegisterFile
 from repro.errors import DeadlockError, ExecutionError
 from repro.machine import StreamProcessor, StreamProgram
-from repro.memory import load_op
+from repro.memory import MemoryController, load_op
 
 CONFIG_NAMES = ("Base", "ISRF1", "ISRF4", "Cache")
 
 
-def _run_both(app_run, config, **kwargs):
-    fast = app_run(config.replace(fast_forward=True), **kwargs)
-    slow = app_run(config.replace(fast_forward=False), **kwargs)
-    assert fast.verified and slow.verified
-    return fast, slow
-
-
-class TestBitIdenticalStats:
+class TestOneCycleLoop:
     @pytest.mark.parametrize("config_name", CONFIG_NAMES)
-    def test_fft_stats_identical(self, config_name):
-        config = all_configs()[config_name]
-        fast, slow = _run_both(fft.run, config, n=16, repeats=1)
-        assert fast.stats == slow.stats
-
-    @pytest.mark.parametrize("config_name", CONFIG_NAMES)
-    def test_sort_stats_identical(self, config_name):
-        config = all_configs()[config_name]
-        fast, slow = _run_both(sort.run, config, n=256, repeats=1)
-        assert fast.stats == slow.stats
-
-    def test_stall_breakdown_identical(self):
-        # The categories fast-forward charges in bulk — not just totals.
-        config = all_configs()["ISRF4"]
-        fast, slow = _run_both(fft.run, config, n=16, repeats=1)
-        assert fast.stats.total_cycles == slow.stats.total_cycles
-        assert fast.stats.memory_stall_cycles == slow.stats.memory_stall_cycles
-        assert fast.stats.idle_cycles == slow.stats.idle_cycles
-        assert fast.stats.offchip_words == slow.stats.offchip_words
-        assert fast.stats.kernel_runs == slow.stats.kernel_runs
+    def test_every_component_ticks_every_cycle(self, config_name,
+                                               monkeypatch):
+        """No cycle is skipped: the SRF and the memory controller tick
+        once per simulated cycle of a whole FFT 2D run."""
+        ticks = {"StreamRegisterFile": 0, "MemoryController": 0}
+        for cls in (StreamRegisterFile, MemoryController):
+            def tick(self, *args, _real=cls.tick, _name=cls.__name__):
+                ticks[_name] += 1
+                return _real(self, *args)
+            monkeypatch.setattr(cls, "tick", tick)
+        result = fft.run(all_configs()[config_name], n=16, repeats=1)
+        cycles = result.require_verified().stats.total_cycles
+        assert ticks == {"StreamRegisterFile": cycles,
+                         "MemoryController": cycles}
 
 
 class TestDeadlockNotMasked:
@@ -59,33 +46,26 @@ class TestDeadlockNotMasked:
         prog.validate = lambda: None  # bypass static validation
         return prog
 
-    @pytest.mark.parametrize("fast_forward", [True, False])
-    def test_configured_limit_aborts(self, fast_forward, monkeypatch):
+    def test_configured_limit_aborts(self, monkeypatch):
         monkeypatch.setattr(processor_module, "DEADLOCK_CYCLES", 500)
-        config = base_config().replace(fast_forward=fast_forward)
-        proc = StreamProcessor(config)
+        proc = StreamProcessor(base_config())
         with pytest.raises(ExecutionError, match="no progress for 500"):
             proc.run_program(self._stuck_program(proc))
 
-    def test_abort_cycle_identical_across_modes(self, monkeypatch):
-        # Fast-forward must not skip past the deadlock horizon: a stuck
-        # program aborts on exactly the same cycle either way.
+    def test_abort_cycle_is_the_horizon(self, monkeypatch):
+        # Nothing ever progresses, so the watchdog fires once the cycle
+        # count passes the horizon: after the tick of cycle 400, with
+        # proc.cycle at 401. The SRF ticked on each of those cycles.
         monkeypatch.setattr(processor_module, "DEADLOCK_CYCLES", 400)
-        abort_cycles = []
-        for fast_forward in (True, False):
-            config = base_config().replace(fast_forward=fast_forward)
-            proc = StreamProcessor(config)
-            with pytest.raises(ExecutionError, match="no progress for 400"):
-                proc.run_program(self._stuck_program(proc))
-            abort_cycles.append(proc.cycle)
-        assert abort_cycles[0] == abort_cycles[1]
+        proc = StreamProcessor(base_config())
+        with pytest.raises(ExecutionError, match="no progress for 400"):
+            proc.run_program(self._stuck_program(proc))
+        assert proc.cycle == 401
+        assert proc.srf.stats.cycles == 401
 
-    @pytest.mark.parametrize("fast_forward", [True, False])
-    def test_abort_raises_deadlock_error_with_report(self, fast_forward,
-                                                     monkeypatch):
+    def test_abort_raises_deadlock_error_with_report(self, monkeypatch):
         monkeypatch.setattr(processor_module, "DEADLOCK_CYCLES", 500)
-        config = base_config().replace(fast_forward=fast_forward)
-        proc = StreamProcessor(config)
+        proc = StreamProcessor(base_config())
         with pytest.raises(DeadlockError) as excinfo:
             proc.run_program(self._stuck_program(proc))
         error = excinfo.value

@@ -11,11 +11,10 @@ behaviour — intentional or not — shows up as a diff against the
 fixture. It doubles as the enforcement of the
 observability layer's zero-overhead contract: running with tracing
 and metrics both enabled must reproduce the fixture bit-for-bit, as
-must the sanitizer and every run mode of
-``tests/machine/workloads.py`` — trace replay (the ``vector`` legs) and
-per-cycle stepping (``fast_forward=False``, the ``columnar`` legs).
-Every pinned run's Figure 12 breakdown must also partition its total
-cycles exactly.
+must the sanitizer and trace replay (the ``vector`` legs, after the
+backend ids of ``tests/machine/workloads.py``). Every leg runs the
+processor's one cycle loop. Every pinned run's Figure 12 breakdown
+must also partition its total cycles exactly.
 
 Regenerate deliberately after an intentional timing change:
 
@@ -211,22 +210,6 @@ class TestGoldenStats:
                               trace_store, app)
         assert fingerprint(result.stats) == golden[app][preset]
 
-    def test_columnar_engine_is_inert(self, golden, app, preset):
-        """Per-cycle stepping reproduces the fast-forwarded fixture, and
-        its exact breakdown, on every preset."""
-        config = all_configs()[preset].replace(fast_forward=False)
-        stats = APPS[app](config).require_verified().stats
-        assert_exact_breakdown(stats)
-        assert fingerprint(stats) == golden[app][preset]
-
-    def test_columnar_engine_with_vector_backend_is_inert(
-            self, golden, trace_store, app, preset):
-        """Both run-mode knobs together still pin the fixture: a
-        replayed run stepped every cycle."""
-        config = all_configs()[preset].replace(fast_forward=False)
-        result = run_replayed(APPS[app], config, trace_store, app)
-        assert fingerprint(result.stats) == golden[app][preset]
-
     def test_vector_backend_with_observability_is_inert(
             self, golden, trace_store, app, preset):
         """Trace + metrics on a replayed run must not move a single
@@ -234,18 +217,6 @@ class TestGoldenStats:
         config = all_configs()[preset].replace(trace=True, metrics_level=2)
         result = run_replayed(APPS[app], config, trace_store, app)
         assert fingerprint(result.stats) == golden[app][preset]
-
-
-@pytest.mark.parametrize("app", sorted(APPS))
-def test_fast_forward_off_matches_fixture(golden, app):
-    """The cycle-loop fast path must be an exact shortcut, for every
-    app family: per-cycle stepping with the sanitizer checking every
-    single cycle reproduces the fixture and its exact breakdown."""
-    config = all_configs()["ISRF4"].replace(fast_forward=False,
-                                            sanitize=True)
-    stats = APPS[app](config).require_verified().stats
-    assert_exact_breakdown(stats)
-    assert fingerprint(stats) == golden[app]["ISRF4"]
 
 
 @pytest.mark.parametrize("label", sorted(MICROBENCH))

@@ -1,18 +1,9 @@
-"""Cycle-loop equivalence on every app and preset.
+"""Cycle-loop hooks and timing-source selection.
 
-The processor's cycle loop runs one of two ways (timing engines in the
-ids of ``tests/machine/workloads.py``): by default it fast-forwards
-across provably inert cycles (DESIGN §4b, the ``object`` id), and with
-``fast_forward=False`` it steps every cycle (the ``columnar`` id), the
-per-cycle reference path. Fast-forwarding is a pure simulation-speed
-knob: for every benchmark application and every Table 2 machine
-configuration it must produce bit-identical ``ProgramStats`` AND
-bit-identical application outputs, in direct execution and in
-trace-replay timing mode. These tests enforce that on real workloads —
-and enforce that the fast path actually *engages*, so a run that never
-skips a cycle can never fake an equivalence pass.
-
-``tests/fuzz/test_timing_engine.py`` covers randomly generated programs.
+The processor has one cycle loop (DESIGN §4b). The knobs that hook it
+(sanitizer, trace, metrics) must record and replay a trace bit for bit,
+and a machine is never built with an invalid hook setting. Presets
+default to replay timing, and the retired overlays change nothing.
 """
 
 import dataclasses
@@ -25,7 +16,6 @@ from repro.config.presets import all_configs, base_config
 from repro.errors import ConfigurationError
 from repro.machine import StreamProcessor, replay
 from repro.machine.replay import TraceStore
-from tests.machine.workloads import PRESETS, RUNNERS
 
 
 def full_stats(stats) -> dict:
@@ -33,99 +23,20 @@ def full_stats(stats) -> dict:
     return dataclasses.asdict(stats)
 
 
-@pytest.fixture
-def skip_log(monkeypatch):
-    """Record the length of every fast-forward window a run takes."""
-    skips = []
-    real = StreamProcessor._fast_forward_window
-
-    def recording(self, *args):
-        skip = real(self, *args)
-        if skip > 0:
-            skips.append(skip)
-        return skip
-
-    monkeypatch.setattr(StreamProcessor, "_fast_forward_window", recording)
-    return skips
-
-
-@pytest.mark.parametrize("preset", PRESETS)
-@pytest.mark.parametrize("app", sorted(RUNNERS))
-def test_engines_bit_identical(app, preset, skip_log):
-    """Same full ProgramStats and same outputs from both cycle loops."""
-    config = all_configs()[preset]
-    fast = RUNNERS[app](config).require_verified()
-    # Engagement: a run that skipped nothing would "pass" trivially.
-    assert skip_log
-    del skip_log[:]
-    stepped = RUNNERS[app](
-        config.replace(fast_forward=False)
-    ).require_verified()
-    assert skip_log == []
-    assert full_stats(fast.stats) == full_stats(stepped.stats)
-    assert fast.details == stepped.details
-
-
-@pytest.mark.parametrize("preset", PRESETS)
-@pytest.mark.parametrize("app", sorted(RUNNERS))
-def test_engines_bit_identical_in_replay(app, preset, tmp_path):
-    """Record once, then replay under both cycle loops: identical stats.
-
-    Replay mode drives the executor from recorded kernel data instead
-    of the interpreter, so the fast-forward windows meet kernels on a
-    different data path than in direct execution.
-    """
-    store = TraceStore(str(tmp_path))
-    config = all_configs()[preset].replace(timing_source="replay")
-    with replay.session(store, app, config, "test") as sess:
-        recorded = RUNNERS[app](config).require_verified()
-        assert sess.mode == "record"
-    with replay.session(store, app, config, "test") as sess:
-        fast = RUNNERS[app](config).require_verified()
-        assert sess.mode == "replay"
-    stepped_cfg = config.replace(fast_forward=False)
-    with replay.session(store, app, stepped_cfg, "test") as sess:
-        stepped = RUNNERS[app](stepped_cfg).require_verified()
-        assert sess.mode == "replay"
-    assert full_stats(fast.stats) == full_stats(stepped.stats)
-    assert full_stats(recorded.stats) == full_stats(stepped.stats)
-
-
 class TestSelection:
-    """Cycle-loop and timing-source selection: config fields, env."""
-
-    def test_default_engine_is_object(self):
-        assert MachineConfig().fast_forward is True
-        assert base_config().fast_forward is True
-        assert StreamProcessor(base_config()).config.fast_forward is True
-
-    def test_columnar_selected_when_eligible(self, skip_log):
-        """fast_forward=False steps every cycle on every preset."""
-        for name, config in all_configs().items():
-            stepped = fft.run(config.replace(fast_forward=False), n=16)
-            assert skip_log == [], name
-            fast = fft.run(config, n=16)
-            assert skip_log, name
-            del skip_log[:]
-            assert stepped.cycles == fast.cycles, name
-
-    def test_unknown_engine_rejected(self):
-        # A truthy string must not silently select the fast path.
-        with pytest.raises(ConfigurationError, match="fast_forward"):
-            MachineConfig(fast_forward="no").validate()
+    """Timing-source selection: config fields, env."""
 
     def test_env_overlay(self, monkeypatch):
-        """Every preset defaults to replay timing with the fast cycle
-        loop, and the retired REPRO_REPLAY overlay changes neither.
-        The retired fault overlay (spelled in two parts so a search of
-        the tree for it finds nothing) changes no preset either."""
+        """Every preset defaults to replay timing, and the retired
+        REPRO_REPLAY overlay changes nothing. The retired fault overlay
+        (spelled in two parts so a search of the tree for it finds
+        nothing) changes no preset either."""
         unset = all_configs()
         monkeypatch.setenv("REPRO_REPLAY", "0")
         monkeypatch.setenv("REPRO_" "FAULTS", "seed=7,srf=24")
         assert all_configs() == unset
         for name, config in all_configs().items():
             assert config.timing_source == "replay", name
-            assert config.fast_forward is True, name
         # Explicit overrides still win.
         assert base_config(
             timing_source="execute"
@@ -142,13 +53,12 @@ class TestSelection:
         ).timing_source == "execute"
 
 
-#: Knobs that hook the cycle loop, each of which fast-forward windows
-#: and trace replay must honour exactly as per-cycle execution does.
+#: Knobs that hook the cycle loop, each of which trace replay must
+#: honour exactly as execution does.
 HOOKS = {
     "sanitize": dict(sanitize=True),
     "trace": dict(trace=True),
     "metrics": dict(metrics_level=1),
-    "per_cycle": dict(fast_forward=False),
 }
 
 #: One setting per hook that the machine cannot honour.
@@ -156,7 +66,6 @@ INVALID = {
     "sanitize": dict(sanitize="off"),
     "trace": dict(trace=True, trace_buffer_events=0),
     "metrics": dict(metrics_level=3),
-    "per_cycle": dict(fast_forward="no"),
 }
 
 

@@ -6,17 +6,14 @@ sparse gather/scatter and banded stencils) at CI-friendly sizes. The
 replay, run-mode equivalence and chaos suites run them on every Table 2
 preset.
 
-A workload runs in one of four run modes, and all four must produce
-bit-identical stats and outputs. Parametrized suites name the modes by
-the backend x timing-engine ids they were first written for, so their
-test ids stay stable:
-
-* the **backend** is the kernel data source — ``"scalar"``: the
-  interpreter evaluates every iteration; ``"vector"``: a trace recorded
-  by an earlier execution supplies it (:mod:`repro.machine.replay`);
-* the **engine** is the cycle loop — ``"object"``: provably inert
-  cycles are fast-forwarded; ``"columnar"``: every cycle is stepped
-  (``fast_forward=False``).
+A workload runs in one of two run modes, which must produce
+bit-identical stats and outputs. Parametrized suites name them by the
+backend ids they were first written for, so their test ids stay stable:
+the **backend** is the kernel data source — ``"scalar"``: the
+interpreter evaluates every iteration; ``"vector"``: a trace recorded
+by an earlier execution supplies it (:mod:`repro.machine.replay`).
+Either way the processor has one cycle loop, which ticks every
+component once per cycle.
 """
 
 from repro.apps import fft, filter2d, igraph, rijndael, sort, spmv, stencil
@@ -25,7 +22,6 @@ from repro.machine import replay
 PRESETS = ("Base", "ISRF1", "ISRF4", "Cache")
 
 BACKENDS = ("scalar", "vector")
-ENGINES = ("object", "columnar")
 
 RUNNERS = {
     "fft": lambda cfg: fft.run(cfg, n=16),
@@ -66,11 +62,8 @@ def run_replayed(runner, config, store, benchmark: str):
     return result
 
 
-def run_mode(runner, config, backend: str, engine: str, store,
-             benchmark: str):
+def run_mode(runner, config, backend: str, store, benchmark: str):
     """Run ``runner`` on ``config`` in one run mode; verified."""
-    if engine == "columnar":
-        config = config.replace(fast_forward=False)
     if backend == "vector":
         return run_replayed(runner, config, store, benchmark)
     return runner(config).require_verified()
