@@ -10,7 +10,7 @@ sequence of (bank, sub-array) targets is fully determined, and we can
 tabulate it without running the machine.
 
 Two advisory metrics come out, both cross-checkable against the
-``metrics_level=2`` observe-layer conflict counters:
+measured conflict total, :attr:`~repro.core.srf.SrfStats.blocked_heads`:
 
 * **in-lane streams** — the share of a lane's accesses landing on its
   hottest sub-array (``1/s`` is uniform, ``1.0`` means every access
@@ -55,7 +55,7 @@ def bank_estimates(task, evaluator: IndexEvaluator,
                 "bank-pressure-unknown",
                 f"{op.name}: index pattern on {op.stream.name!r} is not "
                 "statically derivable; no conflict estimate "
-                "(run with metrics_level=2 for measured counts)",
+                "(SrfStats.blocked_heads counts the measured conflicts)",
                 kernel=kernel.name, op=op.name, stream=op.stream.name,
                 task=task.name,
             )

@@ -24,6 +24,45 @@ WORD_BYTES = 4
 #: details (see :attr:`MachineConfig.timing_source`).
 TIMING_SOURCES = ("execute", "replay")
 
+#: Lower bounds that :meth:`MachineConfig.validate` enforces. Counts and
+#: rates must be positive; so must the SRF access latencies, since an
+#: SRF access completes on a later cycle than its grant (the completion
+#: calendar has already drained the grant cycle). Other latencies,
+#: penalties and separations may be zero. The ``cache_*`` fields are
+#: checked only on a machine with a cache.
+POSITIVE = "positive"
+NON_NEGATIVE = "non-negative"
+LOWER_BOUNDS = {
+    "lanes": POSITIVE,
+    "clock_hz": POSITIVE,
+    "alus_per_cluster": POSITIVE,
+    "dividers_per_cluster": POSITIVE,
+    "srf_bytes": POSITIVE,
+    "words_per_lane_access": POSITIVE,
+    "subarrays_per_bank": POSITIVE,
+    "srf_sequential_latency": POSITIVE,
+    "stream_buffer_words": POSITIVE,
+    "address_fifo_words": POSITIVE,
+    "inlane_indexed_bandwidth": NON_NEGATIVE,
+    "crosslane_indexed_bandwidth": NON_NEGATIVE,
+    "inlane_indexed_latency": POSITIVE,
+    "crosslane_indexed_latency": POSITIVE,
+    "crosslane_ports_per_bank": POSITIVE,
+    "inlane_addr_data_separation": NON_NEGATIVE,
+    "crosslane_addr_data_separation": NON_NEGATIVE,
+    "dram_bandwidth_bytes_per_s": POSITIVE,
+    "dram_latency_cycles": NON_NEGATIVE,
+    "dram_banks": POSITIVE,
+    "dram_row_words": POSITIVE,
+    "dram_row_miss_penalty": NON_NEGATIVE,
+    "cache_bytes": POSITIVE,
+    "cache_associativity": POSITIVE,
+    "cache_banks": POSITIVE,
+    "cache_bandwidth_bytes_per_s": POSITIVE,
+    "cache_line_words": POSITIVE,
+    "cache_hit_latency": NON_NEGATIVE,
+}
+
 
 class SrfMode(enum.Enum):
     """How the SRF may be accessed in a given machine configuration."""
@@ -128,11 +167,9 @@ class MachineConfig:
     #: runs are bit-identical to unobserved ones — observation never
     #: alters timing or control flow.
     trace: bool = False
-    #: Ring-buffer capacity of the tracer (oldest events drop when full).
-    trace_buffer_events: int = 1 << 20
-    #: Metrics depth: 0 = off, 1 = per-run aggregates via lazy providers,
-    #: 2 = adds per-bank conflict counters and occupancy histograms.
-    metrics_level: int = 0
+    #: Copy the components' stats into ``ProgramStats.metrics`` at the
+    #: end of each program (a snapshot; nothing is probed mid-run).
+    metrics: bool = False
 
     # --- Memory system (Table 3) ----------------------------------------
     #: Peak off-chip DRAM bandwidth in bytes/second (9.14 GB/s).
@@ -231,30 +268,25 @@ class MachineConfig:
             if field.type == "bool" and not isinstance(
                     getattr(self, field.name), bool):
                 raise ConfigurationError(f"{field.name} must be True or False")
-        if self.lanes <= 0:
-            raise ConfigurationError("lanes must be positive")
+        for name, bound in LOWER_BOUNDS.items():
+            if name.startswith("cache_") and not self.has_cache:
+                continue
+            value = getattr(self, name)
+            # Written so that NaN, which compares false, is rejected.
+            if not (value > 0 if bound == POSITIVE else value >= 0):
+                raise ConfigurationError(f"{name} must be {bound}, got {value}")
         if self.srf_bytes % (self.lanes * WORD_BYTES):
             raise ConfigurationError(
                 "SRF capacity must divide evenly across lanes"
             )
-        if self.subarrays_per_bank <= 0:
-            raise ConfigurationError("subarrays_per_bank must be positive")
         if self.bank_words % self.subarrays_per_bank:
             raise ConfigurationError(
                 "bank capacity must divide evenly across sub-arrays"
             )
-        if self.words_per_lane_access <= 0:
-            raise ConfigurationError("words_per_lane_access must be positive")
         if self.stream_buffer_words < self.words_per_lane_access:
             raise ConfigurationError(
                 "stream buffers must hold at least one SRF block per lane"
             )
-        # An SRF access completes on a later cycle than its grant: the
-        # completion calendar has already drained the grant cycle.
-        for name in ("srf_sequential_latency", "inlane_indexed_latency",
-                     "crosslane_indexed_latency"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be at least 1")
         if self.supports_indexing:
             if self.inlane_indexed_bandwidth <= 0:
                 raise ConfigurationError(
@@ -263,10 +295,6 @@ class MachineConfig:
             if self.inlane_indexed_bandwidth > self.subarrays_per_bank:
                 raise ConfigurationError(
                     "in-lane indexed bandwidth cannot exceed sub-arrays/bank"
-                )
-            if self.address_fifo_words <= 0:
-                raise ConfigurationError(
-                    "indexed machines need a non-empty address FIFO"
                 )
         if self.has_cache:
             if self.cache_bytes % (self.cache_line_words * WORD_BYTES):
@@ -294,13 +322,3 @@ class MachineConfig:
                 f"unknown timing_source {self.timing_source!r} "
                 f"(known: {', '.join(TIMING_SOURCES)})"
             )
-        if self.trace_buffer_events <= 0:
-            raise ConfigurationError("trace_buffer_events must be positive")
-        if self.metrics_level not in (0, 1, 2):
-            raise ConfigurationError(
-                f"metrics_level must be 0, 1 or 2, got {self.metrics_level}"
-            )
-        if self.dram_bandwidth_bytes_per_s <= 0:
-            raise ConfigurationError("DRAM bandwidth must be positive")
-        if self.dram_row_words <= 0 or self.dram_banks <= 0:
-            raise ConfigurationError("DRAM geometry must be positive")

@@ -90,10 +90,9 @@ OVERLAYS: "tuple[EnvOverlay, ...]" = (
     EnvOverlay(
         name="REPRO_TRACE",
         owner="repro.observe.observer",
-        doc="Observability overlay for every preset: tracing, metrics "
-            "level, trace buffer size; path= sets the trace "
-            "experiment's output file.",
-        example='REPRO_TRACE="trace=1,metrics=2,path=out.json"',
+        doc="Observability overlay for every preset: tracing and the "
+            "end-of-program stats snapshot.",
+        example='REPRO_TRACE="trace=1,metrics=1"',
         result_affecting=True,
     ),
     # --- tests -------------------------------------------------------

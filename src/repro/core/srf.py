@@ -136,9 +136,6 @@ class SequentialPort:
         if self.capacity <= 0:
             raise SrfError("stream buffer needs positive capacity")
         self.occupancy = 0
-        #: Called with the occupancy after every fill or push when
-        #: metrics level 2 samples stream-buffer depth.
-        self._occupancy_probe = srf._stream_buffer_probe
         self._blocks_done = 0
         #: Words per lane granted but not yet delivered (pipelined reads
         #: must reserve buffer space at grant time or back-to-back grants
@@ -165,8 +162,6 @@ class SequentialPort:
         if self.occupancy >= self.capacity:
             raise SrfError("stream buffer overflow")
         self.occupancy += 1
-        if self._occupancy_probe is not None:
-            self._occupancy_probe(self.occupancy)
 
     def flush(self) -> None:
         """Request that buffered write data be drained even if partial."""
@@ -216,8 +211,6 @@ class SequentialPort:
         self.occupancy += self.words_per_lane
         if self.occupancy > self.capacity:
             raise SrfError("stream buffer overflow")
-        if self._occupancy_probe is not None:
-            self._occupancy_probe(self.occupancy)
 
 
 class IndexedStream:
@@ -351,9 +344,6 @@ class IndexedStream:
                 ))
         fifo.records += 1
         self.pending_words += rw
-        hist = self.srf._addr_fifo_hist
-        if hist is not None:
-            hist.record(fifo.records)
 
     def _dequeue(self, lane: int) -> None:
         """Release ``lane``'s oldest record (the caller checked it
@@ -557,12 +547,9 @@ class StreamRegisterFile:
         self._cal_count = 0
         self._cal_floor = 0  # next due cycle not yet completed
         self._comm_busy = False
-        # Observability (repro.observe); all None when disabled so the
-        # hot paths pay a single predicated check at most.
-        self._tracer = None
-        self._bank_conflicts = None
-        self._addr_fifo_hist = None
-        self._stream_buffer_probe = None
+        #: Event tracer (repro.observe) the processor hands a traced
+        #: machine's SRF; None when disabled.
+        self.tracer = None
         self._occupancy_policy = config.indexed_arbitration == "occupancy"
         self._shared_network = config.shared_interlane_network
         #: Per-bank grant cap for indexed word accesses per cycle.
@@ -591,8 +578,8 @@ class StreamRegisterFile:
             )
         port = SequentialPort(self, descriptor, direction, buffer_words)
         self._seq_ports.append(port)
-        if self._tracer is not None:
-            self._tracer.instant(
+        if self.tracer is not None:
+            self.tracer.instant(
                 "srf", f"open:{descriptor.name}", self.stats.cycles,
                 direction=direction.value,
                 length_words=descriptor.length_words,
@@ -623,8 +610,8 @@ class StreamRegisterFile:
         stream = IndexedStream(self, descriptor)
         self._indexed[descriptor.stream_id] = stream
         self._indexed_list.append(stream)
-        if self._tracer is not None:
-            self._tracer.instant(
+        if self.tracer is not None:
+            self.tracer.instant(
                 "srf", f"open:{descriptor.name}", self.stats.cycles,
                 kind=descriptor.kind.name,
                 length_records=descriptor.length_records,
@@ -638,48 +625,6 @@ class StreamRegisterFile:
             )
         del self._indexed[stream.descriptor.stream_id]
         self._indexed_list.remove(stream)
-
-    # ------------------------------------------------------------------
-    # Observability (repro.observe)
-    # ------------------------------------------------------------------
-    def install_observer(self, observer) -> None:
-        """Attach an :class:`repro.observe.Observer`; None is a no-op.
-
-        Observation never alters SRF behaviour: the tracer records
-        stream open/close events, the metrics registry reads the
-        existing :class:`SrfStats` through a provider, and metrics level
-        2 additionally counts per-bank arbitration conflicts and samples
-        address-FIFO / stream-buffer occupancy on issue paths.
-        """
-        if observer is None:
-            return
-        self._tracer = observer.tracer
-        metrics = observer.metrics
-        if metrics is None:
-            return
-        metrics.add_provider(self._metrics_provider)
-        if metrics.level >= 2:
-            self._bank_conflicts = [
-                metrics.counter(f"srf.bank{bank}.blocked_heads")
-                for bank in range(self.geometry.lanes)
-            ]
-            self._addr_fifo_hist = metrics.histogram("srf.addr_fifo.depth")
-            hist = metrics.histogram("srf.stream_buffer.occupancy")
-            self._stream_buffer_probe = hist.record
-
-    def _metrics_provider(self) -> dict:
-        s = self.stats
-        return {
-            "srf.cycles": s.cycles,
-            "srf.sequential_grants": s.sequential_grants,
-            "srf.sequential_words": s.sequential_words,
-            "srf.inlane_grants": s.inlane_grants,
-            "srf.crosslane_grants": s.crosslane_grants,
-            "srf.indexed_write_grants": s.indexed_write_grants,
-            "srf.indexed_cycles": s.indexed_cycles,
-            "srf.empty_indexed_cycles": s.empty_indexed_cycles,
-            "srf.blocked_heads": s.blocked_heads,
-        }
 
     # ------------------------------------------------------------------
     # Cycle stepping
@@ -842,7 +787,6 @@ class StreamRegisterFile:
         shared_comm = self._shared_network and self._comm_busy
         return_network = self.return_network
         bank_arbiters = self._bank_arbiters
-        bank_conflicts = self._bank_conflicts
         cal = self._cal
         size = self._cal_size
         cfg = self.config
@@ -917,11 +861,8 @@ class StreamRegisterFile:
                     inlane_bucket.append((3, stream))
                 granted += 1
             bank_arbiters[bank].advance(n_heads)
-            blocked = n_heads - granted
-            if bank_conflicts is not None and blocked:
-                bank_conflicts[bank].add(blocked)
             granted_total += granted
-            blocked_total += blocked
+            blocked_total += n_heads - granted
         if granted_total:
             self._cal_count += granted_total
             self._cal_due[inlane_due % size] = inlane_due

@@ -65,9 +65,8 @@ options:
 
 Workload scale is chosen by the REPRO_SCALE environment variable
 (small / medium / paper; default small). REPRO_TRACE overlays
-observability knobs on every machine config, and its path= entry
-names the trace experiment's output
-(e.g. REPRO_TRACE="trace=1,metrics=2,path=out.json").
+the observability knobs on every machine config
+(e.g. REPRO_TRACE="trace=1,metrics=1").
 
 Each benchmark's first run on a functional config records its kernel
 data; later runs on a config that differs only in timing (the fig15/

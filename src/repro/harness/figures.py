@@ -101,7 +101,7 @@ def set_trace_store(store) -> None:
 
 
 #: Explicit trace output path (CLI ``--trace-path``); overrides the
-#: ``REPRO_TRACE`` path and the default.
+#: default.
 _trace_path = None
 
 #: Default trace export filename of the ``trace`` experiment.
@@ -115,14 +115,11 @@ def set_trace_path(path: "str | None") -> None:
 
 
 def trace_output_path() -> str:
-    """Where the ``trace`` experiment writes its Perfetto JSON.
-
-    Precedence: CLI ``--trace-path`` > ``REPRO_TRACE``'s ``path=`` key >
-    :data:`DEFAULT_TRACE_PATH`.
-    """
+    """Where the ``trace`` experiment writes its Perfetto JSON: the CLI's
+    ``--trace-path``, else :data:`DEFAULT_TRACE_PATH`."""
     if _trace_path is not None:
         return _trace_path
-    return observe.trace_path_from_env() or DEFAULT_TRACE_PATH
+    return DEFAULT_TRACE_PATH
 
 
 def run_benchmark(name: str, config, scale: str) -> AppResult:

@@ -75,17 +75,6 @@ class ReturnNetwork:
         self._reserved = [0] * lanes
         self.stats = CrossbarStats()
 
-    def install_observer(self, observer, prefix: str = "return_network") -> None:
-        """Expose this network's stats through an observer's registry."""
-        if observer is None or observer.metrics is None:
-            return
-        stats = self.stats
-        observer.metrics.add_provider(lambda: {
-            f"{prefix}.words_delivered": stats.words_delivered,
-            f"{prefix}.deferred_word_cycles": stats.deferred_word_cycles,
-            f"{prefix}.comm_cycles": stats.comm_cycles,
-        })
-
     def bank_has_space(self, bank: int) -> bool:
         """Whether bank ``bank`` may accept another cross-lane access.
 
@@ -178,15 +167,6 @@ class AddressNetwork:
         self._source_budget = [0] * lanes
         self._bank_budget = [0] * lanes
         self.stats = CrossbarStats()
-
-    def install_observer(self, observer, prefix: str = "address_network") -> None:
-        """Expose this network's stats through an observer's registry."""
-        if observer is None or observer.metrics is None:
-            return
-        stats = self.stats
-        observer.metrics.add_provider(lambda: {
-            f"{prefix}.words_delivered": stats.words_delivered,
-        })
 
     def begin_cycle(self) -> None:
         """Reset per-cycle port budgets."""

@@ -3,8 +3,6 @@
 from repro.machine.diagnostics import (
     KernelBounds,
     analyze_schedule,
-    diagnose_kernel_run,
-    diagnose_program,
 )
 from repro.machine.executor import KERNEL_STARTUP_CYCLES, KernelExecutor
 from repro.machine.processor import StreamProcessor
@@ -15,8 +13,6 @@ __all__ = [
     "KERNEL_STARTUP_CYCLES",
     "KernelBounds",
     "analyze_schedule",
-    "diagnose_kernel_run",
-    "diagnose_program",
     "KernelExecutor",
     "KernelInvocation",
     "KernelRunStats",

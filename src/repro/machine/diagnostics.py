@@ -2,10 +2,10 @@
 
 The paper reasons about its results in terms of *bounds* — memory-bound
 Base configurations, SRF-bandwidth-bound ISRF1 kernels, recurrence-bound
-sort loops, compute-bound IG datasets. This module makes the same
-analysis available programmatically: given a schedule, a kernel run, or
-a whole program's statistics, it reports which resource sets the pace
-and by how much.
+sort loops, compute-bound IG datasets. For a kernel's schedule,
+:func:`analyze_schedule` reports which resource sets the II and by how
+much; where a run's cycles went is counted exactly by
+:meth:`~repro.machine.stats.ProgramStats.breakdown`.
 
 It also renders *failure* forensics: when the deadlock watchdog in
 :mod:`repro.machine.processor` fires, :func:`build_deadlock_report`
@@ -19,12 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.config.machine import MachineConfig
 from repro.kernel.ops import ResourceClass
 from repro.kernel.resources import ClusterResources, resource_usage
 from repro.kernel.schedule import StaticSchedule
 from repro.kernel.scheduler import min_ii_recurrence
-from repro.machine.stats import KernelRunStats, ProgramStats
 
 
 @dataclass
@@ -185,91 +183,3 @@ def analyze_schedule(schedule: StaticSchedule,
         schedule.stream_capacity_words,
     )
     return bounds
-
-
-@dataclass
-class KernelDiagnosis:
-    """One kernel run's behaviour classified."""
-
-    stats: KernelRunStats
-    classification: str
-    stall_fraction: float
-    overhead_fraction: float
-
-    def describe(self) -> str:
-        return (
-            f"{self.stats.kernel_name}: {self.classification} "
-            f"(II={self.stats.ii}, stalls {self.stall_fraction:.0%}, "
-            f"overheads {self.overhead_fraction:.0%})"
-        )
-
-
-def diagnose_kernel_run(run: KernelRunStats,
-                        stall_threshold: float = 0.10,
-                        overhead_threshold: float = 0.25) -> KernelDiagnosis:
-    """Classify a kernel run: loop-bound, SRF-stall-bound, or
-    overhead-bound (short strips / deep pipelines)."""
-    total = max(1, run.total_cycles)
-    stall_fraction = run.srf_stall_cycles / total
-    overhead_fraction = run.overhead_cycles / total
-    if stall_fraction >= stall_threshold:
-        classification = "SRF-bandwidth bound"
-    elif overhead_fraction >= overhead_threshold:
-        classification = "overhead bound (short strips or deep pipeline)"
-    else:
-        classification = "loop bound"
-    return KernelDiagnosis(run, classification, stall_fraction,
-                           overhead_fraction)
-
-
-@dataclass
-class ProgramDiagnosis:
-    """A whole benchmark run's behaviour classified."""
-
-    classification: str
-    memory_fraction: float
-    kernel_fraction: float
-    dram_utilization: float
-    kernel_diagnoses: list
-
-    def describe(self) -> str:
-        lines = [
-            f"program: {self.classification} "
-            f"(memory stalls {self.memory_fraction:.0%}, kernels "
-            f"{self.kernel_fraction:.0%}, DRAM utilisation "
-            f"{self.dram_utilization:.0%})"
-        ]
-        lines.extend("  " + d.describe() for d in self.kernel_diagnoses)
-        return "\n".join(lines)
-
-
-def diagnose_program(stats: ProgramStats, config: MachineConfig,
-                     memory_threshold: float = 0.35) -> ProgramDiagnosis:
-    """Classify a benchmark run as memory-bound or kernel-bound.
-
-    ``dram_utilization`` compares moved words against the configuration's
-    peak DRAM bandwidth over the run — near 1.0 means the paper's
-    "constrained by memory bandwidth".
-    """
-    total = max(1, stats.total_cycles)
-    memory_fraction = stats.memory_stall_cycles / total
-    kernel_fraction = (
-        stats.kernel_loop_body_cycles + stats.srf_stall_cycles
-        + stats.kernel_overhead_cycles
-    ) / total
-    dram_utilization = stats.offchip_words / (
-        config.dram_words_per_cycle * total
-    )
-    if memory_fraction >= memory_threshold:
-        classification = "memory-bandwidth bound"
-    else:
-        classification = "kernel (compute/SRF) bound"
-    return ProgramDiagnosis(
-        classification=classification,
-        memory_fraction=memory_fraction,
-        kernel_fraction=kernel_fraction,
-        dram_utilization=dram_utilization,
-        kernel_diagnoses=[
-            diagnose_kernel_run(run) for run in stats.kernel_runs
-        ],
-    )

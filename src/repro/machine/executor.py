@@ -156,24 +156,11 @@ class KernelExecutor:
 
     def __init__(self, config: MachineConfig, srf: StreamRegisterFile,
                  invocation: KernelInvocation, schedule: StaticSchedule,
-                 observer=None, record_to=None, replay_from=None):
+                 record_to=None, replay_from=None):
         self.config = config
         self.srf = srf
         self.invocation = invocation
         self.schedule = schedule
-        # Observability (repro.observe); None when disabled.
-        self._stall_counter = None
-        if observer is not None and observer.metrics is not None:
-            metrics = observer.metrics
-            self._stall_counter = metrics.counter(
-                f"kernel.{invocation.name}.srf_stall_cycles"
-            )
-            # Static VLIW slot utilisation of the modulo schedule: ops
-            # issued per iteration over the ii * ALU slot capacity.
-            capacity = schedule.ii * config.alus_per_cluster
-            metrics.gauge(
-                f"kernel.{invocation.name}.slot_utilization"
-            ).set(len(invocation.kernel.ops) / capacity if capacity else 0.0)
         self._geometry = srf.geometry
         self._bind_streams()
         if invocation.on_start is not None:
@@ -506,8 +493,6 @@ class KernelExecutor:
                 break
         if stalled:
             self.stats.srf_stall_cycles += 1
-            if self._stall_counter is not None:
-                self._stall_counter.add()
         else:
             self._vt += 1
         return comm_busy

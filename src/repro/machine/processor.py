@@ -20,6 +20,8 @@ paper's "software pipelined loops" steady state is measured.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.config.machine import MachineConfig
 from repro.core.srf import StreamRegisterFile
 from repro.errors import DeadlockError
@@ -34,8 +36,8 @@ from repro.machine.program import StreamProgram
 from repro.machine.stats import ProgramStats
 from repro.memory.controller import MemoryController
 from repro.memory.mainmem import MainMemory
-from repro.observe.observer import Observer
-from repro.observe.observer import register as _register_observer
+from repro.observe.events import RING_EVENTS, Tracer
+from repro.observe.observer import register as _register_tracer
 
 #: A program making no forward progress for this many cycles is declared
 #: deadlocked (a bug in the program or the model).
@@ -54,7 +56,7 @@ class StreamProcessor:
         self.scheduler = ModuloScheduler(ClusterResources.from_config(config))
         self.cycle = 0
         self._schedule_cache = {}
-        self._install_observer(config)
+        self._install_tracer(config)
         self._install_sanitizer(config)
 
     def _install_sanitizer(self, config: MachineConfig) -> None:
@@ -74,23 +76,19 @@ class StreamProcessor:
 
             self._sanitizer = MachineSanitizer(self.srf)
 
-    def _install_observer(self, config: MachineConfig) -> None:
-        """Wire the configured observability bundle in (usually None).
+    def _install_tracer(self, config: MachineConfig) -> None:
+        """Hand the SRF and memory controller one tracer (usually None).
 
-        Observation never changes simulated behaviour: every hook is a
-        read-only probe, and with the knobs at their defaults the
-        machine carries no observability state at all.
+        Tracing never changes simulated behaviour: every trace call is a
+        read-only probe, and an untraced machine carries no tracer.
         """
-        self.observer = Observer.from_config(config)
-        self._tracer = None
-        if self.observer is None:
+        self.tracer = None
+        if not config.trace:
             return
-        _register_observer(self.observer)
-        self._tracer = self.observer.tracer
-        self.srf.install_observer(self.observer)
-        self.srf.address_network.install_observer(self.observer)
-        self.srf.return_network.install_observer(self.observer)
-        self.controller.install_observer(self.observer)
+        self.tracer = Tracer(RING_EVENTS, clock_hz=config.clock_hz)
+        self.srf.tracer = self.tracer
+        self.controller.tracer = self.tracer
+        _register_tracer(config.name, self.tracer)
 
     # ------------------------------------------------------------------
     def schedule_kernel(self, kernel: Kernel) -> StaticSchedule:
@@ -144,7 +142,7 @@ class StreamProcessor:
         start_cycle = self.cycle
         start_traffic = self.controller.offchip_traffic_words
         limit = DEADLOCK_CYCLES
-        tracer = self._tracer
+        tracer = self.tracer
         if tracer is not None:
             tracer.begin(
                 "processor", f"program:{program.name}", self.cycle,
@@ -198,7 +196,6 @@ class StreamProcessor:
                                     )
                             executor = KernelExecutor(
                                 self.config, self.srf, task.work, schedule,
-                                observer=self.observer,
                                 record_to=record_to,
                                 replay_from=replay_from,
                             )
@@ -276,9 +273,27 @@ class StreamProcessor:
                 "processor", f"program:{program.name}", self.cycle,
                 total_cycles=stats.total_cycles,
             )
-        if self.observer is not None and self.observer.metrics is not None:
-            stats.metrics = self.observer.metrics.collect()
+        if self.config.metrics:
+            stats.metrics = self.metrics_snapshot()
         return stats
+
+    def metrics_snapshot(self) -> dict:
+        """Every field of the components' stats, as
+        ``<component>.<field>``; cumulative over the machine's life."""
+        components = {
+            "srf": self.srf.stats,
+            "address_network": self.srf.address_network.stats,
+            "return_network": self.srf.return_network.stats,
+            "memory": self.controller.stats,
+            "dram": self.controller.dram.stats,
+        }
+        if self.controller.cache is not None:
+            components["cache"] = self.controller.cache.stats
+        return {
+            f"{component}.{name}": value
+            for component, stats in components.items()
+            for name, value in dataclasses.asdict(stats).items()
+        }
 
     def _deadlock(self, program: StreamProgram, limit: int,
                   remaining_count: int, mem_waiting, kernel_waiting,

@@ -106,7 +106,7 @@ TIMING_ONLY_FIELDS = frozenset({
     # Simulation knobs (all proven stats-inert elsewhere).
     "timing_source", "sanitize",
     # Observability (read-only probes by construction).
-    "trace", "trace_buffer_events", "metrics_level",
+    "trace", "metrics",
     # Memory-system timing.
     "dram_bandwidth_bytes_per_s", "dram_latency_cycles", "dram_banks",
     "dram_row_words", "dram_row_miss_penalty",

@@ -94,9 +94,10 @@ class ProgramStats:
     idle_cycles: int = 0
     offchip_words: int = 0
     kernel_runs: list = field(default_factory=list)
-    #: Observability snapshot (repro.observe): metric name ->
-    #: ``{"kind": ..., "value"/...}``. Empty when ``metrics_level`` is 0,
-    #: so default-config stats stay bit-identical to the seed.
+    #: Snapshot of the machine components' stats at program end,
+    #: ``"<component>.<field>" -> value``; empty unless the config sets
+    #: ``metrics`` (see
+    #: :meth:`~repro.machine.processor.StreamProcessor.metrics_snapshot`).
     metrics: dict = field(default_factory=dict)
 
     @property
@@ -129,6 +130,6 @@ class ProgramStats:
         self.offchip_words += other.offchip_words
         self.kernel_runs.extend(other.kernel_runs)
         if other.metrics:
-            # Registry snapshots are cumulative per machine, so the
-            # latest merged run carries the most complete view.
+            # Snapshots are cumulative per machine, so the latest
+            # merged run carries the most complete view.
             self.metrics = other.metrics

@@ -139,38 +139,11 @@ class MemoryController:
         self._active = []
         self._completed = {}
         self.stats = MemoryStats()
-        # Observability (repro.observe); None when disabled.
-        self._tracer = None
-        self._ops_counter = None
-
-    # ------------------------------------------------------------------
-    # Observability (repro.observe)
-    # ------------------------------------------------------------------
-    def install_observer(self, observer) -> None:
-        """Attach an :class:`repro.observe.Observer`; None is a no-op.
-
-        Each stream memory op becomes an async trace span on the
-        ``memory`` track (async because transfers overlap), paired by
-        ``op_id``. The metrics registry sees the controller and DRAM
-        aggregates via providers and, at any level, a live counter of
-        issued ops used by the trace/metrics reconciliation tests.
-        """
-        if observer is None:
-            return
-        self._tracer = observer.tracer
-        self.dram.install_observer(observer)
-        if observer.metrics is not None:
-            observer.metrics.add_provider(self._metrics_provider)
-            self._ops_counter = observer.metrics.counter("memory.ops_issued")
-
-    def _metrics_provider(self) -> dict:
-        s = self.stats
-        return {
-            "memory.ops_completed": s.ops_completed,
-            "memory.offchip_words": s.offchip_words,
-            "memory.cache_hit_words": s.cache_hit_words,
-            "memory.busy_cycles": s.busy_cycles,
-        }
+        #: Event tracer (repro.observe) the processor hands a traced
+        #: machine's controller; each stream memory op becomes an async
+        #: span on the ``memory`` track, paired by ``op_id`` (async
+        #: because transfers overlap). None when disabled.
+        self.tracer = None
 
     # ------------------------------------------------------------------
     def issue(self, op: StreamMemoryOp, cycle: int) -> None:
@@ -201,14 +174,12 @@ class MemoryController:
         active = _ActiveOp(op, geometry.block_words, cycle, ready, cached)
         self._active.append(active)
         self.srf.attach_port(active)
-        if self._tracer is not None:
-            self._tracer.async_begin(
+        if self.tracer is not None:
+            self.tracer.async_begin(
                 "memory", op.describe(), cycle, event_id=op.op_id,
                 words=op.words, into_srf=op.into_srf,
                 cacheable=op.cacheable,
             )
-        if self._ops_counter is not None:
-            self._ops_counter.add()
 
     def is_complete(self, op_id: int) -> bool:
         return op_id in self._completed
@@ -329,8 +300,8 @@ class MemoryController:
             self.srf.close_sequential(active)
             self._completed[active.op.op_id] = cycle
             self.stats.ops_completed += 1
-            if self._tracer is not None:
-                self._tracer.async_end(
+            if self.tracer is not None:
+                self.tracer.async_end(
                     "memory", active.op.describe(), cycle,
                     event_id=active.op.op_id,
                 )

@@ -75,32 +75,6 @@ class DramModel:
         #: so idle periods cannot bank unbounded bandwidth.
         self._max_credit = 4.0 * self.words_per_cycle
         self.stats = DramStats()
-        # Observability (repro.observe): per-bank row-miss counters
-        # installed only at metrics level 2; None keeps charge() clean.
-        self._bank_misses = None
-
-    def install_observer(self, observer) -> None:
-        """Expose DRAM locality metrics through an observer's registry."""
-        if observer is None or observer.metrics is None:
-            return
-        metrics = observer.metrics
-        metrics.add_provider(self._metrics_provider)
-        if metrics.level >= 2:
-            self._bank_misses = [
-                metrics.counter(f"dram.bank{bank}.row_misses")
-                for bank in range(self.banks)
-            ]
-
-    def _metrics_provider(self) -> dict:
-        s = self.stats
-        return {
-            "dram.word_accesses": s.word_accesses,
-            "dram.row_hits": s.row_hits,
-            "dram.row_misses": s.row_misses,
-            "dram.row_hit_rate": s.row_hit_rate,
-            "dram.read_words": s.read_words,
-            "dram.write_words": s.write_words,
-        }
 
     def begin_cycle(self) -> None:
         """Accrue one cycle of bus budget."""
@@ -139,7 +113,6 @@ class DramModel:
         row_words = self.row_words
         banks = self.banks
         miss_cost = 1.0 + self.row_miss_cost
-        bank_misses = self._bank_misses
         misses = 0
         index = start
         while index < stop and credit > 0.0:
@@ -154,8 +127,6 @@ class DramModel:
                 open_rows[bank] = row
                 credit -= miss_cost
                 misses += 1
-                if bank_misses is not None:
-                    bank_misses[bank].add()
             index += 1
         self._credit = credit
         moved = index - start
@@ -187,8 +158,6 @@ class DramModel:
             self.stats.row_misses += 1
             self._open_rows[bank] = row
             cost += self.row_miss_cost
-            if self._bank_misses is not None:
-                self._bank_misses[bank].add()
         self._credit -= cost
         self.stats.word_accesses += 1
         if is_write:

@@ -1,15 +1,16 @@
 """Zero-overhead-when-disabled observability for the simulator.
 
-Two facilities, both off by default and both inert (no allocated state,
-single ``is not None`` guards on hot paths) unless a
+Two facilities, both off by default and both inert unless a
 :class:`~repro.config.machine.MachineConfig` turns them on:
 
 * :class:`~repro.observe.events.Tracer` — structured begin/end, instant,
   counter and async events with cycle timestamps, exported as Chrome
-  ``trace_event`` / Perfetto JSON (``config.trace``);
-* :class:`~repro.observe.metrics.MetricsRegistry` — hierarchical
-  counters, gauges and histograms folded into ``ProgramStats.metrics``
-  (``config.metrics_level``).
+  ``trace_event`` / Perfetto JSON (``config.trace``). It is the only
+  hook that watches the machine while it runs: a disabled machine
+  carries no tracer and its hot paths pay one ``is not None`` check;
+* ``ProgramStats.metrics`` (``config.metrics``) — a snapshot, taken at
+  the end of each program, of the machine components' own stats
+  dataclasses, one ``<component>.<field>`` entry per field.
 
 Where the simulated cycles went is not estimated here: the machine
 counts Figure 12's categories exactly, and
@@ -32,20 +33,12 @@ from repro.observe.export import (
     validate_chrome_trace,
     write_trace,
 )
-from repro.observe.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
 from repro.observe.observer import (
     TRACE_ENV,
     Collection,
-    Observer,
     collect,
     register,
     trace_overrides_from_env,
-    trace_path_from_env,
 )
 
 __all__ = [
@@ -58,18 +51,12 @@ __all__ = [
     "PHASE_INSTANT",
     "TRACE_ENV",
     "Collection",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Observer",
     "TraceEvent",
     "Tracer",
     "chrome_trace",
     "collect",
     "register",
     "trace_overrides_from_env",
-    "trace_path_from_env",
     "validate_chrome_trace",
     "write_trace",
 ]

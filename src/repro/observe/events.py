@@ -31,6 +31,10 @@ PHASES = (
     PHASE_ASYNC_BEGIN, PHASE_ASYNC_END,
 )
 
+#: Ring capacity of a machine's tracer, in events. A traced FFT 2D run
+#: at paper scale emits fewer than 200, so nothing drops.
+RING_EVENTS = 1 << 20
+
 
 @dataclass
 class TraceEvent:

@@ -1,24 +1,22 @@
-"""The per-machine observability bundle and its configuration plumbing.
+"""Observability configuration plumbing and the collect() hook.
 
-An :class:`Observer` groups the two observability facilities — event
-tracer and metrics registry — that a
-:class:`~repro.machine.processor.StreamProcessor` installs into its
-components. It is built from :class:`~repro.config.machine.MachineConfig`
-knobs (``trace``, ``metrics_level``); with both at their defaults
-:meth:`Observer.from_config` returns ``None`` and the machine carries no
-observability state at all.
+A :class:`~repro.machine.processor.StreamProcessor` built with
+``config.trace`` owns one :class:`~repro.observe.events.Tracer`, which
+it hands to its SRF and memory controller; with ``config.metrics`` it
+copies its components' stats into ``ProgramStats.metrics`` at the end
+of each program. With both knobs at their defaults the machine carries
+no observability state at all.
 
 Because benchmarks construct their processors internally, callers that
-need the traces use the :func:`collect` context manager: every observer
-created while it is active is registered with it::
+need the traces use the :func:`collect` context manager: every traced
+machine created while it is active registers its tracer with it::
 
     with observe.collect() as collected:
         result = fft.run(base_config(trace=True), n=16)
-    tracer = collected.observers[0].tracer
+    tracer = collected.tracers()["Base"]
 
-The ``REPRO_TRACE`` environment variable overlays observability knobs
-onto every machine preset, e.g.
-``REPRO_TRACE="trace=1,metrics=2,path=out.json"``.
+The ``REPRO_TRACE`` environment variable overlays the two knobs onto
+every machine preset, e.g. ``REPRO_TRACE="trace=1,metrics=1"``.
 """
 
 from __future__ import annotations
@@ -27,33 +25,24 @@ import os
 from contextlib import contextmanager
 
 from repro.errors import ConfigurationError
-from repro.observe.events import Tracer
-from repro.observe.metrics import MetricsRegistry
 
 #: Environment variable carrying observability overrides for the presets.
 TRACE_ENV = "REPRO_TRACE"
 
-#: REPRO_TRACE key -> (destination, parser). Every destination but
-#: ``path`` is a MachineConfig field; ``path`` is the ``trace``
-#: experiment's output file and never reaches a config.
-_ENV_KEYS = {
-    "trace": ("trace", lambda v: bool(int(v))),
-    "path": ("path", str),
-    "metrics": ("metrics_level", int),
-    "buffer": ("trace_buffer_events", int),
-}
+#: REPRO_TRACE keys; each names the bool MachineConfig field it sets.
+_ENV_KEYS = ("trace", "metrics")
 
 #: Shorthand values enabling tracing alone: ``REPRO_TRACE=1``.
 _BARE_ON = ("1", "true", "on", "yes")
 
 
-def _parse_env(environ) -> dict:
-    """Parse ``REPRO_TRACE`` into destination -> value.
+def trace_overrides_from_env(environ=None) -> dict:
+    """Parse ``REPRO_TRACE`` into :class:`MachineConfig` overrides.
 
     The variable is a comma-separated ``key=value`` list with keys
-    ``trace``, ``path``, ``metrics`` and ``buffer``; the bare values
-    ``1``/``true``/``on`` enable tracing alone. Empty or unset yields
-    ``{}``.
+    ``trace`` and ``metrics``, each an integer read as a flag; the bare
+    values ``1``/``true``/``on`` enable tracing alone. Empty or unset
+    yields ``{}`` so the presets are untouched by default.
     """
     environ = os.environ if environ is None else environ
     spec = environ.get(TRACE_ENV, "").strip()
@@ -74,9 +63,8 @@ def _parse_env(environ) -> dict:
                 f"bad {TRACE_ENV} entry {item!r} "
                 f"(known keys: {', '.join(_ENV_KEYS)})"
             )
-        destination, parser = _ENV_KEYS[key]
         try:
-            parsed[destination] = parser(value)
+            parsed[key] = bool(int(value))
         except ValueError:
             raise ConfigurationError(
                 f"{TRACE_ENV}: {key} needs an integer, got {value!r}"
@@ -84,90 +72,46 @@ def _parse_env(environ) -> dict:
     return parsed
 
 
-def trace_overrides_from_env(environ=None) -> dict:
-    """Parse ``REPRO_TRACE`` into :class:`MachineConfig` overrides.
-
-    Every key but ``path`` maps to a config field (see
-    :func:`trace_path_from_env`). Empty or unset yields ``{}`` so the
-    presets are untouched by default.
-    """
-    overrides = _parse_env(environ)
-    overrides.pop("path", None)
-    return overrides
-
-
-def trace_path_from_env(environ=None) -> "str | None":
-    """The ``path=`` entry of ``REPRO_TRACE``, or None when absent."""
-    return _parse_env(environ).get("path")
-
-
-class Observer:
-    """Tracer + metrics for one simulated machine."""
-
-    def __init__(self, tracer: "Tracer | None" = None,
-                 metrics: "MetricsRegistry | None" = None,
-                 machine: str = ""):
-        self.tracer = tracer
-        self.metrics = metrics
-        self.machine = machine
-
-    @classmethod
-    def from_config(cls, config) -> "Observer | None":
-        """Build the observer a config asks for, or None when inert."""
-        if not (config.trace or config.metrics_level):
-            return None
-        tracer = (
-            Tracer(config.trace_buffer_events, clock_hz=config.clock_hz)
-            if config.trace else None
-        )
-        metrics = (
-            MetricsRegistry(level=config.metrics_level)
-            if config.metrics_level else None
-        )
-        return cls(tracer=tracer, metrics=metrics, machine=config.name)
-
-
 # ----------------------------------------------------------------------
-# Observer collection (for callers that do not own the processor)
+# Tracer collection (for callers that do not own the processor)
 # ----------------------------------------------------------------------
 class Collection:
-    """Observers registered while a :func:`collect` block was active."""
+    """Tracers registered while a :func:`collect` block was active."""
 
     def __init__(self):
-        self.observers = []
+        #: ``(machine label, tracer)`` pairs, in registration order.
+        self.entries = []
 
     def tracers(self) -> dict:
-        """Machine label -> tracer for every traced observer collected.
+        """Machine label -> tracer for every traced machine collected.
 
         Duplicate machine names (several processors of one config) are
         disambiguated with a ``#k`` suffix, so the dict is loss-free.
         """
         out = {}
-        for observer in self.observers:
-            if observer.tracer is None:
-                continue
-            label = observer.machine or "machine"
+        for machine, tracer in self.entries:
+            label = machine or "machine"
             if label in out:
                 suffix = 2
                 while f"{label}#{suffix}" in out:
                     suffix += 1
                 label = f"{label}#{suffix}"
-            out[label] = observer.tracer
+            out[label] = tracer
         return out
 
 
 _collections = []
 
 
-def register(observer: Observer) -> None:
-    """Offer a newly created observer to every active collect block."""
+def register(machine: str, tracer) -> None:
+    """Offer a newly created machine's tracer to every collect block."""
     for collection in _collections:
-        collection.observers.append(observer)
+        collection.entries.append((machine, tracer))
 
 
 @contextmanager
 def collect():
-    """Collect every observer created inside the ``with`` block."""
+    """Collect the tracer of every machine created inside the block."""
     collection = Collection()
     _collections.append(collection)
     try:

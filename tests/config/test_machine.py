@@ -4,7 +4,9 @@ import dataclasses
 
 import pytest
 
+from repro.apps import fft
 from repro.config import MachineConfig, SrfMode, WORD_BYTES
+from repro.config.presets import all_configs, isrf4_config
 from repro.errors import ConfigurationError
 
 
@@ -95,6 +97,37 @@ class TestValidation:
         # "no" is truthy: a flag set to it must not silently switch on.
         with pytest.raises(ConfigurationError, match=field):
             MachineConfig(**{field: "no"}).validate()
+
+    @pytest.mark.parametrize("preset, field, value", [
+        ("ISRF4", "inlane_addr_data_separation", -3),
+        ("Cache", "cache_bandwidth_bytes_per_s", 0),
+        ("Cache", "cache_banks", 0),
+        ("Cache", "cache_associativity", 0),
+        ("Cache", "cache_line_words", 0),
+        ("Base", "clock_hz", 0),
+        ("Base", "dram_bandwidth_bytes_per_s", float("nan")),
+        ("Base", "alus_per_cluster", 0),
+        ("ISRF4", "crosslane_ports_per_bank", 0),
+        ("Base", "dram_latency_cycles", -5),
+        ("Cache", "cache_hit_latency", -3),
+        ("Base", "dram_row_miss_penalty", -100),
+    ])
+    def test_value_below_its_bound_rejected(self, preset, field, value):
+        # Each of these used to validate, then deadlock, divide by zero
+        # or run to completion with meaningless cycles.
+        with pytest.raises(ConfigurationError, match=field):
+            all_configs()[preset].replace(**{field: value})
+
+    def test_cache_fields_unchecked_without_a_cache(self):
+        MachineConfig(cache_banks=0, cache_hit_latency=-1).validate()
+
+    @pytest.mark.parametrize("separation", [0, 1])
+    def test_small_separations_run(self, separation):
+        config = isrf4_config(
+            inlane_addr_data_separation=separation,
+            crosslane_addr_data_separation=separation,
+        )
+        fft.run(config, n=16).require_verified()
 
     def test_cache_set_bank_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):

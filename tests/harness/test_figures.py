@@ -143,11 +143,8 @@ class TestTraceExperiment:
             assert all(part >= 0 for part in parts)
             assert sum(parts) == cycles
 
-    def test_trace_path_precedence(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
+    def test_trace_path_precedence(self):
         assert figures.trace_output_path() == figures.DEFAULT_TRACE_PATH
-        monkeypatch.setenv("REPRO_TRACE", "path=env.json")
-        assert figures.trace_output_path() == "env.json"
         figures.set_trace_path("cli.json")
         try:
             assert figures.trace_output_path() == "cli.json"

@@ -127,12 +127,12 @@ class TestMetricsAcrossBackends:
     every metric bit-stable."""
 
     def test_metrics_identical_across_backends(self, tmp_path):
-        """Every metric at the deepest level reads the same whether the
-        kernels execute or replay (the golden fingerprints leave
-        ``metrics`` out, so only this pins it)."""
+        """Every metric reads the same whether the kernels execute or
+        replay (the golden fingerprints leave ``metrics`` out, so only
+        this pins it)."""
         store = TraceStore(str(tmp_path))
         config = all_configs()["ISRF4"].replace(
-            metrics_level=2, timing_source="replay"
+            metrics=True, timing_source="replay"
         )
         with replay.session(store, "fft", config, "test") as sess:
             executed = fft.run(config, n=16, repeats=1)

@@ -1,14 +1,8 @@
 """Performance-diagnostics: bound analysis matches the paper's reasoning."""
 
 
-from repro.config import base_config, isrf1_config, isrf4_config
-from repro.harness import run_benchmark
 from repro.kernel import KernelBuilder, ModuloScheduler
-from repro.machine.diagnostics import (
-    analyze_schedule,
-    diagnose_kernel_run,
-    diagnose_program,
-)
+from repro.machine.diagnostics import analyze_schedule
 
 
 class TestScheduleBounds:
@@ -87,50 +81,3 @@ class TestScheduleBounds:
         bounds = analyze_schedule(ModuloScheduler().schedule(b.build()))
         assert "bound by" in bounds.describe()
 
-
-class TestRunDiagnosis:
-    def test_rijndael_isrf1_is_srf_bound(self):
-        result = run_benchmark("Rijndael", isrf1_config(), "small")
-        diagnoses = [
-            diagnose_kernel_run(r) for r in result.stats.kernel_runs
-        ]
-        assert any("SRF-bandwidth" in d.classification for d in diagnoses)
-
-    def test_isrf4_stalls_much_less_than_isrf1(self):
-        r1 = run_benchmark("Rijndael", isrf1_config(), "small")
-        r4 = run_benchmark("Rijndael", isrf4_config(), "small")
-        frac1 = max(diagnose_kernel_run(r).stall_fraction
-                    for r in r1.stats.kernel_runs)
-        frac4 = max(diagnose_kernel_run(r).stall_fraction
-                    for r in r4.stats.kernel_runs)
-        assert frac4 < 0.6 * frac1
-
-    def test_sort_kernels_loop_bound(self):
-        result = run_benchmark("Sort", isrf4_config(), "small")
-        diagnoses = [
-            diagnose_kernel_run(r) for r in result.stats.kernel_runs
-        ]
-        assert all(d.classification == "loop bound" for d in diagnoses)
-
-
-class TestProgramDiagnosis:
-    def test_base_rijndael_memory_bound(self):
-        config = base_config()
-        result = run_benchmark("Rijndael", config, "small")
-        diagnosis = diagnose_program(result.stats, config)
-        assert diagnosis.classification == "memory-bandwidth bound"
-        assert diagnosis.dram_utilization > 0.6
-
-    def test_isrf4_rijndael_kernel_bound(self):
-        config = isrf4_config()
-        result = run_benchmark("Rijndael", config, "small")
-        diagnosis = diagnose_program(result.stats, config)
-        assert diagnosis.classification == "kernel (compute/SRF) bound"
-        assert diagnosis.dram_utilization < 0.4
-
-    def test_describe_is_readable(self):
-        config = base_config()
-        result = run_benchmark("Sort", config, "small")
-        text = diagnose_program(result.stats, config).describe()
-        assert "program:" in text
-        assert "II=" in text

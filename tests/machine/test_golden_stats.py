@@ -191,7 +191,7 @@ class TestGoldenStats:
 
     def test_observability_is_inert(self, golden, app, preset):
         """Trace + metrics on must not move a single cycle."""
-        config = all_configs()[preset].replace(trace=True, metrics_level=2)
+        config = all_configs()[preset].replace(trace=True, metrics=True)
         result = APPS[app](config).require_verified()
         assert fingerprint(result.stats) == golden[app][preset]
 
@@ -214,7 +214,7 @@ class TestGoldenStats:
             self, golden, trace_store, app, preset):
         """Trace + metrics on a replayed run must not move a single
         cycle either."""
-        config = all_configs()[preset].replace(trace=True, metrics_level=2)
+        config = all_configs()[preset].replace(trace=True, metrics=True)
         result = run_replayed(APPS[app], config, trace_store, app)
         assert fingerprint(result.stats) == golden[app][preset]
 

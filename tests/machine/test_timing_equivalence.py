@@ -58,14 +58,14 @@ class TestSelection:
 HOOKS = {
     "sanitize": dict(sanitize=True),
     "trace": dict(trace=True),
-    "metrics": dict(metrics_level=1),
+    "metrics": dict(metrics=True),
 }
 
 #: One setting per hook that the machine cannot honour.
 INVALID = {
     "sanitize": dict(sanitize="off"),
-    "trace": dict(trace=True, trace_buffer_events=0),
-    "metrics": dict(metrics_level=3),
+    "trace": dict(trace="on"),
+    "metrics": dict(metrics="on"),
 }
 
 

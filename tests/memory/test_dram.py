@@ -7,8 +7,6 @@ import pytest
 from repro.config import base_config
 from repro.errors import MemorySystemError
 from repro.memory.dram import DramModel
-from repro.observe.metrics import MetricsRegistry
-from repro.observe.observer import Observer
 
 
 def make_dram(**overrides):
@@ -128,20 +126,13 @@ class TestRowBuffer:
 class TestAccessRun:
     """``access_run`` is ``try_access`` over a run of words, in one call."""
 
-    @staticmethod
-    def observed_dram():
-        dram = make_dram()
-        metrics = MetricsRegistry(level=2)
-        dram.install_observer(Observer(metrics=metrics))
-        return dram, metrics
-
     @pytest.mark.parametrize("is_write", [False, True])
     def test_matches_per_word_try_access(self, is_write):
         rng = random.Random(3)
         # Row hits and misses across every bank.
         addrs = [rng.randrange(16 * 512) for _ in range(400)]
-        run, run_metrics = self.observed_dram()
-        word, word_metrics = self.observed_dram()
+        run = make_dram()
+        word = make_dram()
         cursor = 0
         for _ in range(5000):
             if cursor == len(addrs):
@@ -159,8 +150,7 @@ class TestAccessRun:
         assert cursor == len(addrs)
         assert run.stats == word.stats
         assert run._open_rows == word._open_rows
-        assert run_metrics.collect() == word_metrics.collect()
-        assert run.stats.row_misses > 8  # the bank counters saw misses
+        assert run.stats.row_misses > 8  # the run saw row misses
 
     def test_stops_at_the_run_end(self):
         dram = make_dram()

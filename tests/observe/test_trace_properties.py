@@ -3,9 +3,9 @@
 The synthetic half drives the tracer/exporter with
 hypothesis-generated event streams; the real half runs FFT 2D under
 full observability once per preset and checks the invariants the
-exporter and metrics registry promise each other: per-track timestamps
+tracer, exporter and stats promise each other: per-track timestamps
 monotonic, begin/end balanced, event counts reconciling with the
-metrics registry, and the exported JSON passing Chrome trace schema
+machine's stats, and the exported JSON passing Chrome trace schema
 validation.
 """
 
@@ -89,7 +89,7 @@ class TestSyntheticStreams:
 @pytest.fixture(scope="module")
 def traced_runs():
     """FFT 2D under full observability on Base and ISRF4, run once."""
-    observability = dict(trace=True, metrics_level=2)
+    observability = dict(trace=True, metrics=True)
     runs = {}
     with observe.collect() as collected:
         for factory in (base_config, isrf4_config):
@@ -135,11 +135,10 @@ class TestRealRunInvariants:
         tracers = collected.tracers()
         for label, result in runs.items():
             tracer = tracers[label]
-            issued = result.stats.metrics["memory.ops_issued"]["value"]
-            assert tracer.count("memory", PHASE_ASYNC_BEGIN) == issued
-            assert tracer.count("memory", PHASE_ASYNC_END) == issued
-            completed = result.stats.metrics["memory.ops_completed"]["value"]
-            assert issued == completed
+            completed = result.stats.metrics["memory.ops_completed"]
+            assert completed > 0
+            assert tracer.count("memory", PHASE_ASYNC_BEGIN) == completed
+            assert tracer.count("memory", PHASE_ASYNC_END) == completed
 
     def test_kernel_spans_reconcile_with_kernel_runs(self, traced_runs):
         runs, collected = traced_runs
