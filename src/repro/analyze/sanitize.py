@@ -18,13 +18,18 @@ Checked invariants, mirroring the machine's conservation laws:
   credit non-negative, stream-buffer occupancy within capacity, and
   reads never over-commit buffer space (occupancy + in-flight ≤
   capacity);
+* **request lines** — every registered requester's (sequential port's
+  or memory op's) ``requesting`` flag equals ``wants_grant()``, and the
+  SRF's raised-line count equals the raised flags;
 * **indexed streams** — the O(1) ``pending_words`` counter equals the
-  words actually queued across lane FIFOs, write credits are
+  words actually queued across lane FIFOs, the SRF-wide queued-word
+  count equals the sum of ``pending_words``, write credits are
   non-negative, each address FIFO's record counter equals its queued
   record-end words and stays within capacity, a non-empty FIFO's tail
   word ends a record, reorder buffers stay within capacity;
 * **crossbars** — address-network port budgets within configured
-  bounds, return-network queues plus reservations within queue depth;
+  bounds, return-network queues plus reservations within queue depth,
+  and the return network's queued count equals its queue lengths;
 * **completion pipeline** — no in-flight completion is overdue after
   the cycle's completions drained, every calendar bucket's due lies in
   the ring's window and maps to that bucket, the in-flight count
@@ -81,6 +86,7 @@ class MachineSanitizer:
     def _scan(self, cycle: int):
         yield from self._check_allocator()
         yield from self._check_sequential_ports()
+        yield from self._check_request_lines()
         yield from self._check_indexed_streams()
         yield from self._check_networks()
         yield from self._check_pipeline(cycle)
@@ -137,7 +143,35 @@ class MachineSanitizer:
                     f"{port.capacity}-word buffer"
                 )
 
+    def _check_request_lines(self):
+        raised = 0
+        for port in self.srf._seq_ports:
+            wants = port.wants_grant()
+            if port.requesting != wants:
+                yield (
+                    f"request line of {self._requester_name(port)} reads "
+                    f"{port.requesting} but wants_grant() is {wants}"
+                )
+            raised += bool(port.requesting)
+        if raised != self.srf._raised_lines:
+            yield (
+                f"SRF raised-line count {self.srf._raised_lines} != "
+                f"{raised} raised request lines"
+            )
+
+    @staticmethod
+    def _requester_name(port) -> str:
+        if isinstance(port, SequentialPort):
+            return f"sequential port '{port.descriptor.name}'"
+        return f"memory op '{port.op.describe()}'"
+
     def _check_indexed_streams(self):
+        pending = sum(s.pending_words for s in self.srf._indexed_list)
+        if pending != self.srf._queued_words:
+            yield (
+                f"SRF queued-word count {self.srf._queued_words} != "
+                f"{pending}, the sum of the indexed streams' pending_words"
+            )
         for stream in self.srf._indexed_list:
             name = stream.descriptor.name
             queued = 0
@@ -204,6 +238,12 @@ class MachineSanitizer:
                     f"[0, {address.ports_per_bank}]"
                 )
         returns = self.srf.return_network
+        queued = sum(len(queue) for queue in returns._queues)
+        if queued != returns.queued:
+            yield (
+                f"return network: queued count {returns.queued} != "
+                f"{queued} words in the bank return queues"
+            )
         for bank in range(returns.lanes):
             reserved = returns._reserved[bank]
             if reserved < 0:

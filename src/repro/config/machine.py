@@ -296,6 +296,10 @@ class MachineConfig:
                 raise ConfigurationError(
                     "in-lane indexed bandwidth cannot exceed sub-arrays/bank"
                 )
+            if self.crosslane_indexed_bandwidth <= 0:
+                raise ConfigurationError(
+                    "indexed machines need crosslane_indexed_bandwidth >= 1"
+                )
         if self.has_cache:
             if self.cache_bytes % (self.cache_line_words * WORD_BYTES):
                 raise ConfigurationError(

@@ -22,9 +22,10 @@ head in its target bank's bucket in one pass per cycle, then arbitrates
 the banks in order (see :meth:`StreamRegisterFile._grant_indexed`).
 
 Clients (the kernel executor and the memory controller) interact through
-small, explicit protocols. Sequential ports expose ``wants_grant`` /
-``on_grant`` to the arbiter and ``pop_simd`` / ``push_simd`` to the
-clusters. Indexed streams take one call per SIMD access —
+small, explicit protocols. Sequential ports expose a request line
+(``requesting``, kept equal to ``wants_grant()``) and ``on_grant`` to
+the arbiter and ``pop_simd`` / ``push_simd`` to the clusters. Indexed
+streams take one call per SIMD access —
 ``issue_reads(indices)``, ``issue_writes(indices)`` and
 ``pop_records(counts)``, each all-or-nothing across the active lanes and
 False when the clusters must stall — plus per-lane ``can_issue`` /
@@ -33,6 +34,11 @@ False when the clusters must stall — plus per-lane ``can_issue`` /
 (the Figure 17/18 microbenchmarks). Address FIFOs hold plain word-access
 tuples, so an indexed word costs no object beyond its FIFO entry and its
 completion event.
+
+The arbiter serves the streams that request it (§4.4): the SRF counts
+raised request lines and queued indexed words, so a cycle with neither
+costs no arbitration, and the return network runs only on a comm cycle
+or while returns are queued.
 
 Every stream is timed by counts and tickets alone: the kernel executor
 moves every kernel word between the clusters and
@@ -103,7 +109,28 @@ class SrfStats:
         return self.inlane_grants + self.crosslane_grants + self.indexed_write_grants
 
 
-class SequentialPort:
+class PortRequester:
+    """A sequential client of the SRF port, with its request line.
+
+    :attr:`requesting` equals ``wants_grant()`` whenever the arbiter
+    reads it: the client calls :meth:`refresh_request` after every change
+    to the state ``wants_grant`` reads, except a grant, after which the
+    SRF refreshes it. The SRF counts raised lines, so a cycle with none
+    asks no port anything. Subclasses set ``srf`` and implement
+    ``wants_grant() -> bool`` and ``on_grant(cycle) -> int`` (words
+    moved).
+    """
+
+    requesting = False
+
+    def refresh_request(self) -> None:
+        wants = self.wants_grant()
+        if wants != self.requesting:
+            self.requesting = wants
+            self.srf._raised_lines += 1 if wants else -1
+
+
+class SequentialPort(PortRequester):
     """One sequential stream's connection to the SRF port.
 
     The port's grants fetch (reads) or drain (writes) whole ``N x m``
@@ -152,6 +179,7 @@ class SequentialPort:
         if self.occupancy <= 0:
             raise SrfError("stream buffer underflow")
         self.occupancy -= 1
+        self.refresh_request()
 
     def can_push(self) -> bool:
         return (self.direction is PortDirection.WRITE
@@ -162,10 +190,12 @@ class SequentialPort:
         if self.occupancy >= self.capacity:
             raise SrfError("stream buffer overflow")
         self.occupancy += 1
+        self.refresh_request()
 
     def flush(self) -> None:
         """Request that buffered write data be drained even if partial."""
         self._flush_requested = True
+        self.refresh_request()
 
     @property
     def drained(self) -> bool:
@@ -206,7 +236,11 @@ class SequentialPort:
         return width * self.lanes
 
     def deliver_fill(self) -> None:
-        """Complete a pipelined read block (called by the SRF)."""
+        """Complete a pipelined read block (called by the SRF).
+
+        Occupancy plus in-flight words stays constant, so the request
+        line does not change.
+        """
         self._inflight_words -= self.words_per_lane
         self.occupancy += self.words_per_lane
         if self.occupancy > self.capacity:
@@ -231,7 +265,8 @@ class IndexedStream:
     lane, or on none when any of them would block. The per-lane calls
     (:meth:`can_issue`, :meth:`issue_read`, :meth:`pop_record`, ...)
     serve the Figure 17/18 microbenchmarks; both forms share
-    :meth:`_enqueue` and :meth:`_dequeue`.
+    :meth:`_enqueue` and :meth:`_dequeue`, which take every active lane
+    of one access in one call.
     """
 
     def __init__(self, srf: "StreamRegisterFile", descriptor: StreamDescriptor):
@@ -259,6 +294,8 @@ class IndexedStream:
         self.is_crosslane = descriptor.kind.is_crosslane
         self.is_read = descriptor.kind.is_read
         self.record_words = descriptor.record_words
+        #: Whether each record is one word in the issuing lane's bank.
+        self._one_word = self.record_words == 1 and not self.is_crosslane
         #: Bank-local address of record 0 in every lane (PER_LANE).
         self.local_base = self._check_layout()
 
@@ -296,85 +333,139 @@ class IndexedStream:
         return local_base
 
     # -- shared by the SIMD and per-lane calls ----------------------------
-    def _enqueue(self, lane: int, record_index: int, write: bool) -> None:
-        """Queue one record access of ``lane`` (the caller checked
-        :meth:`can_issue`).
+    def _enqueue(self, indices, write: bool, first_lane: int = 0) -> bool:
+        """Queue one record access in every lane whose index is not None.
 
-        A read reserves the record's in-order reorder tickets; a write
-        counts its words as outstanding. The record is expanded into its
+        ``indices[k]`` is lane ``first_lane + k``'s record index: the SIMD
+        calls pass every lane, the per-lane calls their one lane. Returns
+        False, changing nothing, when any such lane's address FIFO or
+        reorder buffer is full; otherwise queues them all and returns
+        True. The capacity check and the queuing are one pass: a refusal
+        withdraws the lanes already queued.
+
+        A read reserves each record's in-order reorder tickets; a write
+        counts its words as outstanding. Each record is expanded into its
         word accesses here, once: this is the only copy of the
         record-to-bank address arithmetic on the timing side.
         """
-        descriptor = self.descriptor
-        if not 0 <= record_index < descriptor.length_records:
-            raise SrfError(
-                f"{descriptor.name}: record index {record_index} out of "
-                f"range [0,{descriptor.length_records})"
-            )
-        rw = self.record_words
-        if write:
-            ticket = None
-            self.outstanding_writes += rw
-        else:
-            # ReorderBuffer.reserve, inline: the caller checked capacity.
-            rob = self.robs[lane]
-            slots = rob._slots
-            ticket = rob._head_ticket + len(slots)
-            if rw == 1:
-                slots.append(False)
-            else:
-                slots.extend([False] * rw)
-        fifo = self.fifos[lane]
-        queue = fifo._words
-        if rw == 1 and not self.is_crosslane:
-            queue.append((lane, self.local_base + record_index, ticket, True))
-        else:
-            split = self.srf.geometry.split
-            start = record_index * rw
-            last = rw - 1
-            for j in range(rw):
-                if self.is_crosslane:
-                    target, addr = split(descriptor.base + start + j)
-                else:
-                    target, addr = lane, self.local_base + start + j
-                queue.append((
-                    target, addr,
-                    None if ticket is None else ticket + j,
-                    j == last,
-                ))
-        fifo.records += 1
-        self.pending_words += rw
-
-    def _dequeue(self, lane: int) -> None:
-        """Release ``lane``'s oldest record (the caller checked it
-        returned)."""
-        rob = self.robs[lane]
-        rw = self.record_words
-        slots = rob._slots
-        rob._head_ticket += rw
-        if rw == 1:
-            slots.popleft()
-        else:
-            for _ in range(rw):
-                slots.popleft()
-
-    # -- client (cluster) side, one SIMD access per call ------------------
-    def _can_issue_all(self, per_lane) -> bool:
-        """:meth:`can_issue` of every lane whose entry is not None."""
         fifos = self.fifos
         robs = self.robs
         rw = self.record_words
-        for lane, entry in enumerate(per_lane):
-            if entry is not None:
-                fifo = fifos[lane]
-                if fifo.records >= fifo.capacity:
-                    return False
-                if robs is not None:
-                    rob = robs[lane]
-                    if len(rob._slots) + rw > rob.capacity:
-                        return False
+        records = self.descriptor.length_records
+        one_word = self._one_word
+        local_base = self.local_base
+        ticket = None
+        active = 0
+        lane = first_lane
+        for index in indices:
+            if index is None:
+                lane += 1
+                continue
+            fifo = fifos[lane]
+            if fifo.records >= fifo.capacity or (
+                    robs is not None
+                    and len(robs[lane]._slots) + rw > robs[lane].capacity):
+                self._withdraw(indices, first_lane, lane, write)
+                return False
+            if not 0 <= index < records:
+                raise SrfError(
+                    f"{self.descriptor.name}: record index {index} out of "
+                    f"range [0,{records})"
+                )
+            if not write:
+                # ReorderBuffer.reserve, inline: capacity checked above.
+                rob = robs[lane]
+                slots = rob._slots
+                ticket = rob._head_ticket + len(slots)
+                if rw == 1:
+                    slots.append(False)
+                else:
+                    slots.extend([False] * rw)
+            queue = fifo._words
+            if one_word:
+                queue.append((lane, local_base + index, ticket, True))
+            else:
+                crosslane = self.is_crosslane
+                split = self.srf.geometry.split
+                start = index * rw
+                last = rw - 1
+                for j in range(rw):
+                    if crosslane:
+                        target, addr = split(self.descriptor.base + start + j)
+                    else:
+                        target, addr = lane, local_base + start + j
+                    queue.append((
+                        target, addr,
+                        None if ticket is None else ticket + j,
+                        j == last,
+                    ))
+            fifo.records += 1
+            active += 1
+            lane += 1
+        queued = active * rw
+        if write:
+            self.outstanding_writes += queued
+        self.pending_words += queued
+        self.srf._queued_words += queued
         return True
 
+    def _withdraw(self, indices, first_lane: int, stop: int,
+                  write: bool) -> None:
+        """Undo :meth:`_enqueue`'s queuing of the lanes before ``stop``
+        once lane ``stop`` refused: each lane queued ``record_words`` FIFO
+        words and, for a read, reserved as many reorder slots, all at the
+        tails."""
+        rw = self.record_words
+        lane = first_lane
+        for index in indices:
+            if lane == stop:
+                break
+            if index is not None:
+                fifo = self.fifos[lane]
+                for _ in range(rw):
+                    fifo._words.pop()
+                fifo.records -= 1
+                if not write:
+                    slots = self.robs[lane]._slots
+                    for _ in range(rw):
+                        slots.pop()
+            lane += 1
+
+    def _dequeue(self, counts, first_lane: int = 0) -> bool:
+        """Release the oldest record of every lane whose count is
+        nonzero (``counts[k]`` is lane ``first_lane + k``'s, as in
+        :meth:`_enqueue`).
+
+        Returns False, releasing nothing, when any such lane's record has
+        not fully returned; otherwise releases them all and returns True.
+        """
+        robs = self.robs
+        rw = self.record_words
+        lane = first_lane
+        for count in counts:
+            if count:
+                slots = robs[lane]._slots
+                if rw == 1:
+                    if not slots or not slots[0]:
+                        return False
+                elif not robs[lane].head_ready_n(rw):
+                    return False
+            lane += 1
+        lane = first_lane
+        for count in counts:
+            if count:
+                rob = robs[lane]
+                rob._head_ticket += rw
+                if rw == 1:
+                    rob._slots.popleft()
+                else:
+                    slots = rob._slots
+                    for _ in range(rw):
+                        slots.popleft()
+            lane += 1
+        return True
+
+    # -- client (cluster) side, one SIMD access per call ------------------
     def issue_reads(self, indices) -> bool:
         """Issue a record read in every lane whose index is not None.
 
@@ -384,26 +475,14 @@ class IndexedStream:
         """
         if not self.is_read:
             raise SrfError(f"{self.descriptor.name}: not a read stream")
-        if not self._can_issue_all(indices):
-            return False
-        enqueue = self._enqueue
-        for lane, index in enumerate(indices):
-            if index is not None:
-                enqueue(lane, index, False)
-        return True
+        return self._enqueue(indices, False)
 
     def issue_writes(self, indices) -> bool:
         """Issue a record write in every lane whose index is not None;
         all or nothing, like :meth:`issue_reads`."""
         if not self.descriptor.kind.is_write:
             raise SrfError(f"{self.descriptor.name}: not a write stream")
-        if not self._can_issue_all(indices):
-            return False
-        enqueue = self._enqueue
-        for lane, index in enumerate(indices):
-            if index is not None:
-                enqueue(lane, index, True)
-        return True
+        return self._enqueue(indices, True)
 
     def pop_records(self, counts) -> bool:
         """Pop one record in every lane whose count is nonzero.
@@ -411,23 +490,9 @@ class IndexedStream:
         Returns False, popping nothing, when any such lane's record has
         not fully returned; otherwise pops them all and returns True.
         """
-        robs = self.robs
-        if robs is None:
+        if self.robs is None:
             raise SrfError(f"{self.descriptor.name}: write streams have no data")
-        rw = self.record_words
-        for lane, count in enumerate(counts):
-            if count:
-                slots = robs[lane]._slots
-                if rw == 1:
-                    if not slots or not slots[0]:
-                        return False
-                elif not robs[lane].head_ready_n(rw):
-                    return False
-        dequeue = self._dequeue
-        for lane, count in enumerate(counts):
-            if count:
-                dequeue(lane)
-        return True
+        return self._dequeue(counts)
 
     # -- client (cluster) side, one lane per call ---------------------------
     def can_issue(self, lane: int) -> bool:
@@ -442,23 +507,21 @@ class IndexedStream:
         """Enqueue a record read; reserves in-order reorder slots."""
         if not self.is_read:
             raise SrfError(f"{self.descriptor.name}: not a read stream")
-        if not self.can_issue(lane):
-            raise SrfError(
-                f"{self.descriptor.name}: lane {lane}'s address FIFO or "
-                "reorder buffer is full"
-            )
-        self._enqueue(lane, record_index, False)
+        if not self._enqueue((record_index,), False, lane):
+            self._raise_full(lane)
 
     def issue_write(self, lane: int, record_index: int) -> None:
         """Enqueue a record write's word addresses."""
         if not self.descriptor.kind.is_write:
             raise SrfError(f"{self.descriptor.name}: not a write stream")
-        if not self.can_issue(lane):
-            raise SrfError(
-                f"{self.descriptor.name}: lane {lane}'s address FIFO or "
-                "reorder buffer is full"
-            )
-        self._enqueue(lane, record_index, True)
+        if not self._enqueue((record_index,), True, lane):
+            self._raise_full(lane)
+
+    def _raise_full(self, lane: int) -> None:
+        raise SrfError(
+            f"{self.descriptor.name}: lane {lane}'s address FIFO or "
+            "reorder buffer is full"
+        )
 
     def data_ready(self, lane: int) -> bool:
         """Whether the oldest issued record's next word has returned."""
@@ -472,12 +535,11 @@ class IndexedStream:
 
     def pop_record(self, lane: int) -> None:
         """Pop one full record of ``lane``."""
-        if not self.record_ready(lane):
+        if self.robs is None or not self._dequeue((1,), lane):
             raise SrfError(
                 f"{self.descriptor.name}: lane {lane} has no complete "
                 "record to pop"
             )
-        self._dequeue(lane)
 
     def pop_data(self, lane: int) -> None:
         """Pop the next in-order word of ``lane``."""
@@ -516,6 +578,10 @@ class StreamRegisterFile:
         self._seq_ports = []
         self._indexed = {}  # stream_id -> IndexedStream
         self._indexed_list = []  # same streams, in registration order
+        #: Registered sequential requesters whose request line is raised.
+        self._raised_lines = 0
+        #: Word accesses queued across every indexed stream's FIFOs.
+        self._queued_words = 0
         self._global_arbiter = RoundRobinArbiter()
         self._seq_arbiter = RoundRobinArbiter()
         self._bank_arbiters = [RoundRobinArbiter() for _ in range(config.lanes)]
@@ -523,10 +589,13 @@ class StreamRegisterFile:
             RingAddressNetwork if config.crosslane_network == "ring"
             else AddressNetwork
         )
+        # validate() requires a positive cross-lane bandwidth on an
+        # indexed machine; a sequential-only machine has 0 and never
+        # routes an index.
         self.address_network = network_cls(
             lanes=config.lanes,
             ports_per_bank=config.crosslane_ports_per_bank,
-            source_bandwidth=max(1, config.crosslane_indexed_bandwidth or 1),
+            source_bandwidth=config.crosslane_indexed_bandwidth or 1,
         )
         self.return_network = ReturnNetwork(lanes=config.lanes)
         # Sub-array decode factors, inlined on the per-word grant path
@@ -578,6 +647,7 @@ class StreamRegisterFile:
             )
         port = SequentialPort(self, descriptor, direction, buffer_words)
         self._seq_ports.append(port)
+        port.refresh_request()
         if self.tracer is not None:
             self.tracer.instant(
                 "srf", f"open:{descriptor.name}", self.stats.cycles,
@@ -588,17 +658,17 @@ class StreamRegisterFile:
 
     def close_sequential(self, port) -> None:
         """Detach a sequential port, or a requester registered with
-        :meth:`attach_port` (its stream finished)."""
+        :meth:`attach_port` (its stream finished); lowers its line."""
         self._seq_ports.remove(port)
+        if port.requesting:
+            port.requesting = False
+            self._raised_lines -= 1
 
-    def attach_port(self, port) -> None:
-        """Register a duck-typed sequential requester (a memory op).
-
-        ``port`` must expose ``wants_grant() -> bool`` and
-        ``on_grant(cycle) -> int`` (words moved), like
-        :class:`SequentialPort`.
-        """
+    def attach_port(self, port: PortRequester) -> None:
+        """Register another sequential requester (a memory op), raising
+        its line if it wants a grant."""
         self._seq_ports.append(port)
+        port.refresh_request()
 
     def open_indexed(self, descriptor: StreamDescriptor) -> IndexedStream:
         """Attach an indexed stream (requires an ISRF machine)."""
@@ -643,8 +713,10 @@ class StreamRegisterFile:
             self._complete_due(cycle)
         else:
             self._cal_floor = cycle + 1
-        self.return_network.tick(comm_busy)
-        self._arbitrate(cycle)
+        if comm_busy or self.return_network.queued:
+            self.return_network.tick(comm_busy)
+        if self._raised_lines or self._queued_words:
+            self._arbitrate(cycle)
 
     def next_event_cycle(self, cycle: int) -> "int | None":
         """No caller; kept because bench/layers.py wraps it by name
@@ -722,21 +794,23 @@ class StreamRegisterFile:
         """Two-stage arbitration (§4.4): the global stage selects either
         ONE sequential stream or ALL indexed streams, alternating fairly
         between the two classes; a second round-robin picks which
-        sequential stream when that class wins."""
-        sequential = [p for p in self._seq_ports if p.wants_grant()]
-        indexed_wanted = False
-        for s in self._indexed_list:
-            if s.pending_words:
-                indexed_wanted = True
-                break
-        if sequential:
-            if indexed_wanted and self._global_arbiter.pick(_CLASSES):
+        sequential stream when that class wins.
+
+        The stages read request lines and counts, not the ports: the
+        candidates are the raised lines in registration order, listed
+        only on a cycle that grants a sequential block.
+        """
+        if self._raised_lines:
+            if self._queued_words and self._global_arbiter.pick(_CLASSES):
                 self._grant_indexed(cycle)
                 return
-            port = self._seq_arbiter.pick(sequential)
+            port = self._seq_arbiter.pick(
+                [p for p in self._seq_ports if p.requesting]
+            )
             self.stats.sequential_grants += 1
             self.stats.sequential_words += port.on_grant(cycle)
-        elif indexed_wanted:
+            port.refresh_request()
+        elif self._queued_words:
             self._grant_indexed(cycle)
 
     def _grant_indexed(self, cycle: int) -> None:
@@ -802,6 +876,7 @@ class StreamRegisterFile:
             if not heads:
                 continue
             n_heads = len(heads)
+            arbiter = bank_arbiters[bank]
             if n_heads == 1:
                 order = _SINGLE
             elif occupancy_policy:
@@ -811,7 +886,7 @@ class StreamRegisterFile:
                     range(n_heads), key=lambda p: -heads[p][3].records
                 )
             else:
-                order = bank_arbiters[bank].rotation(n_heads)
+                order = arbiter.rotation(n_heads)
             used_subarrays = 0
             granted = 0
             for index in order:
@@ -860,10 +935,12 @@ class StreamRegisterFile:
                     write_grants += 1
                     inlane_bucket.append((3, stream))
                 granted += 1
-            bank_arbiters[bank].advance(n_heads)
+            # RoundRobinArbiter.advance, inline (n_heads is positive).
+            arbiter._pointer = (arbiter._pointer + 1) % n_heads
             granted_total += granted
             blocked_total += n_heads - granted
         if granted_total:
+            self._queued_words -= granted_total
             self._cal_count += granted_total
             self._cal_due[inlane_due % size] = inlane_due
             self._cal_due[crosslane_due % size] = crosslane_due
@@ -918,6 +995,6 @@ class StreamRegisterFile:
         """True when nothing is in flight anywhere in the SRF."""
         if self._cal_count or self.return_network.pending():
             return False
-        if any(p.wants_grant() for p in self._seq_ports):
+        if self._raised_lines:
             return False
         return all(s.quiescent for s in self._indexed.values())

@@ -26,7 +26,7 @@ this structure.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import SrfError
 
@@ -40,22 +40,17 @@ class CrossbarStats:
     comm_cycles: int = 0
 
 
-@dataclass
-class _Return:
-    destination_lane: int
-    ticket: int
-    stream_id: int
-    fill: object = field(repr=False)  # callable(ticket)
-
-
 class ReturnNetwork:
     """Bank -> lane data-return crossbar for cross-lane indexed reads.
 
-    Completed accesses are enqueued per source bank; each cycle the
-    network delivers up to ``slots_per_destination`` words to every
-    destination lane, and none on an explicit-comm cycle. Banks whose
-    return queue is full exert backpressure on local arbitration via
-    :meth:`bank_has_space`.
+    Completed accesses are enqueued per source bank as
+    ``(destination_lane, ticket, fill)``; each cycle the network
+    delivers up to ``slots_per_destination`` words to every destination
+    lane, and none on an explicit-comm cycle. Banks whose return queue
+    is full exert backpressure on local arbitration via
+    :meth:`bank_has_space`. :attr:`queued` counts the words waiting, so
+    the SRF ticks the network only on a comm cycle or while it holds
+    returns.
     """
 
     def __init__(
@@ -73,6 +68,8 @@ class ReturnNetwork:
         self.bank_queue_depth = bank_queue_depth
         self._queues = [deque() for _ in range(lanes)]
         self._reserved = [0] * lanes
+        #: Words waiting across the bank return queues.
+        self.queued = 0
         self.stats = CrossbarStats()
 
     def bank_has_space(self, bank: int) -> bool:
@@ -101,13 +98,12 @@ class ReturnNetwork:
             self._reserved[bank] -= 1
         elif not self.bank_has_space(bank):
             raise SrfError(f"return queue of bank {bank} is full")
-        self._queues[bank].append(
-            _Return(destination_lane, ticket, stream_id, fill)
-        )
+        self._queues[bank].append((destination_lane, ticket, fill))
+        self.queued += 1
 
     def pending(self) -> int:
         """Total words waiting in bank return queues."""
-        return sum(len(q) for q in self._queues)
+        return self.queued
 
     def tick(self, comm_busy: bool) -> int:
         """Deliver queued returns for one cycle; returns words delivered.
@@ -118,31 +114,30 @@ class ReturnNetwork:
         cycle delivers no returns — deferred words back up in the bank
         return queues and, when those fill, throttle cross-lane grants.
         """
-        slots = self.slots_per_destination
+        stats = self.stats
         if comm_busy:
-            self.stats.comm_cycles += 1
-            slots = 0
-        if slots == 0:
-            waiting = self.pending()
-            self.stats.deferred_word_cycles += waiting
+            stats.comm_cycles += 1
+            stats.deferred_word_cycles += self.queued
             return 0
-        if not any(self._queues):
+        if not self.queued:
             return 0
-        remaining = [slots] * self.lanes
+        remaining = [self.slots_per_destination] * self.lanes
         delivered = 0
         for queue in self._queues:
-            undeliverable = deque()
-            while queue:
+            # One rotation: delivered words leave, the rest go back in
+            # their order.
+            for _ in range(len(queue)):
                 item = queue.popleft()
-                if remaining[item.destination_lane] > 0:
-                    remaining[item.destination_lane] -= 1
-                    item.fill(item.ticket)
+                lane = item[0]
+                if remaining[lane]:
+                    remaining[lane] -= 1
+                    item[2](item[1])
                     delivered += 1
                 else:
-                    undeliverable.append(item)
-                    self.stats.deferred_word_cycles += 1
-            queue.extend(undeliverable)
-        self.stats.words_delivered += delivered
+                    queue.append(item)
+        self.queued -= delivered
+        stats.deferred_word_cycles += self.queued
+        stats.words_delivered += delivered
         return delivered
 
 
@@ -166,13 +161,14 @@ class AddressNetwork:
         self.source_bandwidth = source_bandwidth
         self._source_budget = [0] * lanes
         self._bank_budget = [0] * lanes
+        self._full_source = [source_bandwidth] * lanes
+        self._full_bank = [ports_per_bank] * lanes
         self.stats = CrossbarStats()
 
     def begin_cycle(self) -> None:
         """Reset per-cycle port budgets."""
-        for lane in range(self.lanes):
-            self._source_budget[lane] = self.source_bandwidth
-            self._bank_budget[lane] = self.ports_per_bank
+        self._source_budget[:] = self._full_source
+        self._bank_budget[:] = self._full_bank
 
     def can_route(self, source_lane: int, bank: int) -> bool:
         return (

@@ -3,11 +3,16 @@
 The executor replays a kernel's modulo schedule against the SRF timing
 model. Iterations are evaluated functionally (on real data) the moment
 they are *issued* into the software pipeline; their stream accesses then
-fire as timed events at ``issue_cycle + slot(op)``. Clusters run in SIMD
-lockstep, so any event that cannot complete — an empty stream buffer, a
-full address FIFO, indexed data still in flight (Figure 9) — stalls the
-whole machine for a cycle and is retried; those cycles are the
-"SRF stall" component of Figure 12.
+fire at ``issue_cycle + slot(op)``. Clusters run in SIMD lockstep, so
+any access that cannot complete — an empty stream buffer, a full address
+FIFO, indexed data still in flight (Figure 9) — stalls the whole machine
+for a cycle and is retried; those cycles are the "SRF stall" component
+of Figure 12.
+
+The timed accesses fire from a static table built once from the modulo
+schedule (:func:`firing_table`): at virtual time ``vt`` the ops whose
+slot is ``vt`` modulo ``ii`` are due, one per iteration in flight, older
+iteration first. No per-iteration event object exists.
 
 Kernel data moves once, at issue: a read takes its words from SRF
 storage and a write stores them, in program order, so a read of a
@@ -22,8 +27,7 @@ words.
 
 from __future__ import annotations
 
-import heapq
-import itertools
+from collections import deque
 
 from repro.config.machine import MachineConfig
 from repro.core.descriptors import StreamDescriptor
@@ -65,90 +69,36 @@ class _SrfBackedContext(ExecutionContext):
         self._executor.functional_idx_write(stream, entries)
 
 
-class _Event:
-    """A timed stream access; ``fire`` returns True when it completed.
+#: A virtual time no kernel reaches.
+_NEVER = float("inf")
 
-    ``target`` is the op's sequential port or indexed stream (None for a
-    comm) and ``detail`` its iteration's trace detail. Only indexed ops
-    use it, for one record index or word count per lane; the words
-    themselves moved when the iteration was issued.
-    """
-
-    __slots__ = ("target", "detail")
-    is_comm = False
-
-    def __init__(self, target, detail):
-        self.target = target
-        self.detail = detail
-
-    def fire(self) -> bool:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class _SeqRead(_Event):
-    __slots__ = ()
-
-    def fire(self) -> bool:
-        if not self.target.can_pop():
-            return False
-        self.target.pop_simd()
-        return True
-
-
-class _SeqWrite(_Event):
-    __slots__ = ()
-
-    def fire(self) -> bool:
-        if not self.target.can_push():
-            return False
-        self.target.push_simd()
-        return True
-
-
-class _IdxIssue(_Event):
-    __slots__ = ()
-
-    def fire(self) -> bool:
-        return self.target.issue_reads(self.detail)
-
-
-class _IdxData(_Event):
-    __slots__ = ()
-
-    def fire(self) -> bool:
-        return self.target.pop_records(self.detail)
-
-
-class _IdxWrite(_Event):
-    __slots__ = ()
-
-    def __init__(self, target, detail):
-        # The words were stored at issue; the SRF times the indices.
-        self.target = target
-        self.detail = [None if entry is None else entry[0]
-                       for entry in detail]
-
-    def fire(self) -> bool:
-        return self.target.issue_writes(self.detail)
-
-
-class _Comm(_Event):
-    __slots__ = ()
-    is_comm = True
-
-    def fire(self) -> bool:
-        return True  # statically scheduled comms always have priority
-
-
-#: Timed op kind -> the event class that fires it.
-_EVENT_CLASSES = {
-    OpKind.SEQ_READ: _SeqRead,
-    OpKind.SEQ_WRITE: _SeqWrite,
-    OpKind.IDX_ISSUE: _IdxIssue,
-    OpKind.IDX_DATA: _IdxData,
-    OpKind.IDX_WRITE: _IdxWrite,
-    OpKind.COMM: _Comm,
+#: Firing-table row codes of the timed op kinds.
+_SEQ_READ, _SEQ_WRITE, _IDX_ISSUE, _IDX_DATA, _IDX_WRITE, _COMM = range(6)
+_ROW_CODES = {
+    OpKind.SEQ_READ: _SEQ_READ,
+    OpKind.SEQ_WRITE: _SEQ_WRITE,
+    OpKind.IDX_ISSUE: _IDX_ISSUE,
+    OpKind.IDX_DATA: _IDX_DATA,
+    OpKind.IDX_WRITE: _IDX_WRITE,
+    OpKind.COMM: _COMM,
 }
+
+
+def firing_table(slots: list, ii: int) -> list:
+    """Firing order of a modulo schedule's timed ops, per residue.
+
+    ``slots`` holds the timed ops' slots in ``timed_stream_ops()`` order;
+    entry ``r`` of the result lists the positions of the ops with
+    ``slot % ii == r``. At virtual time ``vt`` those ops are due, op at
+    position ``p`` once for iteration ``(vt - slots[p]) // ii``. They are
+    ordered older iteration (larger slot) first, then by position: the
+    order in which a heap of ``(issue * ii + slot, push order)`` pops
+    them when each issued iteration pushes its ops in position order.
+    """
+    table = [[] for _ in range(ii)]
+    for position in sorted(range(len(slots)), key=lambda p: (-slots[p], p)):
+        table[slots[position] % ii].append(position)
+    return table
 
 
 class KernelExecutor:
@@ -184,6 +134,12 @@ class KernelExecutor:
             self._data_ops = invocation.kernel.stream_ops(
                 *REPLAY_DATA_KINDS
             )
+            #: ``(row position, stream, indexed)`` of each recorded write.
+            self._replay_writes = [
+                (position, op.stream, op.kind is OpKind.IDX_WRITE)
+                for position, op in enumerate(self._data_ops)
+                if op.kind in (OpKind.SEQ_WRITE, OpKind.IDX_WRITE)
+            ]
             self._interpreter = None
         else:
             self._interpreter = KernelInterpreter(
@@ -194,20 +150,32 @@ class KernelExecutor:
                 self._data_ops = invocation.kernel.stream_ops(
                     *REPLAY_DATA_KINDS
                 )
-        #: One ``(slot, event class, port or stream, op_id)`` row per
-        #: timed op, in firing order; every issued iteration turns each
-        #: row into one event.
+        #: One ``(slot, code, port or stream, op_id, held)`` row per timed
+        #: op: its row code, what it drives (None for a comm), and, for an
+        #: indexed op, the position of its detail in an iteration's held
+        #: details. ``_held_ops`` says where each held detail comes from
+        #: (its key in :meth:`_iteration_details`) and whether it is an
+        #: IDX_WRITE's, held as its index list.
         targets = {**self._ports, **self._indexed}
-        self._event_rows = [
-            (schedule.slots[op.op_id], _EVENT_CLASSES[op.kind],
-             targets.get(op.stream.name) if op.stream is not None else None,
-             op.op_id)
-            for op in schedule.timed_stream_ops()
-        ]
-        self._heap = []
-        self._sequence = itertools.count()
-        self._vt = 0
-        self._issued = 0
+        keys = None
+        if self._replay_rows is not None:
+            keys = {op.op_id: position
+                    for position, op in enumerate(self._data_ops)}
+        rows = []
+        self._held_ops = []
+        for op in schedule.timed_stream_ops():
+            code = _ROW_CODES[op.kind]
+            held = None
+            if code in (_IDX_ISSUE, _IDX_DATA, _IDX_WRITE):
+                held = len(self._held_ops)
+                key = op.op_id if keys is None else keys[op.op_id]
+                self._held_ops.append((key, code == _IDX_WRITE))
+            target = (None if op.stream is None
+                      else targets.get(op.stream.name))
+            rows.append(
+                (schedule.slots[op.op_id], code, target, op.op_id, held)
+            )
+        self._set_firing(rows, schedule.ii, invocation.iterations)
         self._startup_remaining = KERNEL_STARTUP_CYCLES
         self._flushed = False
         self.finished = False
@@ -224,6 +192,32 @@ class KernelExecutor:
         #: SRF storage's word list, which the functional accesses index
         #: directly after their own range checks.
         self._words = srf.storage._words
+
+    def _set_firing(self, rows: list, ii: int, iterations: int) -> None:
+        """Build the firing table of ``rows`` (in ``timed_stream_ops()``
+        order) and reset the firing state."""
+        self._ii = ii
+        self._iterations = iterations
+        self._table = [
+            [rows[position] for position in residue]
+            for residue in firing_table([row[0] for row in rows], ii)
+        ]
+        self._max_slot = max((row[0] for row in rows), default=0)
+        #: Virtual time of the last row's firing (of the last iteration):
+        #: every row has fired once ``_vt`` passes it.
+        self._end_vt = (
+            (iterations - 1) * ii + self._max_slot if iterations else -1
+        )
+        self._vt = 0
+        #: Virtual time at which the next iteration issues.
+        self._next_issue_vt = 0 if iterations else _NEVER
+        #: Position in the due residue's rows: kept across a refusal.
+        self._position = 0
+        self._issued = 0
+        #: Held details of iterations ``_held_base`` onward, dropped once
+        #: an iteration's last row has fired.
+        self._held = deque()
+        self._held_base = 0
 
     # ------------------------------------------------------------------
     # Stream binding
@@ -419,29 +413,39 @@ class KernelExecutor:
         if self._startup_remaining > 0:
             self._startup_remaining -= 1
             return False
-        self._issue_ready_iterations()
+        if self._vt >= self._next_issue_vt:
+            self._issue_ready_iterations()
         comm_busy = self._fire_events()
-        self._maybe_finish()
+        if self._vt > self._end_vt:
+            self._maybe_finish()
         return comm_busy
 
     def _issue_ready_iterations(self) -> None:
-        ii = self.schedule.ii
+        ii = self._ii
         while (
-            self._issued < self.invocation.iterations
+            self._issued < self._iterations
             and self._issued * ii <= self._vt
         ):
             details = self._iteration_details()
-            base_vt = self._issued * ii
-            heap = self._heap
-            sequence = self._sequence
-            for slot, event_class, target, op_id in self._event_rows:
-                vt = base_vt + slot
-                heapq.heappush(heap, (vt, next(sequence),
-                                      event_class(target, details.get(op_id))))
+            held = []
+            for key, index_list in self._held_ops:
+                detail = details[key]
+                if index_list:
+                    # The words were stored at issue; the SRF times the
+                    # indices.
+                    detail = [None if entry is None else entry[0]
+                              for entry in detail]
+                held.append(detail)
+            self._held.append(held)
             self._issued += 1
+        self._next_issue_vt = (
+            self._issued * ii if self._issued < self._iterations
+            else _NEVER
+        )
 
-    def _iteration_details(self) -> dict:
-        """Stream-access details of the next iteration, by op id.
+    def _iteration_details(self):
+        """Stream-access details of the next iteration: a dict by op id,
+        or in replay mode the recorded row, by data-op position.
 
         Execute mode runs the interpreter on real data, which moves the
         iteration's words (and optionally records the data-bearing
@@ -458,14 +462,12 @@ class KernelExecutor:
                     f"row has {len(row)} details for "
                     f"{len(self._data_ops)} data ops"
                 )
-            details = {}
-            for op, detail in zip(self._data_ops, row):
-                if op.kind is OpKind.SEQ_WRITE:
-                    self.functional_seq_write(op.stream, detail)
-                elif op.kind is OpKind.IDX_WRITE:
-                    self.functional_idx_write(op.stream, detail)
-                details[op.op_id] = detail
-            return details
+            for position, stream, indexed in self._replay_writes:
+                if indexed:
+                    self.functional_idx_write(stream, row[position])
+                else:
+                    self.functional_seq_write(stream, row[position])
+            return row
         trace = self._interpreter.run_iteration()
         details = {op.op_id: detail for op, detail in trace.entries}
         if self._record_rows is not None:
@@ -475,31 +477,59 @@ class KernelExecutor:
         return details
 
     def _fire_events(self) -> bool:
-        """Fire all events due at the current virtual time.
+        """Fire every row due at the current virtual time.
 
         Returns whether an explicit comm occupied the network this cycle.
-        On the first event that cannot fire the machine stalls: virtual
-        time freezes and the cycle is charged to SRF stall.
+        On the first row that cannot fire the machine stalls: virtual
+        time freezes, the cycle is charged to SRF stall, and the next
+        cycle resumes at that row.
         """
+        vt = self._vt
+        ii = self._ii
+        rows = self._table[vt % ii]
+        position = self._position
+        iterations = self._iterations
         comm_busy = False
-        stalled = False
-        while self._heap and self._heap[0][0] <= self._vt:
-            _vt, _seq, event = self._heap[0]
-            if event.fire():
-                heapq.heappop(self._heap)
-                comm_busy = comm_busy or event.is_comm
-            else:
-                stalled = True
-                break
-        if stalled:
-            self.stats.srf_stall_cycles += 1
-        else:
-            self._vt += 1
+        due = len(rows)
+        while position < due:
+            slot, code, target, _op_id, held = rows[position]
+            iteration = (vt - slot) // ii
+            if 0 <= iteration < iterations:
+                if code == _SEQ_READ:
+                    fired = target.can_pop()
+                    if fired:
+                        target.pop_simd()
+                elif code == _SEQ_WRITE:
+                    fired = target.can_push()
+                    if fired:
+                        target.push_simd()
+                elif code == _COMM:
+                    # Statically scheduled comms always have priority.
+                    fired = comm_busy = True
+                else:
+                    detail = self._held[iteration - self._held_base][held]
+                    if code == _IDX_ISSUE:
+                        fired = target.issue_reads(detail)
+                    elif code == _IDX_DATA:
+                        fired = target.pop_records(detail)
+                    else:
+                        fired = target.issue_writes(detail)
+                if not fired:
+                    self._position = position
+                    self.stats.srf_stall_cycles += 1
+                    return comm_busy
+            position += 1
+        self._position = 0
+        self._vt = vt = vt + 1
+        held = self._held
+        while held and self._held_base * ii + self._max_slot < vt:
+            held.popleft()
+            self._held_base += 1
         return comm_busy
 
     def _maybe_finish(self) -> None:
-        if self._issued < self.invocation.iterations or self._heap:
-            return
+        """Finish once every row has fired (the caller checked) and the
+        kernel's output has drained."""
         if not self._flushed:
             for port in self._ports.values():
                 if port.direction is PortDirection.WRITE:

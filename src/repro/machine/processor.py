@@ -155,9 +155,14 @@ class StreamProcessor:
         kernel_waiting = [t for t in program.tasks if t.is_kernel]
         mem_inflight = []  # issued memory tasks not yet complete
         remaining_count = len(program.tasks)
-        retired_ops = self.controller.completed_ops
+        controller = self.controller
+        retired_ops = controller.completed_ops
         scan_needed = True
         last_progress_cycle = self.cycle
+        # The three per-cycle calls, bound once for the loop.
+        controller_tick = controller.tick
+        srf_tick = self.srf.tick
+        sanitizer = self._sanitizer
 
         while remaining_count:
             progressed = False
@@ -212,16 +217,17 @@ class StreamProcessor:
                 scan_needed = False
 
             # One machine cycle.
-            self.controller.tick(self.cycle)
+            cycle = self.cycle
+            controller_tick(cycle)
             comm_busy = False
             if running is not None:
                 comm_busy = running[1].step()
-            self.srf.tick(self.cycle, comm_busy)
-            if self._sanitizer is not None:
-                self._sanitizer.check(self.cycle)
+            srf_tick(cycle, comm_busy)
+            if sanitizer is not None:
+                sanitizer.check(cycle)
 
             if running is None:
-                if self.controller.busy:
+                if controller.busy:
                     stats.memory_stall_cycles += 1
                 else:
                     stats.idle_cycles += 1
@@ -242,11 +248,11 @@ class StreamProcessor:
                 running = None
                 progressed = True
                 scan_needed = True
-            if mem_inflight and self.controller.completed_ops != retired_ops:
-                retired_ops = self.controller.completed_ops
+            if mem_inflight and controller.completed_ops != retired_ops:
+                retired_ops = controller.completed_ops
                 still_inflight = []
                 for task in mem_inflight:
-                    if self.controller.is_complete(task.work.op_id):
+                    if controller.is_complete(task.work.op_id):
                         completed.add(task.task_id)
                         remaining_count -= 1
                         progressed = True

@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 from repro.cache.cache import BankedCache
 from repro.config.machine import MachineConfig
-from repro.core.srf import StreamRegisterFile
+from repro.core.srf import PortRequester, StreamRegisterFile
 from repro.errors import MemorySystemError
-from repro.memory.dram import DramModel
+from repro.memory.dram import DramModel, accrue_credit
 from repro.memory.mainmem import MainMemory
 from repro.memory.ops import StreamMemoryOp
 
@@ -51,11 +51,11 @@ class MemoryStats:
     busy_cycles: int = 0
 
 
-class _ActiveOp:
+class _ActiveOp(PortRequester):
     """Runtime state of one in-flight stream memory operation.
 
-    The op is its own SRF-port client: it implements the same
-    ``wants_grant``/``on_grant`` protocol as kernel
+    The op is its own SRF-port client: it keeps a request line and
+    implements the same ``wants_grant``/``on_grant`` protocol as kernel
     :class:`~repro.core.srf.SequentialPort` objects, so the single SRF
     port arbitrates between kernel and memory streams uniformly. Each
     grant moves one block of the op's block-aligned SRF stream between
@@ -66,8 +66,10 @@ class _ActiveOp:
     #: SRF blocks of decoupling per op.
     STAGING_BLOCKS = 2
 
-    def __init__(self, op: StreamMemoryOp, block_words: int,
-                 issue_cycle: int, ready_cycle: int, cached: bool):
+    def __init__(self, srf: StreamRegisterFile, op: StreamMemoryOp,
+                 block_words: int, issue_cycle: int, ready_cycle: int,
+                 cached: bool):
+        self.srf = srf
         self.op = op
         self.into_srf = op.into_srf
         self.addrs = op.mem_addrs
@@ -136,6 +138,8 @@ class MemoryController:
         self.dram = DramModel(config)
         self.cache = BankedCache(config) if config.has_cache else None
         self._cache_credit = 0.0
+        #: Idle ticks since the last active one: credit refills they owe.
+        self._idle_ticks = 0
         self._active = []
         self._completed = {}
         self.stats = MemoryStats()
@@ -171,7 +175,9 @@ class MemoryController:
             self.cache.hit_latency if cached
             else self.config.dram_latency_cycles
         )
-        active = _ActiveOp(op, geometry.block_words, cycle, ready, cached)
+        active = _ActiveOp(
+            self.srf, op, geometry.block_words, cycle, ready, cached
+        )
         self._active.append(active)
         self.srf.attach_port(active)
         if self.tracer is not None:
@@ -206,17 +212,29 @@ class MemoryController:
 
     # ------------------------------------------------------------------
     def tick(self, cycle: int) -> None:
-        """Advance DRAM/cache transfers by one cycle."""
-        self.dram.begin_cycle()
-        if self.cache is not None:
-            self._cache_credit = min(
-                self._cache_credit + self.cache.words_per_cycle,
-                4.0 * self.cache.words_per_cycle,
-            )
+        """Advance DRAM/cache transfers by one cycle.
+
+        An idle tick only counts itself. DRAM and cache credit refill
+        once per tick, but nothing reads them while no op is active, so
+        the next active tick first applies every refill it missed; the
+        credit it then reads is bit-identical to refilling every tick.
+        """
         if not self._active:
+            self._idle_ticks += 1
             return
+        refills = self._idle_ticks + 1
+        self._idle_ticks = 0
+        self.dram.accrue(refills)
+        if self.cache is not None:
+            step = self.cache.words_per_cycle
+            self._cache_credit = accrue_credit(
+                self._cache_credit, step, 4.0 * step, refills
+            )
         self.stats.busy_cycles += 1
         self._transfer_round(cycle)
+        # The round moved staged words; raise the lines it enabled.
+        for active in self._active:
+            active.refresh_request()
         self._retire(cycle)
 
     def _transfer_round(self, cycle: int) -> None:

@@ -27,6 +27,21 @@ from repro.config.machine import MachineConfig
 from repro.errors import MemorySystemError
 
 
+# Bandwidth credit (DRAM bus and cache) refills once a cycle as
+# ``min(credit + step, cap)``. The memory controller applies the refills
+# of its idle ticks at its next active tick, with the same float
+# operations, so the credit is bit-identical to refilling every cycle.
+def accrue_credit(credit: float, step: float, cap: float,
+                  cycles: int) -> float:
+    """``credit`` after ``cycles`` refills; stops early at the cap, after
+    which further refills change nothing."""
+    for _ in range(cycles):
+        if credit == cap:
+            break
+        credit = min(credit + step, cap)
+    return credit
+
+
 @dataclass
 class DramStats:
     """Traffic and locality counters."""
@@ -51,10 +66,11 @@ class DramStats:
 class DramModel:
     """Credit-based DRAM bandwidth with per-bank open-row state.
 
-    Use :meth:`begin_cycle` once per simulated cycle, then
-    :meth:`access_run` for each run of words the memory controller wants
-    to move (or :meth:`try_access` for one word); they stop when this
-    cycle's budget is exhausted.
+    Use :meth:`begin_cycle` once per simulated cycle (or
+    :meth:`accrue` for several at once), then :meth:`access_run` for each
+    run of words the memory controller wants to move (or
+    :meth:`try_access` for one word); they stop when this cycle's budget
+    is exhausted.
     """
 
     def __init__(self, config: MachineConfig):
@@ -78,7 +94,14 @@ class DramModel:
 
     def begin_cycle(self) -> None:
         """Accrue one cycle of bus budget."""
-        self._credit = min(self._credit + self.words_per_cycle, self._max_credit)
+        self.accrue(1)
+
+    def accrue(self, cycles: int) -> None:
+        """Accrue ``cycles`` cycles of bus budget, as that many
+        :meth:`begin_cycle` calls would."""
+        self._credit = accrue_credit(
+            self._credit, self.words_per_cycle, self._max_credit, cycles
+        )
 
     def can_access(self) -> bool:
         """Whether the bus has budget for another access this cycle.

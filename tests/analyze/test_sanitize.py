@@ -11,11 +11,12 @@ import pytest
 from repro.analyze import MachineSanitizer
 from repro.apps import fft
 from repro.config.presets import base_config, isrf4_config
-from repro.core import SrfArray
+from repro.core import SequentialPort, SrfArray
 from repro.errors import DeadlockError, SanitizerError
 from repro.kernel.builder import KernelBuilder
 from repro.machine import StreamProcessor, StreamProgram
 from repro.machine.program import KernelInvocation
+from repro.memory import store_op
 
 
 class TestInstallation:
@@ -109,6 +110,25 @@ def _lookup_program(proc):
     return prog, invocation
 
 
+def _copy_program(proc):
+    """One sequential copy kernel (its input port requests at once),
+    with a hook slot for corruption."""
+    b = KernelBuilder("copy")
+    src = b.istream("src")
+    dst = b.ostream("dst")
+    b.write(dst, b.add(b.read(src), b.const(1), name="inc"))
+    kernel = b.build()
+    src_a = SrfArray(proc.srf, 256, "src")
+    dst_a = SrfArray(proc.srf, 256, "dst")
+    invocation = KernelInvocation(
+        kernel, {"src": src_a.seq_read(), "dst": dst_a.seq_write()},
+        iterations=8,
+    )
+    prog = StreamProgram("copy")
+    prog.add_kernel(invocation)
+    return prog, invocation
+
+
 class TestRuntimeDetection:
     def test_corrupted_pending_counter_aborts_the_run(self):
         proc = StreamProcessor(isrf4_config(sanitize=True))
@@ -138,6 +158,68 @@ class TestRuntimeDetection:
         with pytest.raises(DeadlockError):
             proc.run_program(prog)
         assert proc.cycle > 10_000  # burned the whole horizon first
+
+    def test_stale_request_line_aborts_the_run(self):
+        proc = StreamProcessor(isrf4_config(sanitize=True))
+        prog, invocation = _lookup_program(proc)
+
+        def corrupt():
+            # The output port stops refreshing its request line, so its
+            # pushes leave the line low once it wants a grant.
+            port, = (p for p in proc.srf._seq_ports
+                     if isinstance(p, SequentialPort))
+            port.refresh_request = lambda: None
+
+        invocation.on_start = corrupt
+        with pytest.raises(SanitizerError, match="request line of "
+                           "sequential port 'out'"):
+            proc.run_program(prog)
+
+    def test_raised_line_count_drift_aborts_the_run(self):
+        proc = StreamProcessor(base_config(sanitize=True))
+        prog, invocation = _copy_program(proc)
+
+        def corrupt():
+            proc.srf._raised_lines += 1
+
+        invocation.on_start = corrupt
+        with pytest.raises(SanitizerError, match="raised-line count"):
+            proc.run_program(prog)
+
+    def test_queued_word_count_drift_aborts_the_run(self):
+        proc = StreamProcessor(isrf4_config(sanitize=True))
+        prog, invocation = _lookup_program(proc)
+
+        def corrupt():
+            proc.srf._queued_words += 1
+
+        invocation.on_start = corrupt
+        with pytest.raises(SanitizerError, match="queued-word count"):
+            proc.run_program(prog)
+
+    def test_return_queue_count_drift_aborts_the_run(self):
+        proc = StreamProcessor(isrf4_config(sanitize=True))
+        prog, invocation = _lookup_program(proc)
+
+        def corrupt():
+            proc.srf.return_network.queued += 1
+
+        invocation.on_start = corrupt
+        with pytest.raises(SanitizerError, match="return network: "
+                           "queued count"):
+            proc.run_program(prog)
+
+    def test_memory_op_request_lines_are_checked(self):
+        proc = StreamProcessor(base_config(sanitize=True))
+        arr = SrfArray(proc.srf, 64, "a")
+        region = proc.memory.allocate(64, "r")
+        proc.controller.issue(store_op(arr.seq_write(), region), 0)
+        op, = proc.srf._seq_ports
+        assert op.requesting  # a store's staging has room at issue
+        proc._sanitizer.check(0)  # must not raise
+        op.staged = op.staging_capacity  # full staging: no grant wanted
+        with pytest.raises(SanitizerError, match="memory op 'store"):
+            proc._sanitizer.check(0)
 
 
 def _inlane_reads_in_flight(sanitize=True):

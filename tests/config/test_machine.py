@@ -6,7 +6,13 @@ import pytest
 
 from repro.apps import fft
 from repro.config import MachineConfig, SrfMode, WORD_BYTES
-from repro.config.presets import all_configs, isrf4_config
+from repro.config.presets import (
+    all_configs,
+    base_config,
+    cache_config,
+    isrf1_config,
+    isrf4_config,
+)
 from repro.errors import ConfigurationError
 
 
@@ -73,6 +79,19 @@ class TestValidation:
                 inlane_indexed_bandwidth=8,
                 subarrays_per_bank=4,
             ).validate()
+
+    @pytest.mark.parametrize("preset", [isrf1_config, isrf4_config])
+    def test_indexed_mode_requires_crosslane_bandwidth(self, preset):
+        # 0 used to validate and run exactly as 1.
+        with pytest.raises(ConfigurationError,
+                           match="crosslane_indexed_bandwidth"):
+            preset(crosslane_indexed_bandwidth=0)
+
+    @pytest.mark.parametrize("preset", [base_config, cache_config])
+    def test_sequential_only_machine_takes_no_crosslane_bandwidth(
+            self, preset):
+        # Table 3's "-": a sequential-only machine has none.
+        preset(crosslane_indexed_bandwidth=0).validate()
 
     def test_stream_buffer_must_hold_a_block(self):
         with pytest.raises(ConfigurationError):

@@ -347,13 +347,15 @@ class TestStreamExtent:
 
 
 def _snapshot(stream):
-    """Every lane's queued words and reorder slots, plus the counters."""
+    """Every lane's queued words and reorder slots, plus the counters
+    (the stream's and the SRF-wide queued words)."""
     return (
         [list(fifo._words) for fifo in stream.fifos],
         [fifo.records for fifo in stream.fifos],
         [list(rob._slots) for rob in stream.robs],
         [rob._head_ticket for rob in stream.robs],
         stream.pending_words,
+        stream.srf._queued_words,
     )
 
 
@@ -378,6 +380,27 @@ class TestSimdCalls:
             1, 1, 2, 1, 1, 2, 1, 1
         ]
         assert stream.pending_words == 10
+
+    def test_refused_crosslane_records_are_withdrawn(self):
+        # Lanes 0-5 queue their 3-word records, which straddle banks,
+        # before lane 6's full reorder buffer refuses the access.
+        srf = make_isrf4(stream_buffer_words=4)
+        region = srf.allocator.allocate(256, "triples")
+        stream = srf.open_indexed(StreamDescriptor(
+            "triples", StreamKind.CROSSLANE_INDEXED_READ, region.base,
+            length_records=64, record_words=3,
+            index_space=IndexSpace.GLOBAL,
+        ))
+        stream.issue_read(6, 0)  # lane 6's reorder buffer has 1 slot left
+        before = _snapshot(stream)
+        indices = [lane + 1 for lane in range(8)]
+        assert stream.issue_reads(indices) is False
+        assert _snapshot(stream) == before
+        indices[6] = None
+        assert stream.issue_reads(indices) is True
+        # Lane 1's record 2 is words 6-8: lane 1's bank, then lane 2's.
+        assert [word[0] for word in stream.fifos[1]._words] == [1, 1, 2]
+        assert stream.pending_words == srf._queued_words == 3 + 7 * 3
 
     def test_pop_records_with_one_lane_not_ready_pops_nothing(self):
         srf = make_isrf4()

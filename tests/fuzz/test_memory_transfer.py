@@ -1,5 +1,5 @@
-"""Property: the memory controller's transfer round matches a per-word
-reference.
+"""Properties: the memory controller's transfer round matches a
+per-word reference, and its lazy credit matches refilling every tick.
 
 ``MemoryController._transfer_round`` makes one pass over the active ops
 in issue order, and each ready op moves as many words as its staging
@@ -19,6 +19,14 @@ which the words are timed. Every cycle the two must agree on which ops
 are complete and on each active op's memory-side cursor; at the end,
 on the memory, DRAM and cache stats, the bandwidth credits, main memory
 and SRF storage.
+
+An idle ``MemoryController.tick`` returns at once and the next active
+tick applies the DRAM and cache credit refills it missed.
+:class:`EagerCreditController` keeps the tick that lazy credit
+replaced: refill both credits every tick, then run the round. The
+second property runs it against the lazy controller on ops issued with
+random idle gaps between them; the cursors must agree on every cycle,
+and the DRAM and cache credits after every tick that had an active op.
 """
 
 import random
@@ -90,6 +98,28 @@ class PerWordController(MemoryController):
         active.staged += 1 if into_srf else -1
         active.mem_cursor += 1
         return True
+
+
+class EagerCreditController(MemoryController):
+    """The tick before lazy credit: refill DRAM and cache credit every
+    tick, then run the round on a tick with an active op."""
+
+    def tick(self, cycle: int) -> None:
+        dram = self.dram
+        dram._credit = min(dram._credit + dram.words_per_cycle,
+                           dram._max_credit)
+        if self.cache is not None:
+            self._cache_credit = min(
+                self._cache_credit + self.cache.words_per_cycle,
+                4.0 * self.cache.words_per_cycle,
+            )
+        if not self._active:
+            return
+        self.stats.busy_cycles += 1
+        self._transfer_round(cycle)
+        for active in self._active:
+            active.refresh_request()
+        self._retire(cycle)
 
 
 @st.composite
@@ -186,5 +216,63 @@ def test_transfer_round_matches_per_word_reference(cache, specs):
     assert controller._cache_credit == ref._cache_credit
     if cache:
         assert controller.cache.stats == ref.cache.stats
+    assert memory._words == ref_memory._words
+    assert srf.storage._words == ref_srf.storage._words
+
+
+@settings(max_examples=FUZZ_EXAMPLES)
+@given(cache=st.booleans(), specs=st.lists(op_specs(), min_size=1, max_size=5),
+       gaps=st.lists(st.integers(0, 600), min_size=5, max_size=5),
+       after_done=st.lists(st.booleans(), min_size=5, max_size=5))
+def test_lazy_credit_matches_refilling_every_tick(cache, specs, gaps,
+                                                  after_done):
+    config = cache_config() if cache else base_config()
+    machines = [_machine(config, MemoryController),
+                _machine(config, EagerCreditController)]
+    ops = [
+        [_op(spec, i, srf, region, config.dram_row_words)
+         for i, spec in enumerate(specs)]
+        for srf, _memory, _controller, region in machines
+    ]
+    # Op i issues gaps[i] cycles after op i - 1 completes, or after it
+    # issues when not after_done[i] (op 0 at gaps[0]), so the controller
+    # idles for long stretches between busy ones.
+    issue_at = gaps[0]
+    issued = 0
+    (_s, _m, lazy, _r), (_rs, _rm, eager, _rr) = machines
+    for cycle in range(CYCLE_LIMIT):
+        if cycle == issue_at:
+            for (_srf, _m, controller, _r), machine_ops in zip(machines, ops):
+                controller.issue(machine_ops[issued], cycle)
+            issued += 1
+            issue_at = None
+            if issued < len(specs) and not after_done[issued]:
+                issue_at = cycle + 1 + gaps[issued]
+        active = bool(lazy._active)
+        assert active == bool(eager._active), f"cycle {cycle}"
+        for srf, _memory, controller, _region in machines:
+            controller.tick(cycle)
+            srf.tick(cycle)
+        (done, cursors), (ref_done, ref_cursors) = (
+            _progress(controller, machine_ops)
+            for (_s, _m, controller, _r), machine_ops in zip(machines, ops)
+        )
+        assert done == ref_done, f"cycle {cycle}"
+        assert cursors == ref_cursors, f"cycle {cycle}"
+        if active:
+            assert lazy.dram._credit == eager.dram._credit, f"cycle {cycle}"
+            assert lazy._cache_credit == eager._cache_credit, f"cycle {cycle}"
+        if issue_at is None and issued < len(specs) and issued - 1 in done:
+            issue_at = cycle + 1 + gaps[issued]
+        if issued == len(specs) and len(done) == len(specs):
+            break
+    else:
+        raise AssertionError(f"ops still active after {CYCLE_LIMIT} cycles")
+
+    (srf, memory, lazy, _r), (ref_srf, ref_memory, eager, _rr) = machines
+    assert lazy.stats == eager.stats
+    assert lazy.dram.stats == eager.dram.stats
+    if cache:
+        assert lazy.cache.stats == eager.cache.stats
     assert memory._words == ref_memory._words
     assert srf.storage._words == ref_srf.storage._words
