@@ -282,11 +282,11 @@ class MachineSanitizer:
                 )
             for event in bucket:
                 # In-lane fills are (1, rob, ticket); cross-lane returns
-                # are (2, bank, src_lane, ticket, sid, rob).
+                # are (2, bank, src_lane, ticket, rob).
                 if event[0] == 1:
                     rob, ticket = event[1], event[2]
                 elif event[0] == 2:
-                    rob, ticket = event[5], event[3]
+                    rob, ticket = event[4], event[3]
                 else:
                     continue
                 index = ticket - rob._head_ticket

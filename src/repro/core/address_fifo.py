@@ -39,13 +39,12 @@ class AddressFifo:
     per-word path free of calls and objects.
     """
 
-    __slots__ = ("capacity", "stream_id", "lane", "records", "_words")
+    __slots__ = ("capacity", "lane", "records", "_words")
 
-    def __init__(self, capacity_entries: int, stream_id: int, lane: int):
+    def __init__(self, capacity_entries: int, lane: int):
         if capacity_entries <= 0:
             raise SrfError("AddressFifo needs positive capacity")
         self.capacity = capacity_entries
-        self.stream_id = stream_id
         self.lane = lane
         self.records = 0
         self._words = deque()

@@ -54,8 +54,3 @@ class RoundRobinArbiter:
                 (start + step) % count for step in range(count)
             )
         return order
-
-    def advance(self, count: int) -> None:
-        """Rotate the pointer by one position over ``count`` items."""
-        if count > 0:
-            self._pointer = (self._pointer + 1) % count

@@ -100,12 +100,6 @@ class SrfGeometry:
         self._check_global(global_addr)
         return global_addr // self.block_words
 
-    def block_base(self, block: int) -> int:
-        """First global word address of block ``block``."""
-        base = block * self.block_words
-        self._check_global(base)
-        return base
-
     def check_block_aligned(self, base: int, stream: str,
                             error: type = SrfError) -> None:
         """Raise ``error`` naming ``stream`` unless ``base`` starts a

@@ -277,8 +277,7 @@ class IndexedStream:
         lanes = srf.geometry.lanes
         cfg = srf.config
         self.fifos = [
-            AddressFifo(cfg.address_fifo_words, descriptor.stream_id, lane)
-            for lane in range(lanes)
+            AddressFifo(cfg.address_fifo_words, lane) for lane in range(lanes)
         ]
         if descriptor.kind.is_read:
             self.robs = [
@@ -733,7 +732,7 @@ class StreamRegisterFile:
     # ------------------------------------------------------------------
     # Event kinds, typed tuples instead of closures:
     #   (1, rob, ticket)                       in-lane read fill
-    #   (2, bank, src_lane, ticket, sid, rob)  cross-lane return
+    #   (2, bank, src_lane, ticket, rob)       cross-lane return
     #   (3, stream)                            write retirement
     #   (4, port)                              sequential block fill
     def schedule_fill(self, due: int, port: SequentialPort) -> None:
@@ -769,7 +768,7 @@ class StreamRegisterFile:
                             )
                         slots[index] = True
                     elif kind == 2:
-                        enqueue(ev[1], ev[2], ev[3], ev[4], ev[5].fill)
+                        enqueue(ev[1], ev[2], ev[3], ev[4].fill)
                     elif kind == 3:
                         ev[1].outstanding_writes -= 1
                     else:
@@ -925,9 +924,7 @@ class StreamRegisterFile:
                     rob = stream.robs[lane]
                     if crosslane:
                         crosslane_grants += 1
-                        crosslane_bucket.append((
-                            2, bank, lane, ticket, fifo.stream_id, rob,
-                        ))
+                        crosslane_bucket.append((2, bank, lane, ticket, rob))
                     else:
                         inlane_grants += 1
                         inlane_bucket.append((1, rob, ticket))
@@ -935,7 +932,8 @@ class StreamRegisterFile:
                     write_grants += 1
                     inlane_bucket.append((3, stream))
                 granted += 1
-            # RoundRobinArbiter.advance, inline (n_heads is positive).
+            # Advance the bank's round-robin pointer by one position
+            # (n_heads is positive).
             arbiter._pointer = (arbiter._pointer + 1) % n_heads
             granted_total += granted
             blocked_total += n_heads - granted

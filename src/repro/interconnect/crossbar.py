@@ -33,7 +33,7 @@ from repro.errors import SrfError
 
 @dataclass
 class CrossbarStats:
-    """Traffic counters for one network."""
+    """Traffic counters of the data return network."""
 
     words_delivered: int = 0
     deferred_word_cycles: int = 0
@@ -89,9 +89,8 @@ class ReturnNetwork:
             raise SrfError(f"return queue of bank {bank} is full")
         self._reserved[bank] += 1
 
-    def enqueue(
-        self, bank: int, destination_lane: int, ticket: int, stream_id: int, fill
-    ) -> None:
+    def enqueue(self, bank: int, destination_lane: int, ticket: int,
+                fill) -> None:
         """Queue a completed access at its bank for return delivery;
         delivery calls ``fill(ticket)``."""
         if self._reserved[bank] > 0:
@@ -163,7 +162,6 @@ class AddressNetwork:
         self._bank_budget = [0] * lanes
         self._full_source = [source_bandwidth] * lanes
         self._full_bank = [ports_per_bank] * lanes
-        self.stats = CrossbarStats()
 
     def begin_cycle(self) -> None:
         """Reset per-cycle port budgets."""
@@ -182,7 +180,6 @@ class AddressNetwork:
             return False
         self._source_budget[source_lane] -= 1
         self._bank_budget[bank] -= 1
-        self.stats.words_delivered += 1
         return True
 
 
@@ -241,5 +238,4 @@ class RingAddressNetwork(AddressNetwork):
             self._link_budget[link] = self._link_budget.get(link, 0) + 1
         self._source_budget[source_lane] -= 1
         self._bank_budget[bank] -= 1
-        self.stats.words_delivered += 1
         return True

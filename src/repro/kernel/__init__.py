@@ -2,8 +2,8 @@
 
 from repro.kernel.builder import KernelBuilder
 from repro.kernel.interpreter import (
+    DATA_OP_KINDS,
     ExecutionContext,
-    IterationTrace,
     KernelInterpreter,
 )
 from repro.kernel.ir import Carry, DependenceEdge, Kernel, KernelStream, Op
@@ -16,9 +16,9 @@ from repro.kernel.scheduler import ModuloScheduler, min_ii_recurrence
 __all__ = [
     "Carry",
     "ClusterResources",
+    "DATA_OP_KINDS",
     "DependenceEdge",
     "ExecutionContext",
-    "IterationTrace",
     "Kernel",
     "KernelBuilder",
     "KernelCError",

@@ -2,9 +2,10 @@
 
 The interpreter evaluates ONE iteration of a kernel across all lanes in
 SIMD lockstep, producing both the real data values (so benchmark outputs
-can be verified against references) and an :class:`IterationTrace` — the
-exact stream accesses the iteration performs, which the machine-level
-executor replays against the cycle-accurate SRF model.
+can be verified against references) and the iteration's *row*: the
+details of its data ops (:data:`DATA_OP_KINDS`) in program order, which
+the machine-level executor times against the cycle-accurate SRF model
+and trace replay records.
 
 Evaluation is SIMD-wide: each op is touched once per iteration, not once
 per lane. :class:`KernelInterpreter` compiles the kernel once into a flat
@@ -20,8 +21,6 @@ full processor simulation without modification.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from repro.errors import ExecutionError
 from repro.kernel.ir import Kernel, KernelStream
@@ -63,27 +62,20 @@ class ExecutionContext:
         raise ExecutionError(f"context cannot index-write {stream.name}")
 
 
-@dataclass
-class IterationTrace:
-    """Stream/communication activity of one kernel iteration.
-
-    Entries are ``(op, detail)`` in program order, where detail depends
-    on the op kind:
-
-    * SEQ_READ — None (always one word per lane);
-    * SEQ_WRITE — per-lane list of values to push;
-    * IDX_ISSUE — per-lane record index, or None for predicated-off lanes;
-    * IDX_DATA — per-lane word count to pop (0 for predicated-off lanes);
-    * IDX_WRITE — per-lane ``(record_index, value)`` or None, the
-      entries the context stored;
-    * COMM — None.
-    """
-
-    iteration: int
-    entries: list = field(default_factory=list)
-
-    def by_kind(self, kind: OpKind) -> list:
-        return [(op, detail) for op, detail in self.entries if op.kind is kind]
+#: Op kinds with a detail in an iteration's row, which holds them in
+#: program order:
+#:
+#: * SEQ_WRITE — per-lane list of values pushed;
+#: * IDX_ISSUE — per-lane record index, or None for predicated-off lanes;
+#: * IDX_DATA — per-lane word count to pop (0 for predicated-off lanes);
+#: * IDX_WRITE — per-lane ``(record_index, value)`` or None, the entries
+#:   the context stored.
+#:
+#: A SEQ_READ always pops one word per lane and a COMM takes its
+#: scheduled network slot, so neither has a detail.
+DATA_OP_KINDS = (
+    OpKind.SEQ_WRITE, OpKind.IDX_ISSUE, OpKind.IDX_DATA, OpKind.IDX_WRITE,
+)
 
 
 # Plan codes, in the order run_iteration tests them (most frequent first).
@@ -112,7 +104,6 @@ class KernelInterpreter:
         self.kernel = kernel
         self.lanes = lanes
         self.context = context
-        self.iterations_run = 0
         self._carry_state = {
             carry.name: [carry.init_value] * lanes for carry in kernel.carries
         }
@@ -154,13 +145,13 @@ class KernelInterpreter:
             raise ExecutionError(f"no carry named {name!r}") from None
 
     # ------------------------------------------------------------------
-    def run_iteration(self) -> IterationTrace:
-        """Execute one iteration across all lanes; returns its trace."""
+    def run_iteration(self) -> list:
+        """Execute one iteration across all lanes; returns its row (see
+        :data:`DATA_OP_KINDS`)."""
         lanes = self.lanes
         context = self.context
         carry_state = self._carry_state
-        trace = IterationTrace(self.iterations_run)
-        entries = trace.entries
+        row: list = []
         values = self._initial[:]
         for slot, name in self._carry_slots:
             values[slot] = carry_state[name]
@@ -196,7 +187,7 @@ class KernelInterpreter:
                     counts = [0 if index is None else rw for index in indices]
                 else:
                     counts = [rw] * lanes
-                entries.append((op, counts))
+                row.append(counts)
             elif code == _IDX_ISSUE:
                 if len(args) > 1:
                     indices = [
@@ -207,38 +198,35 @@ class KernelInterpreter:
                 else:
                     indices = list(map(int, values[args[0]]))
                 values[out] = indices
-                entries.append((op, indices))
+                row.append(indices)
             elif code == _SEQ_READ:
                 lane_values = context.seq_read(op.stream)
                 if len(lane_values) != lanes:
                     raise self._width_error(op, lane_values)
                 values[out] = list(lane_values)
-                entries.append((op, None))
             elif code == _SEQ_WRITE:
                 lane_values = values[args[0]]
                 written = list(lane_values)
                 context.seq_write(op.stream, written)
                 values[out] = lane_values
-                entries.append((op, written))
+                row.append(written)
             elif code == _IDX_WRITE:
                 writes = self._write_entries(op, values, args)
                 context.idx_write(op.stream, writes)
                 values[out] = [None] * lanes
-                entries.append((op, writes))
+                row.append(writes)
             else:  # _COMM
                 payload = values[args[0]]
                 values[out] = [
                     payload[int(source) % lanes] for source in values[args[1]]
                 ]
-                entries.append((op, None))
 
         for name, slot in self._carry_updates:
             carry_state[name] = list(values[slot])
-        self.iterations_run += 1
-        return trace
+        return row
 
     def run(self, iterations: int) -> list:
-        """Run several iterations; returns their traces."""
+        """Run several iterations; returns their rows."""
         return [self.run_iteration() for _ in range(iterations)]
 
     # ------------------------------------------------------------------
@@ -263,7 +251,7 @@ class KernelInterpreter:
     def _write_entries(self, op, values: list, args: tuple) -> list:
         """An IDX_WRITE's ``(record_index, value)`` entries, one per
         lane and None where the predicate is off; the context stores
-        them and the trace records them."""
+        them and the row holds them."""
         indices = values[args[0]]
         data = values[args[1]]
         predicates = values[args[2]] if len(args) > 2 else None

@@ -3,7 +3,11 @@
 The executor replays a kernel's modulo schedule against the SRF timing
 model. Iterations are evaluated functionally (on real data) the moment
 they are *issued* into the software pipeline; their stream accesses then
-fire at ``issue_cycle + slot(op)``. Clusters run in SIMD lockstep, so
+fire at ``issue_cycle + slot(op)``, timed by the iteration's *row*: the
+details of its data ops in program order
+(:data:`~repro.kernel.interpreter.DATA_OP_KINDS`). Executing, the row is
+the interpreter's output; replaying, it is the recorded one
+(:mod:`repro.machine.replay`). Clusters run in SIMD lockstep, so
 any access that cannot complete — an empty stream buffer, a full address
 FIFO, indexed data still in flight (Figure 9) — stalls the whole machine
 for a cycle and is retried; those cycles are the "SRF stall" component
@@ -33,40 +37,20 @@ from repro.config.machine import MachineConfig
 from repro.core.descriptors import StreamDescriptor
 from repro.core.srf import PortDirection, StreamRegisterFile
 from repro.errors import ExecutionError, ReplayError, SrfAccessError
-from repro.kernel.interpreter import ExecutionContext, KernelInterpreter
+from repro.kernel.interpreter import (
+    DATA_OP_KINDS,
+    ExecutionContext,
+    KernelInterpreter,
+)
 from repro.kernel.ir import KernelStream
 from repro.kernel.ops import OpKind
 from repro.kernel.schedule import StaticSchedule
 from repro.machine.program import KernelInvocation
-from repro.machine.replay import REPLAY_DATA_KINDS
 from repro.machine.stats import KernelRunStats
 
 #: Fixed per-invocation cost of loading kernel microcode and priming the
 #: stream units (part of Figure 12's "kernel overheads").
 KERNEL_STARTUP_CYCLES = 32
-
-
-class _SrfBackedContext(ExecutionContext):
-    """Functional stream data wired straight to SRF storage.
-
-    Every access reads or writes storage when the interpreter makes it,
-    which is program order; the timed events only time it.
-    """
-
-    def __init__(self, executor: "KernelExecutor"):
-        self._executor = executor
-
-    def seq_read(self, stream: KernelStream) -> list:
-        return self._executor.functional_seq_read(stream)
-
-    def seq_write(self, stream: KernelStream, lane_values) -> None:
-        self._executor.functional_seq_write(stream, lane_values)
-
-    def idx_read(self, stream: KernelStream, indices: list) -> list:
-        return self._executor.functional_idx_read(stream, indices)
-
-    def idx_write(self, stream: KernelStream, entries: list) -> None:
-        self._executor.functional_idx_write(stream, entries)
 
 
 #: A virtual time no kernel reaches.
@@ -101,8 +85,13 @@ def firing_table(slots: list, ii: int) -> list:
     return table
 
 
-class KernelExecutor:
-    """Drives one :class:`KernelInvocation` to completion on the SRF."""
+class KernelExecutor(ExecutionContext):
+    """Drives one :class:`KernelInvocation` to completion on the SRF.
+
+    The executor is its interpreter's :class:`ExecutionContext`: every
+    stream access reads or writes SRF storage when the interpreter
+    makes it, which is program order, and the timed rows only time it.
+    """
 
     def __init__(self, config: MachineConfig, srf: StreamRegisterFile,
                  invocation: KernelInvocation, schedule: StaticSchedule,
@@ -115,14 +104,15 @@ class KernelExecutor:
         self._bind_streams()
         if invocation.on_start is not None:
             invocation.on_start()
-        #: Replay integration (repro.machine.replay). ``replay_from``
-        #: supplies recorded per-iteration stream details in place of
-        #: functional execution (no interpreter at all; the timing model
-        #: runs unchanged); ``record_to`` captures them during a
-        #: functional run. Both are :class:`InvocationTrace` objects.
-        self._record_rows = None
+        #: Where rows come from (repro.machine.replay): the interpreter,
+        #: whose rows ``record_to`` keeps when given, or the recorded
+        #: rows of ``replay_from``, with no interpreter at all (the
+        #: timing model runs unchanged). Both are
+        #: :class:`InvocationTrace` objects.
+        data_ops = invocation.kernel.stream_ops(*DATA_OP_KINDS)
+        self._record_rows = None if record_to is None else record_to.rows
         self._replay_rows = None
-        self._data_ops = None
+        self._interpreter = None
         if replay_from is not None:
             if len(replay_from.rows) != invocation.iterations:
                 raise ReplayError(
@@ -131,50 +121,40 @@ class KernelExecutor:
                     f"{invocation.iterations} iterations"
                 )
             self._replay_rows = replay_from.rows
-            self._data_ops = invocation.kernel.stream_ops(
-                *REPLAY_DATA_KINDS
-            )
+            self._row_length = len(data_ops)
             #: ``(row position, stream, indexed)`` of each recorded write.
             self._replay_writes = [
                 (position, op.stream, op.kind is OpKind.IDX_WRITE)
-                for position, op in enumerate(self._data_ops)
+                for position, op in enumerate(data_ops)
                 if op.kind in (OpKind.SEQ_WRITE, OpKind.IDX_WRITE)
             ]
-            self._interpreter = None
         else:
             self._interpreter = KernelInterpreter(
-                invocation.kernel, config.lanes, _SrfBackedContext(self)
+                invocation.kernel, config.lanes, self
             )
-            if record_to is not None:
-                self._record_rows = record_to.rows
-                self._data_ops = invocation.kernel.stream_ops(
-                    *REPLAY_DATA_KINDS
-                )
         #: One ``(slot, code, port or stream, op_id, held)`` row per timed
-        #: op: its row code, what it drives (None for a comm), and, for an
-        #: indexed op, the position of its detail in an iteration's held
-        #: details. ``_held_ops`` says where each held detail comes from
-        #: (its key in :meth:`_iteration_details`) and whether it is an
-        #: IDX_WRITE's, held as its index list.
+        #: op: its row code, what it drives (None for a comm) and, for an
+        #: indexed op, where an issued iteration holds its detail: the
+        #: row position of an IDX_ISSUE's indices or an IDX_DATA's
+        #: counts, or for an IDX_WRITE its ordinal among the index lists
+        #: that :meth:`idx_write` kept.
+        held_at = {}
+        writes = 0
+        for position, op in enumerate(data_ops):
+            if op.kind is OpKind.IDX_WRITE:
+                held_at[op.op_id] = writes
+                writes += 1
+            elif op.kind in (OpKind.IDX_ISSUE, OpKind.IDX_DATA):
+                held_at[op.op_id] = position
         targets = {**self._ports, **self._indexed}
-        keys = None
-        if self._replay_rows is not None:
-            keys = {op.op_id: position
-                    for position, op in enumerate(self._data_ops)}
         rows = []
-        self._held_ops = []
         for op in schedule.timed_stream_ops():
-            code = _ROW_CODES[op.kind]
-            held = None
-            if code in (_IDX_ISSUE, _IDX_DATA, _IDX_WRITE):
-                held = len(self._held_ops)
-                key = op.op_id if keys is None else keys[op.op_id]
-                self._held_ops.append((key, code == _IDX_WRITE))
             target = (None if op.stream is None
                       else targets.get(op.stream.name))
-            rows.append(
-                (schedule.slots[op.op_id], code, target, op.op_id, held)
-            )
+            rows.append((
+                schedule.slots[op.op_id], _ROW_CODES[op.kind], target,
+                op.op_id, held_at.get(op.op_id),
+            ))
         self._set_firing(rows, schedule.ii, invocation.iterations)
         self._startup_remaining = KERNEL_STARTUP_CYCLES
         self._flushed = False
@@ -214,10 +194,13 @@ class KernelExecutor:
         #: Position in the due residue's rows: kept across a refusal.
         self._position = 0
         self._issued = 0
-        #: Held details of iterations ``_held_base`` onward, dropped once
-        #: an iteration's last row has fired.
+        #: ``(row, write index lists)`` of iterations ``_held_base``
+        #: onward, dropped once an iteration's last row has fired.
         self._held = deque()
         self._held_base = 0
+        #: Index lists of the issuing iteration's IDX_WRITEs, in program
+        #: order (:meth:`idx_write`).
+        self._writes = []
 
     # ------------------------------------------------------------------
     # Stream binding
@@ -264,7 +247,7 @@ class KernelExecutor:
             self.srf.close_indexed(stream)
 
     # ------------------------------------------------------------------
-    # Functional data access (the interpreter's context, and replay)
+    # Functional data access (ExecutionContext, also used by replay)
     # ------------------------------------------------------------------
     def _seq_slice(self, stream: KernelStream) -> slice:
         """Storage slice of every lane's next word of a sequential
@@ -296,12 +279,11 @@ class KernelExecutor:
         self._seq_cursors[stream.name] = cursor + 1
         return slice(first, last + 1, m)
 
-    def functional_seq_read(self, stream: KernelStream) -> list:
+    def seq_read(self, stream: KernelStream) -> list:
         """Every lane's next word of a sequential read stream."""
         return self._words[self._seq_slice(stream)]
 
-    def functional_seq_write(self, stream: KernelStream,
-                             lane_values: list) -> None:
+    def seq_write(self, stream: KernelStream, lane_values: list) -> None:
         """Store every lane's next word of a sequential write stream."""
         self._words[self._seq_slice(stream)] = lane_values
 
@@ -351,8 +333,7 @@ class KernelExecutor:
                 ])
         return addresses
 
-    def functional_idx_read(self, stream: KernelStream,
-                            indices: list) -> list:
+    def idx_read(self, stream: KernelStream, indices: list) -> list:
         """Every lane's record ``indices[lane]`` (0 where it is None).
 
         Multi-word records come back as tuples.
@@ -365,15 +346,16 @@ class KernelExecutor:
         return [0 if address is None else tuple([words[a] for a in address])
                 for address in addresses]
 
-    def functional_idx_write(self, stream: KernelStream,
-                             entries: list) -> None:
+    def idx_write(self, stream: KernelStream, entries: list) -> None:
         """Store every lane's ``(record_index, value)`` entry (None
         writes nothing); a multi-word record's value is its word tuple.
+
+        The entries' index list, which the SRF times the write by, is
+        kept for the issuing iteration's IDX_WRITE row.
         """
         words = self._words
-        addresses = self._record_addresses(stream, [
-            None if entry is None else entry[0] for entry in entries
-        ])
+        indices = [None if entry is None else entry[0] for entry in entries]
+        addresses = self._record_addresses(stream, indices)
         single = self._indexed[stream.name].record_words == 1
         for entry, address in zip(entries, addresses):
             if entry is not None:
@@ -382,6 +364,7 @@ class KernelExecutor:
                 else:
                     for a, word in zip(address, entry[1]):
                         words[a] = word
+        self._writes.append(indices)
 
     # ------------------------------------------------------------------
     # Cycle stepping
@@ -426,55 +409,42 @@ class KernelExecutor:
             self._issued < self._iterations
             and self._issued * ii <= self._vt
         ):
-            details = self._iteration_details()
-            held = []
-            for key, index_list in self._held_ops:
-                detail = details[key]
-                if index_list:
-                    # The words were stored at issue; the SRF times the
-                    # indices.
-                    detail = [None if entry is None else entry[0]
-                              for entry in detail]
-                held.append(detail)
-            self._held.append(held)
+            self._writes = writes = []
+            self._held.append((self._next_row(), writes))
             self._issued += 1
         self._next_issue_vt = (
             self._issued * ii if self._issued < self._iterations
             else _NEVER
         )
 
-    def _iteration_details(self):
-        """Stream-access details of the next iteration: a dict by op id,
-        or in replay mode the recorded row, by data-op position.
+    def _next_row(self) -> list:
+        """The next iteration's row, once its words have moved.
 
         Execute mode runs the interpreter on real data, which moves the
-        iteration's words (and optionally records the data-bearing
-        details); replay mode rehydrates them from the recorded trace
-        without an interpreter and stores each recorded write through
-        the same functional calls, in program order. Nothing mutates a
-        detail, so rows are recorded and replayed without copies.
+        iteration's words through this context, and records its row
+        when recording; replay mode takes the recorded row and stores
+        each recorded write through the same calls, in program order.
+        Nothing mutates a row, so rows are recorded and replayed
+        without copies.
         """
-        if self._replay_rows is not None:
-            row = self._replay_rows[self._issued]
-            if len(row) != len(self._data_ops):
-                raise ReplayError(
-                    f"{self.invocation.name}: iteration {self._issued} "
-                    f"row has {len(row)} details for "
-                    f"{len(self._data_ops)} data ops"
-                )
-            for position, stream, indexed in self._replay_writes:
-                if indexed:
-                    self.functional_idx_write(stream, row[position])
-                else:
-                    self.functional_seq_write(stream, row[position])
+        if self._replay_rows is None:
+            row = self._interpreter.run_iteration()
+            if self._record_rows is not None:
+                self._record_rows.append(row)
             return row
-        trace = self._interpreter.run_iteration()
-        details = {op.op_id: detail for op, detail in trace.entries}
-        if self._record_rows is not None:
-            self._record_rows.append(
-                [details[op.op_id] for op in self._data_ops]
+        row = self._replay_rows[self._issued]
+        if len(row) != self._row_length:
+            raise ReplayError(
+                f"{self.invocation.name}: iteration {self._issued} "
+                f"row has {len(row)} details for "
+                f"{self._row_length} data ops"
             )
-        return details
+        for position, stream, indexed in self._replay_writes:
+            if indexed:
+                self.idx_write(stream, row[position])
+            else:
+                self.seq_write(stream, row[position])
+        return row
 
     def _fire_events(self) -> bool:
         """Fire every row due at the current virtual time.
@@ -507,13 +477,13 @@ class KernelExecutor:
                     # Statically scheduled comms always have priority.
                     fired = comm_busy = True
                 else:
-                    detail = self._held[iteration - self._held_base][held]
+                    row, writes = self._held[iteration - self._held_base]
                     if code == _IDX_ISSUE:
-                        fired = target.issue_reads(detail)
+                        fired = target.issue_reads(row[held])
                     elif code == _IDX_DATA:
-                        fired = target.pop_records(detail)
+                        fired = target.pop_records(row[held])
                     else:
-                        fired = target.issue_writes(detail)
+                        fired = target.issue_writes(writes[held])
                 if not fired:
                     self._position = position
                     self.stats.srf_stall_cycles += 1
@@ -542,8 +512,8 @@ class KernelExecutor:
         indexed_done = all(s.quiescent for s in self._indexed.values())
         if write_ports_done and indexed_done:
             self.finished = True
-            # The interpreter's context points back at this executor;
-            # dropping it breaks the cycle so a finished executor is
+            # The interpreter's context is this executor; dropping the
+            # interpreter breaks the cycle so a finished executor is
             # freed by reference counting.
             self._interpreter = None
             self._release_streams()

@@ -288,7 +288,6 @@ class StreamProcessor:
         ``<component>.<field>``; cumulative over the machine's life."""
         components = {
             "srf": self.srf.stats,
-            "address_network": self.srf.address_network.stats,
             "return_network": self.srf.return_network.stats,
             "memory": self.controller.stats,
             "dram": self.controller.dram.stats,

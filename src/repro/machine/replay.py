@@ -14,17 +14,19 @@ ones.
 
 What is recorded
 ----------------
-:class:`~repro.machine.executor.KernelExecutor` turns each iteration's
-:class:`~repro.kernel.interpreter.IterationTrace` into timed SRF events.
-Only four op kinds carry data a replay needs (everything else —
-``SEQ_READ`` pops, ``COMM`` slots — is data-free): ``SEQ_WRITE``
-(per-lane values), ``IDX_ISSUE`` (per-lane record indices),
-``IDX_DATA`` (per-lane word counts) and ``IDX_WRITE`` (per-lane
-``(record_index, value)`` entries). The events time the indices and
-counts; replay stores the written values into SRF storage at issue,
-as execution does. A trace row is the tuple of those
-details for one iteration, ordered by the ops' *program order* in
-``kernel.ops`` — deliberately not by ``op_id`` (a process-global
+:meth:`KernelInterpreter.run_iteration
+<repro.kernel.interpreter.KernelInterpreter.run_iteration>` returns
+each iteration's *row*, and a recording run keeps exactly those rows.
+A row holds one detail per data op
+(:data:`~repro.kernel.interpreter.DATA_OP_KINDS`; ``SEQ_READ`` pops and
+``COMM`` slots carry none): ``SEQ_WRITE`` per-lane values,
+``IDX_ISSUE`` per-lane record indices, ``IDX_DATA`` per-lane word
+counts and ``IDX_WRITE`` per-lane ``(record_index, value)`` entries.
+:class:`~repro.machine.executor.KernelExecutor` holds a replayed row
+exactly as it holds an executed one: its timed rows read the indices
+and counts, and it stores the written values into SRF storage at
+issue, as execution does. The details are in the ops' *program order*
+in ``kernel.ops`` — deliberately not by ``op_id`` (a process-global
 counter) nor by schedule slot (timing-dependent), so a trace recorded
 in one process under one schedule replays under any other.
 
@@ -73,17 +75,12 @@ from dataclasses import dataclass, field
 
 from repro.errors import ReplayError
 from repro.fingerprint import code_fingerprint
-from repro.kernel.ops import OpKind
+from repro.kernel.interpreter import DATA_OP_KINDS
 from repro.store import DurableStore
 
 #: Bump whenever the on-disk layout or row semantics change; bundles
 #: with any other version are quarantined, never misread.
 TRACE_FORMAT_VERSION = 2
-
-#: Timed op kinds whose events carry functional data (see module doc).
-REPLAY_DATA_KINDS = (
-    OpKind.SEQ_WRITE, OpKind.IDX_ISSUE, OpKind.IDX_DATA, OpKind.IDX_WRITE,
-)
 
 #: MachineConfig fields that can never change functional kernel data —
 #: everything else participates in the trace key. This is the one
@@ -141,10 +138,10 @@ def functional_fingerprint(config) -> str:
 
 
 def invocation_signature(invocation) -> tuple:
-    """Program-order data-bearing op kinds of an invocation's kernel."""
+    """Program-order data op kinds of an invocation's kernel."""
     return tuple(
         op.kind.value
-        for op in invocation.kernel.stream_ops(*REPLAY_DATA_KINDS)
+        for op in invocation.kernel.stream_ops(*DATA_OP_KINDS)
     )
 
 
@@ -155,9 +152,9 @@ def invocation_signature(invocation) -> tuple:
 class InvocationTrace:
     """Recorded stream data of one kernel invocation.
 
-    ``rows[i][j]`` is the detail of the ``j``-th data-bearing op (in
-    ``kernel.ops`` program order, kinds in ``op_kinds``) on iteration
-    ``i``. ``kernel_name``/``iterations``/``op_kinds`` double as the
+    ``rows[i]`` is iteration ``i``'s row as the interpreter returned
+    it: ``rows[i][j]`` is the detail of the ``j``-th data op (in
+    ``kernel.ops`` program order, kinds in ``op_kinds``). ``kernel_name``/``iterations``/``op_kinds`` double as the
     replay-time compatibility check.
     """
 

@@ -56,12 +56,6 @@ class DramStats:
     def total_words(self) -> int:
         return self.read_words + self.write_words
 
-    @property
-    def row_hit_rate(self) -> float:
-        if not self.word_accesses:
-            return 0.0
-        return self.row_hits / self.word_accesses
-
 
 class DramModel:
     """Credit-based DRAM bandwidth with per-bank open-row state.

@@ -385,6 +385,12 @@ class TestDependencies:
         )
 
 
+def bank_pressure(report) -> str:
+    """The message of the report's one ``bank-pressure`` note."""
+    [note] = [d for d in report.diagnostics if d.code == "bank-pressure"]
+    return note.message
+
+
 class TestBankPressure:
     def test_affine_access_gets_an_estimate(self, isrf):
         table = SrfArray(isrf.srf, 256, "table")
@@ -398,6 +404,43 @@ class TestBankPressure:
         ))
         report = analyze_program(prog, isrf.config)
         assert "bank-pressure" in report.codes()
+
+    @pytest.mark.parametrize("stride, share", [(1, "25%"), (16, "100%")])
+    def test_inlane_hottest_subarray_share(self, isrf, stride, share):
+        # ISRF4 reads m = 4 words a lane access from s = 4 sub-arrays:
+        # stride 1 spreads a lane's records evenly over them, and stride
+        # 16 (= m*s) puts every record on one.
+        table = SrfArray(isrf.srf, 2048, "table")
+        out = SrfArray(isrf.srf, 256, "out")
+        prog = StreamProgram("pressure")
+        prog.add_kernel(KernelInvocation(
+            table_kernel(affine_stride=stride),
+            {"table": table.inlane_read(), "dst": out.seq_write()},
+            iterations=16,
+        ))
+        message = bank_pressure(analyze_program(prog, isrf.config))
+        assert f"put {share} of a lane's traffic on its hottest" in message
+
+    @pytest.mark.parametrize("scale, load", [(1, "4.00"), (4, "1.00")])
+    def test_crosslane_hottest_bank_load(self, isrf, scale, load):
+        # Cross-lane records stripe m = 4 words a bank: lanes reading
+        # records 0..7 put four accesses on each of banks 0 and 1, and
+        # records 0, 4, ..., 28 one on each bank.
+        b = KernelBuilder("gather")
+        table = b.idx_istream("table")
+        dst = b.ostream("dst")
+        index = b.mul(b.laneid(), b.const(scale), name="scaled")
+        b.write(dst, b.idx_read(table, index))
+        table_a = SrfArray(isrf.srf, 256, "table")
+        out = SrfArray(isrf.srf, 256, "out")
+        prog = StreamProgram("pressure")
+        prog.add_kernel(KernelInvocation(
+            b.build(),
+            {"table": table_a.crosslane_read(), "dst": out.seq_write()},
+            iterations=16,
+        ))
+        message = bank_pressure(analyze_program(prog, isrf.config))
+        assert f"load the hottest bank with {load} same-cycle" in message
 
     def test_opaque_access_gets_unknown_note(self, isrf):
         b = KernelBuilder("opaque")

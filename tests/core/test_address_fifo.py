@@ -41,7 +41,6 @@ class TestAddressFifo:
         stream.issue_read(3, 10)
         fifo = stream.fifos[3]
         assert fifo.lane == 3
-        assert fifo.stream_id == stream.descriptor.stream_id
         assert list(fifo._words) == [(3, stream.local_base + 10, 0, True)]
         assert fifo.records == 1
         srf.tick(0)
@@ -110,7 +109,7 @@ class TestAddressFifo:
             KernelInvocation(kernel, {"t": view}, iterations=0),
             proc.schedule_kernel(kernel),
         )
-        executor.functional_idx_write(
+        executor.idx_write(
             kernel.streams["t"], [(4, ("a", "b"))] + [None] * 7
         )
         stream = executor._indexed["t"]
@@ -139,8 +138,8 @@ class TestAddressFifo:
         assert stream.pop_records([1] + [0] * 7) is False
 
     def test_peek_on_empty_returns_none(self):
-        fifo = AddressFifo(capacity_entries=1, stream_id=0, lane=0)
+        fifo = AddressFifo(capacity_entries=1, lane=0)
         assert not fifo._words
         assert fifo.records == 0
         with pytest.raises(SrfError):
-            AddressFifo(capacity_entries=0, stream_id=0, lane=0)
+            AddressFifo(capacity_entries=0, lane=0)

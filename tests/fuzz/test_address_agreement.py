@@ -1,8 +1,8 @@
 """Property: the timing side and the data side agree on every address.
 
 The kernel executor moves a kernel's indexed words at issue, through
-``functional_idx_read`` and ``functional_idx_write``, while the SRF
-times each access from the ``(target_lane, bank_local_addr)`` words that
+its ``idx_read`` and ``idx_write``, while the SRF times each access
+from the ``(target_lane, bank_local_addr)`` words that
 ``IndexedStream._enqueue`` queues. No value crosses the timing path, so
 this is the one check that the sub-array conflict model and the data
 use the same addresses: for random descriptors of every indexed kind —
@@ -84,8 +84,8 @@ def _executor(spec):
 
 
 def _read_indices(executor, stream, indices, record_words):
-    """Per lane, the storage indices ``functional_idx_read`` reads."""
-    got = executor.functional_idx_read(stream, indices)
+    """Per lane, the storage indices ``idx_read`` reads."""
+    got = executor.idx_read(stream, indices)
     return [
         [] if index is None
         else [value] if record_words == 1 else list(value)
@@ -94,7 +94,7 @@ def _read_indices(executor, stream, indices, record_words):
 
 
 def _written_indices(executor, stream, indices, record_words, words):
-    """Per lane, the storage indices ``functional_idx_write`` writes."""
+    """Per lane, the storage indices ``idx_write`` writes."""
     def marker(lane, word):
         return f"lane {lane} word {word}"
 
@@ -105,7 +105,7 @@ def _written_indices(executor, stream, indices, record_words, words):
         ))
         for lane, index in enumerate(indices)
     ]
-    executor.functional_idx_write(stream, entries)
+    executor.idx_write(stream, entries)
     changed = {
         words[i]: i for i in range(len(words)) if words[i] != i
     }

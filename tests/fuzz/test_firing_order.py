@@ -88,13 +88,12 @@ class _Probe(KernelExecutor):
         self._flushed = False
         self._ports = {}
         self._indexed = {}
-        self._held_ops = []
         rows = [(slot, _SEQ_READ, _Port(self, log, op), op, None)
                 for op, slot in enumerate(slots)]
         self._set_firing(rows, ii, iterations)
 
-    def _iteration_details(self) -> dict:
-        return {}
+    def _next_row(self) -> list:
+        return []
 
 
 @st.composite

@@ -9,9 +9,9 @@ catch a fault in the interpreter's own logic. This property can:
 lane, one at a time, in program order — reading and writing the
 ``ListContext`` bindings lane by lane without going through its SIMD
 accessors. Over random dense and CSR-shaped sparse programs, both must
-produce the same outputs, write tables, carries and
-:class:`IterationTrace` entries, type for type, predicated-off lanes
-included.
+produce the same outputs, write tables, carries and iteration rows (the
+details of the data ops, and only of those), type for type,
+predicated-off lanes included.
 """
 
 from hypothesis import given, settings
@@ -44,10 +44,10 @@ class PerLaneReference:
         return ctx._global_tables[stream.name]
 
     def run_iteration(self):
-        """Returns the iteration's ``(op, detail)`` entries."""
+        """Returns the iteration's row: each data op's detail."""
         lanes = range(self.lanes)
         ctx = self.context
-        entries = []
+        row = []
         values = {}
         for op in self.kernel.ops:
             kind = op.kind
@@ -70,20 +70,19 @@ class PerLaneReference:
                 cursor = ctx._cursors[name]
                 result = [ctx._inputs[name][lane][cursor] for lane in lanes]
                 ctx._cursors[name] = cursor + 1
-                entries.append((op, None))
             elif kind is OpKind.SEQ_WRITE:
                 result = operands[0]
                 sink = ctx.outputs.setdefault(op.stream.name,
                                               [[] for _ in lanes])
                 for lane in lanes:
                     sink[lane].append(result[lane])
-                entries.append((op, list(result)))
+                row.append(list(result))
             elif kind is OpKind.IDX_ISSUE:
                 result = []
                 for lane in lanes:
                     on = len(operands) < 2 or operands[1][lane]
                     result.append(int(operands[0][lane]) if on else None)
-                entries.append((op, result))
+                row.append(result)
             elif kind is OpKind.IDX_DATA:
                 result, counts = [], []
                 for lane in lanes:
@@ -94,7 +93,7 @@ class PerLaneReference:
                     else:
                         result.append(self.table(op.stream, lane)[index])
                         counts.append(op.stream.record_words)
-                entries.append((op, counts))
+                row.append(counts)
             elif kind is OpKind.IDX_WRITE:
                 detail = []
                 for lane in lanes:
@@ -106,19 +105,18 @@ class PerLaneReference:
                     self.table(op.stream, lane)[record_index] = value
                     detail.append((record_index, value))
                 result = [None for _ in lanes]
-                entries.append((op, detail))
+                row.append(detail)
             elif kind is OpKind.COMM:
                 result = [
                     operands[0][int(operands[1][lane]) % self.lanes]
                     for lane in lanes
                 ]
-                entries.append((op, None))
             else:  # pragma: no cover - exhaustive over OpKind
                 raise AssertionError(kind)
             values[op.op_id] = result
         for carry in self.kernel.carries:
             self.carry_state[carry.name] = list(values[carry.update_op.op_id])
-        return entries
+        return row
 
 
 def _outcome(run, iterations):
@@ -139,16 +137,12 @@ def _assert_interpreter_matches_reference(spec):
     ref_ctx = make_context(spec, streams)
     interp = KernelInterpreter(kernel, LANES, simd_ctx)
     reference = PerLaneReference(kernel, LANES, ref_ctx)
-    traces, simd_error = _outcome(interp.run_iteration, iterations)
+    rows, simd_error = _outcome(interp.run_iteration, iterations)
     expected, ref_error = _outcome(reference.run_iteration, iterations)
     assert simd_error is ref_error
-    assert len(traces) == len(expected)
-    for iteration, (trace, ref_entries) in enumerate(zip(traces, expected)):
-        assert trace.iteration == iteration
-        assert [op for op, _ in trace.entries] == [op for op, _ in ref_entries]
-        for (op, detail), (_, ref_detail) in zip(trace.entries, ref_entries):
-            assert_same_typed(ref_detail, detail,
-                              f"iter {iteration} {op.name}")
+    assert len(rows) == len(expected)
+    for iteration, (row, ref_row) in enumerate(zip(rows, expected)):
+        assert_same_typed(ref_row, row, f"iter {iteration}")
     assert_same_typed(ref_ctx.outputs.get("out"), simd_ctx.outputs.get("out"),
                       "out")
     if streams["wtab"] is not None:

@@ -3,11 +3,10 @@
 Two tiers, both over :mod:`tests.fuzz.strategies` programs (dense and
 CSR-shaped sparse index streams):
 
-1. **Data tier** — a machine run in record mode captures, iteration by
-   iteration, the detail of every data-bearing stream op: exactly what
-   a replaying run later feeds the timing model in place of the
-   interpreter. Every detail must equal the reference interpreter's,
-   with exact Python types.
+1. **Data tier** — a machine run in record mode keeps each iteration's
+   row, the detail of every data op: exactly what a replaying run later
+   feeds the timing model in place of the interpreter. Every row must
+   equal the reference interpreter's, with exact Python types.
 
 2. **Machine tier** — three-way agreement: the reference interpreter
    over list-backed streams, the cycle-accurate machine executing the
@@ -28,11 +27,11 @@ from hypothesis import given, settings
 
 from repro.config import isrf4_config
 from repro.core import SrfArray
-from repro.kernel import KernelBuilder, KernelInterpreter
+from repro.kernel import DATA_OP_KINDS, KernelBuilder, KernelInterpreter
 from repro.machine import (
     KernelInvocation, StreamProcessor, StreamProgram, replay,
 )
-from repro.machine.replay import REPLAY_DATA_KINDS, TraceStore
+from repro.machine.replay import TraceStore
 from repro.memory import load_op, store_op
 from tests.fuzz.strategies import (
     FUZZ_EXAMPLES, LANES, LUT_RECORDS, WTAB_RECORDS, XLUT_RECORDS,
@@ -112,7 +111,7 @@ def _scaled(spec):
 def test_vector_engine_matches_reference(spec):
     """Row-for-row, type-for-type equality with the interpreter."""
     spec, kernel, streams = _scaled(spec)
-    ref_traces = KernelInterpreter(
+    ref_rows = KernelInterpreter(
         kernel, LANES, make_context(spec, streams)
     ).run(spec["iterations"])
     with tempfile.TemporaryDirectory() as directory:
@@ -121,15 +120,13 @@ def test_vector_engine_matches_reference(spec):
             run_on_machine(spec, kernel, streams, REPLAY_CONFIG)
     [program] = sess.bundle.programs
     [recorded] = program.invocations.values()
-    data_ops = kernel.stream_ops(*REPLAY_DATA_KINDS)
-    assert len(recorded.rows) == len(ref_traces)
-    for iteration, (row, ref_trace) in enumerate(
-            zip(recorded.rows, ref_traces)):
-        ref_details = {op.op_id: detail for op, detail in ref_trace.entries}
-        assert len(row) == len(data_ops)
-        for op, detail in zip(data_ops, row):
+    data_ops = kernel.stream_ops(*DATA_OP_KINDS)
+    assert len(recorded.rows) == len(ref_rows)
+    for iteration, (row, ref_row) in enumerate(zip(recorded.rows, ref_rows)):
+        assert len(row) == len(ref_row) == len(data_ops)
+        for op, detail, ref_detail in zip(data_ops, row, ref_row):
             assert_same_typed(
-                ref_details[op.op_id], detail,
+                ref_detail, detail,
                 f"iter {iteration} op {op.op_id} ({op.kind.name})",
             )
 

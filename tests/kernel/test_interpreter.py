@@ -1,11 +1,11 @@
-"""Functional kernel execution and trace generation."""
+"""Functional kernel execution and each iteration's row."""
 
 from collections import Counter
 
 import pytest
 
 from repro.errors import ExecutionError
-from repro.kernel import KernelBuilder, KernelInterpreter, OpKind
+from repro.kernel import KernelBuilder, KernelInterpreter
 from repro.kernel.contexts import ListContext
 
 
@@ -134,12 +134,11 @@ class TestIndexedAccess:
         ctx.bind_input(in_s, [[0], [5]])
         ctx.bind_table(lut, [[100, 200]] * 2)
         interp = KernelInterpreter(k, 2, ctx)
-        trace = interp.run_iteration()
+        indices, counts, written = interp.run_iteration()
         assert ctx.output("o") == [[100], [0]]  # lane 1 predicated off
-        (_op, indices), = trace.by_kind(OpKind.IDX_ISSUE)
         assert indices == [0, None]
-        (_op, counts), = trace.by_kind(OpKind.IDX_DATA)
         assert counts == [1, 0]
+        assert written == [100, 0]
 
     def test_idx_write_mutates_table(self):
         b = KernelBuilder("k")
@@ -162,10 +161,9 @@ class TestIndexedAccess:
         ctx = ListContext(lanes=2)
         ctx.bind_input(in_s, [[0], [5]])
         ctx.bind_table(wtab, [[-1], [-1]])
-        trace = KernelInterpreter(k, 2, ctx).run_iteration()
+        [detail] = KernelInterpreter(k, 2, ctx).run_iteration()
         assert ctx.table("w", lane=0) == [-1]
         assert ctx.table("w", lane=1) == [5]
-        (_op, detail), = trace.by_kind(OpKind.IDX_WRITE)
         assert detail == [None, (0, 5)]
 
     def test_global_table_for_crosslane(self):
@@ -199,14 +197,6 @@ class TestComm:
         ctx.bind_input(lane_id, [[0], [1], [2], [3]])
         KernelInterpreter(k, 4, ctx).run(1)
         assert ctx.output("o") == [[11], [12], [13], [10]]
-
-    def test_comm_appears_in_trace(self):
-        b = KernelBuilder("k")
-        out = b.ostream("o")
-        b.write(out, b.comm(b.const(1), b.const(0)))
-        k = b.build()
-        trace = KernelInterpreter(k, 2, ListContext(2)).run_iteration()
-        assert len(trace.by_kind(OpKind.COMM)) == 1
 
 
 class TestContextErrors:

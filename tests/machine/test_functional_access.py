@@ -1,10 +1,10 @@
 """Kernel stream words move once, in the executor, at issue.
 
-``KernelExecutor.functional_seq_read`` / ``functional_seq_write`` and
-``functional_idx_read`` / ``functional_idx_write`` are the only place a
-kernel's words move between the clusters and SRF storage; the SRF's
-ports, address FIFOs and reorder buffers time the accesses by counts
-and addresses alone. These tests pin where each word comes from and
+``KernelExecutor.seq_read`` / ``seq_write`` and ``idx_read`` /
+``idx_write``, the executor's ``ExecutionContext`` methods, are the
+only place a kernel's words move between the clusters and SRF storage;
+the SRF's ports, address FIFOs and reorder buffers time the accesses by
+counts and addresses alone. These tests pin where each word comes from and
 lands. (``tests/fuzz/test_address_agreement.py`` checks that the
 timing side queues exactly these addresses.)
 """
@@ -52,7 +52,7 @@ class TestSequential:
         executor, streams, _srf = executor_for(
             lambda b: b.istream("in"), bind
         )
-        words = [executor.functional_seq_read(streams["in"])
+        words = [executor.seq_read(streams["in"])
                  for _ in range(12)]
         # Block striping: lane l's first word is stream word l*m.
         assert words[0] == [4 * lane for lane in range(LANES)]
@@ -73,7 +73,7 @@ class TestSequential:
             lambda b: b.ostream("out"), bind
         )
         for i in range(2):
-            executor.functional_seq_write(
+            executor.seq_write(
                 streams["out"], [100 * lane + i for lane in range(LANES)]
             )
         base = arrays["out"].base
@@ -91,9 +91,9 @@ class TestSequential:
             lambda b: b.ostream("out"), bind
         )
         for _ in range(srf.geometry.bank_words):  # every lane's bank, full
-            executor.functional_seq_write(streams["out"], [1] * LANES)
+            executor.seq_write(streams["out"], [1] * LANES)
         with pytest.raises(SrfAccessError, match="out of range"):
-            executor.functional_seq_write(streams["out"], [2] * LANES)
+            executor.seq_write(streams["out"], [2] * LANES)
         assert 2 not in srf.storage._words
 
 
@@ -174,12 +174,12 @@ def inlane_table(kind="inlane_read", record_words=1, records=64):
 class TestIndexed:
     def test_inlane_read_is_lane_local(self):
         executor, stream, _srf, _base = inlane_table()
-        assert executor.functional_idx_read(stream, [17] * LANES) == [
+        assert executor.idx_read(stream, [17] * LANES) == [
             lane * 1000 + 17 for lane in range(LANES)
         ]
         indices = [None] * LANES
         indices[3] = 17
-        assert executor.functional_idx_read(stream, indices) == (
+        assert executor.idx_read(stream, indices) == (
             [0, 0, 0, 3017, 0, 0, 0, 0]
         )
 
@@ -195,12 +195,12 @@ class TestIndexed:
         # Record 37 lives in lane (37 // 4) % 8 = 1; read it from lane 6.
         indices = [None] * LANES
         indices[6] = 37
-        got = executor.functional_idx_read(streams["nodes"], indices)
+        got = executor.idx_read(streams["nodes"], indices)
         assert got == [0] * 6 + [370, 0]
 
     def test_multiword_records_read_as_tuples(self):
         executor, stream, _srf, _base = inlane_table(record_words=2)
-        assert executor.functional_idx_read(stream, [3] * LANES) == [
+        assert executor.idx_read(stream, [3] * LANES) == [
             (lane * 1000 + 6, lane * 1000 + 7) for lane in range(LANES)
         ]
 
@@ -210,10 +210,10 @@ class TestIndexed:
         executor, stream, srf, base = inlane_table("inlane_readwrite")
         entries = [None] * LANES
         entries[2] = (5, 42)
-        executor.functional_idx_write(stream, entries)
+        executor.idx_write(stream, entries)
         assert srf.storage.read_lane(2, base + 5) == 42
         assert srf.storage.read_lane(1, base + 5) == 1005  # lane 1 is off
-        assert executor.functional_idx_read(stream, [5] * LANES)[1:3] == [
+        assert executor.idx_read(stream, [5] * LANES)[1:3] == [
             1005, 42,
         ]
 
@@ -221,7 +221,7 @@ class TestIndexed:
         executor, stream, srf, base = inlane_table(
             "inlane_write", record_words=2
         )
-        executor.functional_idx_write(
+        executor.idx_write(
             stream, [(4, ("a", "b"))] + [None] * (LANES - 1)
         )
         assert srf.storage.read_lane(0, base + 8) == "a"
@@ -235,7 +235,7 @@ class TestIndexed:
         entries = [(0, 7)] * LANES
         entries[5] = (index, 7)
         with pytest.raises(SrfAccessError, match="lane 5 record"):
-            executor.functional_idx_write(stream, entries)
+            executor.idx_write(stream, entries)
         assert srf.storage._words == before
 
 

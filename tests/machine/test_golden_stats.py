@@ -6,7 +6,7 @@ Sort, Filter and all four Table 4 IG datasets plus the sparse suite
 (SpMV CSR/CSC and both stencils) — for all four Table 2 presets. It
 also pins a table of Figure 17/18 microbenchmark points, which drive
 the SRF directly: their ``ThroughputResult``, the full ``SrfStats`` and
-both cross-lane networks' ``CrossbarStats``. Any change to cycle-level
+the data return network's ``CrossbarStats``. Any change to cycle-level
 behaviour — intentional or not — shows up as a diff against the
 fixture. It doubles as the enforcement of the
 observability layer's zero-overhead contract: running with tracing
@@ -148,7 +148,6 @@ def run_microbench(label: str, monkeypatch) -> dict:
     return {
         "result": dataclasses.asdict(result),
         "srf": dataclasses.asdict(srf.stats),
-        "address_network": dataclasses.asdict(srf.address_network.stats),
         "return_network": dataclasses.asdict(srf.return_network.stats),
     }
 

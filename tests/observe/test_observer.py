@@ -86,7 +86,6 @@ def component_stats(processor) -> dict:
     """``<component>.<field>`` over every component stats dataclass."""
     components = {
         "srf": processor.srf.stats,
-        "address_network": processor.srf.address_network.stats,
         "return_network": processor.srf.return_network.stats,
         "memory": processor.controller.stats,
         "dram": processor.controller.dram.stats,
