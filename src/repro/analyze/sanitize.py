@@ -26,15 +26,22 @@ Checked invariants, mirroring the machine's conservation laws:
   count equals the sum of ``pending_words``, write credits are
   non-negative, each address FIFO's record counter equals its queued
   record-end words and stays within capacity, a non-empty FIFO's tail
-  word ends a record, reorder buffers stay within capacity;
+  word ends a record;
 * **crossbars** — address-network port budgets within configured
   bounds, return-network queues plus reservations within queue depth,
   and the return network's queued count equals its queue lengths;
 * **completion pipeline** — no in-flight completion is overdue after
   the cycle's completions drained, every calendar bucket's due lies in
-  the ring's window and maps to that bucket, the in-flight count
-  matches the queued events, and every pending indexed-read fill is
-  due for a reserved, still-unfilled reorder-buffer slot.
+  the ring's window and maps to that bucket, and the in-flight count
+  matches the queued events;
+* **reorder buffers** — each stays within capacity; a slot holds the
+  cycle its word arrives, or :data:`~repro.core.stream_buffer.UNFILLED`
+  until it is granted (in-lane) or delivered (cross-lane), so every
+  unfilled slot's ticket is still queued in its lane's address FIFO or
+  in flight as a cross-lane return (in the calendar or a bank's return
+  queue), every queued or returning ticket names a reserved, unfilled
+  slot, and no stamp lies beyond the last ticked cycle plus the in-lane
+  latency (the latest arrival an in-lane grant can stamp).
 
 On the first violated invariant a :class:`~repro.errors.SanitizerError`
 carrying a :class:`SanitizerReport` (every violation found that cycle,
@@ -46,6 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.srf import SequentialPort
+from repro.core.stream_buffer import UNFILLED
 from repro.errors import SanitizerError
 
 
@@ -90,6 +98,7 @@ class MachineSanitizer:
         yield from self._check_indexed_streams()
         yield from self._check_networks()
         yield from self._check_pipeline(cycle)
+        yield from self._check_reorder_buffers(cycle)
 
     # ------------------------------------------------------------------
     def _check_allocator(self):
@@ -209,18 +218,6 @@ class MachineSanitizer:
                     f"indexed stream '{name}': negative outstanding-write "
                     f"credit ({stream.outstanding_writes})"
                 )
-            if stream.robs is not None:
-                for lane, rob in enumerate(stream.robs):
-                    yield from self._check_rob(name, lane, rob)
-
-    @staticmethod
-    def _check_rob(name, lane, rob):
-        slots = rob._slots
-        if len(slots) > rob.capacity:
-            yield (
-                f"indexed stream '{name}' lane {lane}: reorder buffer "
-                f"occupancy {len(slots)} exceeds capacity {rob.capacity}"
-            )
 
     def _check_networks(self):
         address = self.srf.address_network
@@ -280,30 +277,71 @@ class MachineSanitizer:
                     f"due at cycle {due}, outside the {size}-cycle "
                     f"calendar window after cycle {cycle}"
                 )
-            for event in bucket:
-                # In-lane fills are (1, rob, ticket); cross-lane returns
-                # are (2, bank, src_lane, ticket, rob).
-                if event[0] == 1:
-                    rob, ticket = event[1], event[2]
-                elif event[0] == 2:
-                    rob, ticket = event[4], event[3]
-                else:
-                    continue
-                index = ticket - rob._head_ticket
-                if not 0 <= index < len(rob._slots):
-                    yield (
-                        f"completion pipeline: fill due at cycle {due} "
-                        f"for ticket {ticket}, which its reorder buffer "
-                        "never reserved"
-                    )
-                elif rob._slots[index]:
-                    yield (
-                        f"completion pipeline: fill due at cycle {due} "
-                        f"for ticket {ticket}, not an unfilled slot of "
-                        "its reorder buffer"
-                    )
         if queued != srf._cal_count:
             yield (
                 f"completion pipeline: {queued} queued completions but "
                 f"the in-flight count says {srf._cal_count}"
             )
+
+    def _check_reorder_buffers(self, cycle: int):
+        srf = self.srf
+        # Cross-lane reads on their way back: calendar events
+        # (2, bank, src_lane, ticket, rob) until they reach their bank's
+        # return queue, then queue entries (lane, event, deliver).
+        returning: dict = {}
+        for bucket in srf._cal:
+            for event in bucket:
+                if event[0] == 2:
+                    returning.setdefault(id(event[4]), []).append(event[3])
+        for queue in srf.return_network._queues:
+            for _lane, event, _deliver in queue:
+                returning.setdefault(id(event[4]), []).append(event[3])
+        latest = cycle + srf.config.inlane_indexed_latency
+        for stream in srf._indexed_list:
+            if stream.robs is None:
+                continue
+            name = stream.descriptor.name
+            for fifo, rob in zip(stream.fifos, stream.robs):
+                yield from self._check_rob(
+                    f"indexed stream '{name}' lane {fifo.lane}", fifo, rob,
+                    returning.get(id(rob), ()), latest,
+                )
+
+    @staticmethod
+    def _check_rob(where, fifo, rob, returning, latest):
+        slots = rob._slots
+        head = rob._head_ticket
+        if len(slots) > rob.capacity:
+            yield (
+                f"{where}: reorder buffer occupancy {len(slots)} exceeds "
+                f"capacity {rob.capacity}"
+            )
+        queued = [word[2] for word in fifo._words if word[2] is not None]
+        for what, tickets in (("queued word", queued),
+                              ("cross-lane return", returning)):
+            for ticket in tickets:
+                index = ticket - head
+                if not 0 <= index < len(slots):
+                    yield (
+                        f"{where}: {what} for ticket {ticket}, which its "
+                        "reorder buffer never reserved"
+                    )
+                elif slots[index] != UNFILLED:
+                    yield (
+                        f"{where}: {what} for ticket {ticket}, not an "
+                        "unfilled slot of its reorder buffer"
+                    )
+        awaited = set(queued).union(returning)
+        for index, stamp in enumerate(slots):
+            if stamp == UNFILLED:
+                if head + index not in awaited:
+                    yield (
+                        f"{where}: unfilled slot of ticket {head + index} is "
+                        "neither queued in its address FIFO nor returning"
+                    )
+            elif stamp > latest:
+                yield (
+                    f"{where}: slot of ticket {head + index} arrives at "
+                    f"cycle {stamp}, beyond the last ticked cycle plus the "
+                    f"in-lane latency ({latest})"
+                )

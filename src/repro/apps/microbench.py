@@ -96,19 +96,21 @@ def inlane_random_read_throughput(
                     pending.pop(0)
                     completed += 1
         # Issue one random read per stream per lane (4 reads/cycle/lane)
-        # in SIMD lockstep: a full address FIFO anywhere stalls issue for
-        # the whole cluster array, which is why small FIFOs lose
-        # throughput (Figure 17).
+        # in SIMD lockstep, one SIMD access per stream: a full address
+        # FIFO anywhere stalls issue for the whole cluster array, which is
+        # why small FIFOs lose throughput (Figure 17).
         can_issue_all = all(
             stream.can_issue(lane)
             for stream in streams_open for lane in range(lanes)
         )
         if can_issue_all:
             for s, stream in enumerate(streams_open):
-                for lane in range(lanes):
-                    stream.issue_read(lane, rng.randrange(records))
-                    ready_queue[s][lane].append(cycle)
-                    issued += 1
+                stream.issue_reads(
+                    [rng.randrange(records) for _ in range(lanes)]
+                )
+                for pending in ready_queue[s]:
+                    pending.append(cycle)
+            issued += len(streams_open) * lanes
         srf.tick(cycle)
     words = srf.stats.inlane_grants
     return ThroughputResult(

@@ -37,14 +37,25 @@ class AddressFifo:
     producer and the SRF's indexed arbitration the only consumer; both
     work on ``_words`` and ``records`` directly, which is what keeps the
     per-word path free of calls and objects.
+
+    The FIFO also names what a grant of its head needs: its ``stream``,
+    the ``rob`` (reorder buffer) its lane's reads fill, None for a write
+    stream, and ``key``, its fixed place in bank arbitration's order
+    (streams in the order they opened, then lanes), so arbitration files
+    the FIFO itself rather than a tuple describing its head.
     """
 
-    __slots__ = ("capacity", "lane", "records", "_words")
+    __slots__ = ("capacity", "lane", "records", "_words", "stream", "rob",
+                 "key")
 
-    def __init__(self, capacity_entries: int, lane: int):
+    def __init__(self, capacity_entries: int, lane: int, stream=None,
+                 rob=None, key: int = 0):
         if capacity_entries <= 0:
             raise SrfError("AddressFifo needs positive capacity")
         self.capacity = capacity_entries
         self.lane = lane
         self.records = 0
         self._words = deque()
+        self.stream = stream
+        self.rob = rob
+        self.key = key

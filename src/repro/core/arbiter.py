@@ -5,12 +5,13 @@ arbitration selects either one sequential stream or all indexed streams;
 *local* arbitration in each lane then picks which indexed accesses
 proceed, subject to sub-array conflicts. Section 5.4 notes that a simple
 round-robin scheme is within 10% of complex stall-aware arbiters, so
-round-robin is what both stages use here.
+round-robin is what both stages use here. The global stage and the
+choice among sequential streams use :class:`RoundRobinArbiter`; each
+bank's local stage keeps the same rotating pointer as a plain int
+(:meth:`~repro.core.srf.StreamRegisterFile._grant_indexed`).
 """
 
 from __future__ import annotations
-
-from repro.errors import SrfError
 
 
 class RoundRobinArbiter:
@@ -22,9 +23,6 @@ class RoundRobinArbiter:
 
     def __init__(self):
         self._pointer = 0
-        #: ``(count, start)`` -> scan order; bank arbitration asks for
-        #: the same few rotations every cycle.
-        self._orders = {}
 
     def pick(self, candidates):
         """Select the next candidate, or None when there is none.
@@ -39,18 +37,3 @@ class RoundRobinArbiter:
         position = self._pointer % count
         self._pointer = position + 1
         return candidates[position]
-
-    def rotation(self, count: int) -> tuple:
-        """Index order for scanning ``count`` items starting at the pointer."""
-        if count < 0:
-            raise SrfError("negative candidate count")
-        if count == 0:
-            return ()
-        key = (count, self._pointer % count)
-        order = self._orders.get(key)
-        if order is None:
-            start = key[1]
-            order = self._orders[key] = tuple(
-                (start + step) % count for step in range(count)
-            )
-        return order

@@ -15,11 +15,18 @@ one cycle-steppable device:
   (§4.5, Figure 18).
 
 The SRF runs once per simulated cycle, so its representation is chosen
-for host speed without changing a single grant. Pipelined completions
-live in a calendar ring of per-cycle buckets of typed event tuples,
-applied in grant order; indexed arbitration files every address-FIFO
-head in its target bank's bucket in one pass per cycle, then arbitrates
-the banks in order (see :meth:`StreamRegisterFile._grant_indexed`).
+for host speed without changing a single grant. A reorder-buffer slot
+holds the cycle its word arrives: an in-lane read's grant writes it (the
+grant cycle plus the in-lane latency) and a cross-lane read's slot is
+stamped when the return network delivers the word, so the clients'
+ready checks compare head slots with the current cycle. The pipelined
+completions that remain (cross-lane words reaching their bank's return
+queue, write retirements, sequential block fills) live in a calendar
+ring of per-cycle buckets of typed event tuples, applied in grant
+order. Indexed arbitration files every address FIFO with a live head in
+its head word's target bank's bucket in one pass per cycle, then
+arbitrates the banks in order, each from its own round-robin pointer
+(see :meth:`StreamRegisterFile._grant_indexed`).
 
 Clients (the kernel executor and the memory controller) interact through
 small, explicit protocols. Sequential ports expose a request line
@@ -32,8 +39,8 @@ False when the clusters must stall — plus per-lane ``can_issue`` /
 ``issue_read`` / ``issue_write`` / ``data_ready`` / ``record_ready`` /
 ``pop_record`` / ``pop_data`` for callers that model lanes one at a time
 (the Figure 17/18 microbenchmarks). Address FIFOs hold plain word-access
-tuples, so an indexed word costs no object beyond its FIFO entry and its
-completion event.
+tuples, so an in-lane indexed word costs no object beyond its FIFO
+entry, and a cross-lane read or a write one completion event more.
 
 The arbiter serves the streams that request it (§4.4): the SRF counts
 raised request lines and queued indexed words, so a cycle with neither
@@ -46,14 +53,13 @@ moves every kernel word between the clusters and
 the memory controller moves a memory op's words when it issues the op,
 so a sequential port or memory op counts buffered words, an
 address-FIFO entry carries only its address, and a reorder-buffer slot
-is a filled flag. No grant touches storage.
+holds an arrival cycle. No grant touches storage.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from bisect import insort
 from dataclasses import dataclass
 
 from repro.config.machine import MachineConfig
@@ -62,7 +68,7 @@ from repro.core.arbiter import RoundRobinArbiter
 from repro.core.descriptors import IndexSpace, StreamDescriptor
 from repro.core.geometry import SrfGeometry
 from repro.core.storage import SrfAllocator, SrfStorage
-from repro.core.stream_buffer import ReorderBuffer
+from repro.core.stream_buffer import UNFILLED, ReorderBuffer
 from repro.errors import SrfAccessError, SrfError
 from repro.interconnect.crossbar import (
     AddressNetwork,
@@ -71,11 +77,13 @@ from repro.interconnect.crossbar import (
 )
 
 
-#: Grant order of a bank with exactly one head word access.
-_SINGLE = (0,)
-
 #: The global arbiter's two classes; the pick is truthy for "indexed".
 _CLASSES = (False, True)
+
+
+def _fullest_first(fifo: AddressFifo) -> int:
+    """Sort key of the occupancy policy: fuller address FIFOs first."""
+    return -fifo.records
 
 
 class PortDirection(enum.Enum):
@@ -264,27 +272,38 @@ class IndexedStream:
     (``None`` or 0 for a lane predicated off) and act on every active
     lane, or on none when any of them would block. The per-lane calls
     (:meth:`can_issue`, :meth:`issue_read`, :meth:`pop_record`, ...)
-    serve the Figure 17/18 microbenchmarks; both forms share
-    :meth:`_enqueue` and :meth:`_dequeue`, which take every active lane
-    of one access in one call.
+    serve the Figure 18 microbenchmark and callers that model lanes one
+    at a time. Both forms go through :meth:`_enqueue` and
+    :meth:`_dequeue`, which walk the FIFOs or reorder buffers they are
+    given: every lane's for a SIMD access, one lane's for a per-lane
+    call.
     """
 
-    def __init__(self, srf: "StreamRegisterFile", descriptor: StreamDescriptor):
+    def __init__(self, srf: "StreamRegisterFile", descriptor: StreamDescriptor,
+                 order: int):
         if descriptor.kind.is_sequential:
             raise SrfError(f"{descriptor.name}: not an indexed stream kind")
         self.srf = srf
         self.descriptor = descriptor
         lanes = srf.geometry.lanes
         cfg = srf.config
-        self.fifos = [
-            AddressFifo(cfg.address_fifo_words, lane) for lane in range(lanes)
-        ]
         if descriptor.kind.is_read:
             self.robs = [
                 ReorderBuffer(cfg.stream_buffer_words) for _ in range(lanes)
             ]
         else:
             self.robs = None
+        # ``order`` is the stream's place among the SRF's indexed streams
+        # (opening order), which with the lane fixes each FIFO's place in
+        # bank arbitration.
+        self.fifos = [
+            AddressFifo(
+                cfg.address_fifo_words, lane, self,
+                None if self.robs is None else self.robs[lane],
+                order * lanes + lane,
+            )
+            for lane in range(lanes)
+        ]
         self.outstanding_writes = 0
         #: Word accesses queued across all lane FIFOs (kept as a counter
         #: so per-cycle arbitration polls are O(1), not O(lanes)).
@@ -295,6 +314,8 @@ class IndexedStream:
         self.record_words = descriptor.record_words
         #: Whether each record is one word in the issuing lane's bank.
         self._one_word = self.record_words == 1 and not self.is_crosslane
+        #: The reorder slots a multi-word record reserves.
+        self._record_slots = (UNFILLED,) * self.record_words
         #: Bank-local address of record 0 in every lane (PER_LANE).
         self.local_base = self._check_layout()
 
@@ -331,40 +352,35 @@ class IndexedStream:
                 )
         return local_base
 
-    # -- shared by the SIMD and per-lane calls ----------------------------
-    def _enqueue(self, indices, write: bool, first_lane: int = 0) -> bool:
+    # -- queuing and releasing records ------------------------------------
+    def _enqueue(self, indices, fifos, write: bool) -> bool:
         """Queue one record access in every lane whose index is not None.
 
-        ``indices[k]`` is lane ``first_lane + k``'s record index: the SIMD
-        calls pass every lane, the per-lane calls their one lane. Returns
-        False, changing nothing, when any such lane's address FIFO or
-        reorder buffer is full; otherwise queues them all and returns
-        True. The capacity check and the queuing are one pass: a refusal
-        withdraws the lanes already queued.
+        ``indices[k]`` is the record index for ``fifos[k]``'s lane: the
+        SIMD calls pass every lane's FIFO, the per-lane calls their one
+        lane's. Returns False, changing nothing, when any such lane's
+        address FIFO or reorder buffer is full; otherwise queues them all
+        and returns True. The capacity check and the queuing are one
+        pass: a refusal withdraws the lanes already queued.
 
         A read reserves each record's in-order reorder tickets; a write
-        counts its words as outstanding. Each record is expanded into its
-        word accesses here, once: this is the only copy of the
-        record-to-bank address arithmetic on the timing side.
+        counts its words as outstanding. A one-word in-lane record is
+        queued here; any other record's words come from
+        :meth:`_push_words`.
         """
-        fifos = self.fifos
-        robs = self.robs
         rw = self.record_words
         records = self.descriptor.length_records
         one_word = self._one_word
         local_base = self.local_base
         ticket = None
         active = 0
-        lane = first_lane
-        for index in indices:
+        for index, fifo in zip(indices, fifos):
             if index is None:
-                lane += 1
                 continue
-            fifo = fifos[lane]
+            rob = fifo.rob
             if fifo.records >= fifo.capacity or (
-                    robs is not None
-                    and len(robs[lane]._slots) + rw > robs[lane].capacity):
-                self._withdraw(indices, first_lane, lane, write)
+                    rob is not None and len(rob._slots) + rw > rob.capacity):
+                self._withdraw(indices, fifos, fifo, write)
                 return False
             if not 0 <= index < records:
                 raise SrfError(
@@ -373,34 +389,19 @@ class IndexedStream:
                 )
             if not write:
                 # ReorderBuffer.reserve, inline: capacity checked above.
-                rob = robs[lane]
                 slots = rob._slots
                 ticket = rob._head_ticket + len(slots)
                 if rw == 1:
-                    slots.append(False)
+                    slots.append(UNFILLED)
                 else:
-                    slots.extend([False] * rw)
-            queue = fifo._words
+                    slots.extend(self._record_slots)
             if one_word:
-                queue.append((lane, local_base + index, ticket, True))
+                fifo._words.append((fifo.lane, local_base + index, ticket,
+                                    True))
             else:
-                crosslane = self.is_crosslane
-                split = self.srf.geometry.split
-                start = index * rw
-                last = rw - 1
-                for j in range(rw):
-                    if crosslane:
-                        target, addr = split(self.descriptor.base + start + j)
-                    else:
-                        target, addr = lane, local_base + start + j
-                    queue.append((
-                        target, addr,
-                        None if ticket is None else ticket + j,
-                        j == last,
-                    ))
+                self._push_words(fifo, index, ticket)
             fifo.records += 1
             active += 1
-            lane += 1
         queued = active * rw
         if write:
             self.outstanding_writes += queued
@@ -408,60 +409,79 @@ class IndexedStream:
         self.srf._queued_words += queued
         return True
 
-    def _withdraw(self, indices, first_lane: int, stop: int,
+    def _push_words(self, fifo: AddressFifo, index: int, ticket) -> None:
+        """Queue record ``index``'s word accesses in ``fifo`` (any record
+        but a one-word in-lane one): the timing side's only copy of the
+        record-to-bank address arithmetic. Word ``j`` fills ticket
+        ``ticket + j`` (None for a write)."""
+        queue = fifo._words
+        rw = self.record_words
+        last = rw - 1
+        if self.is_crosslane:
+            split = self.srf.geometry.split
+            start = self.descriptor.base + index * rw
+            for j in range(rw):
+                target, addr = split(start + j)
+                queue.append((target, addr,
+                              None if ticket is None else ticket + j,
+                              j == last))
+        else:
+            lane = fifo.lane
+            start = self.local_base + index * rw
+            for j in range(rw):
+                queue.append((lane, start + j,
+                              None if ticket is None else ticket + j,
+                              j == last))
+
+    def _withdraw(self, indices, fifos, stop: AddressFifo,
                   write: bool) -> None:
-        """Undo :meth:`_enqueue`'s queuing of the lanes before ``stop``
-        once lane ``stop`` refused: each lane queued ``record_words`` FIFO
+        """Undo :meth:`_enqueue`'s queuing of the FIFOs before ``stop``
+        once ``stop`` refused: each lane queued ``record_words`` FIFO
         words and, for a read, reserved as many reorder slots, all at the
         tails."""
         rw = self.record_words
-        lane = first_lane
-        for index in indices:
-            if lane == stop:
+        for index, fifo in zip(indices, fifos):
+            if fifo is stop:
                 break
             if index is not None:
-                fifo = self.fifos[lane]
+                queue = fifo._words
                 for _ in range(rw):
-                    fifo._words.pop()
+                    queue.pop()
                 fifo.records -= 1
                 if not write:
-                    slots = self.robs[lane]._slots
+                    slots = fifo.rob._slots
                     for _ in range(rw):
                         slots.pop()
-            lane += 1
 
-    def _dequeue(self, counts, first_lane: int = 0) -> bool:
+    def _dequeue(self, counts, robs) -> bool:
         """Release the oldest record of every lane whose count is
-        nonzero (``counts[k]`` is lane ``first_lane + k``'s, as in
+        nonzero (``counts[k]`` is for ``robs[k]``'s lane, as in
         :meth:`_enqueue`).
 
         Returns False, releasing nothing, when any such lane's record has
-        not fully returned; otherwise releases them all and returns True.
+        not fully arrived; otherwise releases them all and returns True.
+        A word has arrived when its slot's arrival cycle lies before the
+        cycle the clients act in.
         """
-        robs = self.robs
+        now = self.srf._now
         rw = self.record_words
-        lane = first_lane
-        for count in counts:
+        for count, rob in zip(counts, robs):
             if count:
-                slots = robs[lane]._slots
                 if rw == 1:
-                    if not slots or not slots[0]:
-                        return False
-                elif not robs[lane].head_ready_n(rw):
-                    return False
-            lane += 1
-        lane = first_lane
-        for count in counts:
-            if count:
-                rob = robs[lane]
-                rob._head_ticket += rw
-                if rw == 1:
-                    rob._slots.popleft()
-                else:
                     slots = rob._slots
+                    if not slots or slots[0] >= now:
+                        return False
+                elif not rob.head_ready_n(rw, now):
+                    return False
+        for count, rob in zip(counts, robs):
+            if count:
+                rob._head_ticket += rw
+                slots = rob._slots
+                if rw == 1:
+                    slots.popleft()
+                else:
                     for _ in range(rw):
                         slots.popleft()
-            lane += 1
         return True
 
     # -- client (cluster) side, one SIMD access per call ------------------
@@ -474,14 +494,14 @@ class IndexedStream:
         """
         if not self.is_read:
             raise SrfError(f"{self.descriptor.name}: not a read stream")
-        return self._enqueue(indices, False)
+        return self._enqueue(indices, self.fifos, False)
 
     def issue_writes(self, indices) -> bool:
         """Issue a record write in every lane whose index is not None;
         all or nothing, like :meth:`issue_reads`."""
         if not self.descriptor.kind.is_write:
             raise SrfError(f"{self.descriptor.name}: not a write stream")
-        return self._enqueue(indices, True)
+        return self._enqueue(indices, self.fifos, True)
 
     def pop_records(self, counts) -> bool:
         """Pop one record in every lane whose count is nonzero.
@@ -491,7 +511,7 @@ class IndexedStream:
         """
         if self.robs is None:
             raise SrfError(f"{self.descriptor.name}: write streams have no data")
-        return self._dequeue(counts)
+        return self._dequeue(counts, self.robs)
 
     # -- client (cluster) side, one lane per call ---------------------------
     def can_issue(self, lane: int) -> bool:
@@ -499,21 +519,21 @@ class IndexedStream:
         fifo = self.fifos[lane]
         if fifo.records >= fifo.capacity:
             return False
-        robs = self.robs
-        return robs is None or robs[lane].can_reserve(self.record_words)
+        rob = fifo.rob
+        return rob is None or rob.can_reserve(self.record_words)
 
     def issue_read(self, lane: int, record_index: int) -> None:
         """Enqueue a record read; reserves in-order reorder slots."""
         if not self.is_read:
             raise SrfError(f"{self.descriptor.name}: not a read stream")
-        if not self._enqueue((record_index,), False, lane):
+        if not self._enqueue((record_index,), (self.fifos[lane],), False):
             self._raise_full(lane)
 
     def issue_write(self, lane: int, record_index: int) -> None:
         """Enqueue a record write's word addresses."""
         if not self.descriptor.kind.is_write:
             raise SrfError(f"{self.descriptor.name}: not a write stream")
-        if not self._enqueue((record_index,), True, lane):
+        if not self._enqueue((record_index,), (self.fifos[lane],), True):
             self._raise_full(lane)
 
     def _raise_full(self, lane: int) -> None:
@@ -524,17 +544,19 @@ class IndexedStream:
 
     def data_ready(self, lane: int) -> bool:
         """Whether the oldest issued record's next word has returned."""
-        return self.robs is not None and self.robs[lane].head_ready()
+        return self.robs is not None and self.robs[lane].head_ready(
+            self.srf._now
+        )
 
     def record_ready(self, lane: int) -> bool:
         """Whether a full record (``record_words`` words) has returned."""
         return self.robs is not None and self.robs[lane].head_ready_n(
-            self.record_words
+            self.record_words, self.srf._now
         )
 
     def pop_record(self, lane: int) -> None:
         """Pop one full record of ``lane``."""
-        if self.robs is None or not self._dequeue((1,), lane):
+        if self.robs is None or not self._dequeue((1,), (self.robs[lane],)):
             raise SrfError(
                 f"{self.descriptor.name}: lane {lane} has no complete "
                 "record to pop"
@@ -544,7 +566,7 @@ class IndexedStream:
         """Pop the next in-order word of ``lane``."""
         if self.robs is None:
             raise SrfError(f"{self.descriptor.name}: write streams have no data")
-        self.robs[lane].pop()
+        self.robs[lane].pop(self.srf._now)
 
     @property
     def quiescent(self) -> bool:
@@ -583,7 +605,10 @@ class StreamRegisterFile:
         self._queued_words = 0
         self._global_arbiter = RoundRobinArbiter()
         self._seq_arbiter = RoundRobinArbiter()
-        self._bank_arbiters = [RoundRobinArbiter() for _ in range(config.lanes)]
+        #: Each bank's round-robin pointer over its head word accesses.
+        self._bank_pointers = [0] * config.lanes
+        #: Opening order of the next indexed stream.
+        self._stream_order = itertools.count()
         network_cls = (
             RingAddressNetwork if config.crosslane_network == "ring"
             else AddressNetwork
@@ -605,6 +630,8 @@ class StreamRegisterFile:
         # tuples (see _complete_due). A due is 1..max-latency cycles out,
         # so live dues span fewer cycles than the ring has buckets and a
         # bucket holds one due cycle at a time; _cal_due[b] is bucket b's.
+        # In-lane reads post no event: their grant stamps the reorder
+        # slot with the cycle the word arrives.
         self._cal_size = max(
             config.srf_sequential_latency,
             config.inlane_indexed_latency,
@@ -613,7 +640,10 @@ class StreamRegisterFile:
         self._cal = [[] for _ in range(self._cal_size)]
         self._cal_due = [0] * self._cal_size
         self._cal_count = 0
-        self._cal_floor = 0  # next due cycle not yet completed
+        #: The cycle clients act in: one past the last ticked cycle. Every
+        #: completion due before it has happened, and a reorder slot
+        #: stamped before it holds an arrived word.
+        self._now = 0
         self._comm_busy = False
         #: Event tracer (repro.observe) the processor hands a traced
         #: machine's SRF; None when disabled.
@@ -676,7 +706,7 @@ class StreamRegisterFile:
                 f"machine '{self.config.name}' has a sequential-only SRF; "
                 f"cannot open indexed stream {descriptor.name}"
             )
-        stream = IndexedStream(self, descriptor)
+        stream = IndexedStream(self, descriptor, next(self._stream_order))
         self._indexed[descriptor.stream_id] = stream
         self._indexed_list.append(stream)
         if self.tracer is not None:
@@ -694,6 +724,10 @@ class StreamRegisterFile:
             )
         del self._indexed[stream.descriptor.stream_id]
         self._indexed_list.remove(stream)
+        # Each FIFO names its stream for arbitration; breaking that
+        # cycle lets reference counting free the closed stream at once.
+        for fifo in stream.fifos:
+            fifo.stream = None
 
     # ------------------------------------------------------------------
     # Cycle stepping
@@ -710,8 +744,7 @@ class StreamRegisterFile:
         self._comm_busy = comm_busy
         if self._cal_count:
             self._complete_due(cycle)
-        else:
-            self._cal_floor = cycle + 1
+        self._now = cycle + 1
         if comm_busy or self.return_network.queued:
             self.return_network.tick(comm_busy)
         if self._raised_lines or self._queued_words:
@@ -730,9 +763,10 @@ class StreamRegisterFile:
     # ------------------------------------------------------------------
     # Pipelined completions (calendar ring)
     # ------------------------------------------------------------------
-    # Event kinds, typed tuples instead of closures:
-    #   (1, rob, ticket)                       in-lane read fill
-    #   (2, bank, src_lane, ticket, rob)       cross-lane return
+    # Event kinds, typed tuples instead of closures (an in-lane read has
+    # none: its grant stamps the reorder slot with its arrival cycle):
+    #   (2, bank, src_lane, ticket, rob)       cross-lane read reaches
+    #                                          its bank's return queue
     #   (3, stream)                            write retirement
     #   (4, port)                              sequential block fill
     def schedule_fill(self, due: int, port: SequentialPort) -> None:
@@ -750,25 +784,18 @@ class StreamRegisterFile:
         events, so a bucket is drained by plain iteration.
         """
         size = self._cal_size
-        floor = self._cal_floor
+        floor = self._now
         cal = self._cal
         enqueue = self.return_network.enqueue
+        deliver = self._deliver
         while floor <= cycle:
             bucket = cal[floor % size]
             if bucket:
                 for ev in bucket:
                     kind = ev[0]
-                    if kind == 1:
-                        # ReorderBuffer.fill, inline: one per indexed word.
-                        slots = ev[1]._slots
-                        index = ev[2] - ev[1]._head_ticket
-                        if not 0 <= index < len(slots) or slots[index]:
-                            raise SrfError(
-                                f"unknown or already-filled ticket {ev[2]}"
-                            )
-                        slots[index] = True
-                    elif kind == 2:
-                        enqueue(ev[1], ev[2], ev[3], ev[4].fill)
+                    if kind == 2:
+                        # The event itself is the return's token.
+                        enqueue(ev[1], ev[2], ev, deliver)
                     elif kind == 3:
                         ev[1].outstanding_writes -= 1
                     else:
@@ -778,7 +805,11 @@ class StreamRegisterFile:
                 if not self._cal_count:
                     break
             floor += 1
-        self._cal_floor = cycle + 1
+
+    def _deliver(self, event) -> None:
+        """Stamp a cross-lane read's reorder slot as the return network
+        delivers its word, in the tick of cycle ``_now - 1``."""
+        event[4].fill(event[3], self._now - 1)
 
     def _next_due(self) -> int:
         """Due cycle of the oldest pending completion (some must exist)."""
@@ -827,31 +858,27 @@ class StreamRegisterFile:
         """
         stats = self.stats
         stats.indexed_cycles += 1
-        address_network = self.address_network
-        address_network.begin_cycle()
         lanes = self.geometry.lanes
-        # One pass files each live head word in its target bank's bucket,
-        # ordered by (stream position, lane); a head's first field is its
-        # target lane, which for an in-lane stream is the FIFO's own.
-        # Only a grant moves a head mid-cycle: an in-lane grant at bank b
-        # moves lane b's FIFO, which no later bank reads; a cross-lane
-        # grant may uncover a word for a later bank, which is insort-ed
-        # into that bank's bucket below.
+        # One pass files each address FIFO with a live head in its head
+        # word's target bank's bucket, ordered by FIFO key (stream order,
+        # then lane); a head's first field is its target lane, which for
+        # an in-lane stream is the FIFO's own. Only a grant moves a head
+        # mid-cycle: an in-lane grant at bank b moves lane b's FIFO,
+        # which no later bank reads; a cross-lane grant may uncover a
+        # word for a later bank, whose bucket then takes the FIFO in key
+        # order below.
         buckets = [[] for _ in range(lanes)]
-        position = 0
+        crosslane_heads = False
         for stream in self._indexed_list:
-            if not stream.pending_words:
-                continue
-            lane = 0
-            for fifo in stream.fifos:
-                queue = fifo._words
-                if queue:
-                    word = queue[0]
-                    buckets[word[0]].append(
-                        (position, lane, stream, fifo, word)
-                    )
-                lane += 1
-            position += 1
+            if stream.pending_words:
+                crosslane_heads = crosslane_heads or stream.is_crosslane
+                for fifo in stream.fifos:
+                    queue = fifo._words
+                    if queue:
+                        buckets[queue[0][0]].append(fifo)
+        address_network = self.address_network
+        if crosslane_heads:
+            address_network.begin_cycle()
         bank_cap = self._bank_cap
         multi_cap = bank_cap > 1
         sub_stride = self._subarray_stride
@@ -859,7 +886,7 @@ class StreamRegisterFile:
         occupancy_policy = self._occupancy_policy
         shared_comm = self._shared_network and self._comm_busy
         return_network = self.return_network
-        bank_arbiters = self._bank_arbiters
+        pointers = self._bank_pointers
         cal = self._cal
         size = self._cal_size
         cfg = self.config
@@ -867,87 +894,103 @@ class StreamRegisterFile:
         crosslane_due = cycle + max(1, cfg.crosslane_indexed_latency - 1)
         inlane_bucket = cal[inlane_due % size]
         crosslane_bucket = cal[crosslane_due % size]
-        granted_total = 0
-        blocked_total = 0
+        heads_total = 0
         inlane_grants = crosslane_grants = write_grants = 0
         for bank in range(lanes):
             heads = buckets[bank]
             if not heads:
                 continue
             n_heads = len(heads)
-            arbiter = bank_arbiters[bank]
-            if n_heads == 1:
-                order = _SINGLE
-            elif occupancy_policy:
-                # Stall-aware policy (§5.4): serve the fullest address
-                # FIFOs first — the streams most likely to stall.
-                order = sorted(
-                    range(n_heads), key=lambda p: -heads[p][3].records
-                )
-            else:
-                order = arbiter.rotation(n_heads)
+            heads_total += n_heads
+            pointer = pointers[bank]
+            # Advance the bank's round-robin pointer by one position.
+            pointers[bank] = (pointer + 1) % n_heads
+            # Sub-arrays can conflict only among several heads, and only
+            # matter when the bank may grant more than one of them.
+            subarrays = multi_cap and n_heads > 1
+            if n_heads > 1:
+                if occupancy_policy:
+                    # Stall-aware policy (§5.4): serve the fullest address
+                    # FIFOs first — the streams most likely to stall.
+                    heads = sorted(heads, key=_fullest_first)
+                else:
+                    start = pointer % n_heads
+                    if start:
+                        heads = heads[start:] + heads[:start]
             used_subarrays = 0
             granted = 0
-            for index in order:
-                if granted >= bank_cap:
-                    break
-                position, lane, stream, fifo, word = heads[index]
-                _target, addr, ticket, last = word
-                subarray_bit = 1 << (addr // sub_stride % sub_count)
-                if multi_cap and used_subarrays & subarray_bit:
-                    continue
+            for fifo in heads:
+                queue = fifo._words
+                _target, addr, ticket, last = queue[0]
+                if subarrays:
+                    subarray_bit = 1 << (addr // sub_stride % sub_count)
+                    if used_subarrays & subarray_bit:
+                        continue
+                stream = fifo.stream
                 crosslane = stream.is_crosslane
                 if crosslane:
                     if shared_comm:
                         continue  # the shared network carries the comm
                     if not return_network.bank_has_space(bank):
                         continue
-                    if not address_network.try_route(lane, bank):
+                    if not address_network.try_route(fifo.lane, bank):
                         continue
                     return_network.reserve(bank)
-                used_subarrays |= subarray_bit
-                queue = fifo._words
+                if subarrays:
+                    used_subarrays |= subarray_bit
                 queue.popleft()
                 if last:
                     fifo.records -= 1
                 stream.pending_words -= 1
-                if crosslane and queue:
-                    uncovered = queue[0]
-                    if uncovered[0] > bank:
-                        insort(
-                            buckets[uncovered[0]],
-                            (position, lane, stream, fifo, uncovered),
+                # Launch: the bank access happens now.
+                if crosslane:
+                    # Its word reaches the bank's return queue after the
+                    # access latency, then waits for the network.
+                    crosslane_grants += 1
+                    crosslane_bucket.append(
+                        (2, bank, fifo.lane, ticket, fifo.rob)
+                    )
+                    if queue:
+                        target = queue[0][0]
+                        if target > bank:
+                            later = buckets[target]
+                            key = fifo.key
+                            at = len(later)
+                            while at and later[at - 1].key > key:
+                                at -= 1
+                            later.insert(at, fifo)
+                elif ticket is not None:
+                    # ReorderBuffer.fill, inline: the word arrives after
+                    # the in-lane latency, so no event is needed.
+                    rob = fifo.rob
+                    slots = rob._slots
+                    index = ticket - rob._head_ticket
+                    if not 0 <= index < len(slots) or slots[index] != UNFILLED:
+                        raise SrfError(
+                            f"unknown or already-filled ticket {ticket}"
                         )
-                # Launch: the bank access happens now; its completion is
-                # a calendar event at the access latency.
-                if ticket is not None:
-                    rob = stream.robs[lane]
-                    if crosslane:
-                        crosslane_grants += 1
-                        crosslane_bucket.append((2, bank, lane, ticket, rob))
-                    else:
-                        inlane_grants += 1
-                        inlane_bucket.append((1, rob, ticket))
+                    slots[index] = inlane_due
+                    inlane_grants += 1
                 else:
                     write_grants += 1
                     inlane_bucket.append((3, stream))
                 granted += 1
-            # Advance the bank's round-robin pointer by one position
-            # (n_heads is positive).
-            arbiter._pointer = (arbiter._pointer + 1) % n_heads
-            granted_total += granted
-            blocked_total += n_heads - granted
+                if granted == bank_cap:
+                    break
+        granted_total = inlane_grants + crosslane_grants + write_grants
         if granted_total:
             self._queued_words -= granted_total
-            self._cal_count += granted_total
-            self._cal_due[inlane_due % size] = inlane_due
-            self._cal_due[crosslane_due % size] = crosslane_due
+            events = crosslane_grants + write_grants
+            if events:
+                self._cal_count += events
+                self._cal_due[inlane_due % size] = inlane_due
+                self._cal_due[crosslane_due % size] = crosslane_due
             stats.inlane_grants += inlane_grants
             stats.crosslane_grants += crosslane_grants
             stats.indexed_write_grants += write_grants
         else:
             stats.empty_indexed_cycles += 1
-        stats.blocked_heads += blocked_total
+        stats.blocked_heads += heads_total - granted_total
 
     # ------------------------------------------------------------------
     def occupancy_report(self) -> list:
@@ -980,12 +1023,28 @@ class StreamRegisterFile:
         return lines
 
     def _inflight_lines(self) -> list:
-        """Forensic lines about pipelined completions still in flight."""
-        if not self._cal_count:
+        """Forensic lines about pipelined completions still in flight:
+        calendar events and in-lane words whose arrival is ahead."""
+        arriving = self._arriving()
+        count = self._cal_count + len(arriving)
+        if not count:
             return []
+        if self._cal_count:
+            arriving.append(self._next_due())
         return [
-            f"{self._cal_count} pipelined accesses in flight "
-            f"(next due cycle {self._next_due()})"
+            f"{count} pipelined accesses in flight "
+            f"(next due cycle {min(arriving)})"
+        ]
+
+    def _arriving(self) -> list:
+        """Arrival cycles of the granted in-lane reads whose word has not
+        arrived yet (a delivered cross-lane word's stamp is past)."""
+        now = self._now
+        return [
+            stamp
+            for stream in self._indexed_list if stream.robs is not None
+            for rob in stream.robs
+            for stamp in rob._slots if now <= stamp != UNFILLED
         ]
 
     @property
@@ -993,6 +1052,6 @@ class StreamRegisterFile:
         """True when nothing is in flight anywhere in the SRF."""
         if self._cal_count or self.return_network.pending():
             return False
-        if self._raised_lines:
+        if self._raised_lines or self._arriving():
             return False
         return all(s.quiescent for s in self._indexed.values())

@@ -44,7 +44,7 @@ class ReturnNetwork:
     """Bank -> lane data-return crossbar for cross-lane indexed reads.
 
     Completed accesses are enqueued per source bank as
-    ``(destination_lane, ticket, fill)``; each cycle the network
+    ``(destination_lane, token, fill)``; each cycle the network
     delivers up to ``slots_per_destination`` words to every destination
     lane, and none on an explicit-comm cycle. Banks whose return queue
     is full exert backpressure on local arbitration via
@@ -89,15 +89,17 @@ class ReturnNetwork:
             raise SrfError(f"return queue of bank {bank} is full")
         self._reserved[bank] += 1
 
-    def enqueue(self, bank: int, destination_lane: int, ticket: int,
+    def enqueue(self, bank: int, destination_lane: int, token,
                 fill) -> None:
         """Queue a completed access at its bank for return delivery;
-        delivery calls ``fill(ticket)``."""
+        delivery calls ``fill(token)``. The network never reads
+        ``token``: the SRF passes its cross-lane completion event, which
+        names the reorder slot to stamp."""
         if self._reserved[bank] > 0:
             self._reserved[bank] -= 1
         elif not self.bank_has_space(bank):
             raise SrfError(f"return queue of bank {bank} is full")
-        self._queues[bank].append((destination_lane, ticket, fill))
+        self._queues[bank].append((destination_lane, token, fill))
         self.queued += 1
 
     def pending(self) -> int:

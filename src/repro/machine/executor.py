@@ -132,8 +132,8 @@ class KernelExecutor(ExecutionContext):
             self._interpreter = KernelInterpreter(
                 invocation.kernel, config.lanes, self
             )
-        #: One ``(slot, code, port or stream, op_id, held)`` row per timed
-        #: op: its row code, what it drives (None for a comm) and, for an
+        #: One ``(slot, code, port or stream, held)`` row per timed op:
+        #: its row code, what it drives (None for a comm) and, for an
         #: indexed op, where an issued iteration holds its detail: the
         #: row position of an IDX_ISSUE's indices or an IDX_DATA's
         #: counts, or for an IDX_WRITE its ordinal among the index lists
@@ -153,7 +153,7 @@ class KernelExecutor(ExecutionContext):
                       else targets.get(op.stream.name))
             rows.append((
                 schedule.slots[op.op_id], _ROW_CODES[op.kind], target,
-                op.op_id, held_at.get(op.op_id),
+                held_at.get(op.op_id),
             ))
         self._set_firing(rows, schedule.ii, invocation.iterations)
         self._startup_remaining = KERNEL_STARTUP_CYCLES
@@ -462,7 +462,7 @@ class KernelExecutor(ExecutionContext):
         comm_busy = False
         due = len(rows)
         while position < due:
-            slot, code, target, _op_id, held = rows[position]
+            slot, code, target, held = rows[position]
             iteration = (vt - slot) // ii
             if 0 <= iteration < iterations:
                 if code == _SEQ_READ:

@@ -12,6 +12,7 @@ from repro.analyze import MachineSanitizer
 from repro.apps import fft
 from repro.config.presets import base_config, isrf4_config
 from repro.core import SequentialPort, SrfArray
+from repro.core.stream_buffer import UNFILLED
 from repro.errors import DeadlockError, SanitizerError
 from repro.kernel.builder import KernelBuilder
 from repro.machine import StreamProcessor, StreamProgram
@@ -223,13 +224,14 @@ class TestRuntimeDetection:
 
 
 def _inlane_reads_in_flight(sanitize=True):
-    """An ISRF4 machine with in-lane indexed reads granted, not filled."""
+    """An ISRF4 machine with in-lane indexed reads granted, their words
+    not yet arrived."""
     proc = StreamProcessor(isrf4_config(sanitize=sanitize))
     table = SrfArray(proc.srf, 256, "table")
     stream = proc.srf.open_indexed(table.inlane_read())
     for lane in range(proc.srf.geometry.lanes):
         stream.issue_read(lane, lane)
-    proc.srf.tick(0)  # grants every lane's read; fills are due later
+    proc.srf.tick(0)  # grants every lane's read; words arrive later
     return proc, stream
 
 
@@ -301,39 +303,139 @@ class TestAddressFifos:
             proc._sanitizer.check(0)
 
 
-def _plant_inlane_fill(srf, due, rob, ticket):
-    """Queue an in-lane read fill in the completion calendar."""
+def _plant_crosslane_return(srf, due, rob, ticket):
+    """Queue a cross-lane return for ``rob``'s ``ticket`` in the
+    completion calendar."""
     slot = due % srf._cal_size
-    srf._cal[slot].append((1, rob, ticket))
+    srf._cal[slot].append((2, 0, 0, ticket, rob))
     srf._cal_due[slot] = due
     srf._cal_count += 1
 
 
 class TestReorderBuffers:
-    def test_due_for_a_filled_slot_detected(self):
+    """A slot holds its word's arrival cycle, or UNFILLED until the
+    word is granted (in-lane) or delivered (cross-lane)."""
+
+    def test_granted_reads_are_stamped_with_their_arrival(self):
+        proc, stream = _inlane_reads_in_flight()
+        due = proc.config.inlane_indexed_latency
+        assert [list(rob._slots) for rob in stream.robs] == [[due]] * 8
+        proc._sanitizer.check(0)  # must not raise
+
+    def test_return_for_a_filled_slot_detected(self):
         proc, stream = _inlane_reads_in_flight()
         rob = stream.robs[0]
         for cycle in range(1, 1 + proc.config.inlane_indexed_latency):
             proc.srf.tick(cycle)
-        assert rob.head_ready()
-        # A second fill for the ticket that already filled.
-        _plant_inlane_fill(proc.srf, cycle + 1, rob, rob._head_ticket)
+        assert rob.head_ready(proc.srf._now)
+        # A second fill for the ticket that already arrived.
+        _plant_crosslane_return(proc.srf, cycle + 1, rob, rob._head_ticket)
         with pytest.raises(SanitizerError, match="not an unfilled"):
             proc._sanitizer.check(cycle)
 
-    def test_due_for_an_unissued_ticket_detected(self):
+    def test_queued_word_for_a_filled_slot_detected(self):
         proc, stream = _inlane_reads_in_flight()
-        _plant_inlane_fill(proc.srf, proc.config.inlane_indexed_latency,
-                           stream.robs[3], 17)
-        with pytest.raises(SanitizerError, match="ticket 17"):
+        fifo = stream.fifos[1]
+        # Re-queue the word lane 1 was granted: it would stamp twice.
+        fifo._words.append((1, stream.local_base + 1, 0, True))
+        fifo.records += 1
+        stream.pending_words += 1
+        proc.srf._queued_words += 1
+        with pytest.raises(SanitizerError, match="lane 1: queued word for "
+                           "ticket 0, not an unfilled"):
             proc._sanitizer.check(0)
+
+    def test_return_for_an_unissued_ticket_detected(self):
+        proc, stream = _inlane_reads_in_flight()
+        _plant_crosslane_return(proc.srf, 2, stream.robs[3], 17)
+        with pytest.raises(SanitizerError, match="ticket 17, which its "
+                           "reorder buffer never reserved"):
+            proc._sanitizer.check(0)
+
+    def test_unfilled_slot_nothing_will_fill_detected(self):
+        proc, stream = _inlane_reads_in_flight()
+        ticket = stream.robs[5].reserve()  # reserved, never queued
+        with pytest.raises(SanitizerError, match=f"ticket {ticket} is "
+                           "neither queued"):
+            proc._sanitizer.check(0)
+
+    def test_stamp_beyond_the_inlane_latency_detected(self):
+        proc, stream = _inlane_reads_in_flight()
+        latest = proc.config.inlane_indexed_latency
+        stream.robs[2]._slots[0] = latest + 1
+        with pytest.raises(SanitizerError, match=f"arrives at cycle "
+                           f"{latest + 1}, beyond"):
+            proc._sanitizer.check(0)
+        stream.robs[2]._slots[0] = latest
+        proc._sanitizer.check(0)  # the latest stamp a grant can write
 
     def test_overfull_reorder_buffer_detected(self):
         proc, stream = _inlane_reads_in_flight()
         rob = stream.robs[2]
-        rob._slots.extend([False] * rob.capacity)
+        rob._slots.extend([UNFILLED] * rob.capacity)
         with pytest.raises(SanitizerError, match="exceeds capacity"):
             proc._sanitizer.check(0)
+
+
+def _corrupt_after_first_grant(proc, corrupt):
+    """Make the SRF call ``corrupt(stream)`` once, after the first tick
+    that granted an indexed read."""
+    tick = proc.srf.tick
+    done = []
+
+    def tick_then_corrupt(cycle, comm_busy=False):
+        tick(cycle, comm_busy)
+        if not done and proc.srf.stats.inlane_grants:
+            done.append(cycle)
+            corrupt(proc.srf._indexed_list[0])
+
+    proc.srf.tick = tick_then_corrupt
+
+
+class TestReorderDriftInARun:
+    """Each reorder-slot violation aborts a sanitized run."""
+
+    def _run(self, corrupt):
+        proc = StreamProcessor(isrf4_config(sanitize=True))
+        prog, _invocation = _lookup_program(proc)
+        _corrupt_after_first_grant(proc, corrupt)
+        proc.run_program(prog)
+
+    def test_clean_run_passes(self):
+        self._run(lambda stream: None)
+
+    def test_stamp_pushed_past_the_latency_aborts(self):
+        def corrupt(stream):
+            rob = next(rob for rob in stream.robs if rob._slots)
+            rob._slots[0] += 100
+
+        with pytest.raises(SanitizerError, match="beyond the last ticked"):
+            self._run(corrupt)
+
+    def test_lost_stamp_aborts(self):
+        # A granted word's slot goes back to unfilled: nothing will ever
+        # fill it.
+        def corrupt(stream):
+            rob = next(rob for rob in stream.robs if rob._slots)
+            rob._slots[0] = UNFILLED
+
+        with pytest.raises(SanitizerError, match="neither queued"):
+            self._run(corrupt)
+
+    def test_slot_stamped_twice_aborts(self):
+        # A granted word is queued again: its grant would stamp a slot
+        # that is already stamped.
+        def corrupt(stream):
+            rob = next(rob for rob in stream.robs if rob._slots)
+            fifo = stream.fifos[stream.robs.index(rob)]
+            fifo._words.append((fifo.lane, stream.local_base,
+                                rob._head_ticket, True))
+            fifo.records += 1
+            stream.pending_words += 1
+            stream.srf._queued_words += 1
+
+        with pytest.raises(SanitizerError, match="not an unfilled"):
+            self._run(corrupt)
 
 
 def test_occupancy_report_names_the_next_due_completion():

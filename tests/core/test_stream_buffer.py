@@ -4,7 +4,7 @@ ReorderBuffer.
 Both are timing state only. The kernel executor moves every word at
 issue, so a sequential port keeps its lane FIFOs as one word count
 (every lane fills and drains at the same rate) and a reorder-buffer
-slot is a filled flag.
+slot holds the cycle its word arrives.
 """
 
 import pytest
@@ -68,32 +68,61 @@ class TestLaneFifo:
 
 
 class TestReorderBuffer:
+    """Slots hold arrival cycles; a word is there at ``now`` when it
+    arrived before ``now``."""
+
     def test_in_order_fill_and_pop(self):
         rob = ReorderBuffer(4)
         t0, t1 = rob.reserve(), rob.reserve()
         assert (t0, t1) == (0, 1)
-        rob.fill(t0)
-        rob.fill(t1)
-        rob.pop()
-        assert rob.head_ready()
-        rob.pop()
+        rob.fill(t0, 3)
+        rob.fill(t1, 3)
+        assert not rob.head_ready(3)
+        rob.pop(4)
+        assert rob.head_ready(4)
+        rob.pop(4)
         assert rob.occupancy == 0
+
+    def test_word_is_there_only_after_its_arrival_cycle(self):
+        # An in-lane grant stamps the arrival cycle ahead of time.
+        rob = ReorderBuffer(2)
+        t = rob.reserve()
+        assert not rob.head_ready(100)  # reserved, not stamped
+        rob.fill(t, 7)
+        assert not rob.head_ready(7)
+        assert not rob.head_ready_n(1, 7)
+        with pytest.raises(SrfError):
+            rob.pop(7)
+        assert rob.head_ready(8)
+        assert rob.head_ready_n(1, 8)
+        rob.pop(8)
 
     def test_out_of_order_fill_blocks_head(self):
         # Figure 9: a younger completed access must not unblock the head.
         rob = ReorderBuffer(4)
         t0 = rob.reserve()
         t1 = rob.reserve()
-        rob.fill(t1)
-        assert not rob.head_ready()
+        rob.fill(t1, 2)
+        assert not rob.head_ready(10)
         with pytest.raises(SrfError):
-            rob.pop()
-        rob.fill(t0)
-        assert rob.head_ready()
-        assert rob.head_ready_n(2)
-        rob.pop()
-        rob.pop()
+            rob.pop(10)
+        rob.fill(t0, 5)
+        assert not rob.head_ready(5)
+        assert rob.head_ready(6)
+        assert rob.head_ready_n(2, 6)
+        rob.pop(6)
+        rob.pop(6)
         assert rob.occupancy == 0
+
+    def test_record_waits_for_its_last_arrival(self):
+        rob = ReorderBuffer(4)
+        t0 = rob.reserve(2)
+        rob.fill(t0, 3)
+        rob.fill(t0 + 1, 5)
+        assert rob.head_ready(4)
+        assert not rob.head_ready_n(2, 5)
+        assert rob.head_ready_n(2, 6)
+        assert not rob.head_ready_n(3, 6)  # only two slots reserved
 
     def test_capacity_enforced(self):
         rob = ReorderBuffer(2)
@@ -106,36 +135,37 @@ class TestReorderBuffer:
     def test_pop_frees_capacity(self):
         rob = ReorderBuffer(1)
         t = rob.reserve()
-        rob.fill(t)
-        rob.pop()
+        rob.fill(t, 0)
+        rob.pop(1)
         assert rob.can_reserve()
 
     def test_double_fill_rejected(self):
         rob = ReorderBuffer(2)
         t = rob.reserve()
-        rob.fill(t)
+        rob.fill(t, 1)
         with pytest.raises(SrfError):
-            rob.fill(t)
+            rob.fill(t, 2)
 
     def test_unknown_ticket_rejected(self):
         rob = ReorderBuffer(2)
         with pytest.raises(SrfError):
-            rob.fill(99)
+            rob.fill(99, 0)
 
     @given(st.permutations(list(range(6))))
     def test_any_fill_order_pops_in_issue_order(self, fill_order):
-        # After every fill, exactly the filled prefix of the issue order
+        # Each step stamps one slot with the step's cycle. After it, at
+        # the next cycle, exactly the stamped prefix of the issue order
         # is poppable: a slot leaves only once every older one has.
         rob = ReorderBuffer(6)
         tickets = [rob.reserve() for _ in range(6)]
         filled = set()
         popped = 0
-        for position in fill_order:
-            rob.fill(tickets[position])
+        for cycle, position in enumerate(fill_order):
+            rob.fill(tickets[position], cycle)
             filled.add(position)
-            while rob.head_ready():
+            while rob.head_ready(cycle + 1):
                 assert popped in filled
-                rob.pop()
+                rob.pop(cycle + 1)
                 popped += 1
             assert popped == min(set(range(7)) - filled)
         assert popped == 6

@@ -88,7 +88,7 @@ class _Probe(KernelExecutor):
         self._flushed = False
         self._ports = {}
         self._indexed = {}
-        rows = [(slot, _SEQ_READ, _Port(self, log, op), op, None)
+        rows = [(slot, _SEQ_READ, _Port(self, log, op), None)
                 for op, slot in enumerate(slots)]
         self._set_firing(rows, ii, iterations)
 

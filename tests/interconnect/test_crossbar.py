@@ -43,7 +43,7 @@ class TestReturnNetwork:
     def test_delivery_invokes_fill(self):
         net = ReturnNetwork(lanes=2)
         received, fill = self.collect()
-        net.enqueue(bank=0, destination_lane=1, ticket=7, fill=fill)
+        net.enqueue(bank=0, destination_lane=1, token=7, fill=fill)
         net.tick(comm_busy=False)
         assert received == [7]
         assert net.pending() == 0
